@@ -1,0 +1,26 @@
+"""Golden sweep outputs pin behaviour across versions.
+
+Each ``tests/golden/<scenario>/summary.json`` echoes the configuration that
+produced it (the acceptance seeds at n = 128, 512, 2048 with 16 trials), so
+the test reruns exactly that configuration on one worker and compares both
+output files byte for byte.  Any change to a golden file must be explained
+in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fieldrecon.experiments import config_from_record, run_sweep
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("scenario", ["set1", "set2", "diffusion"])
+def test_golden_sweep_outputs(scenario, tmp_path):
+    expected = GOLDEN / scenario
+    record = json.loads((expected / "summary.json").read_text())["config"]
+    run_sweep(config_from_record(record), workers=1, out_dir=tmp_path)
+    for name in ("sweep.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
