@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigInvalid,
     DegenerateFit,
-    DegenerateOrder,
     DegenerateRoots,
     FieldReconError,
     InfeasiblePde,
@@ -25,9 +24,11 @@ from .pde_core import (
     solve_initial_coefficients,
 )
 from .field import (
+    CATALOG,
+    CatalogEntry,
     FieldState,
-    PDE_CATALOG,
-    SCENARIO_COEFFICIENTS,
+    catalog_entry,
+    catalog_scenario,
     coefficients_at,
     evaluate,
     evaluate_at_points,
@@ -40,15 +41,14 @@ from .field import (
 )
 from .sampling import (
     NoiseSpec,
-    PathStreams,
     RenewalSpec,
-    RenewalTemplate,
     SamplePath,
     SampleSet,
     draw_path,
     grid_deviation,
     sample_field,
 )
+from .streams import PathStreams
 from .estimator import (
     ConditionReport,
     DesignMatrix,
@@ -69,7 +69,6 @@ from .oracle import (
 from .experiments import (
     ExperimentConfig,
     SweepResult,
-    catalog_scenario,
     fit_loglog_slope,
     load_config,
     run_sweep,

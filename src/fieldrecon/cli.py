@@ -4,8 +4,8 @@ Subcommands: ``sweep`` (density sweep from a JSON config), ``verify``
 (brute-force verification suites), ``stability`` (feasibility report for a
 PDE), ``scenarios`` (catalog listing).
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible PDE,
-4 verification-suite failure.
+Exit codes: 0 success, 2 configuration error, 3 PDE outside the model (a
+growing mode or repeated roots), 4 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigInvalid, InfeasiblePde
+from .errors import ConfigInvalid, DegenerateRoots, InfeasiblePde
 from .experiments import load_config, run_sweep
-from .field import PDE_CATALOG, SCENARIO_COEFFICIENTS, SCENARIO_DEFAULT_PDE
+from .field import CATALOG
 from .oracle import SuiteReport, bandlimit_suite, grid_deviation_suite, ode_equivalence_suite
 from .pde_core import PdeSpec, check_stability
 
@@ -70,15 +71,13 @@ def _cmd_sweep(args) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            from dataclasses import replace
-
             config = replace(config, master_seed=args.seed)
         result = run_sweep(config, workers=args.workers, out_dir=args.out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasiblePde as exc:
-        print(f"infeasible PDE: {exc}", file=sys.stderr)
+    except (InfeasiblePde, DegenerateRoots) as exc:
+        print(f"PDE outside the model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     header = f"{'n':>8} {'mean_distortion':>16} {'stderr':>12} {'mean_M':>10} {'mean_kappa':>12} {'rank_fail':>9}"
     print(header)
@@ -111,7 +110,14 @@ def _cmd_stability(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = check_stability(spec, args.band)
+    try:
+        report = check_stability(spec, args.band)
+    except ValueError as exc:  # a negative band limit
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DegenerateRoots as exc:
+        print(f"PDE outside the model: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     for k in sorted(report.worst_real_parts):
         print(f"k={k:>4}  worst Re(r) = {report.worst_real_parts[k]: .6e}")
     if report.feasible:
@@ -122,15 +128,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    for index in sorted(PDE_CATALOG):
-        spec = PDE_CATALOG[index]
-        set_id = {v: k for k, v in SCENARIO_DEFAULT_PDE.items()}[index]
-        values = SCENARIO_COEFFICIENTS[set_id]
+    for entry in CATALOG:
+        spec = entry.spec
         print(
-            f"{index}: p={spec.p_coeffs} q={spec.q_coeffs} "
-            f"coefficients={set_id} b=3 m={spec.degree}"
+            f"{entry.index}: p={spec.p_coeffs} q={spec.q_coeffs} "
+            f"coefficients={entry.set_id} b=3 m={spec.degree}"
         )
-        for k, value in enumerate(values):
+        for k, value in enumerate(entry.mode_values):
             print(f"     a[{k}] = {value.real:+.4f} {value.imag:+.4f}j")
     return EXIT_OK
 

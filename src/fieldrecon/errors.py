@@ -9,10 +9,6 @@ class DegenerateRoots(FieldReconError):
     """Characteristic roots are repeated or numerically indistinguishable."""
 
 
-class DegenerateOrder(FieldReconError):
-    """Leading temporal coefficient is zero, so the modal ODE order collapses."""
-
-
 class UnknownScenario(FieldReconError):
     """Requested scenario or catalog entry does not exist."""
 

@@ -27,8 +27,6 @@ from .sampling import SampleSet
 # amplification would otherwise dominate every distortion average.
 RANK_RTOL = 4e-6
 
-GRID_TAGS = ("uniform", "true")
-
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
@@ -40,7 +38,6 @@ class DesignMatrix:
     """
 
     entries: np.ndarray
-    grid: str
     roots: tuple[HarmonicRoots, ...]
     t0: float  # horizon of the last row; exact for uniform grids
 
@@ -48,8 +45,6 @@ class DesignMatrix:
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[1] != sum(hr.m for hr in self.roots):
             raise ValueError("entry matrix shape disagrees with the root layout")
-        if self.grid not in GRID_TAGS:
-            raise ValueError(f"unknown grid tag {self.grid!r}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "roots", tuple(self.roots))
@@ -77,24 +72,18 @@ def uniform_grid_points(m_count: int, t0: float) -> np.ndarray:
     return np.column_stack((idx / m_count, idx * t0 / m_count))
 
 
-def build_design_matrix(
-    roots_per_k: Sequence[HarmonicRoots], points, grid_tag: str
-) -> DesignMatrix:
+def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], points) -> DesignMatrix:
     """Design matrix over ``points`` (a sequence of (x, t) pairs).
 
-    For ``grid_tag='uniform'`` the caller supplies the uniform grid points of
-    :func:`uniform_grid_points`; ``'true'`` marks the realized-path variant
-    used only as an oracle (those points are unknown to a real estimator).
+    The estimator passes the uniform grid of :func:`uniform_grid_points`;
+    the realized path points serve only as an oracle (they are unknown to a
+    real estimator).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (M, 2) array of (x, t) pairs")
-    if grid_tag not in GRID_TAGS:
-        raise ValueError(f"unknown grid tag {grid_tag!r}")
     entries = basis_matrix(roots_per_k, pts[:, 0], pts[:, 1])
-    return DesignMatrix(
-        entries=entries, grid=grid_tag, roots=tuple(roots_per_k), t0=float(pts[-1, 1])
-    )
+    return DesignMatrix(entries=entries, roots=tuple(roots_per_k), t0=float(pts[-1, 1]))
 
 
 def _as_values(samples) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Density sweeps, slope fits, the scenario catalog, and result persistence.
+"""Density sweeps, slope fits, and result persistence.
 
 A sweep runs ``trials`` independent reconstructions at every density in
 ``n_list`` and aggregates the distortion per density.  Every random draw is
@@ -17,29 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigInvalid,
-    DegenerateFit,
-    InfeasiblePde,
-    InsufficientSamples,
-    RankDeficient,
-    UnknownScenario,
-)
-from .field import (
-    PDE_CATALOG,
-    SCENARIO_COEFFICIENTS,
-    SCENARIO_DEFAULT_PDE,
-    FieldState,
-    coefficients_at,
-    random_real_field,
-    scenario_field,
-)
+from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde, InsufficientSamples, RankDeficient
+from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
 from .pde_core import PdeSpec, check_stability
 from .estimator import build_design_matrix, reconstruct, uniform_grid_points
-from .sampling import NoiseSpec, PathStreams, RenewalTemplate, draw_path, sample_field
-from .streams import substream, trial_streams
+from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
+from .streams import noise_stream, substream, trial_streams
 
-DEFAULT_T0_POLICY = "last_sample"
 RANDOM_SCENARIO_BAND = 3
 
 _CONFIG_KEYS = {
@@ -65,7 +49,7 @@ class ExperimentConfig:
     pde: PdeSpec | int
     n_list: tuple[int, ...]
     trials: int
-    renewal: RenewalTemplate = RenewalTemplate()
+    renewal: RenewalSpec = RenewalSpec()
     noise: NoiseSpec = NoiseSpec()
     master_seed: int = 0
     output_path: str | None = None
@@ -80,14 +64,14 @@ class ExperimentConfig:
             raise ConfigInvalid("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigInvalid("master_seed must fit an unsigned 64-bit integer")
-        if isinstance(self.pde, int) and self.pde not in PDE_CATALOG:
+        if isinstance(self.pde, int) and self.pde not in [entry.index for entry in CATALOG]:
             raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
 
 
 def _parse_scenario_tag(tag: str) -> int | None:
     """Return the field seed for 'random:<seed>' tags, None for catalog ids."""
-    if tag in SCENARIO_COEFFICIENTS:
+    if tag in [entry.set_id for entry in CATALOG]:
         return None
     if tag.startswith("random:"):
         try:
@@ -98,14 +82,6 @@ def _parse_scenario_tag(tag: str) -> int | None:
             raise ConfigInvalid("random scenario seed must be non-negative")
         return seed
     raise ConfigInvalid(f"unknown scenario {tag!r}")
-
-
-def catalog_scenario(index: int) -> tuple[PdeSpec, FieldState]:
-    """Catalog pairing: PDE ``index`` with its reference coefficient set."""
-    if index not in PDE_CATALOG:
-        raise UnknownScenario(f"no catalog scenario {index}")
-    set_id = {v: k for k, v in SCENARIO_DEFAULT_PDE.items()}[index]
-    return PDE_CATALOG[index], scenario_field(set_id, index)
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -160,22 +136,19 @@ class SweepPlan:
     """Picklable bundle of everything one trial needs."""
 
     state: FieldState
-    renewal: RenewalTemplate
+    renewal: RenewalSpec
     noise: NoiseSpec
     master_seed: int
-    t0_policy: str = DEFAULT_T0_POLICY
 
 
 def run_trial(plan: SweepPlan, n: int, trial: int) -> TrialRecord:
     """Draw a path, sample the field, reconstruct on the uniform grid, score."""
-    streams = trial_streams(plan.master_seed, n, trial)
-    spec_n = plan.renewal.with_density(n)
-    path = draw_path(spec_n, PathStreams(streams.spatial, streams.temporal), plan.t0_policy)
-    samples = sample_field(plan.state, path, plan.noise, streams.noise)
+    path = draw_path(plan.renewal, n, trial_streams(plan.master_seed, n, trial))
+    samples = sample_field(plan.state, path, plan.noise, noise_stream(plan.master_seed, n, trial))
     true_k0 = coefficients_at(plan.state, 0.0)
     try:
         points = uniform_grid_points(path.M, path.T0)
-        design = build_design_matrix(plan.state.roots, points, "uniform")
+        design = build_design_matrix(plan.state.roots, points)
         result = reconstruct(design, samples, true_k0)
     except (RankDeficient, InsufficientSamples):
         nan = float("nan")
@@ -200,7 +173,7 @@ def _worker_trial(task: tuple[int, int]) -> TrialRecord:
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:
-    pde = PDE_CATALOG[config.pde] if isinstance(config.pde, int) else config.pde
+    pde = catalog_entry(config.pde).spec if isinstance(config.pde, int) else config.pde
     field_seed = _parse_scenario_tag(config.scenario)
     if field_seed is None:
         return scenario_field(config.scenario, pde)
@@ -354,47 +327,50 @@ def _check_keys(record: dict, allowed: set[str], required: set[str], label: str)
         raise ConfigInvalid(f"missing {label} keys: {sorted(missing)}")
 
 
+def _typed(record: dict, key: str, kind: type | tuple[type, ...], what: str):
+    """``record[key]``, refused unless it has type ``kind``; a bool is never a number."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigInvalid(f"{key} must be {what}, got {value!r}")
+    return value
+
+
 def config_from_record(record: dict) -> ExperimentConfig:
     if not isinstance(record, dict):
         raise ConfigInvalid("configuration must be a JSON object")
     _check_keys(record, _CONFIG_KEYS, _CONFIG_KEYS - {"output_path"}, "config")
-    pde_rec = record["pde"]
-    if isinstance(pde_rec, dict):
-        _check_keys(pde_rec, _PDE_KEYS, _PDE_KEYS, "pde")
+    pde = _typed(record, "pde", (int, dict), "a catalog index or a coefficient record")
+    if isinstance(pde, dict):
+        _check_keys(pde, _PDE_KEYS, _PDE_KEYS, "pde")
         try:
-            pde: PdeSpec | int = PdeSpec(tuple(pde_rec["p_coeffs"]), tuple(pde_rec["q_coeffs"]))
+            pde = PdeSpec(tuple(pde["p_coeffs"]), tuple(pde["q_coeffs"]))
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"invalid PDE coefficients: {exc}") from exc
-    elif isinstance(pde_rec, int):
-        pde = pde_rec
-    else:
-        raise ConfigInvalid("pde must be a catalog index or a coefficient record")
-    renewal_rec = record["renewal"]
+    renewal_rec = _typed(record, "renewal", dict, "a JSON object")
     _check_keys(renewal_rec, _RENEWAL_KEYS, _RENEWAL_KEYS, "renewal")
-    noise_rec = record["noise"]
+    noise_rec = _typed(record, "noise", dict, "a JSON object")
     _check_keys(noise_rec, _NOISE_KEYS, _NOISE_KEYS, "noise")
+    lam = float(_typed(renewal_rec, "lambda", (int, float), "a number"))
+    mu = float(_typed(renewal_rec, "mu", (int, float), "a number"))
+    variance = float(_typed(noise_rec, "variance", (int, float), "a number"))
     try:
-        renewal = RenewalTemplate(
-            family=renewal_rec["family"],
-            lam=float(renewal_rec["lambda"]),
-            mu=float(renewal_rec["mu"]),
-        )
-        noise = NoiseSpec(family=noise_rec["family"], variance=float(noise_rec["variance"]))
+        renewal = RenewalSpec(family=renewal_rec["family"], lam=lam, mu=mu)
+        noise = NoiseSpec(family=noise_rec["family"], variance=variance)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
-    try:
-        return ExperimentConfig(
-            scenario=record["scenario"],
-            pde=pde,
-            n_list=record["n_list"],
-            trials=record["trials"],
-            renewal=renewal,
-            noise=noise,
-            master_seed=record["master_seed"],
-            output_path=record.get("output_path"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    n_list = _typed(record, "n_list", list, "a list of integers")
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in n_list):
+        raise ConfigInvalid(f"n_list must be a list of integers, got {n_list!r}")
+    return ExperimentConfig(
+        scenario=_typed(record, "scenario", str, "a string"),
+        pde=pde,
+        n_list=n_list,
+        trials=_typed(record, "trials", int, "an integer"),
+        renewal=renewal,
+        noise=noise,
+        master_seed=_typed(record, "master_seed", int, "an integer"),
+        output_path=_typed(record, "output_path", str, "a string") if "output_path" in record else None,
+    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -24,24 +24,50 @@ REAL_GUARD_TOL = 1e-9
 
 DERIVATIVE_POLICIES = ("at_rest", "first_mode")
 
-# Mode-value catalogs for the three reference simulations (k = 0..3; negative
-# harmonics are conjugate mirrors so the field is real).
-SCENARIO_COEFFICIENTS: dict[str, tuple[complex, ...]] = {
-    "set1": (0.3002 + 0j, -0.0413 + 0.0216j, 0.0871 + 0.0343j, -0.1679 - 0.0586j),
-    "set2": (0.2445 + 0j, -0.0357 + 0.0478j, 0.0978 + 0.0729j, -0.1796 - 0.0756j),
-    "diffusion": (0.11 + 0j, 0.023 - 0.076j, 0.0669 + 0.0551j, 0.2 + 0.0821j),
-}
 
-# Catalog PDEs.  Entry 1 is defined by the polynomial q1(z) = 0.01(z^2 - 0.0125 z^4);
-# a variant weighting the fourth spatial derivative by 0.125 instead of 0.0125 is a
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One reference simulation: PDE index, coefficient-set id, PDE, and the
+    mode values a_k(0) for k = 0..3 (negative harmonics are conjugate mirrors
+    so the field is real)."""
+
+    index: int
+    set_id: str
+    spec: PdeSpec
+    mode_values: tuple[complex, ...]
+
+
+# Entry 1 is defined by the polynomial q1(z) = 0.01(z^2 - 0.0125 z^4); a variant
+# weighting the fourth spatial derivative by 0.125 instead of 0.0125 is a
 # different (still feasible) model and is NOT what this catalog encodes.
-PDE_CATALOG: dict[int, PdeSpec] = {
-    1: PdeSpec((0.0, 3.0, 1.0), (0.0, 0.0, 0.01, 0.0, -0.000125)),
-    2: PdeSpec((0.0, 3.0, 1.0), (0.0, 0.0, 0.01)),
-    3: PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01)),
-}
+CATALOG: tuple[CatalogEntry, ...] = (
+    CatalogEntry(
+        1,
+        "set1",
+        PdeSpec((0.0, 3.0, 1.0), (0.0, 0.0, 0.01, 0.0, -0.000125)),
+        (0.3002 + 0j, -0.0413 + 0.0216j, 0.0871 + 0.0343j, -0.1679 - 0.0586j),
+    ),
+    CatalogEntry(
+        2,
+        "set2",
+        PdeSpec((0.0, 3.0, 1.0), (0.0, 0.0, 0.01)),
+        (0.2445 + 0j, -0.0357 + 0.0478j, 0.0978 + 0.0729j, -0.1796 - 0.0756j),
+    ),
+    CatalogEntry(
+        3,
+        "diffusion",
+        PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01)),
+        (0.11 + 0j, 0.023 - 0.076j, 0.0669 + 0.0551j, 0.2 + 0.0821j),
+    ),
+)
 
-SCENARIO_DEFAULT_PDE = {"set1": 1, "set2": 2, "diffusion": 3}
+
+def catalog_entry(key: int | str) -> CatalogEntry:
+    """The catalog row with PDE index or coefficient-set id ``key``."""
+    for entry in CATALOG:
+        if key in (entry.index, entry.set_id):
+            return entry
+    raise UnknownScenario(f"no catalog entry {key!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,18 +267,20 @@ def scenario_field(
     ``pde`` selects the governing PDE (catalog index or explicit spec); by
     default each coefficient set pairs with its usual catalog equation.
     """
-    if scenario_id not in SCENARIO_COEFFICIENTS:
-        raise UnknownScenario(f"unknown scenario {scenario_id!r}")
+    entry = catalog_entry(scenario_id)
     if pde is None:
-        pde = SCENARIO_DEFAULT_PDE[scenario_id]
-    if isinstance(pde, int):
-        if pde not in PDE_CATALOG:
-            raise UnknownScenario(f"unknown catalog PDE index {pde}")
-        spec = PDE_CATALOG[pde]
+        spec = entry.spec
+    elif isinstance(pde, int):
+        spec = catalog_entry(pde).spec
     else:
         spec = pde
-    values = np.array(SCENARIO_COEFFICIENTS[scenario_id], dtype=complex)
-    return field_from_mode_values(3, spec, values, derivative_policy)
+    return field_from_mode_values(3, spec, entry.mode_values, derivative_policy)
+
+
+def catalog_scenario(index: int) -> tuple[PdeSpec, FieldState]:
+    """Catalog pairing: PDE ``index`` with its reference coefficient set."""
+    entry = catalog_entry(index)
+    return entry.spec, scenario_field(entry.set_id)
 
 
 def field_to_record(state: FieldState) -> dict:

@@ -8,15 +8,14 @@ plain Monte Carlo.  The suite runners emit plain-text tables for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateOrder
-from .field import PDE_CATALOG, scenario_field
+from .field import CATALOG, catalog_entry, catalog_scenario
 from .pde_core import HarmonicRoots, PdeSpec, eval_poly, evolve_coefficient, solve_initial_coefficients
-from .sampling import PathStreams, RenewalSpec, draw_path, grid_deviation
+from .sampling import RenewalSpec, draw_path, grid_deviation
 from .streams import substream, trial_streams
 
 
@@ -43,9 +42,7 @@ class OdeTrajectory:
 def _companion_system(spec: PdeSpec, k: int) -> np.ndarray:
     """First-order system matrix for p(d/dt) a = q(j 2 pi k) a."""
     m = spec.degree
-    lead = spec.p_coeffs[-1]
-    if lead == 0.0:
-        raise DegenerateOrder("leading temporal coefficient is zero")
+    lead = spec.p_coeffs[-1]  # nonzero: PdeSpec rejects a vanishing leading coefficient
     forcing = eval_poly(spec.q_coeffs, 2j * np.pi * k)
     system = np.zeros((m, m), dtype=complex)
     system[:-1, 1:] = np.eye(m - 1)
@@ -131,7 +128,7 @@ class ScalingRow:
 
 
 def grid_deviation_scaling(
-    template: RenewalSpec,
+    spec: RenewalSpec,
     n_list: Sequence[int],
     trials: int,
     seed: int,
@@ -146,12 +143,10 @@ def grid_deviation_scaling(
         raise ValueError("at least 100 trials required for a stable mean")
     rows = []
     for n in n_list:
-        spec = replace(template, n=n)
         spatial_sum = 0.0
         temporal_sum = 0.0
         for trial in range(trials):
-            streams = trial_streams(seed, n, trial)
-            path = draw_path(spec, PathStreams(streams.spatial, streams.temporal), t0_policy)
+            path = draw_path(spec, n, trial_streams(seed, n, trial), t0_policy)
             s_dev, t_dev = grid_deviation(path)
             spatial_sum += s_dev
             temporal_sum += t_dev
@@ -184,12 +179,6 @@ class SuiteReport:
     lines: tuple[str, ...]
 
 
-def _scenario_states():
-    for index in (1, 2, 3):
-        set_id = {1: "set1", 2: "set2", 3: "diffusion"}[index]
-        yield index, PDE_CATALOG[index], scenario_field(set_id, index)
-
-
 def ode_equivalence_suite(dt: float = 1e-3, t_end: float = 1.0) -> SuiteReport:
     """Closed-form evolution against RK4 on every catalog harmonic, plus an
     order-of-convergence check on step halving."""
@@ -197,7 +186,8 @@ def ode_equivalence_suite(dt: float = 1e-3, t_end: float = 1.0) -> SuiteReport:
     passed = True
     worst_coarse = 0.0
     worst_fine = 0.0
-    for index, spec, state in _scenario_states():
+    for entry in CATALOG:
+        spec, state = catalog_scenario(entry.index)
         max_dev = 0.0
         coarse = fine = 0.0
         for hr in state.roots:
@@ -220,7 +210,7 @@ def ode_equivalence_suite(dt: float = 1e-3, t_end: float = 1.0) -> SuiteReport:
         worst_coarse = max(worst_coarse, coarse)
         worst_fine = max(worst_fine, fine)
         lines.append(
-            f"scenario {index}: max |closed-form - RK4| = {max_dev:.3e} over [0, {t_end}] "
+            f"scenario {entry.index}: max |closed-form - RK4| = {max_dev:.3e} over [0, {t_end}] "
             f"at dt={dt:g} -> {'ok' if ok else 'FAIL'}"
         )
     ratio = worst_coarse / worst_fine if worst_fine > 0 else float("inf")
@@ -239,12 +229,13 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     injection must register."""
     lines = []
     passed = True
-    for index, spec, state in _scenario_states():
+    for entry in CATALOG:
+        spec, state = catalog_scenario(entry.index)
         leak = bandlimit_preservation_check(spec, b=state.b)
         ok = leak < 1e-12
         passed &= ok
         lines.append(
-            f"scenario {index}: max out-of-band |a_k(t)| = {leak:.3e} -> "
+            f"scenario {entry.index}: max out-of-band |a_k(t)| = {leak:.3e} -> "
             f"{'ok' if ok else 'FAIL'}"
         )
     rng = substream(seed, 0)
@@ -269,8 +260,7 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
         f"zero conditions -> zero coefficients on {instances} random root sets "
         f"(max |a| = {worst:.3e}) -> {'ok' if zero_ok else 'FAIL'}"
     )
-    spec = PDE_CATALOG[3]
-    injected = bandlimit_preservation_check(spec, b=3, conditions={5: [1.0]})
+    injected = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
     control_ok = injected > 0.0
     passed &= control_ok
     lines.append(
@@ -291,10 +281,9 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
         family = ("uniform_scaled", "beta_scaled")[trial % 2]
         policy = ("last_sample", "jittered")[(trial // 2) % 2]
         lam = mu = 2.0 if family == "uniform_scaled" else 3.0
-        spec = RenewalSpec(n=n, family=family, lam=lam, mu=mu)
-        streams = trial_streams(seed, n, trial)
+        spec = RenewalSpec(family, lam, mu)
         try:
-            path = draw_path(spec, PathStreams(streams.spatial, streams.temporal), policy)
+            path = draw_path(spec, n, trial_streams(seed, n, trial), policy)
         except ValueError:
             violations += 1  # SamplePath constructor enforces the S/T inequalities
             continue
@@ -311,8 +300,8 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
 def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
     """Scaled grid deviations must sit in a flat band, and the per-draw
     inequalities must never fail."""
-    template = RenewalSpec(n=100, family="uniform_scaled", lam=2.0, mu=2.0)
-    rows = grid_deviation_scaling(template, (100, 400, 1600, 6400), trials, seed)
+    spec = RenewalSpec("uniform_scaled", 2.0, 2.0)
+    rows = grid_deviation_scaling(spec, (100, 400, 1600, 6400), trials, seed)
     lines = [format_scaling_table(rows)]
     passed = True
     for label, column in (

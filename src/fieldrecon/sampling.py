@@ -11,13 +11,14 @@ reading values, the in-support count M and the horizon T0 are.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .field import FieldState, evaluate_at_points, real_values
+from .streams import PathStreams
 
 FAMILIES = ("uniform_scaled", "beta_scaled", "deterministic")
 T0_POLICIES = ("last_sample", "jittered")
@@ -27,70 +28,24 @@ T0_POLICIES = ("last_sample", "jittered")
 _BETA_SHAPE_A = 2.0
 
 
-def _validate_renewal_params(family: str, lam: float, mu: float) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown renewal family {family!r}")
-    if not (np.isfinite(lam) and np.isfinite(mu) and lam > 1.0 and mu > 1.0):
-        raise ValueError("support parameters lam and mu must be finite and > 1")
-    if family == "uniform_scaled" and (lam != 2.0 or mu != 2.0):
-        # A uniform increment on (0, lam/n] has mean lam/(2n); only lam = 2
-        # meets the unit-mean constraint.  Other supports go via beta_scaled.
-        raise ValueError("uniform_scaled requires lam = mu = 2")
-
-
 @dataclass(frozen=True)
 class RenewalSpec:
-    """Sampling process parameters at a concrete average density n."""
-
-    n: int
-    family: str = "uniform_scaled"
-    lam: float = 2.0
-    mu: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise ValueError("density n must be a positive integer")
-        _validate_renewal_params(self.family, self.lam, self.mu)
-        if self.family != "deterministic" and (self.lam > self.n / 10 or self.mu > self.n / 10):
-            # Support parameters must stay far below n for the grid argument
-            # to bite; the zero-variance family is exempt.
-            raise ValueError("lam and mu must not exceed n/10")
-
-
-@dataclass(frozen=True)
-class RenewalTemplate:
-    """Renewal parameters without a density, for sweeps that vary n."""
+    """Renewal-process parameters; the density n is supplied per draw."""
 
     family: str = "uniform_scaled"
     lam: float = 2.0
     mu: float = 2.0
 
     def __post_init__(self) -> None:
-        _validate_renewal_params(self.family, self.lam, self.mu)
-
-    def with_density(self, n: int) -> RenewalSpec:
-        return RenewalSpec(n=n, family=self.family, lam=self.lam, mu=self.mu)
-
-
-@dataclass(frozen=True)
-class PathStreams:
-    """Separate generators for the two renewal processes.
-
-    Keeping them apart guarantees the independence contract: replacing the
-    temporal seed cannot change the spatial path, bit for bit.
-    """
-
-    spatial: np.random.Generator
-    temporal: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "PathStreams":
-        children = np.random.SeedSequence(seed).spawn(2)
-        return cls(
-            spatial=np.random.Generator(np.random.PCG64(children[0])),
-            temporal=np.random.Generator(np.random.PCG64(children[1])),
-        )
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown renewal family {self.family!r}")
+        lam, mu = self.lam, self.mu
+        if not (np.isfinite(lam) and np.isfinite(mu) and lam > 1.0 and mu > 1.0):
+            raise ValueError("support parameters lam and mu must be finite and > 1")
+        if self.family == "uniform_scaled" and (lam != 2.0 or mu != 2.0):
+            # A uniform increment on (0, lam/n] has mean lam/(2n); only lam = 2
+            # meets the unit-mean constraint.  Other supports go via beta_scaled.
+            raise ValueError("uniform_scaled requires lam = mu = 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,25 +144,34 @@ def _draw_prefix_sums(family: str, n: int, lam: float, gen: np.random.Generator)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def draw_path(spec: RenewalSpec, rng: PathStreams, t0_policy: str = "last_sample") -> SamplePath:
-    """One realization of the sampling process.
+def draw_path(
+    spec: RenewalSpec, n: int, rng: PathStreams, t0_policy: str = "last_sample"
+) -> SamplePath:
+    """One realization of the sampling process at average density ``n``.
 
     M is fixed by S_M <= 1 < S_{M+1}.  The horizon follows ``t0_policy``:
     ``last_sample`` takes T0 = T_M (zero slack), ``jittered`` places T0
     uniformly inside [T_M, T_{M+1}).
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError("density n must be a positive integer")
+    if spec.family != "deterministic" and max(spec.lam, spec.mu) > n / 10:
+        # Support parameters must stay far below n for the grid argument
+        # to bite; the zero-variance family is exempt.
+        raise ValueError("lam and mu must not exceed n/10")
     if t0_policy not in T0_POLICIES:
         raise ValueError(f"unknown T0 policy {t0_policy!r}")
     if spec.family == "deterministic":
-        m_count = spec.n
+        m_count = n
         idx = np.arange(1, m_count + 2)
-        S = idx / spec.n
-        T = idx / spec.n
+        S = idx / n
+        T = idx / n
     else:
-        S = _draw_prefix_sums(spec.family, spec.n, spec.lam, rng.spatial)
+        S = _draw_prefix_sums(spec.family, n, spec.lam, rng.spatial)
         m_count = int(np.searchsorted(S, 1.0, side="right"))
         S = S[: m_count + 1]
-        increments = _draw_increments(spec.family, spec.n, spec.mu, rng.temporal, m_count + 1)
+        increments = _draw_increments(spec.family, n, spec.mu, rng.temporal, m_count + 1)
         T = np.cumsum(increments)
     if t0_policy == "last_sample":
         t0 = float(T[m_count - 1])
@@ -296,7 +260,3 @@ def path_from_csv(source) -> tuple[SamplePath, np.ndarray | None]:
     if values is not None and len(values) != path_obj.M:
         raise ValueError("value column must cover exactly the in-support samples")
     return path_obj, values
-
-
-def replace_density(spec: RenewalSpec, n: int) -> RenewalSpec:
-    return replace(spec, n=n)

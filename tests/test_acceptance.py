@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module is budgeted to finish in well under five minutes.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from fieldrecon.estimator import (
     condition_diagnostics,
     uniform_grid_points,
 )
-from fieldrecon.experiments import ExperimentConfig, run_sweep, sweep_csv_text
-from fieldrecon.field import PDE_CATALOG, scenario_field
+from fieldrecon.experiments import ExperimentConfig, load_config, run_sweep, sweep_csv_text
+from fieldrecon.field import catalog_entry, catalog_scenario
 from fieldrecon.oracle import (
     _fuzz_path_invariants,
     bandlimit_preservation_check,
@@ -21,12 +23,13 @@ from fieldrecon.oracle import (
     integrate_coefficient_ode,
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, evolve_coefficient, solve_initial_coefficients
-from fieldrecon.sampling import NoiseSpec, PathStreams, RenewalSpec, RenewalTemplate, draw_path
-from fieldrecon.streams import substream
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
+from fieldrecon.streams import PathStreams, substream
 
 ACCEPTANCE_SEED = 20260808
 SWEEP_GRID = (128, 256, 512, 1024, 2048, 4096, 8192)
 SCENARIOS = ((1, "set1"), (2, "set2"), (3, "diffusion"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -35,19 +38,11 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def scenario_sweeps():
-    results = {}
-    for index, scenario in SCENARIOS:
-        config = ExperimentConfig(
-            scenario=scenario,
-            pde=index,
-            n_list=SWEEP_GRID,
-            trials=128,
-            renewal=RenewalTemplate("uniform_scaled", 2.0, 2.0),
-            noise=NoiseSpec("gaussian", 1e-4),
-            master_seed=ACCEPTANCE_SEED + index,
-        )
-        results[index] = run_sweep(config)
-    return results
+    """The committed acceptance sweeps, configs/<scenario>.json."""
+    return {
+        index: run_sweep(load_config(CONFIG_DIR / f"{scenario}.json"))
+        for index, scenario in SCENARIOS
+    }
 
 
 def test_criterion_01_slope_reproduction(scenario_sweeps):
@@ -75,7 +70,7 @@ def test_criterion_03_exact_recovery():
             pde=index,
             n_list=SWEEP_GRID,
             trials=2,
-            renewal=RenewalTemplate("deterministic", 2.0, 2.0),
+            renewal=RenewalSpec("deterministic", 2.0, 2.0),
             noise=NoiseSpec(),
             master_seed=ACCEPTANCE_SEED,
         )
@@ -90,9 +85,8 @@ def test_criterion_03_exact_recovery():
 def test_criterion_04_ode_oracle_equivalence():
     worst = 0.0
     worst_half = 0.0
-    for index, scenario in SCENARIOS:
-        spec = PDE_CATALOG[index]
-        state = scenario_field(scenario, index)
+    for index, _ in SCENARIOS:
+        spec, state = catalog_scenario(index)
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
             conditions[0] = complex(np.sum(state.row(hr.k)))
@@ -113,7 +107,7 @@ def test_criterion_04_ode_oracle_equivalence():
 
 
 def test_criterion_05_bandlimit_preservation():
-    leaks = [bandlimit_preservation_check(PDE_CATALOG[i], b=3) for i, _ in SCENARIOS]
+    leaks = [bandlimit_preservation_check(catalog_entry(i).spec, b=3) for i, _ in SCENARIOS]
     rng = substream(ACCEPTANCE_SEED, 5)
     worst_zero_map = 0.0
     for _ in range(100):
@@ -128,7 +122,7 @@ def test_criterion_05_bandlimit_preservation():
         )
         solved = solve_initial_coefficients(hr, np.zeros(m, dtype=complex))
         worst_zero_map = max(worst_zero_map, float(np.max(np.abs(solved))))
-    control = bandlimit_preservation_check(PDE_CATALOG[3], b=3, conditions={5: [1.0]})
+    control = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
     ok = max(leaks) < 1e-12 and worst_zero_map < 1e-14 and control > 0.0
     report(
         5,
@@ -140,8 +134,8 @@ def test_criterion_05_bandlimit_preservation():
 
 
 def test_criterion_06_grid_deviation_scaling():
-    template = RenewalSpec(n=100, family="uniform_scaled", lam=2.0, mu=2.0)
-    rows = grid_deviation_scaling(template, (100, 400, 1600, 6400), 10_000, ACCEPTANCE_SEED)
+    spec = RenewalSpec("uniform_scaled", 2.0, 2.0)
+    rows = grid_deviation_scaling(spec, (100, 400, 1600, 6400), 10_000, ACCEPTANCE_SEED)
     spatial = [r.scaled_spatial for r in rows]
     temporal = [r.scaled_temporal for r in rows]
     ratio_s = max(spatial) / min(spatial)
@@ -161,11 +155,11 @@ def test_criterion_07_expected_sample_count():
     details = []
     ok = True
     for n in (50, 500, 5000):
-        spec = RenewalSpec(n=n)
+        spec = RenewalSpec()
         counts = np.empty(10_000)
         for trial in range(10_000):
             streams = PathStreams.from_seed((ACCEPTANCE_SEED << 16) + n * 100_003 + trial)
-            counts[trial] = draw_path(spec, streams).M
+            counts[trial] = draw_path(spec, n, streams).M
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / np.sqrt(len(counts)))
         ok &= (n - 1 - 3 * se) < mean <= (n + spec.lam - 1 + 3 * se)
@@ -181,10 +175,8 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
         if i < 4:
             # Deterministic grids of the second-order catalog entries.
             index = (1, 2, 1, 2)[i]
-            state = scenario_field({1: "set1", 2: "set2"}[index], index)
-            path = draw_path(
-                RenewalSpec(n=256, family="deterministic"), PathStreams.from_seed(i)
-            )
+            _, state = catalog_scenario(index)
+            path = draw_path(RenewalSpec(family="deterministic"), 256, PathStreams.from_seed(i))
             roots = state.roots
         else:
             c = float(rng.uniform(0.004, 0.05))
@@ -192,12 +184,11 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
             spec = PdeSpec((0.0, 1.0), (0.0, 0.0, c))
             roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
             path = draw_path(
-                RenewalSpec(n=int(rng.integers(100, 900))),
+                RenewalSpec(),
+                int(rng.integers(100, 900)),
                 PathStreams.from_seed(int(rng.integers(2**31))),
             )
-        design = build_design_matrix(
-            roots, uniform_grid_points(path.M, path.T0), "uniform"
-        )
+        design = build_design_matrix(roots, uniform_grid_points(path.M, path.T0))
         diag = condition_diagnostics(design)
         flags_ok &= diag.polya_szego_ok and diag.trace_lower_ok
     chain_ok = True
@@ -238,7 +229,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
         pde=3,
         n_list=(128, 256, 512, 1024),
         trials=16,
-        renewal=RenewalTemplate("uniform_scaled", 2.0, 2.0),
+        renewal=RenewalSpec("uniform_scaled", 2.0, 2.0),
         noise=NoiseSpec("gaussian", 1e-4),
         master_seed=ACCEPTANCE_SEED,
     )

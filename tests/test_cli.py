@@ -49,6 +49,13 @@ def test_stability_bad_file(tmp_path):
     assert main(["stability", "--pde", str(pde), "--band", "2"]) == EXIT_CONFIG
 
 
+def test_stability_negative_band(tmp_path, capsys):
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps({"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}))
+    assert main(["stability", "--pde", str(pde), "--band", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_sweep_runs_and_writes(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "results"
@@ -82,6 +89,56 @@ def test_sweep_infeasible(tmp_path):
         tmp_path, pde={"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, -0.01]}
     )
     assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE
+
+
+# p = z^2, q = 0.01 z^2: a double characteristic root at 0 for harmonic k = 0.
+DOUBLE_ROOT_PDE = {"p_coeffs": [0.0, 0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"renewal": 5},
+        {"noise": "gaussian"},
+        {"pde": True},
+        {"pde": 1.0},
+        {"pde": [1]},
+        {"trials": 2.7},
+        {"trials": True},
+        {"master_seed": 7.0},
+        {"master_seed": False},
+        {"n_list": [64, 128.0]},
+        {"n_list": [True, 128]},
+        {"n_list": 128},
+        {"scenario": 5},
+        {"renewal": {"family": "uniform_scaled", "lambda": "2", "mu": 2.0}},
+        {"noise": {"family": "gaussian", "variance": True}},
+    ],
+    ids=lambda override: "-".join(f"{k}={v!r}" for k, v in override.items()),
+)
+def test_sweep_rejects_mistyped_config(tmp_path, capsys, override):
+    config = write_config(tmp_path, **override)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_repeated_roots(tmp_path, capsys):
+    config = write_config(tmp_path, pde=DOUBLE_ROOT_PDE)
+    assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE
+    assert_one_line_error(capsys, "PDE outside the model:")
+
+
+def test_stability_repeated_roots(tmp_path, capsys):
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps(DOUBLE_ROOT_PDE))
+    assert main(["stability", "--pde", str(pde), "--band", "2"]) == EXIT_INFEASIBLE
+    assert_one_line_error(capsys, "PDE outside the model:")
 
 
 def test_verify_single_suite(capsys):

@@ -11,14 +11,15 @@ from fieldrecon.estimator import (
     uniform_grid_points,
 )
 from fieldrecon.field import (
-    PDE_CATALOG,
+    catalog_entry,
     coefficients_at,
     evaluate,
     field_from_mode_values,
     scenario_field,
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots
-from fieldrecon.sampling import NoiseSpec, PathStreams, RenewalSpec, draw_path, sample_field
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
+from fieldrecon.streams import PathStreams
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +34,14 @@ def constant_roots():
 
 def test_constant_mode_design_matrix():
     pts = uniform_grid_points(25, 1.0)
-    design = build_design_matrix(constant_roots(), pts, "uniform")
+    design = build_design_matrix(constant_roots(), pts)
     assert design.rows == 25 and design.cols == 1
     assert np.allclose(design.entries, 1.0, atol=0)
 
 
 def test_entry_modulus_and_row_norm_bound(diffusion):
     pts = uniform_grid_points(100, 0.97)
-    design = build_design_matrix(diffusion.roots, pts, "uniform")
+    design = build_design_matrix(diffusion.roots, pts)
     assert float(np.max(np.abs(design.entries))) <= 1.0 + 1e-12
     row_norms_sq = np.sum(np.abs(design.entries) ** 2, axis=1)
     assert float(np.max(row_norms_sq)) <= diffusion.m * (2 * diffusion.b + 1) + 1e-12
@@ -48,9 +49,9 @@ def test_entry_modulus_and_row_norm_bound(diffusion):
 
 def test_true_grid_forward_oracle(diffusion):
     # Y(true points) @ a must reproduce per-point field evaluation.
-    path = draw_path(RenewalSpec(n=120), PathStreams.from_seed(3))
+    path = draw_path(RenewalSpec(), 120, PathStreams.from_seed(3))
     pts = np.column_stack((path.S[: path.M], path.T[: path.M]))
-    design = build_design_matrix(diffusion.roots, pts, "true")
+    design = build_design_matrix(diffusion.roots, pts)
     predicted = design.entries @ diffusion.flat_coeffs()
     direct = np.array(
         [evaluate(diffusion, x, t) for x, t in zip(path.S[: path.M], path.T[: path.M])]
@@ -59,11 +60,9 @@ def test_true_grid_forward_oracle(diffusion):
 
 
 def test_exact_recovery_on_uniform_grid(diffusion):
-    path = draw_path(RenewalSpec(n=200, family="deterministic"), PathStreams.from_seed(0))
+    path = draw_path(RenewalSpec(family="deterministic"), 200, PathStreams.from_seed(0))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(
-        diffusion.roots, uniform_grid_points(path.M, path.T0), "uniform"
-    )
+    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
     a_hat = least_squares(design, samples)
     err = np.max(np.abs(a_hat - diffusion.flat_coeffs()))
     assert err < 1e-8 * float(np.max(np.abs(diffusion.flat_coeffs())))
@@ -72,17 +71,17 @@ def test_exact_recovery_on_uniform_grid(diffusion):
 def test_constant_mode_least_squares_is_mean():
     rng = np.random.default_rng(4)
     values = rng.uniform(-1, 1, 50)
-    design = build_design_matrix(constant_roots(), uniform_grid_points(50, 1.0), "uniform")
+    design = build_design_matrix(constant_roots(), uniform_grid_points(50, 1.0))
     a_hat = least_squares(design, values)
     assert a_hat[0] == pytest.approx(values.mean(), abs=1e-12)
 
 
 def test_small_instance_matches_normal_equations():
     # Independent oracle: explicit 3x3 normal-equations solve on a tiny instance.
-    spec = PDE_CATALOG[3]
+    spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
     pts = uniform_grid_points(8, 0.9)
-    design = build_design_matrix(roots, pts, "uniform")
+    design = build_design_matrix(roots, pts)
     rng = np.random.default_rng(6)
     values = rng.uniform(-1, 1, 8)
     a_hat = least_squares(design, values)
@@ -93,16 +92,16 @@ def test_small_instance_matches_normal_equations():
 
 def test_insufficient_samples(diffusion):
     pts = uniform_grid_points(5, 1.0)
-    design = build_design_matrix(diffusion.roots, pts, "uniform")
+    design = build_design_matrix(diffusion.roots, pts)
     with pytest.raises(InsufficientSamples):
         least_squares(design, np.zeros(5))
 
 
 def test_rank_deficient_detected():
-    spec = PDE_CATALOG[3]
+    spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
     pts = np.array([[0.5, 0.5]] * 5)  # identical rows: rank 1 < 3
-    design = build_design_matrix(roots, pts, "true")
+    design = build_design_matrix(roots, pts)
     with pytest.raises(RankDeficient):
         least_squares(design, np.zeros(5))
     with pytest.raises(RankDeficient):
@@ -130,10 +129,8 @@ def test_distortion_parseval_quadrature(diffusion):
 
 
 def test_estimator_linearity(diffusion):
-    path = draw_path(RenewalSpec(n=150), PathStreams.from_seed(10))
-    design = build_design_matrix(
-        diffusion.roots, uniform_grid_points(path.M, path.T0), "uniform"
-    )
+    path = draw_path(RenewalSpec(), 150, PathStreams.from_seed(10))
+    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
     rng = np.random.default_rng(11)
     g1 = rng.uniform(-1, 1, path.M)
     g2 = rng.uniform(-1, 1, path.M)
@@ -144,9 +141,9 @@ def test_estimator_linearity(diffusion):
 
 def test_noise_only_unbiased():
     # Pure zero-mean noise decodes to zero coefficients on average.
-    spec = PDE_CATALOG[3]
+    spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    design = build_design_matrix(roots, uniform_grid_points(64, 1.0), "uniform")
+    design = build_design_matrix(roots, uniform_grid_points(64, 1.0))
     rng = np.random.default_rng(21)
     trials = 10_000
     estimates = np.empty((trials, 3), dtype=complex)
@@ -158,7 +155,7 @@ def test_noise_only_unbiased():
 
 
 def test_condition_diagnostics_constant_mode():
-    design = build_design_matrix(constant_roots(), uniform_grid_points(10, 1.0), "uniform")
+    design = build_design_matrix(constant_roots(), uniform_grid_points(10, 1.0))
     report = condition_diagnostics(design)
     assert report.trace == pytest.approx(10.0, abs=1e-12)
     assert report.trace_inverse == pytest.approx(0.1, abs=1e-14)
@@ -169,7 +166,7 @@ def test_condition_diagnostics_constant_mode():
 def test_trace_two_ways(diffusion):
     # Direct sum oracle: trace = sum over k, i, j of exp(2 Re r_j(k) t_i).
     t0 = 0.9
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(512, t0), "uniform")
+    design = build_design_matrix(diffusion.roots, uniform_grid_points(512, t0))
     report = condition_diagnostics(design)
     t_i = np.arange(1, 513) * t0 / 512
     direct = sum(
@@ -187,10 +184,12 @@ def test_inequality_flags_random_instances():
         spec = PdeSpec((0.0, 1.0), (0.0, 0.0, c))
         b = int(rng.integers(1, 4))
         roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
-        path = draw_path(RenewalSpec(n=int(rng.integers(100, 800))), PathStreams.from_seed(int(rng.integers(2**31))))
-        design = build_design_matrix(
-            roots, uniform_grid_points(path.M, path.T0), "uniform"
+        path = draw_path(
+            RenewalSpec(),
+            int(rng.integers(100, 800)),
+            PathStreams.from_seed(int(rng.integers(2**31))),
         )
+        design = build_design_matrix(roots, uniform_grid_points(path.M, path.T0))
         report = condition_diagnostics(design)
         assert report.polya_szego_ok
         assert report.trace_lower_ok
@@ -203,11 +202,9 @@ def test_chain_bound_on_reconstructions(diffusion):
     flat = diffusion.flat_coeffs()
     rng = np.random.default_rng(41)
     for seed in range(10):
-        path = draw_path(RenewalSpec(n=200), PathStreams.from_seed(seed))
+        path = draw_path(RenewalSpec(), 200, PathStreams.from_seed(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
-        design = build_design_matrix(
-            diffusion.roots, uniform_grid_points(path.M, path.T0), "uniform"
-        )
+        design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
         result = reconstruct(design, samples, true_k0)
         coeff_err = float(np.sum(np.abs(result.a_hat - flat) ** 2))
         bound = diffusion.m * (2 * diffusion.b + 1) * coeff_err
@@ -217,11 +214,9 @@ def test_chain_bound_on_reconstructions(diffusion):
 def test_reconstruct_record_is_jsonable(diffusion):
     import json
 
-    path = draw_path(RenewalSpec(n=150), PathStreams.from_seed(2))
+    path = draw_path(RenewalSpec(), 150, PathStreams.from_seed(2))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(
-        diffusion.roots, uniform_grid_points(path.M, path.T0), "uniform"
-    )
+    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
     result = reconstruct(design, samples, coefficients_at(diffusion, 0.0))
     record = result.to_record()
     text = json.dumps(record)

@@ -7,7 +7,6 @@ import pytest
 from fieldrecon.errors import ConfigInvalid, DegenerateFit, InfeasiblePde, UnknownScenario
 from fieldrecon.experiments import (
     ExperimentConfig,
-    catalog_scenario,
     config_from_record,
     config_to_record,
     fit_loglog_slope,
@@ -15,9 +14,9 @@ from fieldrecon.experiments import (
     run_sweep,
     sweep_csv_text,
 )
-from fieldrecon.field import coefficients_at
+from fieldrecon.field import catalog_scenario, coefficients_at
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
-from fieldrecon.sampling import NoiseSpec, RenewalTemplate
+from fieldrecon.sampling import NoiseSpec, RenewalSpec
 
 
 def quick_config(**overrides):
@@ -26,7 +25,7 @@ def quick_config(**overrides):
         pde=3,
         n_list=(64, 128),
         trials=6,
-        renewal=RenewalTemplate("uniform_scaled", 2.0, 2.0),
+        renewal=RenewalSpec("uniform_scaled", 2.0, 2.0),
         noise=NoiseSpec("gaussian", 1e-4),
         master_seed=424242,
     )
@@ -159,7 +158,7 @@ def test_infeasible_pde_rejected():
 
 def test_exact_recovery_sweep():
     config = quick_config(
-        renewal=RenewalTemplate("deterministic", 2.0, 2.0),
+        renewal=RenewalSpec("deterministic", 2.0, 2.0),
         noise=NoiseSpec(),
         trials=2,
         n_list=(32, 64),

@@ -5,9 +5,9 @@ import pytest
 
 from fieldrecon.errors import InfeasiblePde, UnknownScenario
 from fieldrecon.field import (
-    PDE_CATALOG,
-    SCENARIO_COEFFICIENTS,
+    CATALOG,
     FieldState,
+    catalog_entry,
     coefficients_at,
     evaluate,
     evaluate_at_points,
@@ -120,7 +120,7 @@ def test_scenario_values_exact():
 
 def test_scenario_fields_are_real():
     xs = np.arange(1024) / 1024
-    for scenario_id in SCENARIO_COEFFICIENTS:
+    for scenario_id in (entry.set_id for entry in CATALOG):
         state = scenario_field(scenario_id)
         g = evaluate(state, xs, 0.0)
         assert float(np.max(np.abs(g.imag))) < 1e-12
@@ -128,7 +128,7 @@ def test_scenario_fields_are_real():
 
 def test_scenario_bounded():
     xs = np.arange(1024) / 1024
-    for scenario_id in SCENARIO_COEFFICIENTS:
+    for scenario_id in (entry.set_id for entry in CATALOG):
         g = evaluate(scenario_field(scenario_id), xs, 0.0)
         assert float(np.max(np.abs(g))) <= 1.0 + 1e-9
 
@@ -162,7 +162,7 @@ def test_bandlimit_dft(diffusion, set1):
 
 
 def test_random_field_invariants():
-    spec = PDE_CATALOG[3]
+    spec = catalog_entry(3).spec
     xs = np.arange(1024) / 1024
     for seed in range(100):
         state = random_real_field(3, spec, np.random.default_rng(seed))
@@ -181,15 +181,15 @@ def test_random_field_invariants():
 
 
 def test_random_field_peak_normalized():
-    state = random_real_field(3, PDE_CATALOG[3], np.random.default_rng(7))
+    state = random_real_field(3, catalog_entry(3).spec, np.random.default_rng(7))
     xs = np.arange(4096) / 4096
     peak = float(np.max(np.abs(evaluate(state, xs, 0.0))))
     assert peak == pytest.approx(1.0, abs=1e-9)
 
 
 def test_random_field_deterministic():
-    a = random_real_field(3, PDE_CATALOG[2], np.random.default_rng(123))
-    b = random_real_field(3, PDE_CATALOG[2], np.random.default_rng(123))
+    a = random_real_field(3, catalog_entry(2).spec, np.random.default_rng(123))
+    b = random_real_field(3, catalog_entry(2).spec, np.random.default_rng(123))
     assert np.array_equal(a.coeffs, b.coeffs)
     assert a.roots == b.roots
 
@@ -236,7 +236,7 @@ def test_serialization_rejects_bad_record(set1):
 
 
 def test_field_state_shape_validation():
-    spec = PDE_CATALOG[3]
+    spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in range(-1, 2))
     with pytest.raises(ValueError):
         FieldState(b=1, spec=spec, coeffs=np.zeros((2, 1)), roots=roots)

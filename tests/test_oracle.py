@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldrecon.errors import DegenerateOrder
-from fieldrecon.field import PDE_CATALOG, scenario_field
+from fieldrecon.field import CATALOG, catalog_entry, catalog_scenario
 from fieldrecon.oracle import (
     bandlimit_preservation_check,
     bandlimit_suite,
@@ -21,7 +20,7 @@ DIFFUSION_RATE = -0.39478417604357435
 
 
 def test_rk4_scalar_exponential():
-    traj = integrate_coefficient_ode(PDE_CATALOG[3], 1, [1.0], t_end=1.0, dt=1e-3)
+    traj = integrate_coefficient_ode(catalog_entry(3).spec, 1, [1.0], t_end=1.0, dt=1e-3)
     assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert abs(traj.values[-1] - cmath.exp(DIFFUSION_RATE)) < 1e-9
 
@@ -37,21 +36,13 @@ def test_rk4_two_mode_closed_form():
 
 
 def test_rk4_zero_initial_conditions():
-    traj = integrate_coefficient_ode(PDE_CATALOG[2], 2, [0.0, 0.0], t_end=0.5, dt=1e-3)
+    traj = integrate_coefficient_ode(catalog_entry(2).spec, 2, [0.0, 0.0], t_end=0.5, dt=1e-3)
     assert np.all(traj.values == 0)
 
 
-def test_rk4_rejects_degenerate_order():
-    spec = PdeSpec((0.0, 1.0), (0.0, 1.0))
-    object.__setattr__(spec, "p_coeffs", (0.0, 0.0))  # bypass constructor gate
-    with pytest.raises(DegenerateOrder):
-        integrate_coefficient_ode(spec, 0, [1.0], 1.0, 0.1)
-
-
 def test_rk4_matches_closed_form_all_scenarios():
-    for index in (1, 2, 3):
-        spec = PDE_CATALOG[index]
-        state = scenario_field({1: "set1", 2: "set2", 3: "diffusion"}[index], index)
+    for entry in CATALOG:
+        spec, state = catalog_scenario(entry.index)
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
             conditions[0] = complex(np.sum(state.row(hr.k)))
@@ -64,8 +55,7 @@ def test_rk4_matches_closed_form_all_scenarios():
 
 def test_rk4_fourth_order_convergence():
     # Halving the step should shrink the error by about 2^4.
-    spec = PDE_CATALOG[1]
-    state = scenario_field("set1", 1)
+    spec, state = catalog_scenario(1)
     hr = state.roots[6]  # k = 3, the largest |r| among the scenarios
     conditions = np.array([complex(np.sum(state.row(3))), 0.0])
     errors = {}
@@ -79,39 +69,39 @@ def test_rk4_fourth_order_convergence():
 
 def test_rk4_parameter_validation():
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(PDE_CATALOG[3], 0, [1.0], t_end=1.0, dt=0.0)
+        integrate_coefficient_ode(catalog_entry(3).spec, 0, [1.0], t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(PDE_CATALOG[3], 0, [1.0], t_end=0.001, dt=0.01)
+        integrate_coefficient_ode(catalog_entry(3).spec, 0, [1.0], t_end=0.001, dt=0.01)
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(PDE_CATALOG[2], 0, [1.0], t_end=1.0, dt=0.01)
+        integrate_coefficient_ode(catalog_entry(2).spec, 0, [1.0], t_end=1.0, dt=0.01)
 
 
 def test_bandlimit_silent_out_of_band():
-    for index in (1, 2, 3):
-        assert bandlimit_preservation_check(PDE_CATALOG[index], b=3) < 1e-12
+    for entry in CATALOG:
+        assert bandlimit_preservation_check(entry.spec, b=3) < 1e-12
 
 
 def test_bandlimit_negative_control():
-    leak = bandlimit_preservation_check(PDE_CATALOG[3], b=3, conditions={5: [1.0]})
+    leak = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
     assert leak > 0.5  # |a_5(0)| = 1 is already in the probe grid
 
 
 def test_bandlimit_grid_validation():
     with pytest.raises(ValueError):
-        bandlimit_preservation_check(PDE_CATALOG[3], b=3, t_grid=np.array([0.5, 1.0]))
+        bandlimit_preservation_check(catalog_entry(3).spec, b=3, t_grid=np.array([0.5, 1.0]))
 
 
 def test_scaling_deterministic_family_is_zero():
-    template = RenewalSpec(n=100, family="deterministic")
-    rows = grid_deviation_scaling(template, (100, 400), trials=100, seed=0)
+    spec = RenewalSpec(family="deterministic")
+    rows = grid_deviation_scaling(spec, (100, 400), trials=100, seed=0)
     for row in rows:
         assert row.scaled_spatial == 0.0
         assert row.scaled_temporal == 0.0
 
 
 def test_scaling_bounded_band():
-    template = RenewalSpec(n=100, family="uniform_scaled", lam=2.0, mu=2.0)
-    rows = grid_deviation_scaling(template, (100, 400, 1600), trials=2000, seed=3)
+    spec = RenewalSpec("uniform_scaled", 2.0, 2.0)
+    rows = grid_deviation_scaling(spec, (100, 400, 1600), trials=2000, seed=3)
     for column in (
         [r.scaled_spatial for r in rows],
         [r.scaled_temporal for r in rows],
@@ -121,9 +111,8 @@ def test_scaling_bounded_band():
 
 
 def test_scaling_requires_trials():
-    template = RenewalSpec(n=100)
     with pytest.raises(ValueError):
-        grid_deviation_scaling(template, (100,), trials=10, seed=0)
+        grid_deviation_scaling(RenewalSpec(), (100,), trials=10, seed=0)
 
 
 def test_ode_suite_passes():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldrecon.errors import DegenerateRoots
-from fieldrecon.field import PDE_CATALOG
+from fieldrecon.field import CATALOG, catalog_entry
 from fieldrecon.pde_core import (
     PdeSpec,
     characteristic_roots,
@@ -49,13 +49,13 @@ def test_pde_spec_validation():
 
 def test_diffusion_root_is_forcing():
     # Degree-1 p forces r = q(j 2 pi k) directly.
-    hr = characteristic_roots(PDE_CATALOG[3], 1)
+    hr = characteristic_roots(catalog_entry(3).spec, 1)
     assert hr.roots == pytest.approx((DIFFUSION_RATE + 0j,), abs=1e-12)
 
 
 def test_damped_wave_roots_quadratic_formula():
     # Independent oracle: quadratic formula on r^2 + 3r - q(j 2 pi) = 0.
-    spec = PDE_CATALOG[2]
+    spec = catalog_entry(2).spec
     target = complex(0.01 * (2j * np.pi) ** 2)
     disc = cmath.sqrt(9.0 + 4.0 * target)
     expected = sorted([(-3 + disc) / 2, (-3 - disc) / 2], key=lambda r: (r.real, r.imag))
@@ -66,7 +66,7 @@ def test_damped_wave_roots_quadratic_formula():
 
 
 def test_quartic_forcing_roots():
-    spec = PDE_CATALOG[1]
+    spec = catalog_entry(1).spec
     z = 2j * np.pi
     target = 0.01 * (z**2 - 0.0125 * z**4)
     assert target == pytest.approx(-0.5896023581115791, abs=1e-12)
@@ -78,7 +78,7 @@ def test_quartic_forcing_roots():
 
 
 def test_root_residual_invariant():
-    for spec in PDE_CATALOG.values():
+    for spec in (entry.spec for entry in CATALOG):
         for k in range(-3, 4):
             target = spec.q_at_harmonic(k)
             for r in characteristic_roots(spec, k).roots:
@@ -89,7 +89,7 @@ def test_root_residual_invariant():
 def test_conjugate_harmonic_symmetry():
     from fieldrecon.pde_core import _order_key
 
-    for spec in PDE_CATALOG.values():
+    for spec in (entry.spec for entry in CATALOG):
         for k in range(1, 4):
             pos = characteristic_roots(spec, k).roots
             neg = characteristic_roots(spec, -k).roots
@@ -105,7 +105,7 @@ def test_repeated_roots_rejected():
 
 
 def test_stability_diffusion_feasible():
-    report = check_stability(PDE_CATALOG[3], 3)
+    report = check_stability(catalog_entry(3).spec, 3)
     assert report.feasible
     assert report.offending == ()
     for k in range(-3, 4):
@@ -122,13 +122,13 @@ def test_stability_antidiffusion_infeasible():
 
 def test_stability_zero_root_allowed():
     # b = 0 with q(0) = 0: the root r = 0 is a sustained oscillation, not growth.
-    report = check_stability(PDE_CATALOG[3], 0)
+    report = check_stability(catalog_entry(3).spec, 0)
     assert report.feasible
     assert report.worst_real_parts[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_initial_zero_conditions():
-    hr = characteristic_roots(PDE_CATALOG[2], 1)
+    hr = characteristic_roots(catalog_entry(2).spec, 1)
     solved = solve_initial_coefficients(hr, np.zeros(2, dtype=complex))
     assert np.all(solved == 0)
 
@@ -153,7 +153,7 @@ def test_solve_initial_single_root():
 
 
 def test_solve_initial_wrong_length():
-    hr = characteristic_roots(PDE_CATALOG[2], 1)
+    hr = characteristic_roots(catalog_entry(2).spec, 1)
     with pytest.raises(ValueError):
         solve_initial_coefficients(hr, [1.0])
 
@@ -184,14 +184,14 @@ def test_solve_initial_roundtrip(seed, m):
 
 
 def test_evolve_at_zero_is_plain_sum():
-    hr = characteristic_roots(PDE_CATALOG[2], 1)
+    hr = characteristic_roots(catalog_entry(2).spec, 1)
     a = np.array([0.3 - 0.1j, -0.2 + 0.05j])
     assert evolve_coefficient(a, hr, 0.0) == complex(np.dot(a, np.ones(2)))
 
 
 def test_evolve_diffusion_scalar_exponential():
     # Oracle: plain scalar exponential on the k = 1 diffusion mode.
-    hr = characteristic_roots(PDE_CATALOG[3], 1)
+    hr = characteristic_roots(catalog_entry(3).spec, 1)
     value = evolve_coefficient([0.023 - 0.076j], hr, 1.0)
     expected = (0.023 - 0.076j) * cmath.exp(DIFFUSION_RATE)
     assert value == pytest.approx(expected, abs=1e-12)
@@ -208,7 +208,7 @@ def test_evolve_oscillator_preserves_modulus():
 
 
 def test_evolve_decay_envelope():
-    spec = PDE_CATALOG[2]
+    spec = catalog_entry(2).spec
     for k in (1, 2, 3):
         hr = characteristic_roots(spec, k)
         a = np.array([0.5 + 0.2j, -0.3 + 0.4j])

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from fieldrecon.field import PdeSpec, field_from_mode_values
 from fieldrecon.sampling import (
     NoiseSpec,
-    PathStreams,
     RenewalSpec,
-    RenewalTemplate,
     SamplePath,
     _draw_increments,
     _draw_noise,
@@ -19,6 +17,7 @@ from fieldrecon.sampling import (
     sample_field,
     sample_set_to_csv,
 )
+from fieldrecon.streams import PathStreams
 
 
 def streams(seed=0):
@@ -34,21 +33,26 @@ def constant_state(value=0.5):
 
 def test_renewal_spec_validation():
     with pytest.raises(ValueError):
-        RenewalSpec(n=15)  # lam = 2 > 15/10
+        draw_path(RenewalSpec(), 15, streams())  # lam = 2 > 15/10
     with pytest.raises(ValueError):
-        RenewalSpec(n=100, family="uniform_scaled", lam=3.0, mu=3.0)
+        draw_path(RenewalSpec(), 0, streams())
     with pytest.raises(ValueError):
-        RenewalSpec(n=100, family="nope")
+        RenewalSpec(family="uniform_scaled", lam=3.0, mu=3.0)
     with pytest.raises(ValueError):
-        RenewalSpec(n=100, lam=0.5, mu=2.0, family="beta_scaled")
-    RenewalSpec(n=100, family="beta_scaled", lam=5.0, mu=3.0)  # fine
-    RenewalSpec(n=10, family="deterministic")  # zero-variance family is exempt
+        RenewalSpec(family="nope")
+    with pytest.raises(ValueError):
+        RenewalSpec(lam=0.5, mu=2.0, family="beta_scaled")
+    draw_path(RenewalSpec(family="beta_scaled", lam=5.0, mu=3.0), 100, streams())  # fine
+    draw_path(RenewalSpec(family="deterministic"), 10, streams())  # zero-variance family is exempt
 
 
-def test_renewal_template_builds_spec():
-    template = RenewalTemplate(family="beta_scaled", lam=4.0, mu=4.0)
-    spec = template.with_density(200)
-    assert spec.n == 200 and spec.lam == 4.0
+def test_renewal_spec_serves_every_density():
+    spec = RenewalSpec(family="beta_scaled", lam=4.0, mu=4.0)
+    for n in (40, 200):
+        path = draw_path(spec, n, streams(n))
+        assert np.all(np.diff(path.S) <= spec.lam / n + 1e-15)
+    with pytest.raises(ValueError):
+        draw_path(spec, 39, streams())  # lam = 4 > 39/10
 
 
 def test_noise_spec_validation():
@@ -64,7 +68,7 @@ def test_noise_spec_validation():
 
 
 def test_deterministic_path_exact_grid():
-    path = draw_path(RenewalSpec(n=10, family="deterministic"), streams())
+    path = draw_path(RenewalSpec(family="deterministic"), 10, streams())
     assert path.M == 10
     assert path.T0 == 1.0
     assert np.array_equal(path.S, np.arange(1, 12) / 10)
@@ -75,7 +79,7 @@ def test_deterministic_path_exact_grid():
 def test_deterministic_path_large_n_boundary():
     # i/n division must keep S_M == 1.0 exactly for the M rule to bind right.
     for n in (160, 8192, 1000):
-        path = draw_path(RenewalSpec(n=n, family="deterministic"), streams())
+        path = draw_path(RenewalSpec(family="deterministic"), n, streams())
         assert path.M == n
         assert path.S[path.M - 1] == 1.0
 
@@ -106,14 +110,14 @@ def test_beta_increment_moments():
 # ------------------------------------------------------------ path invariants
 
 
-def check_path_invariants(path: SamplePath, spec: RenewalSpec):
-    assert path.M > spec.n / spec.lam - 1
+def check_path_invariants(path: SamplePath, spec: RenewalSpec, n: int):
+    assert path.M > n / spec.lam - 1
     assert path.S[path.M - 1] <= 1.0 < path.S[path.M]
     assert path.T[path.M - 1] <= path.T0 < path.T[path.M]
     assert np.all(np.diff(path.S) > 0) and np.all(np.diff(path.T) > 0)
-    assert np.all(np.diff(path.S) <= spec.lam / spec.n + 1e-15)
-    assert np.all(np.diff(path.T) <= spec.mu / spec.n + 1e-15)
-    assert 0.0 <= path.slack <= spec.mu / spec.n + 1e-15
+    assert np.all(np.diff(path.S) <= spec.lam / n + 1e-15)
+    assert np.all(np.diff(path.T) <= spec.mu / n + 1e-15)
+    assert 0.0 <= path.slack <= spec.mu / n + 1e-15
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,45 +129,45 @@ def check_path_invariants(path: SamplePath, spec: RenewalSpec):
 )
 def test_path_invariants_fuzz(n, family, policy, seed):
     lam = 2.0 if family == "uniform_scaled" else 3.0
-    spec = RenewalSpec(n=n, family=family, lam=lam, mu=lam)
-    path = draw_path(spec, streams(seed), policy)
-    check_path_invariants(path, spec)
+    spec = RenewalSpec(family=family, lam=lam, mu=lam)
+    path = draw_path(spec, n, streams(seed), policy)
+    check_path_invariants(path, spec, n)
 
 
 def test_temporal_seed_leaves_spatial_untouched():
-    spec = RenewalSpec(n=300)
+    spec = RenewalSpec()
     base = np.random.SeedSequence(77).spawn(3)
     mk = lambda i, j: PathStreams(
         spatial=np.random.Generator(np.random.PCG64(base[i])),
         temporal=np.random.Generator(np.random.PCG64(base[j])),
     )
-    a = draw_path(spec, mk(0, 1))
-    b = draw_path(spec, mk(0, 2))
+    a = draw_path(spec, 300, mk(0, 1))
+    b = draw_path(spec, 300, mk(0, 2))
     assert np.array_equal(a.S, b.S)
     assert not np.array_equal(a.T, b.T)
 
 
 def test_wald_interval():
-    spec = RenewalSpec(n=50)
-    counts = [draw_path(spec, streams(s)).M for s in range(2000)]
+    spec, n = RenewalSpec(), 50
+    counts = [draw_path(spec, n, streams(s)).M for s in range(2000)]
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
-    assert spec.n - 1 - 3 * se < mean <= spec.n + spec.lam - 1 + 3 * se
+    assert n - 1 - 3 * se < mean <= n + spec.lam - 1 + 3 * se
 
 
 def test_jittered_t0_policy():
-    spec = RenewalSpec(n=200)
+    spec = RenewalSpec()
     saw_positive_slack = False
     for seed in range(50):
-        path = draw_path(spec, streams(seed), "jittered")
-        check_path_invariants(path, spec)
+        path = draw_path(spec, 200, streams(seed), "jittered")
+        check_path_invariants(path, spec, 200)
         saw_positive_slack |= path.slack > 0
     assert saw_positive_slack
 
 
 def test_unknown_policy():
     with pytest.raises(ValueError):
-        draw_path(RenewalSpec(n=100), streams(), "whenever")
+        draw_path(RenewalSpec(), 100, streams(), "whenever")
 
 
 # ----------------------------------------------------------------- sampling
@@ -173,7 +177,7 @@ def test_sample_field_noiseless_exact():
     from fieldrecon.field import evaluate, scenario_field
 
     state = scenario_field("diffusion", 3)
-    path = draw_path(RenewalSpec(n=100), streams(5))
+    path = draw_path(RenewalSpec(), 100, streams(5))
     samples = sample_field(state, path, NoiseSpec())
     direct = np.array(
         [evaluate(state, x, t).real for x, t in zip(path.S[: path.M], path.T[: path.M])]
@@ -183,7 +187,7 @@ def test_sample_field_noiseless_exact():
 
 def test_sample_field_gaussian_clt():
     state = constant_state(0.5)
-    path = draw_path(RenewalSpec(n=100), streams(1))
+    path = draw_path(RenewalSpec(), 100, streams(1))
     rng = np.random.default_rng(99)
     values = np.concatenate(
         [sample_field(state, path, NoiseSpec("gaussian", 0.01), rng).values for _ in range(1000)]
@@ -202,7 +206,7 @@ def test_uniform_noise_variance():
 
 def test_noise_requires_rng():
     state = constant_state()
-    path = draw_path(RenewalSpec(n=50), streams())
+    path = draw_path(RenewalSpec(), 50, streams())
     with pytest.raises(ValueError):
         sample_field(state, path, NoiseSpec("gaussian", 0.1), None)
 
@@ -212,7 +216,7 @@ def test_noise_requires_rng():
 
 def test_grid_deviation_bounded_by_one():
     for seed in range(20):
-        path = draw_path(RenewalSpec(n=60), streams(seed))
+        path = draw_path(RenewalSpec(), 60, streams(seed))
         spatial, temporal = grid_deviation(path)
         assert 0.0 <= spatial <= 1.0
         assert temporal >= 0.0
@@ -222,7 +226,7 @@ def test_grid_deviation_bounded_by_one():
 
 
 def test_csv_roundtrip(tmp_path):
-    path = draw_path(RenewalSpec(n=40), streams(8), "jittered")
+    path = draw_path(RenewalSpec(), 40, streams(8), "jittered")
     state = constant_state(0.25)
     samples = sample_field(state, path, NoiseSpec())
     target = tmp_path / "path.csv"
@@ -238,7 +242,7 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_csv_path_only(tmp_path):
-    path = draw_path(RenewalSpec(n=40), streams(9))
+    path = draw_path(RenewalSpec(), 40, streams(9))
     target = tmp_path / "bare.csv"
     path_to_csv(path, target)
     back, values = path_from_csv(target)

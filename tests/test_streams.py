@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldrecon.streams import STREAM_TAGS, substream, trial_streams
+from fieldrecon.streams import noise_stream, substream, trial_streams
 
 
 def test_substream_reproducible():
@@ -20,11 +20,17 @@ def test_substreams_differ_by_key():
 
 def test_trial_streams_are_independent():
     streams = trial_streams(99, 128, 5)
-    values = {tag: getattr(streams, tag).random(4).tobytes() for tag in STREAM_TAGS}
-    assert len(set(values.values())) == len(STREAM_TAGS)
-    again = trial_streams(99, 128, 5)
-    assert streams.spatial.random(4).tobytes() != again.noise.random(4).tobytes()
+    gens = {
+        "spatial": streams.spatial,
+        "temporal": streams.temporal,
+        "noise": noise_stream(99, 128, 5),
+    }
+    values = {tag: gen.random(4).tobytes() for tag, gen in gens.items()}
+    assert len(set(values.values())) == len(gens)
     assert np.array_equal(trial_streams(99, 128, 5).spatial.random(4), np.frombuffer(values["spatial"]))
+    # Spawn keys 0, 1, 2 under (master_seed, n, trial) name the three streams.
+    for key, tag in enumerate(gens):
+        assert substream(99, 128, 5, key).random(4).tobytes() == values[tag]
 
 
 def test_negative_seed_rejected():
