@@ -204,6 +204,30 @@ def test_uniform_noise_variance():
     assert np.max(np.abs(draws)) <= np.sqrt(0.03)
 
 
+def lopsided_coeffs(state):
+    """``state``'s coefficients with row -1 no longer the conjugate mirror of row 1."""
+    coeffs = state.coeffs.copy()
+    coeffs[state.b - 1] += 0.05 + 0.02j
+    return coeffs
+
+
+def test_sample_field_real_guard():
+    from fieldrecon.field import FieldState, evaluate, scenario_field
+
+    base = scenario_field("set1", 1)
+    path = draw_path(RenewalSpec(), 100, streams(6))
+    coeffs = lopsided_coeffs(base)
+    with pytest.raises(ValueError):
+        sample_field(FieldState(base.b, base.spec, coeffs, base.roots), path, NoiseSpec())
+    # The same coefficients outside the real-field promise read Re g.
+    complex_state = FieldState(base.b, base.spec, coeffs, base.roots, real_field=False)
+    samples = sample_field(complex_state, path, NoiseSpec())
+    direct = np.array(
+        [evaluate(complex_state, x, t).real for x, t in zip(path.S[: path.M], path.T[: path.M])]
+    )
+    assert np.max(np.abs(samples.values - direct)) < 1e-12
+
+
 def test_noise_requires_rng():
     state = constant_state()
     path = draw_path(RenewalSpec(), 50, streams())
