@@ -1,10 +1,22 @@
 """Least-squares recovery of modal coefficients from unaware samples.
 
 The estimator pretends the M readings were taken on the uniform grid
-(i/M, i*T0/M) and solves min_b ||g_s - Y0 b||^2 over the stacked modal
-coefficients.  The solve goes through an SVD rather than the normal
-equations: the Gram matrix squares the condition number, and these design
-matrices are exactly the kind that punish that.
+(i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the stacked modal
+coefficients.
+
+It works in real arithmetic.  The readings are real, and the complex columns
+of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
+real coefficients, plus self-conjugate columns for the real roots at k = 0.
+Replacing each pair (c, conj c) by (sqrt(2) Re c, sqrt(2) Im c) multiplies Y0
+by a unitary matrix, so the real design (field.ConjugateLayout) has the same
+singular values: kappa, the RANK_RTOL gate and the trace identities read the
+same, and only one complex exponential per pair is evaluated.  The unique
+complex minimiser is conjugate-symmetric, so it is the image of the real one
+under the same map.
+
+The solve goes through an SVD rather than the normal equations: the Gram
+matrix squares the condition number, and these design matrices are exactly
+the kind that punish that.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import basis_matrix
+from .field import ConjugateLayout, basis_matrix, conjugate_layout
 from .pde_core import HarmonicRoots
 from .sampling import SampleSet
 
@@ -30,11 +42,13 @@ RANK_RTOL = 4e-6
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Basis values at the estimation points, one row per sample.
+    """Real basis values at the estimation points, one row per sample.
 
-    Column (k, j) sits at index (k + b) * m + j: harmonics ascend from -b to b
-    and roots keep their deterministic order inside each harmonic, matching
-    the stacked coefficient layout of FieldState.
+    Columns follow the conjugate layout of ``roots`` (field.ConjugateLayout):
+    conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
+    2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
+    (real roots at k = 0) follow all pairs.  ``layout`` maps a real solution
+    back to the stacked complex coefficients of FieldState.
     """
 
     entries: np.ndarray
@@ -42,7 +56,9 @@ class DesignMatrix:
     t0: float  # horizon of the last row; exact for uniform grids
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex)
+        if np.iscomplexobj(self.entries):
+            raise ValueError("design entries must be real (see field.basis_matrix)")
+        entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[1] != sum(hr.m for hr in self.roots):
             raise ValueError("entry matrix shape disagrees with the root layout")
         entries.flags.writeable = False
@@ -64,6 +80,10 @@ class DesignMatrix:
     @property
     def b(self) -> int:
         return (len(self.roots) - 1) // 2
+
+    @property
+    def layout(self) -> ConjugateLayout:
+        return conjugate_layout(self.roots)
 
 
 def uniform_grid_points(m_count: int, t0: float) -> np.ndarray:
@@ -88,30 +108,36 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], points) -> DesignM
 
 def _as_values(samples) -> np.ndarray:
     values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples)
-    if values.ndim != 1:
-        raise ValueError("sample values must form a vector")
+    if values.ndim != 1 or np.iscomplexobj(values):
+        raise ValueError("sample values must form a real vector")
     return values
 
 
+def _gated_svd(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of a real design; RankDeficient when sigma_min <= RANK_RTOL * sigma_max."""
+    u, s, vt = np.linalg.svd(entries, full_matrices=False)
+    if s[-1] <= RANK_RTOL * s[0]:
+        raise RankDeficient(
+            f"singular value ratio {s[-1] / s[0]:.3g} below the rank tolerance"
+        )
+    return u, s, vt
+
+
 def _svd_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real least-squares solution in the design's column layout, and the singular values."""
     rows, cols = entries.shape
     if rows < cols:
         raise InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
     if len(values) != rows:
         raise ValueError("one value per design-matrix row required")
-    u, s, vh = np.linalg.svd(entries, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        raise RankDeficient(
-            f"singular value ratio {s[-1] / s[0]:.3g} below the rank tolerance"
-        )
-    solution = vh.conj().T @ ((u.conj().T @ values) / s)
-    return solution, s
+    u, s, vt = _gated_svd(entries)
+    return vt.T @ ((u.T @ values) / s), s
 
 
 def least_squares(design: DesignMatrix, samples) -> np.ndarray:
-    """Minimizer of ||values - Y0 b||^2 via a rank-revealing SVD."""
+    """Minimizer of ||values - Y0 a||^2 via a rank-revealing SVD, as stacked complex coefficients."""
     solution, _ = _svd_solve(design.entries, _as_values(samples))
-    return solution
+    return design.layout.to_complex(solution)
 
 
 def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> float:
@@ -146,14 +172,15 @@ class ReconstructionResult:
 def reconstruct(design: DesignMatrix, samples, true_k0: Sequence[complex]) -> ReconstructionResult:
     """Full estimation pass: solve, collapse roots per harmonic, score."""
     values = _as_values(samples)
-    a_hat, singular = _svd_solve(design.entries, values)
+    solution, singular = _svd_solve(design.entries, values)
+    a_hat = design.layout.to_complex(solution)
     a_hat_k0 = a_hat.reshape(len(design.roots), design.m).sum(axis=1)
     return ReconstructionResult(
         a_hat=a_hat,
         a_hat_k0=a_hat_k0,
         distortion=distortion(a_hat_k0, true_k0),
         kappa=float((singular[0] / singular[-1]) ** 2),
-        residual_norm=float(np.linalg.norm(values - design.entries @ a_hat)),
+        residual_norm=float(np.linalg.norm(values - design.entries @ solution)),
     )
 
 
@@ -189,11 +216,9 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     horizon at most about the unit span; a failure flags a numerical problem,
     not physics.
     """
-    singular = np.linalg.svd(design.entries, compute_uv=False)
-    if singular[-1] <= RANK_RTOL * singular[0]:
-        raise RankDeficient("design matrix numerically rank deficient")
+    _, singular, _ = _gated_svd(design.entries)
     eigenvalues = singular**2
-    trace = float(np.sum(np.abs(design.entries) ** 2))
+    trace = float(np.sum(design.entries**2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))
     kappa = float(eigenvalues[0] / eigenvalues[-1])
     cols = design.cols

@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigInvalid("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigInvalid("master_seed must fit an unsigned 64-bit integer")
+        if isinstance(self.pde, bool):
+            raise ConfigInvalid(f"pde must be a catalog index or a PdeSpec, got {self.pde!r}")
         if isinstance(self.pde, int) and self.pde not in [entry.index for entry in CATALOG]:
             raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags

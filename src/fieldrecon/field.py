@@ -8,6 +8,7 @@ and the mode evolves as a_k(t) = sum_i a_ki(0) exp(r_i(k) t).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,12 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasiblePde, UnknownScenario
-from .pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability, solve_initial_coefficients
+from .pde_core import (
+    DISTINCTNESS_RTOL,
+    HarmonicRoots,
+    PdeSpec,
+    characteristic_roots,
+    check_stability,
+    solve_initial_coefficients,
+)
 
 # Grid used to rescale random fields to |g| <= 1; at least 2x Nyquist for b <= 1000.
 NORMALIZATION_GRID = 4096
-# Real fields must not accumulate more imaginary residue than this at a probe.
+# Real fields must not stray further than this from conjugate symmetry (summed
+# over their coefficients, see evaluate_at_points).
 REAL_GUARD_TOL = 1e-9
+SQRT2 = np.sqrt(2.0)
 
 DERIVATIVE_POLICIES = ("at_rest", "first_mode")
 
@@ -64,9 +74,11 @@ CATALOG: tuple[CatalogEntry, ...] = (
 
 def catalog_entry(key: int | str) -> CatalogEntry:
     """The catalog row with PDE index or coefficient-set id ``key``."""
-    for entry in CATALOG:
-        if key in (entry.index, entry.set_id):
-            return entry
+    # A bool compares equal to 0 or 1 but names no catalog row.
+    if not isinstance(key, bool):
+        for entry in CATALOG:
+            if key in (entry.index, entry.set_id):
+                return entry
     raise UnknownScenario(f"no catalog entry {key!r}")
 
 
@@ -112,6 +124,25 @@ class FieldState:
     def root_matrix(self) -> np.ndarray:
         return np.array([hr.roots for hr in self.roots])
 
+    @functools.cached_property
+    def real_coeffs(self) -> np.ndarray:
+        """The stacked coefficients in the real basis layout (ConjugateLayout.to_real).
+
+        A ``real_field`` state must keep its conjugate symmetry: the coefficients
+        of each conjugate pair (p, q) satisfy a_q = conj(a_p) and those of
+        self-conjugate columns are real, to within REAL_GUARD_TOL summed.  Stable
+        roots bound every basis value by exp(STABILITY_TOL t), so this bounds the
+        imaginary residue of g at every probe.
+        """
+        layout = conjugate_layout(self.roots)
+        if self.real_field:
+            residue = layout.asymmetry(self.flat_coeffs())
+            if residue > REAL_GUARD_TOL:
+                raise ValueError(f"conjugate asymmetry {residue:.3g} exceeds the real-field guard")
+        out = layout.to_real(self.flat_coeffs())
+        out.flags.writeable = False
+        return out
+
 
 def coefficients_at(state: FieldState, t: float) -> np.ndarray:
     """Modal values a_k(t) for k = -b..b; the ground truth at t = 0."""
@@ -132,8 +163,8 @@ def evaluate(state: FieldState, x, t: float):
 
 
 def evaluate_at_points(state: FieldState, xs, ts) -> np.ndarray:
-    """Field values at paired (x_i, t_i) points, via the stacked modal basis."""
-    return basis_matrix(state.roots, xs, ts) @ state.flat_coeffs()
+    """Real field values Re g(x_i, t_i) at paired points, via the real modal basis."""
+    return basis_matrix(state.roots, xs, ts) @ state.real_coeffs
 
 
 def evaluate_gradient(state: FieldState, x: float, t: float) -> tuple[complex, complex]:
@@ -149,43 +180,131 @@ def evaluate_gradient(state: FieldState, x: float, t: float) -> tuple[complex, c
     return complex(dgdx), complex(dgdt)
 
 
-def basis_matrix(roots_per_k: Sequence[HarmonicRoots], xs, ts) -> np.ndarray:
-    """Rows of modal basis values at paired points.
+@dataclass(frozen=True, eq=False)
+class ConjugateLayout:
+    """Conjugate pairing of the stacked modal columns of one root tuple.
 
-    Row i, column (k, j) holds exp(r_j(k) * t_i + j*2*pi*k * x_i), with k
-    ascending and roots in their deterministic order, so that row . a
-    reproduces g(x_i, t_i) for the stacked coefficient vector a.
+    Column (k, r) and column (-k, conj r) take conjugate basis values at every
+    real point, because p and q have real coefficients.  ``partner[i]`` is the
+    flat index of column i's partner; ``pairs`` lists each pair once as
+    (p, q), with p the member in harmonic k > 0 (at k = 0, the root with
+    Im r > 0); ``selfconj`` lists the columns that are their own partner,
+    the real roots at k = 0.
+
+    The real layout puts pair i at columns 2i and 2i+1, holding sqrt(2) Re c_p
+    and sqrt(2) Im c_p, and the self-conjugate columns after all pairs,
+    holding Re c.  Each pair is a 2x2 unitary change of variables, so the
+    real basis keeps the singular values, Frobenius norm and row norms of the
+    complex one.
+    """
+
+    partner: np.ndarray
+    pairs: np.ndarray  # (P, 2)
+    selfconj: np.ndarray  # (S,)
+    # (3, 2P + S): (t, x, 1) @ exponents gives log(sqrt(2) c_p) as (Re, Im) in
+    # the pair columns and log(c) in the self-conjugate ones.
+    exponents: np.ndarray
+
+    @property
+    def cols(self) -> int:
+        return len(self.partner)
+
+    def to_real(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real-layout vector x with basis @ x = Re(complex basis @ coeffs).
+
+        Pair (p, q) carries w = a_p + conj(a_q) as (Re w, -Im w) / sqrt(2),
+        which is exact for any coefficients, conjugate-symmetric or not.
+        """
+        p, q = self.pairs.T
+        out = np.empty(self.cols)
+        out[: 2 * len(p)].view(complex)[:] = (coeffs[p].conj() + coeffs[q]) / SQRT2
+        out[2 * len(p) :] = coeffs[self.selfconj].real
+        return out
+
+    def to_complex(self, x: np.ndarray) -> np.ndarray:
+        """Conjugate-symmetric stacked coefficients a with to_real(a) = x."""
+        p, q = self.pairs.T
+        pair = x[: 2 * len(p)].view(complex) / SQRT2
+        out = np.empty(self.cols, dtype=complex)
+        out[p] = pair.conj()
+        out[q] = pair
+        out[self.selfconj] = x[2 * len(p) :]
+        return out
+
+    def asymmetry(self, coeffs: np.ndarray) -> float:
+        """Sum of |a_p - conj(a_q)| over pairs and |Im a| over self-conjugate columns."""
+        p, q = self.pairs.T
+        return float(
+            np.sum(np.abs(coeffs[p] - coeffs[q].conj())) + np.sum(np.abs(coeffs[self.selfconj].imag))
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def conjugate_layout(roots_per_k: tuple[HarmonicRoots, ...]) -> ConjugateLayout:
+    """The conjugate layout of ``roots_per_k``, matched by nearest conjugate root.
+
+    Raises ValueError unless every root of harmonic k has a conjugate partner
+    at -k closer than half the distinctness gap, one-to-one.
+    """
+    m = roots_per_k[0].m
+    if any(hr.m != m for hr in roots_per_k):
+        raise ValueError("all harmonics must carry the same number of roots")
+    block = {hr.k: i for i, hr in enumerate(roots_per_k)}
+    partner = []
+    for hr in roots_per_k:
+        if -hr.k not in block:
+            raise ValueError(f"harmonic k={hr.k} has no mirror harmonic k={-hr.k}")
+        mirror = roots_per_k[block[-hr.k]].roots
+        for r in hr.roots:
+            gaps = [abs(s - r.conjugate()) for s in mirror]
+            j = int(np.argmin(gaps))
+            if gaps[j] > 0.5 * DISTINCTNESS_RTOL * (1.0 + abs(r)):
+                raise ValueError(f"harmonic k={hr.k}: root {r:.6g} has no conjugate at k={-hr.k}")
+            partner.append(block[-hr.k] * m + j)
+    partner_arr = np.array(partner, dtype=np.intp)
+    idx = np.arange(len(partner))
+    if np.any(partner_arr[partner_arr] != idx):
+        raise ValueError("conjugate pairing is not one-to-one")
+    roots = np.array([r for hr in roots_per_k for r in hr.roots], dtype=complex)
+    ks = np.repeat([float(hr.k) for hr in roots_per_k], m)
+    primary = np.flatnonzero(partner_arr < idx)
+    selfconj = np.flatnonzero(partner_arr == idx)
+    pair_exp = np.zeros((3, len(primary), 2))
+    pair_exp[0] = np.column_stack((roots[primary].real, roots[primary].imag))
+    pair_exp[1, :, 1] = 2.0 * np.pi * ks[primary]
+    pair_exp[2, :, 0] = np.log(SQRT2)
+    self_exp = np.zeros((3, len(selfconj)))
+    self_exp[0] = roots[selfconj].real
+    layout = ConjugateLayout(
+        partner=partner_arr,
+        pairs=np.column_stack((primary, partner_arr[primary])),
+        selfconj=selfconj,
+        exponents=np.hstack((pair_exp.reshape(3, -1), self_exp)),
+    )
+    for arr in vars(layout).values():
+        arr.flags.writeable = False
+    return layout
+
+
+def basis_matrix(roots_per_k: Sequence[HarmonicRoots], xs, ts) -> np.ndarray:
+    """Real modal basis values at paired points, in the conjugate layout.
+
+    The complex column (k, r) at point i is c = exp(r t_i + j*2*pi*k x_i);
+    the real row holds sqrt(2) (Re c_p, Im c_p) for each conjugate pair and
+    Re c for each self-conjugate column (see ConjugateLayout), so that
+    row . layout.to_real(a) reproduces Re g(x_i, t_i).
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if xs.shape != ts.shape or xs.ndim != 1:
         raise ValueError("xs and ts must be 1-d arrays of equal length")
-    m = roots_per_k[0].m
-    if any(hr.m != m for hr in roots_per_k):
-        raise ValueError("all harmonics must carry the same number of roots")
-    ks = np.array([hr.k for hr in roots_per_k], dtype=float)
-    root_mat = np.array([hr.roots for hr in roots_per_k])  # (K, m)
-    temporal = np.exp(ts[:, None, None] * root_mat[None, :, :])
-    spatial = np.exp(2j * np.pi * xs[:, None] * ks[None, :])
-    return (temporal * spatial[:, :, None]).reshape(len(xs), len(roots_per_k) * m)
-
-
-def real_values(state: FieldState, values: np.ndarray) -> np.ndarray:
-    """Real parts of probed values, guarding the imaginary residue of real fields."""
-    values = np.asarray(values)
-    if state.real_field:
-        residue = float(np.max(np.abs(values.imag), initial=0.0))
-        if residue > REAL_GUARD_TOL:
-            raise ValueError(f"imaginary residue {residue:.3g} exceeds the real-field guard")
-    return np.ascontiguousarray(values.real)
-
-
-def _conjugate_pairing(pos: HarmonicRoots, neg: HarmonicRoots) -> list[int]:
-    """Index into neg.roots of the conjugate partner of each pos root."""
-    out = []
-    for r in pos.roots:
-        gaps = [abs(s - r.conjugate()) for s in neg.roots]
-        out.append(int(np.argmin(gaps)))
+    layout = conjugate_layout(tuple(roots_per_k))
+    out = np.column_stack((ts, xs, np.ones(len(ts)))) @ layout.exponents
+    # One complex exponential per pair, taken in place on its (Re, Im) columns.
+    pairs = out[:, : 2 * len(layout.pairs)].view(complex)
+    np.exp(pairs, out=pairs)
+    selfconj = out[:, 2 * len(layout.pairs) :]
+    np.exp(selfconj, out=selfconj)
     return out
 
 
@@ -228,8 +347,8 @@ def field_from_mode_values(
         else:
             coeffs[k + b, 0] = values[k]
             if k > 0:
-                pairing = _conjugate_pairing(pos, roots[b - k])
-                coeffs[b - k, pairing[0]] = values[k].conjugate()
+                partner = conjugate_layout(roots).partner[(k + b) * m]
+                coeffs.reshape(-1)[partner] = values[k].conjugate()
     return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots, real_field=True)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldState, evaluate_at_points, real_values
+from .field import FieldState, evaluate_at_points
 from .streams import PathStreams
 
 FAMILIES = ("uniform_scaled", "beta_scaled", "deterministic")
@@ -203,7 +203,7 @@ def sample_field(
         raise ValueError("a noise RNG is required for stochastic noise")
     xs = path.S[: path.M]
     ts = path.T[: path.M]
-    clean = real_values(state, evaluate_at_points(state, xs, ts))
+    clean = evaluate_at_points(state, xs, ts)
     return SampleSet(values=clean + _draw_noise(noise, path.M, rng), path=path)
 
 

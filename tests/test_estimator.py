@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from fieldrecon.errors import InsufficientSamples, RankDeficient
+from fieldrecon.errors import DegenerateRoots, InsufficientSamples, RankDeficient
 from fieldrecon.estimator import (
+    RANK_RTOL,
+    DesignMatrix,
     build_design_matrix,
     condition_diagnostics,
     distortion,
@@ -17,7 +21,7 @@ from fieldrecon.field import (
     field_from_mode_values,
     scenario_field,
 )
-from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots
+from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from fieldrecon.streams import PathStreams
 
@@ -25,6 +29,16 @@ from fieldrecon.streams import PathStreams
 @pytest.fixture(scope="module")
 def diffusion():
     return scenario_field("diffusion", 3)
+
+
+def complex_basis(roots_per_k, xs, ts):
+    """Oracle: the stacked complex basis exp(r_j(k) t + i 2 pi k x), column
+    (k + b) * m + j, evaluated in full without any conjugate pairing."""
+    ks = np.array([hr.k for hr in roots_per_k], dtype=float)
+    root_mat = np.array([hr.roots for hr in roots_per_k])
+    temporal = np.exp(ts[:, None, None] * root_mat[None, :, :])
+    spatial = np.exp(2j * np.pi * xs[:, None] * ks[None, :])
+    return (temporal * spatial[:, :, None]).reshape(len(xs), root_mat.size)
 
 
 def constant_roots():
@@ -42,8 +56,12 @@ def test_constant_mode_design_matrix():
 def test_entry_modulus_and_row_norm_bound(diffusion):
     pts = uniform_grid_points(100, 0.97)
     design = build_design_matrix(diffusion.roots, pts)
-    assert float(np.max(np.abs(design.entries))) <= 1.0 + 1e-12
-    row_norms_sq = np.sum(np.abs(design.entries) ** 2, axis=1)
+    # Recombine each (sqrt(2) Re c, sqrt(2) Im c) pair into the complex entry c.
+    n_pair = 2 * len(design.layout.pairs)
+    pairs = (design.entries[:, 0:n_pair:2] + 1j * design.entries[:, 1:n_pair:2]) / np.sqrt(2.0)
+    moduli = np.concatenate((np.abs(pairs), np.abs(design.entries[:, n_pair:])), axis=1)
+    assert float(np.max(moduli)) <= 1.0 + 1e-12
+    row_norms_sq = np.sum(design.entries**2, axis=1)
     assert float(np.max(row_norms_sq)) <= diffusion.m * (2 * diffusion.b + 1) + 1e-12
 
 
@@ -52,7 +70,7 @@ def test_true_grid_forward_oracle(diffusion):
     path = draw_path(RenewalSpec(), 120, PathStreams.from_seed(3))
     pts = np.column_stack((path.S[: path.M], path.T[: path.M]))
     design = build_design_matrix(diffusion.roots, pts)
-    predicted = design.entries @ diffusion.flat_coeffs()
+    predicted = design.entries @ design.layout.to_real(diffusion.flat_coeffs())
     direct = np.array(
         [evaluate(diffusion, x, t) for x, t in zip(path.S[: path.M], path.T[: path.M])]
     )
@@ -85,8 +103,9 @@ def test_small_instance_matches_normal_equations():
     rng = np.random.default_rng(6)
     values = rng.uniform(-1, 1, 8)
     a_hat = least_squares(design, values)
-    gram = design.entries.conj().T @ design.entries
-    oracle = np.linalg.solve(gram, design.entries.conj().T @ values)
+    basis = complex_basis(roots, pts[:, 0], pts[:, 1])
+    gram = basis.conj().T @ basis
+    oracle = np.linalg.solve(gram, basis.conj().T @ values)
     assert np.max(np.abs(a_hat - oracle)) < 1e-10
 
 
@@ -106,6 +125,27 @@ def test_rank_deficient_detected():
         least_squares(design, np.zeros(5))
     with pytest.raises(RankDeficient):
         condition_diagnostics(design)
+
+
+@pytest.mark.parametrize("factor, refused", [(1 + 1e-3, False), (1 - 1e-3, True)])
+def test_rank_gate_boundary(factor, refused):
+    # Synthetic U diag(s) V^T with sigma_min / sigma_max a hair off RANK_RTOL:
+    # the solve and the diagnostics share one gate.
+    spec = catalog_entry(3).spec
+    roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.normal(size=(40, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    ratio = RANK_RTOL * factor
+    design = DesignMatrix(entries=(u * [1.0, ratio**0.5, ratio]) @ v.T, roots=roots, t0=1.0)
+    if refused:
+        with pytest.raises(RankDeficient):
+            least_squares(design, np.ones(40))
+        with pytest.raises(RankDeficient):
+            condition_diagnostics(design)
+    else:
+        least_squares(design, np.ones(40))
+        assert condition_diagnostics(design).kappa == pytest.approx(ratio**-2, rel=1e-6)
 
 
 def test_distortion_values():
@@ -231,3 +271,76 @@ def test_uniform_grid_points_layout():
     assert pts[-1, 0] == 1.0
     assert pts[-1, 1] == 0.8
     assert np.allclose(pts[:, 0], [0.25, 0.5, 0.75, 1.0], atol=0)
+
+
+# ------------------------------------------- real estimator vs complex oracle
+
+
+@st.composite
+def feasible_pdes(draw):
+    """PDEs of temporal order 1-3 with dissipative or advective spatial terms."""
+    m = draw(st.integers(1, 3))
+    p = [draw(st.floats(0.0, 5.0)) for _ in range(m)] + [draw(st.floats(0.5, 2.0))]
+    advection = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))  # odd q
+    if draw(st.booleans()):
+        q = (draw(st.floats(-1.0, 0.0)), advection, draw(st.floats(0.001, 0.05)))
+    else:
+        assume(advection != 0.0)
+        q = (draw(st.floats(-1.0, 0.0)), advection)
+    return PdeSpec(tuple(p), q)
+
+
+def complex_svd_solve(basis, values):
+    """Oracle: the complex least-squares solution and kappa, None if rank deficient."""
+    u, s, vh = np.linalg.svd(basis, full_matrices=False)
+    if s[-1] <= RANK_RTOL * s[0]:
+        return None
+    return vh.conj().T @ ((u.conj().T @ values) / s), (s[0] / s[-1]) ** 2
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    spec=feasible_pdes(),
+    b=st.integers(0, 4),
+    extra_rows=st.integers(0, 200),
+    t0=st.floats(0.3, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# odd q (advection), so the roots of -k are not those of k
+@example(spec=PdeSpec((0.0, 1.0), (0.0, 0.3, 0.01)), b=3, extra_rows=50, t0=0.9, seed=1)
+# p = 1 + z^2: a conjugate root pair at k = 0
+@example(spec=PdeSpec((1.0, 0.0, 1.0), (0.0, 0.0, 0.01)), b=2, extra_rows=80, t0=1.0, seed=2)
+@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, extra_rows=120, t0=0.7, seed=3)
+def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
+    try:
+        feasible = check_stability(spec, b).feasible
+        roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
+    except DegenerateRoots:
+        assume(False)
+    assume(feasible)
+    cols = spec.degree * (2 * b + 1)
+    pts = uniform_grid_points(cols + 1 + extra_rows, t0)
+    design = build_design_matrix(roots, pts)
+    basis = complex_basis(roots, pts[:, 0], pts[:, 1])
+
+    layout = design.layout
+    assert np.array_equal(np.sort(np.r_[layout.pairs.ravel(), layout.selfconj]), np.arange(cols))
+    p, q = layout.pairs.T
+    assert np.max(np.abs(basis[:, q] - basis[:, p].conj()), initial=0.0) < 1e-12
+    assert np.max(np.abs(basis[:, layout.selfconj].imag), initial=0.0) < 1e-12
+
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=cols) + 1j * rng.normal(size=cols)
+    values = (basis @ coeffs).real  # a real field: consistent with the design
+    assert np.max(np.abs(design.entries @ layout.to_real(coeffs) - values)) < 1e-12 * cols
+
+    oracle = complex_svd_solve(basis, values)
+    if oracle is None:
+        with pytest.raises(RankDeficient):
+            reconstruct(design, values, np.zeros(2 * b + 1))
+        return
+    a_oracle, kappa_oracle = oracle
+    result = reconstruct(design, values, np.zeros(2 * b + 1))
+    assert result.kappa == pytest.approx(kappa_oracle, rel=1e-9)
+    bound = 1e3 * np.finfo(float).eps * np.sqrt(kappa_oracle)
+    assert np.linalg.norm(result.a_hat - a_oracle) <= bound * np.linalg.norm(a_oracle)

@@ -139,6 +139,12 @@ def test_config_validation_errors():
         quick_config(pde=9)
 
 
+def test_config_refuses_bool_pde():
+    # True == 1 would otherwise pair the diffusion coefficients with PDE 1.
+    with pytest.raises(ConfigInvalid):
+        quick_config(pde=True)
+
+
 def test_density_floor_validation():
     # n must exceed the unknown count and 10*max(lam, mu).
     with pytest.raises(ConfigInvalid):

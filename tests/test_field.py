@@ -140,6 +140,13 @@ def test_unknown_scenario():
         scenario_field("set1", 7)
 
 
+def test_catalog_entry_refuses_bool():
+    # True == 1, but a bool names no catalog row.
+    for key in (True, False):
+        with pytest.raises(UnknownScenario):
+            catalog_entry(key)
+
+
 def test_two_evaluation_paths_agree(diffusion, set1):
     rng = np.random.default_rng(3)
     for state in (diffusion, set1):
