@@ -114,7 +114,11 @@ def _as_values(samples) -> np.ndarray:
 
 
 def _gated_svd(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a real design; RankDeficient when sigma_min <= RANK_RTOL * sigma_max."""
+    """Thin SVD of a real design; InsufficientSamples with fewer rows than
+    columns, RankDeficient when sigma_min <= RANK_RTOL * sigma_max."""
+    rows, cols = entries.shape
+    if rows < cols:
+        raise InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
     u, s, vt = np.linalg.svd(entries, full_matrices=False)
     if s[-1] <= RANK_RTOL * s[0]:
         raise RankDeficient(
@@ -125,10 +129,7 @@ def _gated_svd(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _svd_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real least-squares solution in the design's column layout, and the singular values."""
-    rows, cols = entries.shape
-    if rows < cols:
-        raise InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
-    if len(values) != rows:
+    if len(values) != entries.shape[0]:
         raise ValueError("one value per design-matrix row required")
     u, s, vt = _gated_svd(entries)
     return vt.T @ ((u.T @ values) / s), s

@@ -163,7 +163,11 @@ def evaluate(state: FieldState, x, t: float):
 
 
 def evaluate_at_points(state: FieldState, xs, ts) -> np.ndarray:
-    """Real field values Re g(x_i, t_i) at paired points, via the real modal basis."""
+    """Real field values Re g(x_i, t_i) at paired points, via the real modal basis.
+
+    Raises ValueError for a ``real_field`` state whose coefficients lost their
+    conjugate symmetry (see FieldState.real_coeffs).
+    """
     return basis_matrix(state.roots, xs, ts) @ state.real_coeffs
 
 

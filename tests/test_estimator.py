@@ -116,6 +116,13 @@ def test_insufficient_samples(diffusion):
         least_squares(design, np.zeros(5))
 
 
+def test_condition_diagnostics_refuses_underdetermined(diffusion):
+    # 5 rows cannot give 7 columns full rank, whatever the 5 singular values say.
+    design = build_design_matrix(diffusion.roots, uniform_grid_points(5, 1.0))
+    with pytest.raises(InsufficientSamples):
+        condition_diagnostics(design)
+
+
 def test_rank_deficient_detected():
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
@@ -310,6 +317,7 @@ def complex_svd_solve(basis, values):
 @example(spec=PdeSpec((0.0, 1.0), (0.0, 0.3, 0.01)), b=3, extra_rows=50, t0=0.9, seed=1)
 # p = 1 + z^2: a conjugate root pair at k = 0
 @example(spec=PdeSpec((1.0, 0.0, 1.0), (0.0, 0.0, 0.01)), b=2, extra_rows=80, t0=1.0, seed=2)
+# third order with advection at the largest band
 @example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, extra_rows=120, t0=0.7, seed=3)
 def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
     try:
