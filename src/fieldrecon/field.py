@@ -28,7 +28,7 @@ from .pde_core import (
 # Grid used to rescale random fields to |g| <= 1; at least 2x Nyquist for b <= 1000.
 NORMALIZATION_GRID = 4096
 # Real fields must not stray further than this from conjugate symmetry (summed
-# over their coefficients, see evaluate_at_points).
+# over their coefficients, see FieldState.real_coeffs).
 REAL_GUARD_TOL = 1e-9
 SQRT2 = np.sqrt(2.0)
 
