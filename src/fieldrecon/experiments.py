@@ -9,6 +9,7 @@ byte-identical outputs no matter how trials are scheduled or parallelized.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,9 +56,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list item") for n in self.n_list))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         if not self.n_list or any(n <= 0 for n in self.n_list):
             raise ConfigInvalid("n_list must be a non-empty sequence of positive integers")
         if self.trials < 1:
@@ -69,6 +70,13 @@ class ExperimentConfig:
         if isinstance(self.pde, int) and self.pde not in [entry.index for entry in CATALOG]:
             raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integer number is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_scenario_tag(tag: str) -> int | None:
@@ -360,17 +368,14 @@ def config_from_record(record: dict) -> ExperimentConfig:
         noise = NoiseSpec(family=noise_rec["family"], variance=variance)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
-    n_list = _typed(record, "n_list", list, "a list of integers")
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in n_list):
-        raise ConfigInvalid(f"n_list must be a list of integers, got {n_list!r}")
     return ExperimentConfig(
         scenario=_typed(record, "scenario", str, "a string"),
         pde=pde,
-        n_list=n_list,
-        trials=_typed(record, "trials", int, "an integer"),
+        n_list=_typed(record, "n_list", list, "a list of integers"),
+        trials=record["trials"],
         renewal=renewal,
         noise=noise,
-        master_seed=_typed(record, "master_seed", int, "an integer"),
+        master_seed=record["master_seed"],
         output_path=_typed(record, "output_path", str, "a string") if "output_path" in record else None,
     )
 

@@ -145,6 +145,30 @@ def test_config_refuses_bool_pde():
         quick_config(pde=True)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n_list": (128.9, 256)},
+        {"n_list": (True, 256)},
+        {"trials": 2.7},
+        {"trials": True},
+        {"master_seed": 3.9},
+        {"master_seed": False},
+    ],
+    ids=["n_list-float", "n_list-bool", "trials-float", "trials-bool", "seed-float", "seed-bool"],
+)
+def test_config_refuses_non_integers(override):
+    # Library callers got these truncated: 128.9 ran as 128, trials=True as 1 trial.
+    with pytest.raises(ConfigInvalid):
+        quick_config(**override)
+
+
+def test_config_accepts_numpy_integers():
+    config = quick_config(n_list=np.array([64, 128]), trials=np.int64(6), master_seed=np.uint64(7))
+    assert config.n_list == (64, 128) and config.trials == 6 and config.master_seed == 7
+    assert all(type(n) is int for n in (*config.n_list, config.trials, config.master_seed))
+
+
 def test_density_floor_validation():
     # n must exceed the unknown count and 10*max(lam, mu).
     with pytest.raises(ConfigInvalid):
