@@ -58,7 +58,6 @@ from .estimator import (
     distortion,
     least_squares,
     reconstruct,
-    uniform_grid_points,
 )
 from .oracle import (
     OdeTrajectory,

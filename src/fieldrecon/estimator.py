@@ -2,7 +2,9 @@
 
 The estimator pretends the M readings were taken on the uniform grid
 (i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the stacked modal
-coefficients.
+coefficients.  Y0 is built from (M, T0) alone: on the grid every column is a
+geometric sequence s * z**i, so field.grid_basis_matrix fills it from two
+power tables of about sqrt(M) exponentials per column, one product per entry.
 
 It works in real arithmetic.  The readings are real, and the complex columns
 of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
@@ -14,9 +16,13 @@ same, and only one complex exponential per pair is evaluated.  The unique
 complex minimiser is conjugate-symmetric, so it is the image of the real one
 under the same map.
 
-The solve goes through an SVD rather than the normal equations: the Gram
-matrix squares the condition number, and these design matrices are exactly
-the kind that punish that.
+The solve is one LAPACK least-squares call (gelsd, behind np.linalg.lstsq):
+a Householder QR of the tall design with Q^T applied to the readings, then an
+SVD of the small triangular factor R.  It never forms Q or the M x c left
+singular vectors, yet stays backward stable and still yields the singular
+values that the RANK_RTOL gate and kappa read.  It does not go through the
+normal equations: the Gram matrix squares the condition number, and these
+design matrices (kappa up to 1e10) are exactly the kind that punish that.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import ConjugateLayout, basis_matrix, conjugate_layout
+from .field import ConjugateLayout, conjugate_layout, grid_basis_matrix
 from .pde_core import HarmonicRoots
 from .sampling import SampleSet
 
@@ -53,7 +59,7 @@ class DesignMatrix:
 
     entries: np.ndarray
     roots: tuple[HarmonicRoots, ...]
-    t0: float  # horizon of the last row; exact for uniform grids
+    t0: float  # horizon of the grid's last row
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.entries):
@@ -86,24 +92,14 @@ class DesignMatrix:
         return conjugate_layout(self.roots)
 
 
-def uniform_grid_points(m_count: int, t0: float) -> np.ndarray:
-    """The (i/M, i*T0/M) points for i = 1..M, as an (M, 2) array."""
-    idx = np.arange(1, m_count + 1)
-    return np.column_stack((idx / m_count, idx * t0 / m_count))
+def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
+    """Design matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
 
-
-def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], points) -> DesignMatrix:
-    """Design matrix over ``points`` (a sequence of (x, t) pairs).
-
-    The estimator passes the uniform grid of :func:`uniform_grid_points`;
-    the realized path points serve only as an oracle (they are unknown to a
-    real estimator).
+    The sample count and the horizon are all the estimator knows of where
+    and when the readings were taken.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (M, 2) array of (x, t) pairs")
-    entries = basis_matrix(roots_per_k, pts[:, 0], pts[:, 1])
-    return DesignMatrix(entries=entries, roots=tuple(roots_per_k), t0=float(pts[-1, 1]))
+    roots = tuple(roots_per_k)
+    return DesignMatrix(entries=grid_basis_matrix(roots, m_count, t0), roots=roots, t0=float(t0))
 
 
 def _as_values(samples) -> np.ndarray:
@@ -113,30 +109,31 @@ def _as_values(samples) -> np.ndarray:
     return values
 
 
-def _gated_svd(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a real design; InsufficientSamples with fewer rows than
-    columns, RankDeficient when sigma_min <= RANK_RTOL * sigma_max."""
+def _rank_gate(entries: np.ndarray, singular: np.ndarray) -> None:
+    """InsufficientSamples when a real design has fewer rows than columns,
+    RankDeficient when its sigma_min <= RANK_RTOL * sigma_max."""
     rows, cols = entries.shape
     if rows < cols:
         raise InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
-    u, s, vt = np.linalg.svd(entries, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
+    if singular[-1] <= RANK_RTOL * singular[0]:
         raise RankDeficient(
-            f"singular value ratio {s[-1] / s[0]:.3g} below the rank tolerance"
+            f"singular value ratio {singular[-1] / singular[0]:.3g} below the rank tolerance"
         )
-    return u, s, vt
 
 
 def _svd_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real least-squares solution in the design's column layout, and the singular values."""
     if len(values) != entries.shape[0]:
         raise ValueError("one value per design-matrix row required")
-    u, s, vt = _gated_svd(entries)
-    return vt.T @ ((u.T @ values) / s), s
+    # rcond=None truncates below eps * max(M, c) relative, far under RANK_RTOL,
+    # so every solve the gate accepts is a full-rank one.
+    solution, _, _, singular = np.linalg.lstsq(entries, values, rcond=None)
+    _rank_gate(entries, singular)
+    return solution, singular
 
 
 def least_squares(design: DesignMatrix, samples) -> np.ndarray:
-    """Minimizer of ||values - Y0 a||^2 via a rank-revealing SVD, as stacked complex coefficients."""
+    """Minimizer of ||values - Y0 a||^2 via a rank-gated LAPACK solve, as stacked complex coefficients."""
     solution, _ = _svd_solve(design.entries, _as_values(samples))
     return design.layout.to_complex(solution)
 
@@ -217,7 +214,8 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     horizon at most about the unit span; a failure flags a numerical problem,
     not physics.
     """
-    _, singular, _ = _gated_svd(design.entries)
+    singular = np.linalg.svd(design.entries, compute_uv=False)
+    _rank_gate(design.entries, singular)
     eigenvalues = singular**2
     trace = float(np.sum(design.entries**2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))

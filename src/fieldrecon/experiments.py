@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde, InsufficientSamples, RankDeficient
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
 from .pde_core import PdeSpec, check_stability
-from .estimator import build_design_matrix, reconstruct, uniform_grid_points
+from .estimator import build_design_matrix, reconstruct
 from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from .streams import noise_stream, substream, trial_streams
 
@@ -157,8 +157,7 @@ def run_trial(plan: SweepPlan, n: int, trial: int) -> TrialRecord:
     samples = sample_field(plan.state, path, plan.noise, noise_stream(plan.master_seed, n, trial))
     true_k0 = coefficients_at(plan.state, 0.0)
     try:
-        points = uniform_grid_points(path.M, path.T0)
-        design = build_design_matrix(plan.state.roots, points)
+        design = build_design_matrix(plan.state.roots, path.M, path.T0)
         result = reconstruct(design, samples, true_k0)
     except (RankDeficient, InsufficientSamples):
         nan = float("nan")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -304,10 +305,43 @@ def basis_matrix(roots_per_k: Sequence[HarmonicRoots], xs, ts) -> np.ndarray:
         raise ValueError("xs and ts must be 1-d arrays of equal length")
     layout = conjugate_layout(tuple(roots_per_k))
     out = np.column_stack((ts, xs, np.ones(len(ts)))) @ layout.exponents
-    # One complex exponential per pair, taken in place on its (Re, Im) columns.
-    pairs = out[:, : 2 * len(layout.pairs)].view(complex)
+    return _exp_in_layout(out, 2 * len(layout.pairs))
+
+
+def grid_basis_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> np.ndarray:
+    """basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M, from power tables.
+
+    On the grid each column is a geometric sequence s * z**i, with the step
+    log z = (t0, 1, 0) @ exponents / M and the scale log s = exponents[2]
+    (sqrt(2) on pairs).  Writing i = B*h + l with B = ceil(sqrt(M + 1)),
+    entry i is (s * z**(B*h)) * z**l: one product per entry and 2B
+    exponentials per column.  Every table entry is an exponential of its own
+    argument, never a running product, so rounding does not grow with i.
+    """
+    layout = conjugate_layout(tuple(roots_per_k))
+    n_pair = 2 * len(layout.pairs)
+    side = math.isqrt(m_count) + 1  # ceil(sqrt(M + 1)): side**2 covers i = 0..M
+    # max(M, 1): an empty grid (M = 0) takes no step.
+    step = np.array([t0, 1.0, 0.0]) @ layout.exponents / max(m_count, 1)
+    powers = np.arange(side, dtype=float)
+    low = _exp_in_layout(np.multiply.outer(powers, step), n_pair)
+    high = _exp_in_layout(np.multiply.outer(side * powers, step) + layout.exponents[2], n_pair)
+    out = np.empty((side * side, layout.cols))
+    # Write through a reshaped view of the whole buffer: reshaping a column
+    # slice would copy, and the products would be lost.
+    grid = out.reshape(side, side, layout.cols)
+    pair = grid[..., :n_pair].view(complex)
+    np.multiply(high[:, None, :n_pair].view(complex), low[None, :, :n_pair].view(complex), out=pair)
+    np.multiply(high[:, None, n_pair:], low[None, :, n_pair:], out=grid[..., n_pair:])
+    return out[1 : m_count + 1]
+
+
+def _exp_in_layout(out: np.ndarray, n_pair: int) -> np.ndarray:
+    """Exponentiate layout exponents in place along the last axis: one complex
+    exponential per pair on its (Re, Im) columns, a real one per self-conjugate column."""
+    pairs = out[..., :n_pair].view(complex)
     np.exp(pairs, out=pairs)
-    selfconj = out[:, 2 * len(layout.pairs) :]
+    selfconj = out[..., n_pair:]
     np.exp(selfconj, out=selfconj)
     return out
 

@@ -12,7 +12,6 @@ import pytest
 from fieldrecon.estimator import (
     build_design_matrix,
     condition_diagnostics,
-    uniform_grid_points,
 )
 from fieldrecon.experiments import ExperimentConfig, load_config, run_sweep, sweep_csv_text
 from fieldrecon.field import catalog_entry, catalog_scenario
@@ -188,7 +187,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
                 int(rng.integers(100, 900)),
                 PathStreams.from_seed(int(rng.integers(2**31))),
             )
-        design = build_design_matrix(roots, uniform_grid_points(path.M, path.T0))
+        design = build_design_matrix(roots, path.M, path.T0)
         diag = condition_diagnostics(design)
         flags_ok &= diag.polya_szego_ok and diag.trace_lower_ok
     chain_ok = True

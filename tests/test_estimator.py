@@ -12,13 +12,14 @@ from fieldrecon.estimator import (
     distortion,
     least_squares,
     reconstruct,
-    uniform_grid_points,
 )
 from fieldrecon.field import (
+    basis_matrix,
     catalog_entry,
     coefficients_at,
     evaluate,
     field_from_mode_values,
+    random_real_field,
     scenario_field,
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability
@@ -47,15 +48,13 @@ def constant_roots():
 
 
 def test_constant_mode_design_matrix():
-    pts = uniform_grid_points(25, 1.0)
-    design = build_design_matrix(constant_roots(), pts)
+    design = build_design_matrix(constant_roots(), 25, 1.0)
     assert design.rows == 25 and design.cols == 1
     assert np.allclose(design.entries, 1.0, atol=0)
 
 
 def test_entry_modulus_and_row_norm_bound(diffusion):
-    pts = uniform_grid_points(100, 0.97)
-    design = build_design_matrix(diffusion.roots, pts)
+    design = build_design_matrix(diffusion.roots, 100, 0.97)
     # Recombine each (sqrt(2) Re c, sqrt(2) Im c) pair into the complex entry c.
     n_pair = 2 * len(design.layout.pairs)
     pairs = (design.entries[:, 0:n_pair:2] + 1j * design.entries[:, 1:n_pair:2]) / np.sqrt(2.0)
@@ -68,8 +67,8 @@ def test_entry_modulus_and_row_norm_bound(diffusion):
 def test_true_grid_forward_oracle(diffusion):
     # Y(true points) @ a must reproduce per-point field evaluation.
     path = draw_path(RenewalSpec(), 120, PathStreams.from_seed(3))
-    pts = np.column_stack((path.S[: path.M], path.T[: path.M]))
-    design = build_design_matrix(diffusion.roots, pts)
+    entries = basis_matrix(diffusion.roots, path.S[: path.M], path.T[: path.M])
+    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=path.T[path.M - 1])
     predicted = design.entries @ design.layout.to_real(diffusion.flat_coeffs())
     direct = np.array(
         [evaluate(diffusion, x, t) for x, t in zip(path.S[: path.M], path.T[: path.M])]
@@ -80,7 +79,7 @@ def test_true_grid_forward_oracle(diffusion):
 def test_exact_recovery_on_uniform_grid(diffusion):
     path = draw_path(RenewalSpec(family="deterministic"), 200, PathStreams.from_seed(0))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
+    design = build_design_matrix(diffusion.roots, path.M, path.T0)
     a_hat = least_squares(design, samples)
     err = np.max(np.abs(a_hat - diffusion.flat_coeffs()))
     assert err < 1e-8 * float(np.max(np.abs(diffusion.flat_coeffs())))
@@ -89,7 +88,7 @@ def test_exact_recovery_on_uniform_grid(diffusion):
 def test_constant_mode_least_squares_is_mean():
     rng = np.random.default_rng(4)
     values = rng.uniform(-1, 1, 50)
-    design = build_design_matrix(constant_roots(), uniform_grid_points(50, 1.0))
+    design = build_design_matrix(constant_roots(), 50, 1.0)
     a_hat = least_squares(design, values)
     assert a_hat[0] == pytest.approx(values.mean(), abs=1e-12)
 
@@ -98,27 +97,26 @@ def test_small_instance_matches_normal_equations():
     # Independent oracle: explicit 3x3 normal-equations solve on a tiny instance.
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    pts = uniform_grid_points(8, 0.9)
-    design = build_design_matrix(roots, pts)
+    design = build_design_matrix(roots, 8, 0.9)
     rng = np.random.default_rng(6)
     values = rng.uniform(-1, 1, 8)
     a_hat = least_squares(design, values)
-    basis = complex_basis(roots, pts[:, 0], pts[:, 1])
+    idx = np.arange(1, 9)
+    basis = complex_basis(roots, idx / 8, idx * 0.9 / 8)
     gram = basis.conj().T @ basis
     oracle = np.linalg.solve(gram, basis.conj().T @ values)
     assert np.max(np.abs(a_hat - oracle)) < 1e-10
 
 
 def test_insufficient_samples(diffusion):
-    pts = uniform_grid_points(5, 1.0)
-    design = build_design_matrix(diffusion.roots, pts)
+    design = build_design_matrix(diffusion.roots, 5, 1.0)
     with pytest.raises(InsufficientSamples):
         least_squares(design, np.zeros(5))
 
 
 def test_condition_diagnostics_refuses_underdetermined(diffusion):
     # 5 rows cannot give 7 columns full rank, whatever the 5 singular values say.
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(5, 1.0))
+    design = build_design_matrix(diffusion.roots, 5, 1.0)
     with pytest.raises(InsufficientSamples):
         condition_diagnostics(design)
 
@@ -126,8 +124,8 @@ def test_condition_diagnostics_refuses_underdetermined(diffusion):
 def test_rank_deficient_detected():
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    pts = np.array([[0.5, 0.5]] * 5)  # identical rows: rank 1 < 3
-    design = build_design_matrix(roots, pts)
+    entries = basis_matrix(roots, [0.5] * 5, [0.5] * 5)  # identical rows: rank 1 < 3
+    design = DesignMatrix(entries=entries, roots=roots, t0=0.5)
     with pytest.raises(RankDeficient):
         least_squares(design, np.zeros(5))
     with pytest.raises(RankDeficient):
@@ -177,7 +175,7 @@ def test_distortion_parseval_quadrature(diffusion):
 
 def test_estimator_linearity(diffusion):
     path = draw_path(RenewalSpec(), 150, PathStreams.from_seed(10))
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
+    design = build_design_matrix(diffusion.roots, path.M, path.T0)
     rng = np.random.default_rng(11)
     g1 = rng.uniform(-1, 1, path.M)
     g2 = rng.uniform(-1, 1, path.M)
@@ -190,7 +188,7 @@ def test_noise_only_unbiased():
     # Pure zero-mean noise decodes to zero coefficients on average.
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    design = build_design_matrix(roots, uniform_grid_points(64, 1.0))
+    design = build_design_matrix(roots, 64, 1.0)
     rng = np.random.default_rng(21)
     trials = 10_000
     estimates = np.empty((trials, 3), dtype=complex)
@@ -202,7 +200,7 @@ def test_noise_only_unbiased():
 
 
 def test_condition_diagnostics_constant_mode():
-    design = build_design_matrix(constant_roots(), uniform_grid_points(10, 1.0))
+    design = build_design_matrix(constant_roots(), 10, 1.0)
     report = condition_diagnostics(design)
     assert report.trace == pytest.approx(10.0, abs=1e-12)
     assert report.trace_inverse == pytest.approx(0.1, abs=1e-14)
@@ -213,7 +211,7 @@ def test_condition_diagnostics_constant_mode():
 def test_trace_two_ways(diffusion):
     # Direct sum oracle: trace = sum over k, i, j of exp(2 Re r_j(k) t_i).
     t0 = 0.9
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(512, t0))
+    design = build_design_matrix(diffusion.roots, 512, t0)
     report = condition_diagnostics(design)
     t_i = np.arange(1, 513) * t0 / 512
     direct = sum(
@@ -236,7 +234,7 @@ def test_inequality_flags_random_instances():
             int(rng.integers(100, 800)),
             PathStreams.from_seed(int(rng.integers(2**31))),
         )
-        design = build_design_matrix(roots, uniform_grid_points(path.M, path.T0))
+        design = build_design_matrix(roots, path.M, path.T0)
         report = condition_diagnostics(design)
         assert report.polya_szego_ok
         assert report.trace_lower_ok
@@ -251,7 +249,7 @@ def test_chain_bound_on_reconstructions(diffusion):
     for seed in range(10):
         path = draw_path(RenewalSpec(), 200, PathStreams.from_seed(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
-        design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
+        design = build_design_matrix(diffusion.roots, path.M, path.T0)
         result = reconstruct(design, samples, true_k0)
         coeff_err = float(np.sum(np.abs(result.a_hat - flat) ** 2))
         bound = diffusion.m * (2 * diffusion.b + 1) * coeff_err
@@ -263,7 +261,7 @@ def test_reconstruct_record_is_jsonable(diffusion):
 
     path = draw_path(RenewalSpec(), 150, PathStreams.from_seed(2))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(diffusion.roots, uniform_grid_points(path.M, path.T0))
+    design = build_design_matrix(diffusion.roots, path.M, path.T0)
     result = reconstruct(design, samples, coefficients_at(diffusion, 0.0))
     record = result.to_record()
     text = json.dumps(record)
@@ -272,12 +270,14 @@ def test_reconstruct_record_is_jsonable(diffusion):
     assert result.kappa >= 1.0
 
 
-def test_uniform_grid_points_layout():
-    pts = uniform_grid_points(4, 0.8)
-    assert pts.shape == (4, 2)
-    assert pts[-1, 0] == 1.0
-    assert pts[-1, 1] == 0.8
-    assert np.allclose(pts[:, 0], [0.25, 0.5, 0.75, 1.0], atol=0)
+def test_grid_design_layout(diffusion):
+    # Rows sit at (i/4, i*0.8/4), i = 1..4; the last at (1, T0) with T0 exact.
+    design = build_design_matrix(diffusion.roots, 4, 0.8)
+    assert design.rows == 4
+    assert design.t0 == 0.8
+    idx = np.arange(1, 5)
+    expected = basis_matrix(diffusion.roots, idx / 4, idx * 0.8 / 4)
+    assert np.max(np.abs(design.entries - expected)) < 1e-13
 
 
 # ------------------------------------------- real estimator vs complex oracle
@@ -327,15 +327,22 @@ def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
         assume(False)
     assume(feasible)
     cols = spec.degree * (2 * b + 1)
-    pts = uniform_grid_points(cols + 1 + extra_rows, t0)
-    design = build_design_matrix(roots, pts)
-    basis = complex_basis(roots, pts[:, 0], pts[:, 1])
+    m_count = cols + 1 + extra_rows
+    design = build_design_matrix(roots, m_count, t0)
+    idx = np.arange(1, m_count + 1)
+    basis = complex_basis(roots, idx / m_count, idx * t0 / m_count)
 
     layout = design.layout
     assert np.array_equal(np.sort(np.r_[layout.pairs.ravel(), layout.selfconj]), np.arange(cols))
     p, q = layout.pairs.T
     assert np.max(np.abs(basis[:, q] - basis[:, p].conj()), initial=0.0) < 1e-12
     assert np.max(np.abs(basis[:, layout.selfconj].imag), initial=0.0) < 1e-12
+    # The grid design, entry by entry, is the complex basis in the real layout.
+    pair = np.sqrt(2.0) * basis[:, p]
+    expected = np.column_stack(
+        (np.stack((pair.real, pair.imag), axis=2).reshape(m_count, -1), basis[:, layout.selfconj].real)
+    )
+    assert np.max(np.abs(design.entries - expected)) < 1e-12
 
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=cols) + 1j * rng.normal(size=cols)
@@ -352,3 +359,25 @@ def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
     assert result.kappa == pytest.approx(kappa_oracle, rel=1e-9)
     bound = 1e3 * np.finfo(float).eps * np.sqrt(kappa_oracle)
     assert np.linalg.norm(result.a_hat - a_oracle) <= bound * np.linalg.norm(a_oracle)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spec=feasible_pdes(), b=st.integers(0, 4), n_extra=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_noiseless_grid_recovery(spec, b, n_extra, seed):
+    # On a deterministic path the readings sit exactly on the uniform grid, so
+    # a noiseless solve recovers the field or refuses the design outright.
+    try:
+        feasible = check_stability(spec, b).feasible
+    except DegenerateRoots:
+        assume(False)
+    assume(feasible)
+    state = random_real_field(b, spec, np.random.default_rng(seed))
+    n = min(state.m * (2 * b + 1) + n_extra, 300)
+    path = draw_path(RenewalSpec(family="deterministic"), n, PathStreams.from_seed(seed))
+    design = build_design_matrix(state.roots, path.M, path.T0)
+    samples = sample_field(state, path, NoiseSpec())
+    try:
+        result = reconstruct(design, samples, coefficients_at(state, 0.0))
+    except RankDeficient:
+        return
+    assert result.distortion < 1e-14

@@ -7,6 +7,7 @@ from fieldrecon.errors import InfeasiblePde, UnknownScenario
 from fieldrecon.field import (
     CATALOG,
     FieldState,
+    basis_matrix,
     catalog_entry,
     coefficients_at,
     evaluate,
@@ -15,6 +16,7 @@ from fieldrecon.field import (
     field_from_json,
     field_from_mode_values,
     field_to_json,
+    grid_basis_matrix,
     random_real_field,
     scenario_field,
 )
@@ -155,6 +157,20 @@ def test_two_evaluation_paths_agree(diffusion, set1):
         stacked = evaluate_at_points(state, xs, ts)
         pointwise = np.array([evaluate(state, x, t) for x, t in zip(xs, ts)])
         assert np.max(np.abs(stacked - pointwise)) < 1e-12
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda entry: entry.set_id)
+@pytest.mark.parametrize("m_count", [1, 2, 3, 15, 16, 17, 8191, 8192, 8193])
+@pytest.mark.parametrize("t0", [0.3, 1.0, 1.7])
+def test_grid_basis_matches_basis_matrix(entry, m_count, t0):
+    # Power tables have side ceil(sqrt(M + 1)): M = 15 fills a 4 x 4 table
+    # exactly, M = 16 starts a 5 x 5 one.
+    roots = tuple(characteristic_roots(entry.spec, k) for k in range(-3, 4))
+    idx = np.arange(1, m_count + 1)
+    expected = basis_matrix(roots, idx / m_count, idx * t0 / m_count)
+    grid = grid_basis_matrix(roots, m_count, t0)
+    assert grid.shape == expected.shape
+    assert np.max(np.abs(grid - expected)) < 1e-13
 
 
 def test_bandlimit_dft(diffusion, set1):
