@@ -313,10 +313,11 @@ def grid_basis_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: fl
 
     On the grid each column is a geometric sequence s * z**i, with the step
     log z = (t0, 1, 0) @ exponents / M and the scale log s = exponents[2]
-    (sqrt(2) on pairs).  Writing i = B*h + l with B = ceil(sqrt(M + 1)),
-    entry i is (s * z**(B*h)) * z**l: one product per entry and 2B
-    exponentials per column.  Every table entry is an exponential of its own
-    argument, never a running product, so rounding does not grow with i.
+    (s = sqrt(2) on pairs, 1 on self-conjugate columns).  Writing
+    i = B*h + l with B = ceil(sqrt(M + 1)), entry i is (s * z**(B*h)) * z**l:
+    one product per entry and 2B exponentials per column.  Every table entry
+    is an exponential of its own argument, never a running product, so
+    rounding does not grow with i.
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
