@@ -20,7 +20,6 @@ from .pde_core import (
     characteristic_roots,
     check_stability,
     eval_poly,
-    evolve_coefficient,
     solve_initial_coefficients,
 )
 from .field import (
@@ -32,10 +31,7 @@ from .field import (
     coefficients_at,
     evaluate,
     evaluate_at_points,
-    evaluate_gradient,
-    field_from_json,
     field_from_mode_values,
-    field_to_json,
     random_real_field,
     scenario_field,
 )

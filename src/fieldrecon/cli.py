@@ -19,7 +19,13 @@ from pathlib import Path
 from .errors import ConfigInvalid, DegenerateRoots, InfeasiblePde
 from .experiments import load_config, run_sweep
 from .field import CATALOG
-from .oracle import SuiteReport, bandlimit_suite, grid_deviation_suite, ode_equivalence_suite
+from .oracle import (
+    MIN_SCALING_TRIALS,
+    SuiteReport,
+    bandlimit_suite,
+    grid_deviation_suite,
+    ode_equivalence_suite,
+)
 from .pde_core import PdeSpec, check_stability
 
 EXIT_OK = 0
@@ -45,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="path to the JSON configuration")
     sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
     sweep.add_argument("--out", default=None, help="override the output directory")
-    sweep.add_argument("--workers", type=int, default=1, help="trial-level process workers")
+    sweep.add_argument("--workers", type=int, default=1, help="trial-level process workers (>= 1)")
 
     verify = sub.add_parser("verify", help="run the brute-force verification suites")
     verify.add_argument(
@@ -92,6 +98,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    # Checked before any suite runs, so bad input does no work.
+    if args.seed < 0:
+        print(f"config error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
+    if "appendix-b" in names and args.trials < MIN_SCALING_TRIALS:
+        print(f"config error: --trials must be at least {MIN_SCALING_TRIALS}", file=sys.stderr)
+        return EXIT_CONFIG
     all_ok = True
     for name in names:
         report: SuiteReport = SUITE_RUNNERS[name](args)

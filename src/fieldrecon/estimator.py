@@ -157,15 +157,6 @@ class ReconstructionResult:
     kappa: float
     residual_norm: float
 
-    def to_record(self) -> dict:
-        return {
-            "a_hat": [[c.real, c.imag] for c in self.a_hat],
-            "a_hat_k0": [[c.real, c.imag] for c in self.a_hat_k0],
-            "distortion": self.distortion,
-            "kappa": self.kappa,
-            "residual_norm": self.residual_norm,
-        }
-
 
 def reconstruct(design: DesignMatrix, samples, true_k0: Sequence[complex]) -> ReconstructionResult:
     """Full estimation pass: solve, collapse roots per harmonic, score."""

@@ -65,10 +65,14 @@ class ExperimentConfig:
             raise ConfigInvalid("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigInvalid("master_seed must fit an unsigned 64-bit integer")
-        if isinstance(self.pde, bool):
+        if isinstance(self.pde, numbers.Integral) and not isinstance(self.pde, bool):
+            # A numpy integer is stored as an int, so resolve_field and the
+            # summary echo see a catalog index.
+            object.__setattr__(self, "pde", int(self.pde))
+            if self.pde not in [entry.index for entry in CATALOG]:
+                raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
+        elif not isinstance(self.pde, PdeSpec):
             raise ConfigInvalid(f"pde must be a catalog index or a PdeSpec, got {self.pde!r}")
-        if isinstance(self.pde, int) and self.pde not in [entry.index for entry in CATALOG]:
-            raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
 
 
@@ -208,8 +212,10 @@ def run_sweep(
     rank_failures for their density and are excluded from the means.  With
     ``workers > 1`` trials run in a process pool; results are identical to
     the sequential run because every trial owns seed-derived streams and the
-    aggregation order is fixed.
+    aggregation order is fixed.  ``workers`` below 1 raises ConfigInvalid.
     """
+    if workers < 1:
+        raise ConfigInvalid(f"workers must be at least 1, got {workers}")
     state = resolve_field(config)
     _validate_densities(config, state)
     stability = check_stability(state.spec, state.b)
@@ -223,7 +229,7 @@ def run_sweep(
         master_seed=config.master_seed,
     )
     tasks = [(n, trial) for n in config.n_list for trial in range(config.trials)]
-    if workers <= 1:
+    if workers == 1:
         records = [run_trial(plan, n, trial) for n, trial in tasks]
     else:
         with ProcessPoolExecutor(

@@ -9,7 +9,6 @@ and the mode evolves as a_k(t) = sum_i a_ki(0) exp(r_i(k) t).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,8 +31,6 @@ NORMALIZATION_GRID = 4096
 # over their coefficients, see FieldState.real_coeffs).
 REAL_GUARD_TOL = 1e-9
 SQRT2 = np.sqrt(2.0)
-
-DERIVATIVE_POLICIES = ("at_rest", "first_mode")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class FieldState:
     spec: PdeSpec
     coeffs: np.ndarray  # (2b+1, m) complex; row k+b holds a_k1(0) .. a_km(0)
     roots: tuple[HarmonicRoots, ...]
-    real_field: bool = True
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=complex)
@@ -129,17 +125,16 @@ class FieldState:
     def real_coeffs(self) -> np.ndarray:
         """The stacked coefficients in the real basis layout (ConjugateLayout.to_real).
 
-        A ``real_field`` state must keep its conjugate symmetry: the coefficients
-        of each conjugate pair (p, q) satisfy a_q = conj(a_p) and those of
-        self-conjugate columns are real, to within REAL_GUARD_TOL summed.  Stable
-        roots bound every basis value by exp(STABILITY_TOL t), so this bounds the
-        imaginary residue of g at every probe.
+        Every field here is real, so its coefficients must keep their conjugate
+        symmetry: those of each conjugate pair (p, q) satisfy a_q = conj(a_p) and
+        those of self-conjugate columns are real, to within REAL_GUARD_TOL summed.
+        Stable roots bound every basis value by exp(STABILITY_TOL t), so this
+        bounds the imaginary residue of g at every probe.
         """
         layout = conjugate_layout(self.roots)
-        if self.real_field:
-            residue = layout.asymmetry(self.flat_coeffs())
-            if residue > REAL_GUARD_TOL:
-                raise ValueError(f"conjugate asymmetry {residue:.3g} exceeds the real-field guard")
+        residue = layout.asymmetry(self.flat_coeffs())
+        if residue > REAL_GUARD_TOL:
+            raise ValueError(f"conjugate asymmetry {residue:.3g} exceeds the real-field guard")
         out = layout.to_real(self.flat_coeffs())
         out.flags.writeable = False
         return out
@@ -166,23 +161,10 @@ def evaluate(state: FieldState, x, t: float):
 def evaluate_at_points(state: FieldState, xs, ts) -> np.ndarray:
     """Real field values Re g(x_i, t_i) at paired points, via the real modal basis.
 
-    Raises ValueError for a ``real_field`` state whose coefficients lost their
-    conjugate symmetry (see FieldState.real_coeffs).
+    Raises ValueError for a state whose coefficients lost their conjugate
+    symmetry (see FieldState.real_coeffs).
     """
     return basis_matrix(state.roots, xs, ts) @ state.real_coeffs
-
-
-def evaluate_gradient(state: FieldState, x: float, t: float) -> tuple[complex, complex]:
-    """Analytic (dg/dx, dg/dt) by term-wise differentiation of the modal sum."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    root_mat = state.root_matrix()
-    k_vals = state.k_values
-    factors = np.exp(root_mat * t) * np.exp(2j * np.pi * k_vals * x)[:, None]
-    weighted = state.coeffs * factors
-    dgdx = 2j * np.pi * np.sum(k_vals[:, None] * weighted)
-    dgdt = np.sum(root_mat * weighted)
-    return complex(dgdx), complex(dgdt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,26 +329,13 @@ def _exp_in_layout(out: np.ndarray, n_pair: int) -> np.ndarray:
     return out
 
 
-def field_from_mode_values(
-    b: int,
-    spec: PdeSpec,
-    mode_values: Sequence[complex],
-    derivative_policy: str = "at_rest",
-) -> FieldState:
+def field_from_mode_values(b: int, spec: PdeSpec, mode_values: Sequence[complex]) -> FieldState:
     """Assemble a real field from mode values a_k(0) for k = 0..b.
 
-    Negative harmonics are conjugate mirrors.  ``derivative_policy`` fixes how
-    a mode value splits across its m roots:
-
-    * ``at_rest``: all higher temporal derivatives vanish at t = 0; the split
-      comes from the Vandermonde solve.
-    * ``first_mode``: the whole value rides the first (slowest) root; the
-      other modal coefficients start at zero.
-
-    Both choices reproduce a_k(0) exactly; they differ in the evolution.
+    Negative harmonics are conjugate mirrors.  Each mode starts at rest: its
+    higher temporal derivatives vanish at t = 0, and the Vandermonde solve
+    splits the value across the m roots.
     """
-    if derivative_policy not in DERIVATIVE_POLICIES:
-        raise ValueError(f"unknown derivative policy {derivative_policy!r}")
     values = np.asarray(mode_values, dtype=complex)
     if values.shape != (b + 1,):
         raise ValueError(f"expected {b + 1} mode values for k = 0..b")
@@ -376,27 +345,15 @@ def field_from_mode_values(
     roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
     coeffs = np.zeros((2 * b + 1, m), dtype=complex)
     for k in range(0, b + 1):
-        pos = roots[k + b]
-        if derivative_policy == "at_rest":
-            conditions = np.zeros(m, dtype=complex)
-            conditions[0] = values[k]
-            coeffs[k + b] = solve_initial_coefficients(pos, conditions)
-            if k > 0:
-                coeffs[b - k] = solve_initial_coefficients(roots[b - k], conditions.conj())
-        else:
-            coeffs[k + b, 0] = values[k]
-            if k > 0:
-                partner = conjugate_layout(roots).partner[(k + b) * m]
-                coeffs.reshape(-1)[partner] = values[k].conjugate()
-    return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots, real_field=True)
+        conditions = np.zeros(m, dtype=complex)
+        conditions[0] = values[k]
+        coeffs[k + b] = solve_initial_coefficients(roots[k + b], conditions)
+        if k > 0:
+            coeffs[b - k] = solve_initial_coefficients(roots[b - k], conditions.conj())
+    return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots)
 
 
-def random_real_field(
-    b: int,
-    spec: PdeSpec,
-    rng: np.random.Generator,
-    derivative_policy: str = "at_rest",
-) -> FieldState:
+def random_real_field(b: int, spec: PdeSpec, rng: np.random.Generator) -> FieldState:
     """Random bounded real field: mode values uniform on [-1, 1] per real and
     imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1."""
     report = check_stability(spec, b)
@@ -405,78 +362,25 @@ def random_real_field(
     re = rng.uniform(-1.0, 1.0, size=b + 1)
     im = rng.uniform(-1.0, 1.0, size=b + 1)
     im[0] = 0.0
-    state = field_from_mode_values(b, spec, re + 1j * im, derivative_policy)
+    state = field_from_mode_values(b, spec, re + 1j * im)
     xs = np.arange(NORMALIZATION_GRID) / NORMALIZATION_GRID
     peak = float(np.max(np.abs(evaluate(state, xs, 0.0))))
     if peak > 0.0:
-        state = FieldState(
-            b=b, spec=spec, coeffs=state.coeffs / peak, roots=state.roots, real_field=True
-        )
+        state = FieldState(b=b, spec=spec, coeffs=state.coeffs / peak, roots=state.roots)
     return state
 
 
-def scenario_field(
-    scenario_id: str,
-    pde: int | PdeSpec | None = None,
-    derivative_policy: str = "at_rest",
-) -> FieldState:
-    """Catalog field built from the exact reference mode values.
+def scenario_field(set_id: str, spec: PdeSpec | None = None) -> FieldState:
+    """Catalog field built from the exact reference mode values of ``set_id``.
 
-    ``pde`` selects the governing PDE (catalog index or explicit spec); by
-    default each coefficient set pairs with its usual catalog equation.
+    ``spec`` is the governing PDE; by default the coefficient set pairs with
+    its own catalog equation.
     """
-    entry = catalog_entry(scenario_id)
-    if pde is None:
-        spec = entry.spec
-    elif isinstance(pde, int):
-        spec = catalog_entry(pde).spec
-    else:
-        spec = pde
-    return field_from_mode_values(3, spec, entry.mode_values, derivative_policy)
+    entry = catalog_entry(set_id)
+    return field_from_mode_values(3, entry.spec if spec is None else spec, entry.mode_values)
 
 
 def catalog_scenario(index: int) -> tuple[PdeSpec, FieldState]:
     """Catalog pairing: PDE ``index`` with its reference coefficient set."""
     entry = catalog_entry(index)
     return entry.spec, scenario_field(entry.set_id)
-
-
-def field_to_record(state: FieldState) -> dict:
-    """Plain-data snapshot (re/im pairs) for replayable experiment logs."""
-    return {
-        "format": "fieldrecon.field/1",
-        "b": state.b,
-        "m": state.m,
-        "real_field": state.real_field,
-        "p_coeffs": list(state.spec.p_coeffs),
-        "q_coeffs": list(state.spec.q_coeffs),
-        "coeffs": [[[c.real, c.imag] for c in row] for row in state.coeffs],
-    }
-
-
-def field_from_record(record: dict) -> FieldState:
-    required = {"format", "b", "m", "real_field", "p_coeffs", "q_coeffs", "coeffs"}
-    missing = required - record.keys()
-    if missing:
-        raise ValueError(f"field record missing keys {sorted(missing)}")
-    if record["format"] != "fieldrecon.field/1":
-        raise ValueError(f"unsupported field record format {record['format']!r}")
-    spec = PdeSpec(tuple(record["p_coeffs"]), tuple(record["q_coeffs"]))
-    b = int(record["b"])
-    if int(record["m"]) != spec.degree:
-        raise ValueError("recorded m disagrees with the PDE order")
-    coeffs = np.array(
-        [[complex(re, im) for re, im in row] for row in record["coeffs"]], dtype=complex
-    )
-    roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
-    return FieldState(
-        b=b, spec=spec, coeffs=coeffs, roots=roots, real_field=bool(record["real_field"])
-    )
-
-
-def field_to_json(state: FieldState) -> str:
-    return json.dumps(field_to_record(state), indent=2, sort_keys=True)
-
-
-def field_from_json(text: str) -> FieldState:
-    return field_from_record(json.loads(text))

@@ -3,7 +3,8 @@
 A field obeying  sum_i p_i d^i/dt^i g = sum_i q_i d^i/dx^i g  decouples mode
 by mode into ODEs whose characteristic roots solve p(r) = q(j*2*pi*k).  This
 module finds those roots, gates physical feasibility (no growing modes), and
-evolves modal coefficients in closed form.
+splits initial conditions across the roots; field.coefficients_at evolves the
+result in closed form.
 """
 
 from __future__ import annotations
@@ -150,11 +151,3 @@ def solve_initial_coefficients(
         return np.linalg.solve(vander, conditions)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - distinctness gate fires first
         raise DegenerateRoots(f"harmonic k={roots.k}: Vandermonde solve failed") from exc
-
-
-def evolve_coefficient(a_k: Sequence[complex], roots: HarmonicRoots, t: float) -> complex:
-    """Closed-form modal value a_k(t) = sum_i a_ki(0) * exp(r_i(k) * t)."""
-    a = np.asarray(a_k, dtype=complex)
-    if a.shape != (roots.m,):
-        raise ValueError(f"expected {roots.m} modal coefficients, got {a.shape}")
-    return complex(np.dot(a, np.exp(np.array(roots.roots) * t)))

@@ -10,10 +10,7 @@ reading values, the in-support count M and the horizon T0 are.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -215,48 +212,3 @@ def grid_deviation(path: SamplePath) -> tuple[float, float]:
     spatial = float(np.mean((path.S[:m_count] - idx / m_count) ** 2))
     temporal = float(np.mean((path.T[:m_count] - idx * path.T0 / m_count) ** 2))
     return spatial, temporal
-
-
-def path_to_csv(path_obj: SamplePath, destination, values: Sequence[float] | None = None) -> None:
-    """Write ``i,S_i,T_i,value`` rows (value blank for the overshoot row).
-
-    A leading ``# T0=...`` comment carries the horizon, which the columns
-    alone cannot recover under a nonzero-slack policy.
-    """
-    if values is not None and len(values) != path_obj.M:
-        raise ValueError("values must cover exactly the M in-support samples")
-    with open(destination, "w", newline="") as handle:
-        handle.write(f"# T0={path_obj.T0!r}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["i", "S_i", "T_i", "value"])
-        for i in range(path_obj.M + 1):
-            value = ""
-            if values is not None and i < path_obj.M:
-                value = repr(float(values[i]))
-            writer.writerow([i + 1, repr(float(path_obj.S[i])), repr(float(path_obj.T[i])), value])
-
-
-def sample_set_to_csv(samples: SampleSet, destination) -> None:
-    path_to_csv(samples.path, destination, samples.values)
-
-
-def path_from_csv(source) -> tuple[SamplePath, np.ndarray | None]:
-    """Inverse of :func:`path_to_csv`; returns the path and values (if present)."""
-    text = Path(source).read_text().splitlines()
-    if not text or not text[0].startswith("# T0="):
-        raise ValueError("missing T0 header comment")
-    t0 = float(text[0].split("=", 1)[1])
-    rows = list(csv.reader(text[1:]))
-    if rows[0] != ["i", "S_i", "T_i", "value"]:
-        raise ValueError("unexpected CSV header")
-    S, T, vals = [], [], []
-    for row in rows[1:]:
-        S.append(float(row[1]))
-        T.append(float(row[2]))
-        if row[3] != "":
-            vals.append(float(row[3]))
-    path_obj = SamplePath(S=np.array(S), T=np.array(T), M=len(S) - 1, T0=t0)
-    values = np.array(vals) if vals else None
-    if values is not None and len(values) != path_obj.M:
-        raise ValueError("value column must cover exactly the in-support samples")
-    return path_obj, values

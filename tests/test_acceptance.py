@@ -14,14 +14,14 @@ from fieldrecon.estimator import (
     condition_diagnostics,
 )
 from fieldrecon.experiments import ExperimentConfig, load_config, run_sweep, sweep_csv_text
-from fieldrecon.field import catalog_entry, catalog_scenario
+from fieldrecon.field import catalog_entry, catalog_scenario, coefficients_at
 from fieldrecon.oracle import (
     _fuzz_path_invariants,
     bandlimit_preservation_check,
     grid_deviation_scaling,
     integrate_coefficient_ode,
 )
-from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, evolve_coefficient, solve_initial_coefficients
+from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, solve_initial_coefficients
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
 from fieldrecon.streams import PathStreams, substream
 
@@ -82,26 +82,22 @@ def test_criterion_03_exact_recovery():
 
 
 def test_criterion_04_ode_oracle_equivalence():
-    worst = 0.0
-    worst_half = 0.0
+    worst = {1e-3: 0.0, 5e-4: 0.0}
     for index, _ in SCENARIOS:
         spec, state = catalog_scenario(index)
-        for hr in state.roots:
-            conditions = np.zeros(state.m, dtype=complex)
-            conditions[0] = complex(np.sum(state.row(hr.k)))
-            for dt, sink in ((1e-3, "coarse"), (5e-4, "fine")):
+        for dt in worst:
+            times = np.arange(round(1.0 / dt) + 1) * dt
+            closed = np.array([coefficients_at(state, t) for t in times])  # all harmonics
+            for hr in state.roots:
+                conditions = np.zeros(state.m, dtype=complex)
+                conditions[0] = complex(np.sum(state.row(hr.k)))
                 traj = integrate_coefficient_ode(spec, hr.k, conditions, 1.0, dt)
-                closed = np.array(
-                    [evolve_coefficient(state.row(hr.k), hr, t) for t in traj.times]
-                )
-                dev = float(np.max(np.abs(closed - traj.values)))
-                if sink == "coarse":
-                    worst = max(worst, dev)
-                else:
-                    worst_half = max(worst_half, dev)
-    ratio = worst / worst_half
-    ok = worst < 1e-6 and 8.0 <= ratio <= 32.0
-    report(4, ok, f"max |closed - RK4| = {worst:.3e} at dt=1e-3; halving ratio = {ratio:.1f}")
+                assert np.array_equal(traj.times, times)
+                dev = float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values)))
+                worst[dt] = max(worst[dt], dev)
+    ratio = worst[1e-3] / worst[5e-4]
+    ok = worst[1e-3] < 1e-6 and 8.0 <= ratio <= 32.0
+    report(4, ok, f"max |closed - RK4| = {worst[1e-3]:.3e} at dt=1e-3; halving ratio = {ratio:.1f}")
     assert ok, (worst, ratio)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from fieldrecon.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFY, main
 from fieldrecon.oracle import SuiteReport
+from fieldrecon.pde_core import STABILITY_TOL
 
 
 def write_config(tmp_path, **overrides):
@@ -139,6 +140,38 @@ def test_stability_repeated_roots(tmp_path, capsys):
     pde.write_text(json.dumps(DOUBLE_ROOT_PDE))
     assert main(["stability", "--pde", str(pde), "--band", "2"]) == EXIT_INFEASIBLE
     assert_one_line_error(capsys, "PDE outside the model:")
+
+
+@pytest.mark.parametrize("factor, code", [(1 - 1e-3, EXIT_OK), (1 + 1e-3, EXIT_INFEASIBLE)])
+def test_stability_tol_boundary(tmp_path, capsys, factor, code):
+    # q(z) = eps puts every root at r = eps; STABILITY_TOL is the largest admitted.
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps({"p_coeffs": [0.0, 1.0], "q_coeffs": [STABILITY_TOL * factor]}))
+    assert main(["stability", "--pde", str(pde), "--band", "2"]) == code
+    assert ("feasible: yes" if code == EXIT_OK else "feasible: no") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
+    config = write_config(tmp_path)
+    args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", workers]
+    assert main(args) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "appendix-b", "--trials", "5"],
+        ["--suite", "appendix-b", "--trials", "0"],
+        ["--suite", "appendix-a", "--seed", "-1"],
+    ],
+    ids=["trials=5", "trials=0", "seed=-1"],
+)
+def test_verify_rejects_bad_input(capsys, args):
+    assert main(["verify", *args]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
 
 
 def test_verify_single_suite(capsys):

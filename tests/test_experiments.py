@@ -143,6 +143,19 @@ def test_config_refuses_bool_pde():
     # True == 1 would otherwise pair the diffusion coefficients with PDE 1.
     with pytest.raises(ConfigInvalid):
         quick_config(pde=True)
+    # Neither an index nor a PdeSpec: refused here, not in resolve_field.
+    for pde in (3.0, "3"):
+        with pytest.raises(ConfigInvalid):
+            quick_config(pde=pde)
+
+
+def test_config_stores_numpy_pde_as_int():
+    # A numpy integer pde once reached resolve_field as if it were a PdeSpec.
+    config = quick_config(pde=np.int64(3), n_list=(64,), trials=1)
+    assert type(config.pde) is int and config.pde == 3
+    assert config_to_record(config)["pde"] == 3
+    plain = quick_config(pde=3, n_list=(64,), trials=1)
+    assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(plain))
 
 
 @pytest.mark.parametrize(

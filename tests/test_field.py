@@ -12,10 +12,7 @@ from fieldrecon.field import (
     coefficients_at,
     evaluate,
     evaluate_at_points,
-    evaluate_gradient,
-    field_from_json,
     field_from_mode_values,
-    field_to_json,
     grid_basis_matrix,
     random_real_field,
     scenario_field,
@@ -27,12 +24,12 @@ DIFFUSION_RATE = -0.39478417604357435
 
 @pytest.fixture(scope="module")
 def diffusion():
-    return scenario_field("diffusion", 3)
+    return scenario_field("diffusion")
 
 
 @pytest.fixture(scope="module")
 def set1():
-    return scenario_field("set1", 1)
+    return scenario_field("set1")
 
 
 def constant_mode_state(value=0.5):
@@ -61,36 +58,6 @@ def test_decay_envelope(diffusion):
             assert abs(evaluate(diffusion, x, t)) <= total + 1e-12
 
 
-def test_gradient_constant_mode_zero():
-    state = constant_mode_state()
-    dgdx, dgdt = evaluate_gradient(state, 0.4, 1.2)
-    assert abs(dgdx) < 1e-14 and abs(dgdt) < 1e-14
-
-
-@pytest.mark.parametrize("scenario", ["diffusion", "set1"])
-def test_gradient_matches_finite_differences(scenario, diffusion, set1):
-    state = {"diffusion": diffusion, "set1": set1}[scenario]
-    rng = np.random.default_rng(11)
-    h = 1e-6
-    for _ in range(100):
-        x = rng.uniform(0.05, 0.95)
-        t = rng.uniform(0.05, 1.5)
-        dgdx, dgdt = evaluate_gradient(state, x, t)
-        fd_x = (evaluate(state, x + h, t) - evaluate(state, x - h, t)) / (2 * h)
-        fd_t = (evaluate(state, x, t + h) - evaluate(state, x, t - h)) / (2 * h)
-        assert abs(dgdx - fd_x) < 1e-5
-        assert abs(dgdt - fd_t) < 1e-5
-
-
-def test_gradient_time_bound(diffusion, set1):
-    for state in (diffusion, set1):
-        bound = float(np.sum(np.abs(state.coeffs) * np.abs(state.root_matrix())))
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            _, dgdt = evaluate_gradient(state, rng.uniform(0, 1), rng.uniform(0, 2))
-            assert abs(dgdt) <= bound + 1e-12
-
-
 def test_coefficients_at_zero_row_sums(diffusion, set1):
     for state in (diffusion, set1):
         assert np.allclose(coefficients_at(state, 0.0), state.coeffs.sum(axis=1), atol=0)
@@ -111,12 +78,36 @@ def test_coefficients_at_diffusion_k3(diffusion):
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_coefficients_at_oscillator_preserves_modulus():
+    # p(z) = z^2 + 4, q(z) = z: roots -2j, 2j at k = 0.  A value riding one
+    # purely imaginary root keeps its modulus for all time.
+    spec = PdeSpec((4.0, 0.0, 1.0), (0.0, 1.0))
+    roots = (characteristic_roots(spec, 0),)
+    assert roots[0].roots == pytest.approx((-2j, 2j), abs=1e-12)
+    state = FieldState(b=0, spec=spec, coeffs=[[0.0, 0.4 - 0.3j]], roots=roots)
+    for t in (0.0, 0.7, 3.1):
+        assert abs(coefficients_at(state, t)[0]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_coefficients_at_decay_envelope():
+    # |a_k(t)| <= sum_i |a_ki| exp(max_i Re r_i(k) t), harmonic by harmonic.
+    spec = catalog_entry(2).spec
+    roots = tuple(characteristic_roots(spec, k) for k in range(-3, 4))
+    a = np.array([0.5 + 0.2j, -0.3 + 0.4j])
+    state = FieldState(b=3, spec=spec, coeffs=np.tile(a, (7, 1)), roots=roots)
+    for t in (0.5, 1.0, 2.0):
+        values = coefficients_at(state, t)
+        for hr in roots:
+            bound = float(np.sum(np.abs(a))) * np.exp(hr.worst_real_part() * t)
+            assert abs(values[hr.k + 3]) <= bound + 1e-12
+
+
 def test_scenario_values_exact():
-    diff = scenario_field("diffusion", 3)
+    diff = scenario_field("diffusion")
     assert coefficients_at(diff, 0.0)[3] == pytest.approx(0.11, abs=1e-14)
-    s1 = scenario_field("set1", 1)
+    s1 = scenario_field("set1")
     assert coefficients_at(s1, 0.0)[6] == pytest.approx(-0.1679 - 0.0586j, abs=1e-12)
-    s2 = scenario_field("set2", 2)
+    s2 = scenario_field("set2")
     assert coefficients_at(s2, 0.0)[4] == pytest.approx(-0.0357 + 0.0478j, abs=1e-12)
 
 
@@ -138,8 +129,6 @@ def test_scenario_bounded():
 def test_unknown_scenario():
     with pytest.raises(UnknownScenario):
         scenario_field("set9")
-    with pytest.raises(UnknownScenario):
-        scenario_field("set1", 7)
 
 
 def test_catalog_entry_refuses_bool():
@@ -221,41 +210,6 @@ def test_random_field_infeasible():
     spec = PdeSpec((0.0, 1.0), (0.0, 0.0, -0.01))
     with pytest.raises(InfeasiblePde):
         random_real_field(2, spec, np.random.default_rng(0))
-
-
-def test_first_mode_policy():
-    state_rest = scenario_field("set1", 1, derivative_policy="at_rest")
-    state_first = scenario_field("set1", 1, derivative_policy="first_mode")
-    # Same kickoff values, different evolution split.
-    assert np.allclose(
-        coefficients_at(state_rest, 0.0), coefficients_at(state_first, 0.0), atol=1e-12
-    )
-    assert not np.allclose(state_rest.coeffs, state_first.coeffs)
-    xs = np.arange(1024) / 1024
-    g = evaluate(state_first, xs, 0.4)
-    assert float(np.max(np.abs(g.imag))) < 1e-9
-
-
-def test_serialization_roundtrip(set1):
-    text = field_to_json(set1)
-    back = field_from_json(text)
-    assert back.b == set1.b and back.m == set1.m
-    assert np.array_equal(back.coeffs, set1.coeffs)
-    assert back.spec == set1.spec
-    xs = np.array([0.11, 0.77])
-    ts = np.array([0.2, 0.9])
-    assert np.allclose(
-        evaluate_at_points(back, xs, ts), evaluate_at_points(set1, xs, ts), atol=0
-    )
-
-
-def test_serialization_rejects_bad_record(set1):
-    import json
-
-    record = json.loads(field_to_json(set1))
-    record["m"] = 5
-    with pytest.raises(ValueError):
-        field_from_json(json.dumps(record))
 
 
 def test_field_state_shape_validation():

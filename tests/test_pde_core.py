@@ -1,5 +1,4 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -9,11 +8,12 @@ from hypothesis import strategies as st
 from fieldrecon.errors import DegenerateRoots
 from fieldrecon.field import CATALOG, catalog_entry
 from fieldrecon.pde_core import (
+    DISTINCTNESS_RTOL,
+    STABILITY_TOL,
     PdeSpec,
     characteristic_roots,
     check_stability,
     eval_poly,
-    evolve_coefficient,
     solve_initial_coefficients,
 )
 
@@ -104,6 +104,21 @@ def test_repeated_roots_rejected():
         characteristic_roots(spec, 0)
 
 
+@pytest.mark.parametrize("factor, distinct", [(1 + 1e-3, True), (1 - 1e-3, False)])
+def test_distinctness_rtol_boundary(factor, distinct):
+    # p(z) = z (z + gap) with q(0) = 0 puts the k = 0 roots at 0 and -gap
+    # exactly.  The tolerance is DISTINCTNESS_RTOL * (1 + gap), so
+    # gap = c / (1 - c) with c = DISTINCTNESS_RTOL * factor is factor times it.
+    c = DISTINCTNESS_RTOL * factor
+    gap = c / (1.0 - c)
+    spec = PdeSpec((0.0, gap, 1.0), (0.0, 1.0))
+    if distinct:
+        assert characteristic_roots(spec, 0).roots == (-gap, 0.0)
+    else:
+        with pytest.raises(DegenerateRoots):
+            characteristic_roots(spec, 0)
+
+
 def test_stability_diffusion_feasible():
     report = check_stability(catalog_entry(3).spec, 3)
     assert report.feasible
@@ -118,6 +133,16 @@ def test_stability_antidiffusion_infeasible():
     assert not report.feasible
     assert report.offending == (-1, 1)
     assert report.worst_real_parts[1] == pytest.approx(-DIFFUSION_RATE, abs=1e-9)
+
+
+@pytest.mark.parametrize("factor, feasible", [(1 - 1e-3, True), (1 + 1e-3, False)])
+def test_stability_tol_boundary(factor, feasible):
+    # p(z) = z, q(z) = eps: every root of every harmonic is r = eps exactly.
+    eps = STABILITY_TOL * factor
+    report = check_stability(PdeSpec((0.0, 1.0), (eps,)), 2)
+    assert report.worst_real_parts == {k: eps for k in range(-2, 3)}
+    assert report.feasible is feasible
+    assert report.offending == (() if feasible else (-2, -1, 0, 1, 2))
 
 
 def test_stability_zero_root_allowed():
@@ -181,38 +206,3 @@ def test_solve_initial_roundtrip(seed, m):
     for j in range(m):
         reproduced = np.sum(solved * r**j)
         assert abs(reproduced - conditions[j]) <= 1e-9 * (1.0 + abs(conditions[j]))
-
-
-def test_evolve_at_zero_is_plain_sum():
-    hr = characteristic_roots(catalog_entry(2).spec, 1)
-    a = np.array([0.3 - 0.1j, -0.2 + 0.05j])
-    assert evolve_coefficient(a, hr, 0.0) == complex(np.dot(a, np.ones(2)))
-
-
-def test_evolve_diffusion_scalar_exponential():
-    # Oracle: plain scalar exponential on the k = 1 diffusion mode.
-    hr = characteristic_roots(catalog_entry(3).spec, 1)
-    value = evolve_coefficient([0.023 - 0.076j], hr, 1.0)
-    expected = (0.023 - 0.076j) * cmath.exp(DIFFUSION_RATE)
-    assert value == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.01549798537832297 - 0.05121073429358895j, abs=1e-12)
-
-
-def test_evolve_oscillator_preserves_modulus():
-    from fieldrecon.pde_core import HarmonicRoots
-
-    hr = HarmonicRoots(k=0, roots=(2j,))
-    a = [0.4 - 0.3j]
-    for t in (0.0, 0.7, 3.1):
-        assert abs(evolve_coefficient(a, hr, t)) == pytest.approx(abs(a[0]), abs=1e-12)
-
-
-def test_evolve_decay_envelope():
-    spec = catalog_entry(2).spec
-    for k in (1, 2, 3):
-        hr = characteristic_roots(spec, k)
-        a = np.array([0.5 + 0.2j, -0.3 + 0.4j])
-        worst = max(r.real for r in hr.roots)
-        for t in (0.5, 1.0, 2.0):
-            bound = float(np.sum(np.abs(a))) * math.exp(worst * t)
-            assert abs(evolve_coefficient(a, hr, t)) <= bound + 1e-12

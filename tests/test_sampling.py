@@ -12,10 +12,7 @@ from fieldrecon.sampling import (
     _draw_noise,
     draw_path,
     grid_deviation,
-    path_from_csv,
-    path_to_csv,
     sample_field,
-    sample_set_to_csv,
 )
 from fieldrecon.streams import PathStreams
 
@@ -176,7 +173,7 @@ def test_unknown_policy():
 def test_sample_field_noiseless_exact():
     from fieldrecon.field import evaluate, scenario_field
 
-    state = scenario_field("diffusion", 3)
+    state = scenario_field("diffusion")
     path = draw_path(RenewalSpec(), 100, streams(5))
     samples = sample_field(state, path, NoiseSpec())
     direct = np.array(
@@ -204,28 +201,15 @@ def test_uniform_noise_variance():
     assert np.max(np.abs(draws)) <= np.sqrt(0.03)
 
 
-def lopsided_coeffs(state):
-    """``state``'s coefficients with row -1 no longer the conjugate mirror of row 1."""
-    coeffs = state.coeffs.copy()
-    coeffs[state.b - 1] += 0.05 + 0.02j
-    return coeffs
-
-
 def test_sample_field_real_guard():
-    from fieldrecon.field import FieldState, evaluate, scenario_field
+    from fieldrecon.field import FieldState, scenario_field
 
-    base = scenario_field("set1", 1)
+    base = scenario_field("set1")
     path = draw_path(RenewalSpec(), 100, streams(6))
-    coeffs = lopsided_coeffs(base)
+    coeffs = base.coeffs.copy()
+    coeffs[base.b - 1] += 0.05 + 0.02j  # row -1 no longer the conjugate mirror of row 1
     with pytest.raises(ValueError):
         sample_field(FieldState(base.b, base.spec, coeffs, base.roots), path, NoiseSpec())
-    # The same coefficients outside the real-field promise read Re g.
-    complex_state = FieldState(base.b, base.spec, coeffs, base.roots, real_field=False)
-    samples = sample_field(complex_state, path, NoiseSpec())
-    direct = np.array(
-        [evaluate(complex_state, x, t).real for x, t in zip(path.S[: path.M], path.T[: path.M])]
-    )
-    assert np.max(np.abs(samples.values - direct)) < 1e-12
 
 
 def test_noise_requires_rng():
@@ -244,31 +228,3 @@ def test_grid_deviation_bounded_by_one():
         spatial, temporal = grid_deviation(path)
         assert 0.0 <= spatial <= 1.0
         assert temporal >= 0.0
-
-
-# -------------------------------------------------------------------- CSV IO
-
-
-def test_csv_roundtrip(tmp_path):
-    path = draw_path(RenewalSpec(), 40, streams(8), "jittered")
-    state = constant_state(0.25)
-    samples = sample_field(state, path, NoiseSpec())
-    target = tmp_path / "path.csv"
-    sample_set_to_csv(samples, target)
-    lines = target.read_text().splitlines()
-    assert lines[1] == "i,S_i,T_i,value"
-    back, values = path_from_csv(target)
-    assert back.M == path.M
-    assert back.T0 == path.T0
-    assert np.array_equal(back.S, path.S)
-    assert np.array_equal(back.T, path.T)
-    assert np.array_equal(values, samples.values)
-
-
-def test_csv_path_only(tmp_path):
-    path = draw_path(RenewalSpec(), 40, streams(9))
-    target = tmp_path / "bare.csv"
-    path_to_csv(path, target)
-    back, values = path_from_csv(target)
-    assert values is None
-    assert np.array_equal(back.S, path.S)
