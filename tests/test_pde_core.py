@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldrecon.errors import DegenerateRoots
-from fieldrecon.field import CATALOG, catalog_entry
+from fieldrecon.field import CATALOG, FieldState, catalog_entry, coefficients_at
 from fieldrecon.pde_core import (
     DISTINCTNESS_RTOL,
     STABILITY_TOL,
@@ -181,6 +181,32 @@ def test_solve_initial_wrong_length():
     hr = characteristic_roots(catalog_entry(2).spec, 1)
     with pytest.raises(ValueError):
         solve_initial_coefficients(hr, [1.0])
+
+
+
+def single_harmonic_state(spec, a, k=1):
+    # Band limit |k| with every row zero except a_k: coefficients_at then
+    # returns the closed form sum_i a_ki exp(r_i(k) t) at row k + b.
+    b = abs(k)
+    coeffs = np.zeros((2 * b + 1, spec.degree), dtype=complex)
+    coeffs[k + b] = a
+    roots = tuple(characteristic_roots(spec, j) for j in range(-b, b + 1))
+    return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots)
+
+
+def test_evolve_at_zero_is_plain_sum():
+    a = np.array([0.3 - 0.1j, -0.2 + 0.05j])
+    state = single_harmonic_state(catalog_entry(2).spec, a)
+    assert coefficients_at(state, 0.0)[2] == complex(np.dot(a, np.ones(2)))
+
+
+def test_evolve_diffusion_scalar_exponential():
+    # Oracle: plain scalar exponential on the k = 1 diffusion mode.
+    state = single_harmonic_state(catalog_entry(3).spec, [0.023 - 0.076j])
+    value = coefficients_at(state, 1.0)[2]
+    expected = (0.023 - 0.076j) * cmath.exp(DIFFUSION_RATE)
+    assert value == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(0.01549798537832297 - 0.05121073429358895j, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
