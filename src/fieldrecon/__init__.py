@@ -52,7 +52,6 @@ from .estimator import (
     build_design_matrix,
     condition_diagnostics,
     distortion,
-    least_squares,
     reconstruct,
 )
 from .oracle import (

@@ -132,12 +132,6 @@ def _svd_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
     return solution, singular
 
 
-def least_squares(design: DesignMatrix, samples) -> np.ndarray:
-    """Minimizer of ||values - Y0 a||^2 via a rank-gated LAPACK solve, as stacked complex coefficients."""
-    solution, _ = _svd_solve(design.entries, _as_values(samples))
-    return design.layout.to_complex(solution)
-
-
 def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> float:
     """Sum_k |est_k - true_k|^2; by Parseval, the integrated squared error at t = 0."""
     est = np.asarray(estimated_k0, dtype=complex)
@@ -155,13 +149,12 @@ class ReconstructionResult:
     a_hat_k0: np.ndarray
     distortion: float
     kappa: float
-    residual_norm: float
 
 
 def reconstruct(design: DesignMatrix, samples, true_k0: Sequence[complex]) -> ReconstructionResult:
-    """Full estimation pass: solve, collapse roots per harmonic, score."""
-    values = _as_values(samples)
-    solution, singular = _svd_solve(design.entries, values)
+    """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
+    as stacked complex coefficients, collapsed per harmonic at t = 0, scored."""
+    solution, singular = _svd_solve(design.entries, _as_values(samples))
     a_hat = design.layout.to_complex(solution)
     a_hat_k0 = a_hat.reshape(len(design.roots), design.m).sum(axis=1)
     return ReconstructionResult(
@@ -169,7 +162,6 @@ def reconstruct(design: DesignMatrix, samples, true_k0: Sequence[complex]) -> Re
         a_hat_k0=a_hat_k0,
         distortion=distortion(a_hat_k0, true_k0),
         kappa=float((singular[0] / singular[-1]) ** 2),
-        residual_norm=float(np.linalg.norm(values - design.entries @ solution)),
     )
 
 

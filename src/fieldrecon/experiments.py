@@ -8,12 +8,15 @@ byte-identical outputs no matter how trials are scheduled or parallelized.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +64,11 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         if not self.n_list or any(n <= 0 for n in self.n_list):
             raise ConfigInvalid("n_list must be a non-empty sequence of positive integers")
+        if len(set(self.n_list)) != len(self.n_list):
+            # A repeated density would rerun its trials on the same seeds and
+            # pool both copies into one row, understating its stderr.
+            repeated = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
+            raise ConfigInvalid(f"n_list repeats densities {repeated}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
@@ -172,12 +180,55 @@ def run_trial(plan: SweepPlan, n: int, trial: int) -> TrialRecord:
     )
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or
+    None when numpy uses another BLAS.  Looked up on the first sweep."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for pattern in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            getter = getattr(lib, pattern.format("get"), None)
+            setter = getattr(lib, pattern.format("set"), None)
+            if getter is not None and setter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body on one BLAS thread, then restore the previous count.
+
+    Each trial ends in one small least-squares solve, which a multi-threaded
+    BLAS only slows down: its threads spin for work that one core finishes,
+    and pool workers would contend for cores.  Without a known BLAS this
+    does nothing.
+    """
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 _WORKER_PLAN: SweepPlan | None = None
 
 
 def _init_worker(plan: SweepPlan) -> None:
     global _WORKER_PLAN
     _WORKER_PLAN = plan
+    # A pool worker lives for one sweep, so its count is never restored.
+    control = _openblas_threads()
+    if control is not None:
+        control[1](1)
 
 
 def _worker_trial(task: tuple[int, int]) -> TrialRecord:
@@ -213,6 +264,8 @@ def run_sweep(
     ``workers > 1`` trials run in a process pool; results are identical to
     the sequential run because every trial owns seed-derived streams and the
     aggregation order is fixed.  ``workers`` below 1 raises ConfigInvalid.
+    Trials run on one BLAS thread per process; the caller's thread count is
+    restored when the sweep returns or raises.
     """
     if workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers}")
@@ -229,17 +282,18 @@ def run_sweep(
         master_seed=config.master_seed,
     )
     tasks = [(n, trial) for n in config.n_list for trial in range(config.trials)]
-    if workers == 1:
-        records = [run_trial(plan, n, trial) for n, trial in tasks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(plan,)
-        ) as pool:
-            records = list(pool.map(_worker_trial, tasks, chunksize=8))
+    with _one_blas_thread():
+        if workers == 1:
+            records = [run_trial(plan, n, trial) for n, trial in tasks]
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(plan,)
+            ) as pool:
+                records = list(pool.map(_worker_trial, tasks, chunksize=8))
 
     records.sort(key=lambda r: (r.n, r.trial))
     rows = []
-    for n in sorted(set(config.n_list)):
+    for n in sorted(config.n_list):
         cell = [r for r in records if r.n == n]
         good = [r for r in cell if r.ok]
         if good:

@@ -129,6 +129,13 @@ def test_sweep_rejects_mistyped_config(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_repeated_densities(tmp_path, capsys):
+    config = write_config(tmp_path, n_list=[128, 128, 256])
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error: n_list repeats densities [128]")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_repeated_roots(tmp_path, capsys):
     config = write_config(tmp_path, pde=DOUBLE_ROOT_PDE)
     assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+import fieldrecon.experiments as exp
 from fieldrecon.errors import ConfigInvalid, DegenerateFit, InfeasiblePde, UnknownScenario
 from fieldrecon.experiments import (
     ExperimentConfig,
@@ -274,7 +277,6 @@ def test_random_scenario_reproducible():
 
 
 def test_rank_failures_counted(monkeypatch):
-    import fieldrecon.experiments as exp
     from fieldrecon.errors import RankDeficient
 
     calls = {"count": 0}
@@ -299,3 +301,91 @@ def test_trial_records_cover_grid():
     assert {(r.n, r.trial) for r in result.trial_records} == {
         (n, t) for n in (64, 128) for t in range(4)
     }
+
+
+def test_config_refuses_repeated_densities():
+    # A repeated n reran its trials on the same seeds and pooled both copies
+    # into one row: the same mean with an understated stderr.
+    with pytest.raises(ConfigInvalid, match=r"repeats densities \[128\]"):
+        quick_config(n_list=(128, 128, 256))
+    with pytest.raises(ConfigInvalid):
+        quick_config(n_list=np.array([64, 64]))
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter and setter; the count is restored after the test."""
+    control = exp._openblas_threads()
+    assert control is not None
+    get, set_ = control
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def test_openblas_thread_control_found(blas_threads):
+    # A numpy whose OpenBLAS renames the symbols must fail here, not
+    # silently run every sweep on the default thread count again.
+    get, set_ = blas_threads
+    for count in (2, 1):
+        set_(count)
+        assert get() == count
+
+
+_run_trial = exp.run_trial
+
+
+def _record_blas_threads(plan, n, trial):
+    """run_trial, with the thread count it ran under in ``kappa`` and its
+    process id in ``t0``."""
+    get, _ = exp._openblas_threads()
+    threads = get()
+    record = _run_trial(plan, n, trial)
+    return dataclasses.replace(record, kappa=float(threads), t0=float(os.getpid()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trials_run_on_one_blas_thread(monkeypatch, blas_threads, workers):
+    get, set_ = blas_threads
+    set_(2)
+    monkeypatch.setattr(exp, "run_trial", _record_blas_threads)
+    result = run_sweep(quick_config(n_list=(64,), trials=4), workers=workers)
+    assert {r.kappa for r in result.trial_records} == {1.0}
+    pids = {int(r.t0) for r in result.trial_records}
+    assert (pids == {os.getpid()}) == (workers == 1)
+    assert get() == 2
+
+
+def test_pool_worker_pins_one_blas_thread(blas_threads):
+    # Pool workers started by spawn or forkserver do not inherit the
+    # parent's count, so the initializer sets it.
+    get, set_ = blas_threads
+    set_(2)
+    exp._init_worker(None)
+    assert get() == 1
+
+
+def test_sweep_restores_blas_threads(monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    run_sweep(quick_config(n_list=(64,), trials=2))
+    assert get() == 2
+
+    def failing_trial(plan, n, trial):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(exp, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_sweep(quick_config(n_list=(64,), trials=2))
+    assert get() == 2
+
+
+def test_sweep_without_blas_control_is_unchanged(monkeypatch):
+    config = quick_config(n_list=(64, 128), trials=4)
+    pinned = sweep_csv_text(run_sweep(config))
+    monkeypatch.setattr(exp, "_openblas_threads", lambda: None)
+    assert sweep_csv_text(run_sweep(config)) == pinned
+    assert sweep_csv_text(run_sweep(config, workers=2)) == pinned
