@@ -1,10 +1,12 @@
-"""Golden sweep outputs pin behaviour across versions.
+"""Golden sweep and verify outputs pin behaviour across versions.
 
 Each ``tests/golden/<scenario>/summary.json`` echoes the configuration that
 produced it (the acceptance seeds at n = 128, 512, 2048 with 16 trials), so
 the test reruns exactly that configuration on one worker and compares both
-output files byte for byte.  Any change to a golden file must be explained
-in CHANGES.md.
+output files byte for byte.  ``tests/golden/verify/<suite>.txt`` holds the
+stdout of ``fieldrecon verify --suite <suite>`` at the default seed; the
+10 000-trial ``appendix-b`` suite is left to acceptance criterion 6.  Any
+change to a golden file must be explained in CHANGES.md.
 """
 
 import json
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fieldrecon import cli
 from fieldrecon.experiments import config_from_record, run_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -24,3 +27,10 @@ def test_golden_sweep_outputs(scenario, tmp_path):
     run_sweep(config_from_record(record), workers=1, out_dir=tmp_path)
     for name in ("sweep.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("suite", ["ode", "appendix-a"])
+def test_golden_verify_output(suite, capsys):
+    assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
+    expected = (GOLDEN / "verify" / f"{suite}.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
