@@ -27,7 +27,6 @@ from .field import (
     CatalogEntry,
     FieldState,
     catalog_entry,
-    catalog_scenario,
     coefficients_at,
     evaluate,
     evaluate_at_points,
@@ -39,7 +38,6 @@ from .sampling import (
     NoiseSpec,
     RenewalSpec,
     SamplePath,
-    SampleSet,
     draw_path,
     grid_deviation,
     sample_field,

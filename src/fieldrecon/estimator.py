@@ -1,10 +1,12 @@
 """Least-squares recovery of modal coefficients from unaware samples.
 
-The estimator pretends the M readings were taken on the uniform grid
-(i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the stacked modal
-coefficients.  Y0 is built from (M, T0) alone: on the grid every column is a
-geometric sequence s * z**i, so field.grid_basis_matrix fills it from two
-power tables of about sqrt(M) exponentials per column, one product per entry.
+The readings g_s arrive as a bare real vector (sampling.sample_field); the
+estimator never sees where or when they were taken.  It pretends they lie on
+the uniform grid (i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the
+stacked modal coefficients.  Y0 is built from (M, T0) alone: on the grid
+every column is a geometric sequence s * z**i, so field.grid_basis_matrix
+fills it from two power tables of about sqrt(M) exponentials per column, one
+product per entry.
 
 It works in real arithmetic.  The readings are real, and the complex columns
 of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
@@ -35,7 +37,6 @@ import numpy as np
 from .errors import InsufficientSamples, RankDeficient
 from .field import ConjugateLayout, conjugate_layout, grid_basis_matrix
 from .pde_core import HarmonicRoots
-from .sampling import SampleSet
 
 # Singular values at or below this fraction of the largest are treated as zero
 # and the solve refuses with RankDeficient rather than returning garbage.  The
@@ -54,7 +55,8 @@ class DesignMatrix:
     conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
     2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
     (real roots at k = 0) follow all pairs.  ``layout`` maps a real solution
-    back to the stacked complex coefficients of FieldState.
+    back to the stacked complex coefficients of FieldState.  ``entries`` is
+    stored as a read-only view: a caller's float array is not copied.
     """
 
     entries: np.ndarray
@@ -64,7 +66,7 @@ class DesignMatrix:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.entries):
             raise ValueError("design entries must be real (see field.basis_matrix)")
-        entries = np.array(self.entries, dtype=float)
+        entries = np.asarray(self.entries, dtype=float).view()
         if entries.ndim != 2 or entries.shape[1] != sum(hr.m for hr in self.roots):
             raise ValueError("entry matrix shape disagrees with the root layout")
         entries.flags.writeable = False
@@ -84,10 +86,6 @@ class DesignMatrix:
         return self.roots[0].m
 
     @property
-    def b(self) -> int:
-        return (len(self.roots) - 1) // 2
-
-    @property
     def layout(self) -> ConjugateLayout:
         return conjugate_layout(self.roots)
 
@@ -102,8 +100,8 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: 
     return DesignMatrix(entries=grid_basis_matrix(roots, m_count, t0), roots=roots, t0=float(t0))
 
 
-def _as_values(samples) -> np.ndarray:
-    values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples)
+def _as_values(values) -> np.ndarray:
+    values = np.asarray(values)
     if values.ndim != 1 or np.iscomplexobj(values):
         raise ValueError("sample values must form a real vector")
     return values
@@ -143,23 +141,21 @@ def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> f
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Stacked estimate, per-harmonic values at t = 0, and diagnostics."""
+    """Stacked estimate, its distortion at t = 0, and the design's kappa."""
 
     a_hat: np.ndarray
-    a_hat_k0: np.ndarray
     distortion: float
     kappa: float
 
 
-def reconstruct(design: DesignMatrix, samples, true_k0: Sequence[complex]) -> ReconstructionResult:
+def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> ReconstructionResult:
     """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
-    as stacked complex coefficients, collapsed per harmonic at t = 0, scored."""
-    solution, singular = _svd_solve(design.entries, _as_values(samples))
+    as stacked complex coefficients, scored per harmonic at t = 0."""
+    solution, singular = _svd_solve(design.entries, _as_values(values))
     a_hat = design.layout.to_complex(solution)
     a_hat_k0 = a_hat.reshape(len(design.roots), design.m).sum(axis=1)
     return ReconstructionResult(
         a_hat=a_hat,
-        a_hat_k0=a_hat_k0,
         distortion=distortion(a_hat_k0, true_k0),
         kappa=float((singular[0] / singular[-1]) ** 2),
     )

@@ -158,6 +158,7 @@ class SweepPlan:
     """Picklable bundle of everything one trial needs."""
 
     state: FieldState
+    true_k0: np.ndarray  # coefficients_at(state, 0.0), the score's ground truth
     renewal: RenewalSpec
     noise: NoiseSpec
     master_seed: int
@@ -166,11 +167,10 @@ class SweepPlan:
 def run_trial(plan: SweepPlan, n: int, trial: int) -> TrialRecord:
     """Draw a path, sample the field, reconstruct on the uniform grid, score."""
     path = draw_path(plan.renewal, n, trial_streams(plan.master_seed, n, trial))
-    samples = sample_field(plan.state, path, plan.noise, noise_stream(plan.master_seed, n, trial))
-    true_k0 = coefficients_at(plan.state, 0.0)
+    values = sample_field(plan.state, path, plan.noise, noise_stream(plan.master_seed, n, trial))
     try:
         design = build_design_matrix(plan.state.roots, path.M, path.T0)
-        result = reconstruct(design, samples, true_k0)
+        result = reconstruct(design, values, plan.true_k0)
     except (RankDeficient, InsufficientSamples):
         nan = float("nan")
         return TrialRecord(n, trial, False, nan, nan, nan, path.M, path.T0)
@@ -277,6 +277,7 @@ def run_sweep(
 
     plan = SweepPlan(
         state=state,
+        true_k0=coefficients_at(state, 0.0),
         renewal=config.renewal,
         noise=config.noise,
         master_seed=config.master_seed,

@@ -82,7 +82,11 @@ def catalog_entry(key: int | str) -> CatalogEntry:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Immutable field snapshot: band limit, PDE, modal coefficients, cached roots."""
+    """Field snapshot: band limit, PDE, modal coefficients, cached roots.
+
+    ``coeffs`` is stored as a read-only view: a caller's complex array is not
+    copied, so it must not be changed once the state is built.
+    """
 
     b: int
     spec: PdeSpec
@@ -90,7 +94,7 @@ class FieldState:
     roots: tuple[HarmonicRoots, ...]
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = np.asarray(self.coeffs, dtype=complex).view()
         expected = (2 * self.b + 1, self.spec.degree)
         if coeffs.shape != expected:
             raise ValueError(f"coefficient matrix must be {expected}, got {coeffs.shape}")
@@ -378,9 +382,3 @@ def scenario_field(set_id: str, spec: PdeSpec | None = None) -> FieldState:
     """
     entry = catalog_entry(set_id)
     return field_from_mode_values(3, entry.spec if spec is None else spec, entry.mode_values)
-
-
-def catalog_scenario(index: int) -> tuple[PdeSpec, FieldState]:
-    """Catalog pairing: PDE ``index`` with its reference coefficient set."""
-    entry = catalog_entry(index)
-    return entry.spec, scenario_field(entry.set_id)

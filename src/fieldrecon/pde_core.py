@@ -10,6 +10,7 @@ result in closed form.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,10 @@ class PdeSpec:
     q_coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for c in (*self.p_coeffs, *self.q_coeffs):
+            # float() would read "0.01" as a number and True as 1.
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise ValueError(f"PDE coefficients must be real numbers, got {c!r}")
         p = tuple(float(c) for c in self.p_coeffs)
         q = tuple(float(c) for c in self.q_coeffs)
         object.__setattr__(self, "p_coeffs", p)

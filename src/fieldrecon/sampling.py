@@ -4,8 +4,9 @@ The sensor walks across [0, 1] with i.i.d. positive spatial increments X and
 records at times accumulated from an independent i.i.d. stream N.  Increments
 are supported on (0, lam/n] (resp. (0, mu/n]) with mean exactly 1/n, so the
 realized locations hug a uniform grid ever tighter as the density n grows.
-Neither the locations nor the timestamps are available downstream; only the
-reading values, the in-support count M and the horizon T0 are.
+Neither the locations nor the timestamps are available downstream:
+sample_field hands on the M reading values as a bare array, and the estimator
+sees only those, the in-support count M and the horizon T0.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class SamplePath:
     """Realized locations S_1..S_{M+1} and times T_1..T_{M+1}.
 
     The single overshoot sample (index M+1) is retained so the defining
-    inequalities can be asserted, but it never feeds the estimator.
+    inequalities can be asserted, but it never feeds the estimator.  S and T
+    are stored as read-only views: a caller's float array is not copied.
     """
 
     S: np.ndarray
@@ -59,8 +61,8 @@ class SamplePath:
     T0: float
 
     def __post_init__(self) -> None:
-        S = np.array(self.S, dtype=float)
-        T = np.array(self.T, dtype=float)
+        S = np.asarray(self.S, dtype=float).view()
+        T = np.asarray(self.T, dtype=float).view()
         if self.M < 1:
             raise ValueError("at least one in-support sample is required")
         if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
@@ -98,21 +100,6 @@ class NoiseSpec:
             raise ValueError("variance must be finite and non-negative")
         if self.family == "none" and self.variance != 0.0:
             raise ValueError("noise family 'none' requires zero variance")
-
-
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Noisy readings g(S_i, T_i) + w_i for the M in-support samples."""
-
-    values: np.ndarray
-    path: SamplePath
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.path.M,):
-            raise ValueError("one value per in-support sample required")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 def _draw_increments(
@@ -190,8 +177,9 @@ def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.nd
 
 def sample_field(
     state: FieldState, path: SamplePath, noise: NoiseSpec, rng: np.random.Generator | None = None
-) -> SampleSet:
-    """Noisy readings at the path's in-support samples.
+) -> np.ndarray:
+    """Noisy readings g(S_i, T_i) + w_i at the path's M in-support samples,
+    as a read-only float vector; the path itself stays behind.
 
     The noise generator must be a stream of its own; it is never the one that
     produced the path, so readings stay independent of the sampling process.
@@ -201,7 +189,9 @@ def sample_field(
     xs = path.S[: path.M]
     ts = path.T[: path.M]
     clean = evaluate_at_points(state, xs, ts)
-    return SampleSet(values=clean + _draw_noise(noise, path.M, rng), path=path)
+    values = clean + _draw_noise(noise, path.M, rng)
+    values.flags.writeable = False
+    return values
 
 
 def grid_deviation(path: SamplePath) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from fieldrecon.estimator import (
     condition_diagnostics,
 )
 from fieldrecon.experiments import ExperimentConfig, load_config, run_sweep, sweep_csv_text
-from fieldrecon.field import catalog_entry, catalog_scenario, coefficients_at
+from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
 from fieldrecon.oracle import (
     _fuzz_path_invariants,
     bandlimit_preservation_check,
@@ -83,15 +83,15 @@ def test_criterion_03_exact_recovery():
 
 def test_criterion_04_ode_oracle_equivalence():
     worst = {1e-3: 0.0, 5e-4: 0.0}
-    for index, _ in SCENARIOS:
-        spec, state = catalog_scenario(index)
+    for _, set_id in SCENARIOS:
+        state = scenario_field(set_id)
         for dt in worst:
             times = np.arange(round(1.0 / dt) + 1) * dt
             closed = np.array([coefficients_at(state, t) for t in times])  # all harmonics
             for hr in state.roots:
                 conditions = np.zeros(state.m, dtype=complex)
                 conditions[0] = complex(np.sum(state.row(hr.k)))
-                traj = integrate_coefficient_ode(spec, hr.k, conditions, 1.0, dt)
+                traj = integrate_coefficient_ode(state.spec, hr.k, conditions, 1.0, dt)
                 assert np.array_equal(traj.times, times)
                 dev = float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values)))
                 worst[dt] = max(worst[dt], dev)
@@ -169,8 +169,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
     for i in range(100):
         if i < 4:
             # Deterministic grids of the second-order catalog entries.
-            index = (1, 2, 1, 2)[i]
-            _, state = catalog_scenario(index)
+            state = scenario_field(("set1", "set2")[i % 2])
             path = draw_path(RenewalSpec(family="deterministic"), 256, PathStreams.from_seed(i))
             roots = state.roots
         else:

@@ -119,6 +119,9 @@ def assert_one_line_error(capsys, prefix):
         {"scenario": 5},
         {"renewal": {"family": "uniform_scaled", "lambda": "2", "mu": 2.0}},
         {"noise": {"family": "gaussian", "variance": True}},
+        {"pde": {"p_coeffs": ["0", True], "q_coeffs": [0, 0, "0.01"]}},
+        {"pde": {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, "0.01"]}},
+        {"pde": {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]}},
     ],
     ids=lambda override: "-".join(f"{k}={v!r}" for k, v in override.items()),
 )
@@ -140,6 +143,22 @@ def test_sweep_repeated_roots(tmp_path, capsys):
     config = write_config(tmp_path, pde=DOUBLE_ROOT_PDE)
     assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE
     assert_one_line_error(capsys, "PDE outside the model:")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"p_coeffs": ["0", True], "q_coeffs": [0, 0, "0.01"]},
+        {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, "0.01"]},
+        {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]},
+    ],
+    ids=["strings-and-bool", "string", "bool"],
+)
+def test_stability_rejects_mistyped_coefficients(tmp_path, capsys, record):
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps(record))
+    assert main(["stability", "--pde", str(pde), "--band", "2"]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
 
 
 def test_stability_repeated_roots(tmp_path, capsys):

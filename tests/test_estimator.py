@@ -125,6 +125,32 @@ def test_condition_diagnostics_refuses_underdetermined(diffusion):
         condition_diagnostics(design)
 
 
+def test_design_matrix_validation(diffusion):
+    entries = basis_matrix(diffusion.roots, [0.25, 0.5], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        DesignMatrix(entries=entries.astype(complex), roots=diffusion.roots, t0=0.2)
+    with pytest.raises(ValueError):
+        DesignMatrix(entries=entries[:, :-1], roots=diffusion.roots, t0=0.2)
+    with pytest.raises(ValueError):
+        DesignMatrix(entries=entries[0], roots=diffusion.roots, t0=0.2)
+
+
+def test_design_matrix_stores_read_only_view(diffusion):
+    entries = basis_matrix(diffusion.roots, [0.25, 0.5], [0.1, 0.2])
+    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=0.2)
+    assert not design.entries.flags.writeable
+    assert np.shares_memory(design.entries, entries)
+    assert entries.flags.writeable
+
+
+def test_reconstruct_requires_real_vector(diffusion):
+    design = build_design_matrix(diffusion.roots, 20, 1.0)
+    with pytest.raises(ValueError):
+        solve(design, np.zeros(20, dtype=complex))
+    with pytest.raises(ValueError):
+        solve(design, np.zeros((20, 1)))
+
+
 def test_rank_deficient_detected():
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))

@@ -17,7 +17,7 @@ from fieldrecon.experiments import (
     run_sweep,
     sweep_csv_text,
 )
-from fieldrecon.field import catalog_scenario, coefficients_at
+from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
 from fieldrecon.sampling import NoiseSpec, RenewalSpec
 
@@ -71,17 +71,16 @@ def test_fit_slope_degenerate():
 
 
 def test_catalog_scenarios():
-    spec3, state3 = catalog_scenario(3)
-    assert spec3.p_coeffs == (0.0, 1.0)
-    assert spec3.q_coeffs == (0.0, 0.0, 0.01)
+    state3 = scenario_field(catalog_entry(3).set_id)
+    assert state3.spec.p_coeffs == (0.0, 1.0)
+    assert state3.spec.q_coeffs == (0.0, 0.0, 0.01)
     assert coefficients_at(state3, 0.0)[3] == pytest.approx(0.11, abs=1e-14)
-    spec1, _ = catalog_scenario(1)
-    assert eval_poly(spec1.q_coeffs, 1.0) == pytest.approx(0.009875, abs=1e-15)
+    assert eval_poly(catalog_entry(1).spec.q_coeffs, 1.0) == pytest.approx(0.009875, abs=1e-15)
     for index in (1, 2, 3):
-        spec, state = catalog_scenario(index)
-        assert check_stability(spec, state.b).feasible
+        state = scenario_field(catalog_entry(index).set_id)
+        assert check_stability(state.spec, state.b).feasible
     with pytest.raises(UnknownScenario):
-        catalog_scenario(4)
+        catalog_entry(4)
 
 
 # -------------------------------------------------------------------- config

@@ -219,3 +219,15 @@ def test_field_state_shape_validation():
         FieldState(b=1, spec=spec, coeffs=np.zeros((2, 1)), roots=roots)
     with pytest.raises(ValueError):
         FieldState(b=1, spec=spec, coeffs=np.zeros((3, 1)), roots=roots[:2])
+    with pytest.raises(ValueError):
+        FieldState(b=1, spec=spec, coeffs=np.zeros((3, 1)), roots=roots[::-1])
+
+
+def test_field_state_stores_read_only_view():
+    spec = catalog_entry(3).spec
+    roots = tuple(characteristic_roots(spec, k) for k in range(-1, 2))
+    coeffs = np.array([[0.1 - 0.2j], [0.3], [0.1 + 0.2j]])
+    state = FieldState(b=1, spec=spec, coeffs=coeffs, roots=roots)
+    assert not state.coeffs.flags.writeable
+    assert np.shares_memory(state.coeffs, coeffs)
+    assert coeffs.flags.writeable

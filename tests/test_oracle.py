@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldrecon.field import CATALOG, catalog_entry, catalog_scenario, coefficients_at
+from fieldrecon.field import CATALOG, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.oracle import (
     bandlimit_preservation_check,
     bandlimit_suite,
@@ -43,23 +43,23 @@ def test_rk4_zero_initial_conditions():
 def test_rk4_matches_closed_form_all_scenarios():
     times = np.arange(1001) * 1e-3
     for entry in CATALOG:
-        spec, state = catalog_scenario(entry.index)
+        state = scenario_field(entry.set_id)
         closed = np.array([coefficients_at(state, t) for t in times])
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
             conditions[0] = complex(np.sum(state.row(hr.k)))
-            traj = integrate_coefficient_ode(spec, hr.k, conditions, t_end=1.0, dt=1e-3)
+            traj = integrate_coefficient_ode(state.spec, hr.k, conditions, t_end=1.0, dt=1e-3)
             assert np.array_equal(traj.times, times)
             assert float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values))) < 1e-6
 
 
 def test_rk4_fourth_order_convergence():
     # Halving the step should shrink the error by about 2^4.
-    spec, state = catalog_scenario(1)  # k = 3 has the largest |r| among the scenarios
+    state = scenario_field("set1")  # k = 3 has the largest |r| among the scenarios
     conditions = np.array([complex(np.sum(state.row(3))), 0.0])
     errors = {}
     for dt in (1e-3, 5e-4):
-        traj = integrate_coefficient_ode(spec, 3, conditions, t_end=1.0, dt=dt)
+        traj = integrate_coefficient_ode(state.spec, 3, conditions, t_end=1.0, dt=dt)
         closed = np.array([coefficients_at(state, t)[3 + state.b] for t in traj.times])
         errors[dt] = float(np.max(np.abs(closed - traj.values)))
     ratio = errors[1e-3] / errors[5e-4]
@@ -83,11 +83,6 @@ def test_bandlimit_silent_out_of_band():
 def test_bandlimit_negative_control():
     leak = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
     assert leak > 0.5  # |a_5(0)| = 1 is already in the probe grid
-
-
-def test_bandlimit_grid_validation():
-    with pytest.raises(ValueError):
-        bandlimit_preservation_check(catalog_entry(3).spec, b=3, t_grid=np.array([0.5, 1.0]))
 
 
 def test_scaling_deterministic_family_is_zero():

@@ -45,6 +45,19 @@ def test_pde_spec_validation():
         PdeSpec((0.0, 1.0), (0.0, 1.0, 0.0))  # leading q zero
     with pytest.raises(ValueError):
         PdeSpec((0.0, float("inf")), (0.0, 1.0))
+    # Only real numbers are coefficients: float() would read "0.01" and True.
+    for p, q in (
+        (("0", True), (0, 0, "0.01")),
+        ((0.0, 1.0), (0.0, 0.0, "0.01")),
+        ((0.0, True), (0.0, 1.0)),
+        ((0.0, 1.0), (False, 1.0)),
+        ((0.0, np.True_), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, 1.0 + 0j)),
+    ):
+        with pytest.raises(ValueError):
+            PdeSpec(p, q)
+    spec = PdeSpec((np.float64(0.0), np.int64(1)), (0, 0, np.float32(0.5)))
+    assert spec.p_coeffs == (0.0, 1.0) and spec.q_coeffs == (0.0, 0.0, 0.5)
 
 
 def test_diffusion_root_is_forcing():

@@ -167,6 +167,42 @@ def test_unknown_policy():
         draw_path(RenewalSpec(), 100, streams(), "whenever")
 
 
+def path_arrays():
+    """S and T of a valid two-sample path with T0 = T_M = 0.5."""
+    return np.array([0.3, 0.7, 1.2]), np.array([0.2, 0.5, 0.9])
+
+
+def test_sample_path_validation():
+    S, T = path_arrays()
+    SamplePath(S, T, 2, 0.5)
+    SamplePath(list(S), list(T), 2, 0.5)
+    with pytest.raises(ValueError, match="at least one in-support sample"):
+        SamplePath(S[2:], T[2:], 0, 0.5)
+    for args in (
+        (S[:2], T, 2, 0.5),  # M + 1 locations required
+        (S, T[:2], 2, 0.5),
+        ([0.0, 0.7, 1.2], T, 2, 0.5),  # S_1 not above 0
+        ([0.3, 0.3, 1.2], T, 2, 0.5),  # S not strictly increasing
+        (S, [0.0, 0.5, 0.9], 2, 0.5),  # T_1 not above 0
+        (S, [0.2, 0.2, 0.9], 2, 0.5),  # T not strictly increasing
+        ([0.3, 1.1, 1.2], T, 2, 0.5),  # S_M > 1
+        ([0.3, 0.7, 1.0], T, 2, 0.5),  # S_{M+1} = 1
+        (S, T, 2, 0.4),  # T0 < T_M
+        (S, T, 2, 0.9),  # T0 = T_{M+1}
+    ):
+        with pytest.raises(ValueError):
+            SamplePath(*args)
+
+
+def test_sample_path_stores_read_only_views():
+    S, T = path_arrays()
+    path = SamplePath(S, T, 2, 0.5)
+    for stored, given in ((path.S, S), (path.T, T)):
+        assert not stored.flags.writeable
+        assert np.shares_memory(stored, given)
+        assert given.flags.writeable
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -175,11 +211,11 @@ def test_sample_field_noiseless_exact():
 
     state = scenario_field("diffusion")
     path = draw_path(RenewalSpec(), 100, streams(5))
-    samples = sample_field(state, path, NoiseSpec())
+    values = sample_field(state, path, NoiseSpec())
     direct = np.array(
         [evaluate(state, x, t).real for x, t in zip(path.S[: path.M], path.T[: path.M])]
     )
-    assert np.max(np.abs(samples.values - direct)) < 1e-12
+    assert np.max(np.abs(values - direct)) < 1e-12
 
 
 def test_sample_field_gaussian_clt():
@@ -187,7 +223,7 @@ def test_sample_field_gaussian_clt():
     path = draw_path(RenewalSpec(), 100, streams(1))
     rng = np.random.default_rng(99)
     values = np.concatenate(
-        [sample_field(state, path, NoiseSpec("gaussian", 0.01), rng).values for _ in range(1000)]
+        [sample_field(state, path, NoiseSpec("gaussian", 0.01), rng) for _ in range(1000)]
     )
     se = 0.1 / np.sqrt(len(values))
     assert abs(values.mean() - 0.5) < 3 * se
@@ -210,6 +246,16 @@ def test_sample_field_real_guard():
     coeffs[base.b - 1] += 0.05 + 0.02j  # row -1 no longer the conjugate mirror of row 1
     with pytest.raises(ValueError):
         sample_field(FieldState(base.b, base.spec, coeffs, base.roots), path, NoiseSpec())
+
+
+def test_sample_field_returns_read_only_vector():
+    state = constant_state()
+    path = draw_path(RenewalSpec(), 100, streams(2))
+    for noise, rng in ((NoiseSpec(), None), (NoiseSpec("gaussian", 0.01), np.random.default_rng(0))):
+        values = sample_field(state, path, noise, rng)
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.shape == (path.M,)
+        assert not values.flags.writeable
 
 
 def test_noise_requires_rng():
