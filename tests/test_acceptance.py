@@ -18,6 +18,7 @@ from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
 from fieldrecon.oracle import (
     _fuzz_path_invariants,
     bandlimit_preservation_check,
+    format_scaling_table,
     grid_deviation_scaling,
     integrate_coefficient_ode,
 )
@@ -29,6 +30,8 @@ ACCEPTANCE_SEED = 20260808
 SWEEP_GRID = (128, 256, 512, 1024, 2048, 4096, 8192)
 SCENARIOS = ((1, "set1"), (2, "set2"), (3, "diffusion"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# Criterion 6's scaled-deviation table at the acceptance seed, byte for byte.
+APPENDIX_B_TABLE = Path(__file__).resolve().parent / "golden" / "verify" / "appendix-b-table.txt"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -136,14 +139,16 @@ def test_criterion_06_grid_deviation_scaling():
     ratio_s = max(spatial) / min(spatial)
     ratio_t = max(temporal) / min(temporal)
     checked, violations = _fuzz_path_invariants(ACCEPTANCE_SEED + 6, 10_000)
-    ok = ratio_s < 3.0 and ratio_t < 3.0 and checked == 10_000 and violations == 0
+    table_ok = (format_scaling_table(rows) + "\n").encode() == APPENDIX_B_TABLE.read_bytes()
+    ok = ratio_s < 3.0 and ratio_t < 3.0 and checked == 10_000 and violations == 0 and table_ok
     report(
         6,
         ok,
         f"scaled deviation max/min spatial = {ratio_s:.2f}, temporal = {ratio_t:.2f}; "
-        f"invariant violations = {violations}/{checked}",
+        f"invariant violations = {violations}/{checked}; golden table "
+        f"{'matches' if table_ok else 'DIFFERS'}",
     )
-    assert ok, (spatial, temporal, violations)
+    assert ok, (spatial, temporal, violations, table_ok)
 
 
 def test_criterion_07_expected_sample_count():

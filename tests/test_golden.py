@@ -5,7 +5,8 @@ produced it (the acceptance seeds at n = 128, 512, 2048 with 16 trials), so
 the test reruns exactly that configuration on one worker and compares both
 output files byte for byte.  ``tests/golden/verify/<suite>.txt`` holds the
 stdout of ``fieldrecon verify --suite <suite>`` at the default seed; the
-10 000-trial ``appendix-b`` suite is left to acceptance criterion 6.  Any
+10 000-trial ``appendix-b`` suite is left to acceptance criterion 6, which
+byte-compares its scaled-deviation table with ``appendix-b-table.txt``.  Any
 change to a golden file must be explained in CHANGES.md.
 """
 
