@@ -11,6 +11,7 @@ sees only those, the in-support count M and the horizon T0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ T0_POLICIES = ("last_sample", "jittered")
 _BETA_SHAPE_A = 2.0
 
 
+def _require_real(**values) -> None:
+    """Refuse anything but a real number; ``True`` would otherwise count as 1
+    and a string would fail later inside numpy."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RenewalSpec:
     """Renewal-process parameters; the density n is supplied per draw."""
@@ -37,6 +46,7 @@ class RenewalSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown renewal family {self.family!r}")
+        _require_real(lam=self.lam, mu=self.mu)
         lam, mu = self.lam, self.mu
         if not (np.isfinite(lam) and np.isfinite(mu) and lam > 1.0 and mu > 1.0):
             raise ValueError("support parameters lam and mu must be finite and > 1")
@@ -67,10 +77,12 @@ class SamplePath:
             raise ValueError("at least one in-support sample is required")
         if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
             raise ValueError("S and T must both hold M+1 entries")
-        if S[0] <= 0 or np.any(np.diff(S) <= 0):
-            raise ValueError("locations must be strictly increasing from above 0")
-        if T[0] <= 0 or np.any(np.diff(T) <= 0):
-            raise ValueError("times must be strictly increasing from above 0")
+        # One fused pass per array; a NaN fails every comparison, and a
+        # finite last entry bounds all the others.
+        if not (S[0] > 0 and (S[1:] > S[:-1]).all() and S[-1] < np.inf):
+            raise ValueError("locations must be finite and strictly increasing from above 0")
+        if not (T[0] > 0 and (T[1:] > T[:-1]).all() and T[-1] < np.inf):
+            raise ValueError("times must be finite and strictly increasing from above 0")
         if not (S[self.M - 1] <= 1.0 < S[self.M]):
             raise ValueError("require S_M <= 1 < S_{M+1}")
         if not (T[self.M - 1] <= self.T0 < T[self.M]):
@@ -96,6 +108,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.family not in ("none", "gaussian", "uniform"):
             raise ValueError(f"unknown noise family {self.family!r}")
+        _require_real(variance=self.variance)
         if not np.isfinite(self.variance) or self.variance < 0:
             raise ValueError("variance must be finite and non-negative")
         if self.family == "none" and self.variance != 0.0:
@@ -107,11 +120,14 @@ def _draw_increments(
 ) -> np.ndarray:
     scale = bound_param / n
     if family == "uniform_scaled":
-        return (1.0 - gen.random(count)) * scale  # in (0, scale]
-    if family == "beta_scaled":
-        shape_b = _BETA_SHAPE_A * (bound_param - 1.0)
-        return gen.beta(_BETA_SHAPE_A, shape_b, size=count) * scale
-    raise ValueError(f"family {family!r} has no stochastic increments")
+        u = gen.random(count)
+        np.subtract(1.0, u, out=u)  # in (0, 1]
+    elif family == "beta_scaled":
+        u = gen.beta(_BETA_SHAPE_A, _BETA_SHAPE_A * (bound_param - 1.0), size=count)
+    else:
+        raise ValueError(f"family {family!r} has no stochastic increments")
+    u *= scale
+    return u
 
 
 def _draw_prefix_sums(family: str, n: int, lam: float, gen: np.random.Generator) -> np.ndarray:
@@ -120,7 +136,10 @@ def _draw_prefix_sums(family: str, n: int, lam: float, gen: np.random.Generator)
     parts: list[np.ndarray] = []
     total = 0.0
     while True:
-        sums = np.cumsum(_draw_increments(family, n, lam, gen, chunk)) + total
+        sums = _draw_increments(family, n, lam, gen, chunk)
+        np.cumsum(sums, out=sums)
+        if total:
+            sums += total
         parts.append(sums)
         total = float(sums[-1])
         if total > 1.0:
@@ -155,8 +174,8 @@ def draw_path(
         S = _draw_prefix_sums(spec.family, n, spec.lam, rng.spatial)
         m_count = int(np.searchsorted(S, 1.0, side="right"))
         S = S[: m_count + 1]
-        increments = _draw_increments(spec.family, n, spec.mu, rng.temporal, m_count + 1)
-        T = np.cumsum(increments)
+        T = _draw_increments(spec.family, n, spec.mu, rng.temporal, m_count + 1)
+        np.cumsum(T, out=T)
     if t0_policy == "last_sample":
         t0 = float(T[m_count - 1])
     else:
@@ -198,7 +217,13 @@ def grid_deviation(path: SamplePath) -> tuple[float, float]:
     """Mean squared deviations of the path from the uniform grid it mimics:
     (1/M) sum |S_i - i/M|^2 and (1/M) sum |T_i - i T0/M|^2."""
     m_count = path.M
-    idx = np.arange(1, m_count + 1)
-    spatial = float(np.mean((path.S[:m_count] - idx / m_count) ** 2))
-    temporal = float(np.mean((path.T[:m_count] - idx * path.T0 / m_count) ** 2))
-    return spatial, temporal
+    idx = np.arange(1.0, m_count + 1.0)
+    work = idx / m_count
+    np.subtract(path.S[:m_count], work, out=work)
+    np.square(work, out=work)
+    spatial = float(work.sum()) / m_count
+    np.multiply(idx, path.T0, out=work)
+    work /= m_count
+    np.subtract(path.T[:m_count], work, out=work)
+    np.square(work, out=work)
+    return spatial, float(work.sum()) / m_count

@@ -94,9 +94,9 @@ def test_criterion_04_ode_oracle_equivalence():
             for hr in state.roots:
                 conditions = np.zeros(state.m, dtype=complex)
                 conditions[0] = complex(np.sum(state.row(hr.k)))
-                traj = integrate_coefficient_ode(state.spec, hr.k, conditions, 1.0, dt)
+                traj = integrate_coefficient_ode(state.spec, [hr.k], [conditions], 1.0, dt)
                 assert np.array_equal(traj.times, times)
-                dev = float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values)))
+                dev = float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values[:, 0])))
                 worst[dt] = max(worst[dt], dev)
     ratio = worst[1e-3] / worst[5e-4]
     ok = worst[1e-3] < 1e-6 and 8.0 <= ratio <= 32.0

@@ -20,23 +20,24 @@ DIFFUSION_RATE = -0.39478417604357435
 
 
 def test_rk4_scalar_exponential():
-    traj = integrate_coefficient_ode(catalog_entry(3).spec, 1, [1.0], t_end=1.0, dt=1e-3)
+    traj = integrate_coefficient_ode(catalog_entry(3).spec, [1], [[1.0]], t_end=1.0, dt=1e-3)
     assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert abs(traj.values[-1] - cmath.exp(DIFFUSION_RATE)) < 1e-9
+    assert traj.values.shape == (1001, 1)
+    assert abs(traj.values[-1, 0] - cmath.exp(DIFFUSION_RATE)) < 1e-9
 
 
 def test_rk4_two_mode_closed_form():
     # p(z) = z^2 + 3z with constant forcing -2 puts the roots at -1 and -2,
     # so a(0) = 1, a'(0) = 0 evolves as 2 e^{-t} - e^{-2t}.
     spec = PdeSpec((0.0, 3.0, 1.0), (-2.0,))
-    traj = integrate_coefficient_ode(spec, 0, [1.0, 0.0], t_end=1.0, dt=1e-3)
+    traj = integrate_coefficient_ode(spec, [0], [[1.0, 0.0]], t_end=1.0, dt=1e-3)
     expected = 2 * math.exp(-1.0) - math.exp(-2.0)
     assert expected == pytest.approx(0.600423599106272, abs=1e-12)
-    assert abs(traj.values[-1] - expected) < 1e-8
+    assert abs(traj.values[-1, 0] - expected) < 1e-8
 
 
 def test_rk4_zero_initial_conditions():
-    traj = integrate_coefficient_ode(catalog_entry(2).spec, 2, [0.0, 0.0], t_end=0.5, dt=1e-3)
+    traj = integrate_coefficient_ode(catalog_entry(2).spec, [2], [[0.0, 0.0]], t_end=0.5, dt=1e-3)
     assert np.all(traj.values == 0)
 
 
@@ -48,31 +49,56 @@ def test_rk4_matches_closed_form_all_scenarios():
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
             conditions[0] = complex(np.sum(state.row(hr.k)))
-            traj = integrate_coefficient_ode(state.spec, hr.k, conditions, t_end=1.0, dt=1e-3)
+            traj = integrate_coefficient_ode(state.spec, [hr.k], [conditions], t_end=1.0, dt=1e-3)
             assert np.array_equal(traj.times, times)
-            assert float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values))) < 1e-6
+            assert float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values[:, 0]))) < 1e-6
+
+
+def test_rk4_stacked_equals_each_harmonic_alone():
+    # A harmonic's trajectory must not depend on what else shares the stack.
+    for entry in CATALOG:
+        state = scenario_field(entry.set_id)
+        ks = [hr.k for hr in state.roots] + [7, -9]
+        rng = np.random.default_rng(entry.index)
+        conditions = rng.normal(size=(len(ks), state.m)) + 1j * rng.normal(size=(len(ks), state.m))
+        stacked = integrate_coefficient_ode(state.spec, ks, conditions, t_end=0.3, dt=1e-3)
+        assert stacked.ks == tuple(ks)
+        assert stacked.values.shape == (301, len(ks))
+        for h, k in enumerate(ks):
+            alone = integrate_coefficient_ode(state.spec, [k], conditions[h : h + 1], 0.3, 1e-3)
+            assert np.array_equal(stacked.values[:, h], alone.values[:, 0]), (entry.index, k)
+            assert np.array_equal(stacked.times, alone.times)
 
 
 def test_rk4_fourth_order_convergence():
     # Halving the step should shrink the error by about 2^4.
     state = scenario_field("set1")  # k = 3 has the largest |r| among the scenarios
-    conditions = np.array([complex(np.sum(state.row(3))), 0.0])
+    conditions = np.array([[complex(np.sum(state.row(3))), 0.0]])
     errors = {}
     for dt in (1e-3, 5e-4):
-        traj = integrate_coefficient_ode(state.spec, 3, conditions, t_end=1.0, dt=dt)
+        traj = integrate_coefficient_ode(state.spec, [3], conditions, t_end=1.0, dt=dt)
         closed = np.array([coefficients_at(state, t)[3 + state.b] for t in traj.times])
-        errors[dt] = float(np.max(np.abs(closed - traj.values)))
+        errors[dt] = float(np.max(np.abs(closed - traj.values[:, 0])))
     ratio = errors[1e-3] / errors[5e-4]
     assert 8.0 <= ratio <= 32.0
 
 
 def test_rk4_parameter_validation():
+    diffusion, set2 = catalog_entry(3).spec, catalog_entry(2).spec
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(catalog_entry(3).spec, 0, [1.0], t_end=1.0, dt=0.0)
+        integrate_coefficient_ode(diffusion, [0], [[1.0]], t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(catalog_entry(3).spec, 0, [1.0], t_end=0.001, dt=0.01)
+        integrate_coefficient_ode(diffusion, [0], [[1.0]], t_end=0.001, dt=0.01)
     with pytest.raises(ValueError):
-        integrate_coefficient_ode(catalog_entry(2).spec, 0, [1.0], t_end=1.0, dt=0.01)
+        integrate_coefficient_ode(diffusion, [], np.zeros((0, 1)), t_end=1.0, dt=0.01)
+    for conditions in (
+        [[1.0]],  # one value for a second-order ODE
+        [1.0, 0.0],  # not one row per harmonic
+        [[1.0, 0.0], [0.0, 0.0]],  # two rows for one harmonic
+        [[1.0, 0.0, 0.0]],  # three values for a second-order ODE
+    ):
+        with pytest.raises(ValueError, match="initial conditions"):
+            integrate_coefficient_ode(set2, [0], conditions, t_end=1.0, dt=0.01)
 
 
 def test_bandlimit_silent_out_of_band():
@@ -83,6 +109,8 @@ def test_bandlimit_silent_out_of_band():
 def test_bandlimit_negative_control():
     leak = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
     assert leak > 0.5  # |a_5(0)| = 1 is already in the probe grid
+    with pytest.raises(ValueError):
+        bandlimit_preservation_check(catalog_entry(2).spec, b=3, conditions={5: [1.0]})
 
 
 def test_scaling_deterministic_family_is_zero():

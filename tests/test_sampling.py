@@ -39,6 +39,10 @@ def test_renewal_spec_validation():
         RenewalSpec(family="nope")
     with pytest.raises(ValueError):
         RenewalSpec(lam=0.5, mu=2.0, family="beta_scaled")
+    for lam, mu in (("3", 3.0), (3.0, "3"), (True, 3.0), (3.0, None)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            RenewalSpec("beta_scaled", lam, mu)
+    RenewalSpec("beta_scaled", 3, np.float64(3.0))  # ints and numpy reals are numbers
     draw_path(RenewalSpec(family="beta_scaled", lam=5.0, mu=3.0), 100, streams())  # fine
     draw_path(RenewalSpec(family="deterministic"), 10, streams())  # zero-variance family is exempt
 
@@ -59,6 +63,10 @@ def test_noise_spec_validation():
         NoiseSpec("gaussian", -1.0)
     with pytest.raises(ValueError):
         NoiseSpec("sometimes", 0.1)
+    for variance in (True, False, "0.1", None):
+        with pytest.raises(ValueError, match="must be a real number"):
+            NoiseSpec("gaussian", variance)
+    NoiseSpec("gaussian", np.float64(0.1))
 
 
 # ------------------------------------------------------------- deterministic
@@ -189,6 +197,10 @@ def test_sample_path_validation():
         ([0.3, 0.7, 1.0], T, 2, 0.5),  # S_{M+1} = 1
         (S, T, 2, 0.4),  # T0 < T_M
         (S, T, 2, 0.9),  # T0 = T_{M+1}
+        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3),  # NaN inside S
+        ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 3, 0.3),  # NaN inside T
+        ([0.3, 0.7, np.inf], T, 2, 0.5),  # S_{M+1} overshoots to +inf
+        (S, [0.2, 0.4, np.inf], 2, 0.5),  # T_{M+1} overshoots to +inf
     ):
         with pytest.raises(ValueError):
             SamplePath(*args)
@@ -266,6 +278,38 @@ def test_noise_requires_rng():
 
 
 # ------------------------------------------------------------ grid deviation
+
+
+def test_draws_and_grid_deviation_match_plain_formulas():
+    # The in-place arithmetic of draw_path and grid_deviation must give the
+    # same bits as the textbook expressions, evaluated on cloned generators.
+    for family, lam, n, policy in (
+        ("uniform_scaled", 2.0, 60, "last_sample"),
+        ("uniform_scaled", 2.0, 6400, "jittered"),
+        ("beta_scaled", 3.0, 500, "jittered"),
+    ):
+        for seed in range(5):
+            path = draw_path(RenewalSpec(family, lam, lam), n, streams(seed), policy)
+            ref = streams(seed)
+            scale = lam / n
+
+            def increments(gen, count):
+                if family == "uniform_scaled":
+                    return (1.0 - gen.random(count)) * scale
+                return gen.beta(2.0, 2.0 * (lam - 1.0), size=count) * scale
+
+            chunk = n + max(16, 4 * int(np.sqrt(n)))
+            S = np.cumsum(increments(ref.spatial, chunk))
+            assert S[-1] > 1.0  # one block suffices at these seeds
+            M = int(np.searchsorted(S, 1.0, side="right"))
+            T = np.cumsum(increments(ref.temporal, M + 1))
+            assert path.M == M
+            assert np.array_equal(path.S, S[: M + 1]) and np.array_equal(path.T, T)
+            idx = np.arange(1, M + 1)
+            assert grid_deviation(path) == (
+                float(np.mean((path.S[:M] - idx / M) ** 2)),
+                float(np.mean((path.T[:M] - idx * path.T0 / M) ** 2)),
+            )
 
 
 def test_grid_deviation_bounded_by_one():
