@@ -25,6 +25,13 @@ DISTINCTNESS_RTOL = 1e-6
 STABILITY_TOL = 1e-9
 
 
+def require_real(what: str, value) -> None:
+    """Refuse anything but a real number: float() would read "0.01" as a
+    number and True as 1, and numpy would fail later on a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def eval_poly(coeffs: Sequence[float], z: complex) -> complex:
     """Evaluate sum_i coeffs[i] * z**i by Horner's recurrence."""
     acc = complex(coeffs[-1])
@@ -42,9 +49,7 @@ class PdeSpec:
 
     def __post_init__(self) -> None:
         for c in (*self.p_coeffs, *self.q_coeffs):
-            # float() would read "0.01" as a number and True as 1.
-            if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                raise ValueError(f"PDE coefficients must be real numbers, got {c!r}")
+            require_real("a PDE coefficient", c)
         p = tuple(float(c) for c in self.p_coeffs)
         q = tuple(float(c) for c in self.q_coeffs)
         object.__setattr__(self, "p_coeffs", p)

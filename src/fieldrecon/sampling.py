@@ -11,12 +11,12 @@ sees only those, the in-support count M and the horizon T0.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FieldState, evaluate_at_points
+from .pde_core import require_real
 from .streams import PathStreams
 
 FAMILIES = ("uniform_scaled", "beta_scaled", "deterministic")
@@ -25,14 +25,6 @@ T0_POLICIES = ("last_sample", "jittered")
 # First Beta shape parameter; the second follows from the mean constraint
 # E[X] = 1/n, i.e. a / (a + b) = 1/lam.
 _BETA_SHAPE_A = 2.0
-
-
-def _require_real(**values) -> None:
-    """Refuse anything but a real number; ``True`` would otherwise count as 1
-    and a string would fail later inside numpy."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +38,8 @@ class RenewalSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown renewal family {self.family!r}")
-        _require_real(lam=self.lam, mu=self.mu)
+        require_real("lam", self.lam)
+        require_real("mu", self.mu)
         lam, mu = self.lam, self.mu
         if not (np.isfinite(lam) and np.isfinite(mu) and lam > 1.0 and mu > 1.0):
             raise ValueError("support parameters lam and mu must be finite and > 1")
@@ -108,7 +101,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.family not in ("none", "gaussian", "uniform"):
             raise ValueError(f"unknown noise family {self.family!r}")
-        _require_real(variance=self.variance)
+        require_real("variance", self.variance)
         if not np.isfinite(self.variance) or self.variance < 0:
             raise ValueError("variance must be finite and non-negative")
         if self.family == "none" and self.variance != 0.0:
@@ -138,7 +131,7 @@ def _draw_prefix_sums(family: str, n: int, lam: float, gen: np.random.Generator)
     while True:
         sums = _draw_increments(family, n, lam, gen, chunk)
         np.cumsum(sums, out=sums)
-        if total:
+        if total:  # adding 0.0 to the first block would change no bit
             sums += total
         parts.append(sums)
         total = float(sums[-1])
