@@ -62,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=2024)
     verify.add_argument(
-        "--trials", type=int, default=10_000, help="Monte Carlo trials for the scaling table"
+        "--trials",
+        type=int,
+        default=10_000,
+        help="appendix-b Monte Carlo size: paths per density of the scaling table "
+        "and paths of the invariant fuzz (default: 10000)",
     )
 
     stability = sub.add_parser("stability", help="report characteristic-root feasibility")

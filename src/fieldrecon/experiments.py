@@ -26,9 +26,12 @@ from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_r
 from .pde_core import PdeSpec, check_stability
 from .estimator import build_design_matrix, reconstruct
 from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
-from .streams import noise_stream, substream, trial_streams
+from .streams import PathStreams, cell_streams, substream
 
 RANDOM_SCENARIO_BAND = 3
+# Trials per task of a sweep: the unit a pool worker takes, and the cells
+# whose generators one hashing pass derives.
+TRIAL_BLOCK = 16
 
 _CONFIG_KEYS = {
     "scenario",
@@ -164,10 +167,16 @@ class SweepPlan:
     master_seed: int
 
 
-def run_trial(plan: SweepPlan, n: int, trial: int) -> TrialRecord:
-    """Draw a path, sample the field, reconstruct on the uniform grid, score."""
-    path = draw_path(plan.renewal, n, trial_streams(plan.master_seed, n, trial))
-    values = sample_field(plan.state, path, plan.noise, noise_stream(plan.master_seed, n, trial))
+def run_trial(
+    plan: SweepPlan, n: int, trial: int, streams: Sequence[np.random.Generator]
+) -> TrialRecord:
+    """Draw a path, sample the field, reconstruct on the uniform grid, score.
+
+    ``streams`` holds the cell's spatial, temporal and noise generators.
+    """
+    spatial, temporal, noise = streams
+    path = draw_path(plan.renewal, n, PathStreams(spatial, temporal))
+    values = sample_field(plan.state, path, plan.noise, noise)
     try:
         design = build_design_matrix(plan.state.roots, path.M, path.T0)
         result = reconstruct(design, values, plan.true_k0)
@@ -231,9 +240,17 @@ def _init_worker(plan: SweepPlan) -> None:
         control[1](1)
 
 
-def _worker_trial(task: tuple[int, int]) -> TrialRecord:
+def _run_block(plan: SweepPlan, n: int, trials: range) -> list[TrialRecord]:
+    """One block of trials at density ``n``; their generators (keys 0-2 of
+    each cell) are hashed in one pass."""
+    cells = ((n, trial) for trial in trials)
+    streams = cell_streams(plan.master_seed, cells, 3)
+    return [run_trial(plan, n, trial, gens) for trial, gens in zip(trials, streams)]
+
+
+def _worker_block(task: tuple[int, range]) -> list[TrialRecord]:
     assert _WORKER_PLAN is not None
-    return run_trial(_WORKER_PLAN, *task)
+    return _run_block(_WORKER_PLAN, *task)
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:
@@ -282,15 +299,20 @@ def run_sweep(
         noise=config.noise,
         master_seed=config.master_seed,
     )
-    tasks = [(n, trial) for n in config.n_list for trial in range(config.trials)]
+    tasks = [
+        (n, range(start, min(start + TRIAL_BLOCK, config.trials)))
+        for n in config.n_list
+        for start in range(0, config.trials, TRIAL_BLOCK)
+    ]
     with _one_blas_thread():
         if workers == 1:
-            records = [run_trial(plan, n, trial) for n, trial in tasks]
+            blocks = [_run_block(plan, n, trials) for n, trials in tasks]
         else:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(plan,)
             ) as pool:
-                records = list(pool.map(_worker_trial, tasks, chunksize=8))
+                blocks = list(pool.map(_worker_block, tasks))
+    records = [record for block in blocks for record in block]
 
     records.sort(key=lambda r: (r.n, r.trial))
     rows = []

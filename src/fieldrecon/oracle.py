@@ -16,7 +16,7 @@ import numpy as np
 from .field import CATALOG, catalog_entry, coefficients_at, scenario_field
 from .pde_core import HarmonicRoots, PdeSpec, eval_poly, solve_initial_coefficients
 from .sampling import RenewalSpec, draw_path, grid_deviation
-from .streams import substream, trial_streams
+from .streams import PathStreams, cell_streams, substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +148,9 @@ def grid_deviation_scaling(
     for n in n_list:
         spatial_sum = 0.0
         temporal_sum = 0.0
-        for trial in range(trials):
-            path = draw_path(spec, n, trial_streams(seed, n, trial))
+        cells = ((n, trial) for trial in range(trials))
+        for streams in cell_streams(seed, cells, 2):
+            path = draw_path(spec, n, PathStreams(*streams))
             s_dev, t_dev = grid_deviation(path)
             spatial_sum += s_dev
             temporal_sum += t_dev
@@ -271,14 +272,15 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
     densities = (50, 500, 5000)
     checked = 0
     violations = 0
-    for trial in range(count):
+    cells = ((densities[trial % len(densities)], trial) for trial in range(count))
+    for trial, streams in enumerate(cell_streams(seed, cells, 2)):
         n = densities[trial % len(densities)]
         family = ("uniform_scaled", "beta_scaled")[trial % 2]
         policy = ("last_sample", "jittered")[(trial // 2) % 2]
         lam = mu = 2.0 if family == "uniform_scaled" else 3.0
         spec = RenewalSpec(family, lam, mu)
         try:
-            path = draw_path(spec, n, trial_streams(seed, n, trial), policy)
+            path = draw_path(spec, n, PathStreams(*streams), policy)
         except ValueError:
             violations += 1  # SamplePath constructor enforces the S/T inequalities
             continue
@@ -294,7 +296,8 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
 
 def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
     """Scaled grid deviations must sit in a flat band, and the per-draw
-    inequalities must never fail."""
+    inequalities must never fail; ``trials`` paths per density, and as many
+    fuzzed paths."""
     spec = RenewalSpec("uniform_scaled", 2.0, 2.0)
     rows = grid_deviation_scaling(spec, (100, 400, 1600, 6400), trials, seed)
     lines = [format_scaling_table(rows)]
@@ -307,8 +310,8 @@ def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
         ok = ratio < 3.0
         passed &= ok
         lines.append(f"{label} column max/min = {ratio:.3f} (< 3) -> {'ok' if ok else 'FAIL'}")
-    checked, violations = _fuzz_path_invariants(seed + 1, 10_000)
-    fuzz_ok = violations == 0 and checked == 10_000
+    checked, violations = _fuzz_path_invariants(seed + 1, trials)
+    fuzz_ok = violations == 0 and checked == trials
     passed &= fuzz_ok
     lines.append(
         f"per-draw invariants: {violations} violations over {checked} paths -> "

@@ -11,6 +11,7 @@ sees only those, the in-support count M and the horizon T0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class SamplePath:
     T0: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
+        require_real("T0", self.T0)
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
         if self.M < 1:

@@ -337,12 +337,12 @@ def test_openblas_thread_control_found(blas_threads):
 _run_trial = exp.run_trial
 
 
-def _record_blas_threads(plan, n, trial):
+def _record_blas_threads(plan, n, trial, streams):
     """run_trial, with the thread count it ran under in ``kappa`` and its
     process id in ``t0``."""
     get, _ = exp._openblas_threads()
     threads = get()
-    record = _run_trial(plan, n, trial)
+    record = _run_trial(plan, n, trial, streams)
     return dataclasses.replace(record, kappa=float(threads), t0=float(os.getpid()))
 
 
@@ -373,7 +373,7 @@ def test_sweep_restores_blas_threads(monkeypatch, blas_threads):
     run_sweep(quick_config(n_list=(64,), trials=2))
     assert get() == 2
 
-    def failing_trial(plan, n, trial):
+    def failing_trial(plan, n, trial, streams):
         raise RuntimeError("trial failed")
 
     monkeypatch.setattr(exp, "run_trial", failing_trial)

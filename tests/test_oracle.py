@@ -153,3 +153,5 @@ def test_grid_deviation_suite_smoke():
     # The scaled columns are noisy at 500 trials but the invariant fuzz and
     # table structure must hold; full-scale bounds run in the acceptance suite.
     assert any("per-draw invariants" in line for line in report.lines)
+    # The invariant fuzz draws as many paths as the table does per density.
+    assert any(line.startswith("per-draw invariants: 0 violations over 500 paths") for line in report.lines)

@@ -204,6 +204,13 @@ def test_sample_path_validation():
     ):
         with pytest.raises(ValueError):
             SamplePath(*args)
+    for m in (2.0, "2", True, np.True_, None):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            SamplePath(S, T, m, 0.5)
+    for t0 in ("0.5", True, 0.5 + 0j, None):
+        with pytest.raises(ValueError, match="T0 must be a real number"):
+            SamplePath(S, T, 2, t0)
+    SamplePath(S, T, np.int64(2), np.float32(0.5))
 
 
 def test_sample_path_stores_read_only_views():

@@ -1,7 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fieldrecon.streams import noise_stream, substream, trial_streams
+import fieldrecon
+from fieldrecon.streams import PathStreams, cell_streams, substream, trial_streams
+
+EDGE_VALUES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def numpy_stream(master_seed, key):
+    """The reference: numpy's own SeedSequence -> PCG64 derivation."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def test_substream_reproducible():
@@ -23,7 +39,7 @@ def test_trial_streams_are_independent():
     gens = {
         "spatial": streams.spatial,
         "temporal": streams.temporal,
-        "noise": noise_stream(99, 128, 5),
+        "noise": substream(99, 128, 5, 2),
     }
     values = {tag: gen.random(4).tobytes() for tag, gen in gens.items()}
     assert len(set(values.values())) == len(gens)
@@ -33,6 +49,77 @@ def test_trial_streams_are_independent():
         assert substream(99, 128, 5, key).random(4).tobytes() == values[tag]
 
 
-def test_negative_seed_rejected():
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    master=st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**64 - 1)),
+    key=st.lists(
+        st.one_of(st.sampled_from(EDGE_VALUES[:3]), st.integers(0, 2**40), st.integers(2**64, 2**96)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_substream_matches_numpy_seed_sequence(master, key):
+    ours = substream(master, *key).bit_generator.random_raw(4)
+    assert np.array_equal(ours, numpy_stream(master, key).bit_generator.random_raw(4))
+
+
+def test_block_of_mixed_key_widths_matches_numpy():
+    # One hashing pass over cells whose entries need one, two and three
+    # uint32 words each.
+    master = 2**64 - 1
+    cells = [(2**32 - 1, 0), (2**32, 5), (2**64 + 3, 1), (7,), (2**40, 2**70, 3)]
+    for cell, gens in zip(cells, cell_streams(master, cells, 2)):
+        for k, gen in enumerate(gens):
+            expected = numpy_stream(master, (*cell, k)).bit_generator.random_raw(4)
+            assert np.array_equal(gen.bit_generator.random_raw(4), expected)
+
+
+def test_path_streams_from_seed_matches_numpy_spawn():
+    children = np.random.SeedSequence(42).spawn(2)
+    streams = PathStreams.from_seed(42)
+    for gen, child in zip((streams.spatial, streams.temporal), children):
+        reference = np.random.Generator(np.random.PCG64(child))
+        assert np.array_equal(gen.random(5), reference.random(5))
+
+
+def test_negative_seed_and_key_rejected():
     with pytest.raises(ValueError):
         substream(-1, 0)
+    for key in ((-1,), (3, -2), (2**64, -1)):
+        with pytest.raises(ValueError):
+            substream(5, *key)
+    with pytest.raises(ValueError):
+        next(cell_streams(5, [(1, -3)], 2))
+    with pytest.raises(ValueError):
+        next(cell_streams(-5, [(1, 3)], 2))
+    with pytest.raises(ValueError):
+        substream(5)
+
+
+def test_block_order_equals_one_key_order():
+    # More cells than one hashing pass covers, at two densities.
+    cells = [(n, trial) for n in (100, 6400) for trial in range(300)]
+    for cell, gens in zip(cells, cell_streams(2024, iter(cells), 3)):
+        for k, gen in enumerate(gens):
+            assert gen.bit_generator.random_raw() == substream(2024, *cell, k).bit_generator.random_raw()
+
+
+def test_block_generators_are_independent():
+    # Drawing heavily from one generator of a block leaves the draws of
+    # every later one, in the same cell and the next, unchanged.
+    cells = [(128, 0), (128, 1)]
+    fresh = [gen.random(4) for gens in cell_streams(3, cells, 3) for gen in gens]
+    assert len({draws.tobytes() for draws in fresh}) == len(fresh)
+    for i in range(len(fresh)):
+        gens = [gen for cell_gens in cell_streams(3, cells, 3) for gen in cell_gens]
+        gens[i].random(1000)
+        for later, expected in zip(gens[i + 1 :], fresh[i + 1 :]):
+            assert np.array_equal(later.random(4), expected)
+
+
+def test_import_leaves_numpy_random_unimported():
+    code = "import sys, fieldrecon; print('numpy.random' in sys.modules)"
+    src = str(Path(fieldrecon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
