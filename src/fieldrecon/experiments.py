@@ -31,7 +31,7 @@ from .streams import PathStreams, cell_streams, substream
 RANDOM_SCENARIO_BAND = 3
 # Trials per task of a sweep: the unit a pool worker takes, and the cells
 # whose generators one hashing pass derives.
-TRIAL_BLOCK = 16
+_TRIAL_BLOCK = 16
 
 _CONFIG_KEYS = {
     "scenario",
@@ -300,9 +300,9 @@ def run_sweep(
         master_seed=config.master_seed,
     )
     tasks = [
-        (n, range(start, min(start + TRIAL_BLOCK, config.trials)))
+        (n, range(start, min(start + _TRIAL_BLOCK, config.trials)))
         for n in config.n_list
-        for start in range(0, config.trials, TRIAL_BLOCK)
+        for start in range(0, config.trials, _TRIAL_BLOCK)
     ]
     with _one_blas_thread():
         if workers == 1:

@@ -137,7 +137,8 @@ def _seed_words(master_seed: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
         # Each key word is hashed once per pool word, with consecutive
         # constants, and mixed into that pool word.
         c = start + _POOL_SIZE * j
-        hashed = (words[:, j, None] ^ consts[c : c + _POOL_SIZE]) * consts[c + 1 : c + _POOL_SIZE + 1]
+        hashed = words[:, j, None] ^ consts[c : c + _POOL_SIZE]
+        hashed *= consts[c + 1 : c + _POOL_SIZE + 1]
         hashed ^= hashed >> _XSHIFT
         mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
         mixed ^= mixed >> _XSHIFT
@@ -146,7 +147,7 @@ def _seed_words(master_seed: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
         else:
             pool = mixed
     consts = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_WORDS + 1)
-    state = (np.tile(pool, 2 * _SEED_WORDS // _POOL_SIZE) ^ consts[:-1]) * consts[1:]
+    state = (np.concatenate((pool, pool), axis=1) ^ consts[:-1]) * consts[1:]
     state ^= state >> _XSHIFT
     # Pairs of words read as little-endian uint64, as numpy assembles them.
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)

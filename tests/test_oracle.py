@@ -154,4 +154,5 @@ def test_grid_deviation_suite_smoke():
     # table structure must hold; full-scale bounds run in the acceptance suite.
     assert any("per-draw invariants" in line for line in report.lines)
     # The invariant fuzz draws as many paths as the table does per density.
-    assert any(line.startswith("per-draw invariants: 0 violations over 500 paths") for line in report.lines)
+    fuzz = "per-draw invariants: 0 violations over 500 paths"
+    assert any(line.startswith(fuzz) for line in report.lines)

@@ -53,7 +53,9 @@ def test_trial_streams_are_independent():
 @given(
     master=st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**64 - 1)),
     key=st.lists(
-        st.one_of(st.sampled_from(EDGE_VALUES[:3]), st.integers(0, 2**40), st.integers(2**64, 2**96)),
+        st.one_of(
+            st.sampled_from(EDGE_VALUES[:3]), st.integers(0, 2**40), st.integers(2**64, 2**96)
+        ),
         min_size=1,
         max_size=4,
     ),
@@ -82,7 +84,7 @@ def test_path_streams_from_seed_matches_numpy_spawn():
         assert np.array_equal(gen.random(5), reference.random(5))
 
 
-def test_negative_seed_and_key_rejected():
+def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         substream(-1, 0)
     for key in ((-1,), (3, -2), (2**64, -1)):
@@ -101,7 +103,8 @@ def test_block_order_equals_one_key_order():
     cells = [(n, trial) for n in (100, 6400) for trial in range(300)]
     for cell, gens in zip(cells, cell_streams(2024, iter(cells), 3)):
         for k, gen in enumerate(gens):
-            assert gen.bit_generator.random_raw() == substream(2024, *cell, k).bit_generator.random_raw()
+            one_key = substream(2024, *cell, k)
+            assert gen.bit_generator.random_raw() == one_key.bit_generator.random_raw()
 
 
 def test_block_generators_are_independent():
@@ -120,6 +123,12 @@ def test_block_generators_are_independent():
 def test_import_leaves_numpy_random_unimported():
     code = "import sys, fieldrecon; print('numpy.random' in sys.modules)"
     src = str(Path(fieldrecon.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
     assert out.stdout.strip() == "False"
