@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigInvalid, DegenerateRoots, InfeasiblePde
-from .experiments import load_config, run_sweep
+from .experiments import load_config, pde_from_record, run_sweep
 from .field import CATALOG
 from .oracle import (
     MIN_SCALING_TRIALS,
@@ -26,7 +26,7 @@ from .oracle import (
     grid_deviation_suite,
     ode_equivalence_suite,
 )
-from .pde_core import PdeSpec, check_stability
+from .pde_core import check_stability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,9 +122,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stability(args) -> int:
     try:
-        record = json.loads(Path(args.pde).read_text())
-        spec = PdeSpec(tuple(record["p_coeffs"]), tuple(record["q_coeffs"]))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        spec = pde_from_record(json.loads(Path(args.pde).read_text()))
+    except (OSError, ValueError, ConfigInvalid) as exc:  # ValueError: not UTF-8 or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

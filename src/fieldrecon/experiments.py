@@ -243,8 +243,8 @@ def _init_worker(plan: SweepPlan) -> None:
 def _run_block(plan: SweepPlan, n: int, trials: range) -> list[TrialRecord]:
     """One block of trials at density ``n``; their generators (keys 0-2 of
     each cell) are hashed in one pass."""
-    cells = ((n, trial) for trial in trials)
-    streams = cell_streams(plan.master_seed, cells, 3)
+    cells = ((plan.master_seed, n, trial) for trial in trials)
+    streams = cell_streams(cells, 3)
     return [run_trial(plan, n, trial, gens) for trial, gens in zip(trials, streams)]
 
 
@@ -427,17 +427,24 @@ def _typed(record: dict, key: str, kind: type | tuple[type, ...], what: str):
     return value
 
 
+def pde_from_record(record: dict) -> PdeSpec:
+    """The PDE of a ``{"p_coeffs": [...], "q_coeffs": [...]}`` record."""
+    if not isinstance(record, dict):
+        raise ConfigInvalid("a PDE record must be a JSON object")
+    _check_keys(record, _PDE_KEYS, _PDE_KEYS, "pde")
+    try:
+        return PdeSpec(tuple(record["p_coeffs"]), tuple(record["q_coeffs"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid PDE coefficients: {exc}") from exc
+
+
 def config_from_record(record: dict) -> ExperimentConfig:
     if not isinstance(record, dict):
         raise ConfigInvalid("configuration must be a JSON object")
     _check_keys(record, _CONFIG_KEYS, _CONFIG_KEYS - {"output_path"}, "config")
     pde = _typed(record, "pde", (int, dict), "a catalog index or a coefficient record")
     if isinstance(pde, dict):
-        _check_keys(pde, _PDE_KEYS, _PDE_KEYS, "pde")
-        try:
-            pde = PdeSpec(tuple(pde["p_coeffs"]), tuple(pde["q_coeffs"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"invalid PDE coefficients: {exc}") from exc
+        pde = pde_from_record(pde)
     renewal_rec = _typed(record, "renewal", dict, "a JSON object")
     _check_keys(renewal_rec, _RENEWAL_KEYS, _RENEWAL_KEYS, "renewal")
     noise_rec = _typed(record, "noise", dict, "a JSON object")

@@ -27,7 +27,6 @@ class OdeTrajectory:
     ks: tuple[int, ...]
     times: np.ndarray
     values: np.ndarray
-    step: float
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -91,7 +90,7 @@ def integrate_coefficient_ode(
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[i] = y[:, 0]
     times = np.arange(steps + 1) * dt
-    return OdeTrajectory(ks=ks, times=times, values=values, step=dt)
+    return OdeTrajectory(ks=ks, times=times, values=values)
 
 
 # RK4 step and horizon of every oracle integration.
@@ -148,8 +147,8 @@ def grid_deviation_scaling(
     for n in n_list:
         spatial_sum = 0.0
         temporal_sum = 0.0
-        cells = ((n, trial) for trial in range(trials))
-        for streams in cell_streams(seed, cells, 2):
+        cells = ((seed, n, trial) for trial in range(trials))
+        for streams in cell_streams(cells, 2):
             path = draw_path(spec, n, PathStreams(*streams))
             s_dev, t_dev = grid_deviation(path)
             spatial_sum += s_dev
@@ -272,8 +271,8 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
     densities = (50, 500, 5000)
     checked = 0
     violations = 0
-    cells = ((densities[trial % len(densities)], trial) for trial in range(count))
-    for trial, streams in enumerate(cell_streams(seed, cells, 2)):
+    cells = ((seed, densities[trial % len(densities)], trial) for trial in range(count))
+    for trial, streams in enumerate(cell_streams(cells, 2)):
         n = densities[trial % len(densities)]
         family = ("uniform_scaled", "beta_scaled")[trial % 2]
         policy = ("last_sample", "jittered")[(trial // 2) % 2]

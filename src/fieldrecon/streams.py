@@ -8,9 +8,10 @@ only the generators a caller consumes are derived.
 
 The generator of key ``key`` is bit-identical to
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=key)))``.  Rather than
-build one numpy ``SeedSequence`` per key, ``cell_streams`` hashes the keys of
-a whole block of cells in one vectorised pass of the same mixing (O'Neill's
-``seed_seq`` design behind numpy's ``SeedSequence``) and hands each row of
+build one numpy ``SeedSequence`` per key, ``cell_streams`` lays out the
+entropy of a whole block of cells ``(master, *key)`` as ``SeedSequence`` does
+and hashes every row in one vectorised pass of the same mixing (O'Neill's
+``seed_seq`` design behind numpy's ``SeedSequence``), then hands each row of
 seed words to PCG64.  ``numpy.random`` is imported on the first derivation,
 not with the package.
 """
@@ -57,33 +58,46 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return constants
 
 
-def _words(value: int, what: str) -> list[int]:
-    """``value`` as little-endian uint32 words, the way SeedSequence reads it."""
+def _words(value: int, size: int = 1) -> list[int]:
+    """``value`` as little-endian uint32 words, the way SeedSequence reads it,
+    zero-padded to at least ``size`` words."""
     value = operator.index(value)
     if value < 0:
-        raise ValueError(f"{what} must be non-negative")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
+        raise ValueError("stream seeds and keys must be non-negative")
+    words = []
+    while value or len(words) < size:
         words.append(value & _MASK32)
         value >>= 32
     return words
 
 
-def _key_words(keys: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's uint32 words, left-aligned in a zero-padded matrix, and
-    each key's word count."""
+def _entropy_words(cells: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's SeedSequence entropy as uint32 words, left-aligned in a
+    zero-padded matrix, and each cell's word count.
+
+    A cell is ``(master, *key)``.  As SeedSequence assembles it, the master's
+    words come first, zero-padded to the pool size, and the key's words
+    follow.
+    """
     try:
-        flat = np.asarray(keys)
-    except ValueError:  # keys of different lengths
+        flat = np.asarray(cells)
+    except ValueError:  # cells of different lengths
         flat = None
     if flat is not None and flat.ndim == 2 and flat.dtype.kind in "iu":
         if flat.size and flat.min() < 0:
-            raise ValueError("stream keys must be non-negative")
-        if not flat.size or flat.max() <= _MASK32:
-            # One word per entry: the common case, converted in one step.
-            return flat.astype(np.uint32), np.full(len(flat), flat.shape[1])
-    rows = [[w for entry in key for w in _words(entry, "stream keys")] for key in keys]
+            raise ValueError("stream seeds and keys must be non-negative")
+        if flat[:, 1:].max(initial=0) <= _MASK32:
+            # One word per key entry and at most two for the master: the
+            # common case, converted in one step.
+            words = np.zeros((len(flat), _POOL_SIZE + flat.shape[1] - 1), dtype=np.uint32)
+            words[:, 0] = flat[:, 0] & _MASK32
+            words[:, 1] = flat[:, 0] >> 32
+            words[:, _POOL_SIZE:] = flat[:, 1:]
+            return words, np.full(len(flat), words.shape[1])
+    rows = [
+        _words(master, _POOL_SIZE) + [w for entry in key for w in _words(entry)]
+        for master, *key in cells
+    ]
     lengths = np.array([len(row) for row in rows], dtype=int)
     matrix = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.uint32)
     for i, row in enumerate(rows):
@@ -91,66 +105,42 @@ def _key_words(keys: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     return matrix, lengths
 
 
-def _master_pool(master_seed: int) -> tuple[list[int], int]:
-    """Pool after mixing in the master seed, and the hash constants used.
-
-    This part of the pool is the same for every non-empty key: the master's
-    words are zero-padded to the pool size and come first.
-    """
-    words = _words(master_seed, "master_seed")
-    words += [0] * (_POOL_SIZE - len(words))
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words) + 1).tolist()
-    calls = 0
-
-    def hashmix(value: int) -> int:
-        nonlocal calls
-        value = (value ^ consts[calls]) * consts[calls + 1] & _MASK32
-        calls += 1
-        return value ^ value >> _XSHIFT
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, calls
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``values`` with constants chain[:-1], chain[1:]."""
+    hashed = (values ^ chain[:-1]) * chain[1:]
+    hashed ^= hashed >> _XSHIFT
+    return hashed
 
 
-def _seed_words(master_seed: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
-    """Row i holds ``SeedSequence(master_seed, spawn_key=keys[i])
-    .generate_state(4, np.uint64)``; every key must be non-empty."""
-    base, start = _master_pool(master_seed)
-    words, lengths = _key_words(keys)
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    mixed ^= mixed >> _XSHIFT
+    return mixed
+
+
+def _seed_words(cells: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row i holds ``SeedSequence(master, spawn_key=key).generate_state(4,
+    np.uint64)`` for ``cells[i] = (master, *key)``; every key must be
+    non-empty."""
+    words, lengths = _entropy_words(cells)
     width = words.shape[1]
-    ragged = bool((lengths != width).any())
-    consts = _hash_constants(_INIT_A, _MULT_A, start + _POOL_SIZE * width + 1)
-    pool = np.empty((len(words), _POOL_SIZE), dtype=np.uint32)
-    pool[:] = base
-    for j in range(width):
-        # Each key word is hashed once per pool word, with consecutive
-        # constants, and mixed into that pool word.
-        c = start + _POOL_SIZE * j
-        hashed = words[:, j, None] ^ consts[c : c + _POOL_SIZE]
-        hashed *= consts[c + 1 : c + _POOL_SIZE + 1]
-        hashed ^= hashed >> _XSHIFT
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
-        mixed ^= mixed >> _XSHIFT
-        if ragged:
-            np.copyto(pool, mixed, where=(lengths > j)[:, None])
-        else:
-            pool = mixed
-    consts = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_WORDS + 1)
-    state = (np.concatenate((pool, pool), axis=1) ^ consts[:-1]) * consts[1:]
-    state ^= state >> _XSHIFT
+    # SeedSequence's hashmix calls take consecutive constants of one chain:
+    # calls 0-3 hash the first pool-size words, calls 4-15 cross-mix the
+    # pool, and calls 4j .. 4j+3 hash the later word j once per pool word.
+    chain = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width + 1)[:, None]
+    pool = _hashmix(words[:, :_POOL_SIZE].T, chain[: _POOL_SIZE + 1])
+    for src in range(_POOL_SIZE):
+        # pool[src] is read, never written, while it is mixed into the others.
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        c = _POOL_SIZE + len(dst) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[c : c + len(dst) + 1]))
+    for j in range(_POOL_SIZE, width):
+        hashed = _hashmix(words[:, j], chain[_POOL_SIZE * j : _POOL_SIZE * (j + 1) + 1])
+        np.copyto(pool, _mix(pool, hashed), where=lengths > j)
+    chain = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_WORDS + 1)[:, None]
+    state = _hashmix(np.concatenate((pool, pool)), chain)
     # Pairs of words read as little-endian uint64, as numpy assembles them.
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache
@@ -173,11 +163,9 @@ def _generator_factory() -> Callable[[np.ndarray], Generator]:
     return lambda words: Generator(PCG64(HashedSeed(words)))
 
 
-def cell_streams(
-    master_seed: int, cells: Iterable[Sequence[int]], count: int
-) -> Iterator[tuple[Generator, ...]]:
-    """For each cell in order, the generators of keys (*cell, 0) ..
-    (*cell, count - 1) under ``master_seed``.
+def cell_streams(cells: Iterable[Sequence[int]], count: int) -> Iterator[tuple[Generator, ...]]:
+    """For each cell ``(master, *key)`` in order, the generators of keys
+    (*key, 0) .. (*key, count - 1) under ``master``.
 
     Cells are read and hashed a block at a time, and a cell's generators
     are built only when it is reached.
@@ -185,7 +173,7 @@ def cell_streams(
     make = _generator_factory()
     cells = iter(cells)
     while block := list(itertools.islice(cells, _BLOCK_CELLS)):
-        words = _seed_words(master_seed, [(*cell, k) for cell in block for k in range(count)])
+        words = _seed_words([(*cell, k) for cell in block for k in range(count)])
         for i in range(0, len(words), count):
             yield tuple(make(row) for row in words[i : i + count])
 
@@ -194,7 +182,7 @@ def substream(master_seed: int, *key: int) -> Generator:
     """Generator for the substream identified by ``key`` under ``master_seed``."""
     if not key:
         raise ValueError("a stream key needs at least one entry")
-    return _generator_factory()(_seed_words(master_seed, [key])[0])
+    return _generator_factory()(_seed_words([(master_seed, *key)])[0])
 
 
 @dataclass(frozen=True)
@@ -211,9 +199,9 @@ class PathStreams:
     @classmethod
     def from_seed(cls, seed: int) -> "PathStreams":
         """Keys (0,) and (1,) under ``seed``: numpy's ``SeedSequence(seed).spawn(2)``."""
-        return cls(*next(cell_streams(seed, [()], 2)))
+        return cls(*next(cell_streams([(seed,)], 2)))
 
 
 def trial_streams(master_seed: int, n: int, trial: int) -> PathStreams:
     """Path generators of one sweep cell (keys 0 and 1)."""
-    return PathStreams(*next(cell_streams(master_seed, [(n, trial)], 2)))
+    return PathStreams(*next(cell_streams([(master_seed, n, trial)], 2)))

@@ -151,8 +151,10 @@ def test_sweep_repeated_roots(tmp_path, capsys):
         {"p_coeffs": ["0", True], "q_coeffs": [0, 0, "0.01"]},
         {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, "0.01"]},
         {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]},
+        {"p_coeffs": [0, 1], "q_coeffs": [0, 0, 0.01], "q_coefs": [1]},
+        [[0, 1], [0, 0, 0.01]],
     ],
-    ids=["strings-and-bool", "string", "bool"],
+    ids=["strings-and-bool", "string", "bool", "misspelled-key", "not-an-object"],
 )
 def test_stability_rejects_mistyped_coefficients(tmp_path, capsys, record):
     pde = tmp_path / "pde.json"

@@ -51,7 +51,9 @@ def test_trial_streams_are_independent():
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    master=st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**64 - 1)),
+    master=st.one_of(
+        st.sampled_from((*EDGE_VALUES, 2**128 + 5, 2**200)), st.integers(0, 2**64 - 1)
+    ),
     key=st.lists(
         st.one_of(
             st.sampled_from(EDGE_VALUES[:3]), st.integers(0, 2**40), st.integers(2**64, 2**96)
@@ -66,13 +68,19 @@ def test_substream_matches_numpy_seed_sequence(master, key):
 
 
 def test_block_of_mixed_key_widths_matches_numpy():
-    # One hashing pass over cells whose entries need one, two and three
-    # uint32 words each.
-    master = 2**64 - 1
-    cells = [(2**32 - 1, 0), (2**32, 5), (2**64 + 3, 1), (7,), (2**40, 2**70, 3)]
-    for cell, gens in zip(cells, cell_streams(master, cells, 2)):
+    # One hashing pass over cells whose masters and key entries need one,
+    # two, three and more uint32 words each.
+    cells = [
+        (2**64 - 1, 2**32 - 1, 0),
+        (0, 2**32, 5),
+        (2**128 + 5, 2**64 + 3, 1),
+        (7, 7),
+        (2**200, 2**40, 2**70, 3),
+        (2**32,),
+    ]
+    for (master, *key), gens in zip(cells, cell_streams(cells, 2)):
         for k, gen in enumerate(gens):
-            expected = numpy_stream(master, (*cell, k)).bit_generator.random_raw(4)
+            expected = numpy_stream(master, (*key, k)).bit_generator.random_raw(4)
             assert np.array_equal(gen.bit_generator.random_raw(4), expected)
 
 
@@ -91,30 +99,34 @@ def test_negative_seed_rejected():
         with pytest.raises(ValueError):
             substream(5, *key)
     with pytest.raises(ValueError):
-        next(cell_streams(5, [(1, -3)], 2))
+        next(cell_streams([(5, 1, -3)], 2))
     with pytest.raises(ValueError):
-        next(cell_streams(-5, [(1, 3)], 2))
+        next(cell_streams([(-5, 1, 3)], 2))
+    # A negative master inside a block, with word-sized and wider keys.
+    for block in ([(5, 1, 3), (-5, 1, 3)], [(5, 2**64, 3), (-5, 1, 3)]):
+        with pytest.raises(ValueError):
+            next(cell_streams(block, 2))
     with pytest.raises(ValueError):
         substream(5)
 
 
 def test_block_order_equals_one_key_order():
     # More cells than one hashing pass covers, at two densities.
-    cells = [(n, trial) for n in (100, 6400) for trial in range(300)]
-    for cell, gens in zip(cells, cell_streams(2024, iter(cells), 3)):
+    cells = [(2024, n, trial) for n in (100, 6400) for trial in range(300)]
+    for cell, gens in zip(cells, cell_streams(iter(cells), 3)):
         for k, gen in enumerate(gens):
-            one_key = substream(2024, *cell, k)
+            one_key = substream(*cell, k)
             assert gen.bit_generator.random_raw() == one_key.bit_generator.random_raw()
 
 
 def test_block_generators_are_independent():
     # Drawing heavily from one generator of a block leaves the draws of
     # every later one, in the same cell and the next, unchanged.
-    cells = [(128, 0), (128, 1)]
-    fresh = [gen.random(4) for gens in cell_streams(3, cells, 3) for gen in gens]
+    cells = [(3, 128, 0), (3, 128, 1)]
+    fresh = [gen.random(4) for gens in cell_streams(cells, 3) for gen in gens]
     assert len({draws.tobytes() for draws in fresh}) == len(fresh)
     for i in range(len(fresh)):
-        gens = [gen for cell_gens in cell_streams(3, cells, 3) for gen in cell_gens]
+        gens = [gen for cell_gens in cell_streams(cells, 3) for gen in cell_gens]
         gens[i].random(1000)
         for later, expected in zip(gens[i + 1 :], fresh[i + 1 :]):
             assert np.array_equal(later.random(4), expected)
