@@ -62,7 +62,13 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list item") for n in self.n_list))
+        if not isinstance(self.scenario, str):
+            raise ConfigInvalid(f"scenario must be a string, got {self.scenario!r}")
+        try:
+            n_list = tuple(self.n_list)
+        except TypeError:
+            raise ConfigInvalid(f"n_list must be a list of integers, got {self.n_list!r}") from None
+        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list item") for n in n_list))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         if not self.n_list or any(n <= 0 for n in self.n_list):
@@ -84,6 +90,12 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         elif not isinstance(self.pde, PdeSpec):
             raise ConfigInvalid(f"pde must be a catalog index or a PdeSpec, got {self.pde!r}")
+        if not isinstance(self.renewal, RenewalSpec):
+            raise ConfigInvalid(f"renewal must be a RenewalSpec, got {self.renewal!r}")
+        if not isinstance(self.noise, NoiseSpec):
+            raise ConfigInvalid(f"noise must be a NoiseSpec, got {self.noise!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigInvalid(f"output_path must be a string, got {self.output_path!r}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
 
 
@@ -103,8 +115,8 @@ def _parse_scenario_tag(tag: str) -> int | None:
             seed = int(tag.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigInvalid(f"malformed random scenario tag {tag!r}") from exc
-        if seed < 0:
-            raise ConfigInvalid("random scenario seed must be non-negative")
+        if not 0 <= seed < 2**64:
+            raise ConfigInvalid("random scenario seed must fit an unsigned 64-bit integer")
         return seed
     raise ConfigInvalid(f"unknown scenario {tag!r}")
 
@@ -458,22 +470,27 @@ def config_from_record(record: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     return ExperimentConfig(
-        scenario=_typed(record, "scenario", str, "a string"),
+        scenario=record["scenario"],
         pde=pde,
-        n_list=_typed(record, "n_list", list, "a list of integers"),
+        n_list=record["n_list"],
         trials=record["trials"],
         renewal=renewal,
         noise=noise,
         master_seed=record["master_seed"],
-        output_path=_typed(record, "output_path", str, "a string") if "output_path" in record else None,
+        output_path=record.get("output_path"),
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; ConfigInvalid when the file
+    cannot be read, is not UTF-8 or is not JSON."""
     try:
-        record = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigInvalid(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
-    return config_from_record(record)
+        raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigInvalid(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_record(read_json(path))

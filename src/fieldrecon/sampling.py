@@ -153,9 +153,9 @@ def draw_path(
     ``last_sample`` takes T0 = T_M (zero slack), ``jittered`` places T0
     uniformly inside [T_M, T_{M+1}).
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"density n must be a positive integer, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("density n must be a positive integer")
     if spec.family != "deterministic" and max(spec.lam, spec.mu) > n / 10:
         # Support parameters must stay far below n for the grid argument
         # to bite; the zero-variance family is exempt.

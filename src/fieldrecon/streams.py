@@ -12,15 +12,16 @@ build one numpy ``SeedSequence`` per key, ``cell_streams`` lays out the
 entropy of a whole block of cells ``(master, *key)`` as ``SeedSequence`` does
 and hashes every row in one vectorised pass of the same mixing (O'Neill's
 ``seed_seq`` design behind numpy's ``SeedSequence``), then hands each row of
-seed words to PCG64.  ``numpy.random`` is imported on the first derivation,
-not with the package.
+seed words to PCG64.  Master seeds lie in [0, 2**64) and key entries in
+[0, 2**32), so every entropy row has one layout: the master's two words,
+two zero words, then one word per key entry.  ``numpy.random`` is imported
+on the first derivation, not with the package.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -58,51 +59,29 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return constants
 
 
-def _words(value: int, size: int = 1) -> list[int]:
-    """``value`` as little-endian uint32 words, the way SeedSequence reads it,
-    zero-padded to at least ``size`` words."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("stream seeds and keys must be non-negative")
-    words = []
-    while value or len(words) < size:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _entropy_words(cells: Sequence[Sequence[int]]) -> np.ndarray:
+    """Each cell's SeedSequence entropy as a row of uint32 words.
 
-
-def _entropy_words(cells: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's SeedSequence entropy as uint32 words, left-aligned in a
-    zero-padded matrix, and each cell's word count.
-
-    A cell is ``(master, *key)``.  As SeedSequence assembles it, the master's
-    words come first, zero-padded to the pool size, and the key's words
-    follow.
+    A cell is ``(master, *key)``: a master below 2**64 and key entries below
+    2**32, the same number in every cell of a block.  As SeedSequence
+    assembles it, the row is ``[master lo, master hi, 0, 0, key words...]``.
     """
-    try:
-        flat = np.asarray(cells)
-    except ValueError:  # cells of different lengths
-        flat = None
-    if flat is not None and flat.ndim == 2 and flat.dtype.kind in "iu":
-        if flat.size and flat.min() < 0:
-            raise ValueError("stream seeds and keys must be non-negative")
-        if flat[:, 1:].max(initial=0) <= _MASK32:
-            # One word per key entry and at most two for the master: the
-            # common case, converted in one step.
-            words = np.zeros((len(flat), _POOL_SIZE + flat.shape[1] - 1), dtype=np.uint32)
-            words[:, 0] = flat[:, 0] & _MASK32
-            words[:, 1] = flat[:, 0] >> 32
-            words[:, _POOL_SIZE:] = flat[:, 1:]
-            return words, np.full(len(flat), words.shape[1])
-    rows = [
-        _words(master, _POOL_SIZE) + [w for entry in key for w in _words(entry)]
-        for master, *key in cells
-    ]
-    lengths = np.array([len(row) for row in rows], dtype=int)
-    matrix = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.uint32)
-    for i, row in enumerate(rows):
-        matrix[i, : len(row)] = row
-    return matrix, lengths
+    flat = np.asarray(cells)  # ValueError when the cells differ in length
+    if flat.dtype.kind not in "iu":
+        # Masters of 2**63 and up read as float64, which has lost their low
+        # bits, or as object: convert the cells themselves, checked first,
+        # since a uint64 conversion would take 1.5 or "5".
+        flat = np.array(cells, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) for v in flat.flat):
+            raise TypeError("stream seeds and keys must be integers")
+    if flat.min() < 0 or flat[:, 0].max() >= 2**64 or flat[:, 1:].max(initial=0) > _MASK32:
+        raise ValueError("stream seeds must lie in [0, 2**64) and key entries in [0, 2**32)")
+    flat = flat.astype(np.uint64)
+    words = np.zeros((len(flat), _POOL_SIZE + flat.shape[1] - 1), dtype=np.uint32)
+    words[:, 0] = flat[:, 0] & _MASK32
+    words[:, 1] = flat[:, 0] >> 32
+    words[:, _POOL_SIZE:] = flat[:, 1:]
+    return words
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -122,7 +101,7 @@ def _seed_words(cells: Sequence[Sequence[int]]) -> np.ndarray:
     """Row i holds ``SeedSequence(master, spawn_key=key).generate_state(4,
     np.uint64)`` for ``cells[i] = (master, *key)``; every key must be
     non-empty."""
-    words, lengths = _entropy_words(cells)
+    words = _entropy_words(cells)
     width = words.shape[1]
     # SeedSequence's hashmix calls take consecutive constants of one chain:
     # calls 0-3 hash the first pool-size words, calls 4-15 cross-mix the
@@ -136,7 +115,7 @@ def _seed_words(cells: Sequence[Sequence[int]]) -> np.ndarray:
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[c : c + len(dst) + 1]))
     for j in range(_POOL_SIZE, width):
         hashed = _hashmix(words[:, j], chain[_POOL_SIZE * j : _POOL_SIZE * (j + 1) + 1])
-        np.copyto(pool, _mix(pool, hashed), where=lengths > j)
+        pool = _mix(pool, hashed)
     chain = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_WORDS + 1)[:, None]
     state = _hashmix(np.concatenate((pool, pool)), chain)
     # Pairs of words read as little-endian uint64, as numpy assembles them.

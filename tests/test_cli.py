@@ -78,11 +78,17 @@ def test_sweep_seed_override(tmp_path):
     assert summary["config"]["master_seed"] == 123
 
 
-def test_sweep_config_error(tmp_path):
+def test_sweep_config_error(tmp_path, capsys):
     config = write_config(tmp_path, unexpected=1)
     assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
     missing = tmp_path / "nope.json"
     assert main(["sweep", "--config", str(missing)]) == EXIT_CONFIG
+    capsys.readouterr()
+    config.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
+    assert main(["stability", "--pde", str(config), "--band", "2"]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
 
 
 def test_sweep_infeasible(tmp_path):
@@ -194,12 +200,20 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
         ["--suite", "appendix-b", "--trials", "5"],
         ["--suite", "appendix-b", "--trials", "0"],
         ["--suite", "appendix-a", "--seed", "-1"],
+        ["--suite", "appendix-a", "--seed", "18446744073709551615"],
     ],
-    ids=["trials=5", "trials=0", "seed=-1"],
+    ids=["trials=5", "trials=0", "seed=-1", "seed=2^64-1"],
 )
 def test_verify_rejects_bad_input(capsys, args):
     assert main(["verify", *args]) == EXIT_CONFIG
     assert_one_line_error(capsys, "config error:")
+
+
+def test_verify_accepts_largest_seed(capsys):
+    # appendix-b fuzzes under seed + 1 = 2**64 - 1, the largest stream master.
+    args = ["--suite", "appendix-b", "--trials", "100", "--seed", "18446744073709551614"]
+    assert main(["verify", *args]) == EXIT_OK
+    assert "[PASS] suite appendix-b" in capsys.readouterr().out
 
 
 def test_verify_single_suite(capsys):

@@ -126,6 +126,9 @@ def test_config_bad_json(tmp_path):
         load_config(target)
     with pytest.raises(ConfigInvalid):
         load_config(tmp_path / "missing.json")
+    target.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(ConfigInvalid):
+        load_config(target)
 
 
 def test_config_validation_errors():
@@ -139,6 +142,19 @@ def test_config_validation_errors():
         quick_config(n_list=())
     with pytest.raises(ConfigInvalid):
         quick_config(pde=9)
+    with pytest.raises(ConfigInvalid):
+        quick_config(scenario="random:18446744073709551616")  # 2**64
+    # Mistyped fields are refused here, not met later as AttributeError or TypeError.
+    for override in (
+        {"scenario": 5},
+        {"scenario": None},
+        {"n_list": 128},
+        {"renewal": 5},
+        {"noise": "gaussian"},
+        {"output_path": 5},
+    ):
+        with pytest.raises(ConfigInvalid):
+            quick_config(**override)
 
 
 def test_config_refuses_bool_pde():

@@ -33,6 +33,10 @@ def test_renewal_spec_validation():
         draw_path(RenewalSpec(), 15, streams())  # lam = 2 > 15/10
     with pytest.raises(ValueError):
         draw_path(RenewalSpec(), 0, streams())
+    for n in (128.9, 128.0, "128", True, np.True_, None):  # refused, never truncated
+        with pytest.raises(ValueError, match="density n must be a positive integer"):
+            draw_path(RenewalSpec(), n, streams())
+    draw_path(RenewalSpec(), np.int64(128), streams())  # numpy integers are integers
     with pytest.raises(ValueError):
         RenewalSpec(family="uniform_scaled", lam=3.0, mu=3.0)
     with pytest.raises(ValueError):
