@@ -3,11 +3,12 @@
 Each ``tests/golden/<scenario>/summary.json`` echoes the configuration that
 produced it (the acceptance seeds at n = 128, 512, 2048 with 16 trials), so
 the test reruns exactly that configuration on one worker and compares both
-output files byte for byte.  ``tests/golden/verify/<suite>.txt`` holds the
-stdout of ``fieldrecon verify --suite <suite>`` at the default seed; the
-10 000-trial ``appendix-b`` suite is left to acceptance criterion 6, which
-byte-compares its scaled-deviation table with ``appendix-b-table.txt``.  Any
-change to a golden file must be explained in CHANGES.md.
+output files byte for byte.  ``tests/golden/verify/<name>.txt`` holds the
+stdout of ``fieldrecon verify`` with the arguments listed beside it, at the
+default seed.  The appendix-b report is pinned whole at 500 trials; its
+10 000-trial scaled-deviation table is left to acceptance criterion 6, which
+byte-compares it with ``appendix-b-table.txt``.  Any change to a golden file
+must be explained in CHANGES.md.
 """
 
 import json
@@ -30,8 +31,17 @@ def test_golden_sweep_outputs(scenario, tmp_path):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("suite", ["ode", "appendix-a"])
-def test_golden_verify_output(suite, capsys):
-    assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
-    expected = (GOLDEN / "verify" / f"{suite}.txt").read_bytes()
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        pytest.param("ode", ["--suite", "ode"], id="ode"),
+        pytest.param("appendix-a", ["--suite", "appendix-a"], id="appendix-a"),
+        pytest.param(
+            "appendix-b-500", ["--suite", "appendix-b", "--trials", "500"], id="appendix-b-500"
+        ),
+    ],
+)
+def test_golden_verify_output(name, args, capsys):
+    assert cli.main(["verify", *args]) == cli.EXIT_OK
+    expected = (GOLDEN / "verify" / f"{name}.txt").read_bytes()
     assert capsys.readouterr().out.encode() == expected
