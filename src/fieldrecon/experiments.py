@@ -292,11 +292,12 @@ def run_sweep(
     rank_failures for their density and are excluded from the means.  With
     ``workers > 1`` trials run in a process pool; results are identical to
     the sequential run because every trial owns seed-derived streams and the
-    aggregation order is fixed.  ``workers`` below 1 raises ConfigInvalid.
+    aggregation order is fixed.  A ``workers`` that is not an integer of at
+    least 1 raises ConfigInvalid.
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers}")
     state = resolve_field(config)
     _validate_densities(config, state)

@@ -8,6 +8,7 @@ plain Monte Carlo.  The suite runners emit plain-text tables for the CLI.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .field import CATALOG, catalog_entry, coefficients_at, scenario_field
 from .pde_core import HarmonicRoots, PdeSpec, eval_poly, solve_initial_coefficients
-from .sampling import RenewalSpec, draw_path, grid_deviation
-from .streams import PathStreams, cell_streams, substream
+from .sampling import PathBlock, RenewalSpec, draw_paths
+from .streams import cell_streams, substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +142,8 @@ def grid_deviation_scaling(
     If the mean squared grid deviations really fall off like 1/n, both scaled
     columns sit in a flat band across densities.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < MIN_SCALING_TRIALS:
         raise ValueError(f"at least {MIN_SCALING_TRIALS} trials required for a stable mean")
     rows = []
@@ -148,11 +151,11 @@ def grid_deviation_scaling(
         spatial_sum = 0.0
         temporal_sum = 0.0
         cells = ((seed, n, trial) for trial in range(trials))
-        for streams in cell_streams(cells, 2):
-            path = draw_path(spec, n, PathStreams(*streams))
-            s_dev, t_dev = grid_deviation(path)
-            spatial_sum += s_dev
-            temporal_sum += t_dev
+        for block in draw_paths(spec, n, cell_streams(cells, 2)):
+            # Path by path, in trial order, as the means were always summed.
+            for s_dev, t_dev in zip(*(devs.tolist() for devs in block.grid_deviations())):
+                spatial_sum += s_dev
+                temporal_sum += t_dev
         rows.append(
             ScalingRow(
                 n=n,
@@ -265,31 +268,54 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     return SuiteReport(name="appendix-a", passed=bool(passed), lines=tuple(lines))
 
 
+def _invariant_violations(spec: RenewalSpec, n: int, block: PathBlock) -> int:
+    """Failures of the per-draw inequalities PathBlock does not check itself."""
+    rows = np.arange(len(block.M))
+    slack = block.slack
+    gap = block.T[rows, block.M] - block.T[rows, block.M - 1]
+    return int(
+        np.count_nonzero(~(block.M > n / spec.lam - 1))
+        + np.count_nonzero(~((0.0 <= slack) & (slack <= spec.mu / n + 1e-15)))
+        + np.count_nonzero(~(slack < gap))
+    )
+
+
+def _tally_invariants(
+    spec: RenewalSpec, n: int, policy: str, cells: Sequence[tuple[int, int, int]]
+) -> tuple[int, int]:
+    """(paths checked, violations) over the paths of ``cells``; a path that
+    breaks the S/T inequalities is one violation and is not checked."""
+    checked = violations = 0
+    try:
+        for block in draw_paths(spec, n, cell_streams(cells, 2), policy):
+            checked += len(block.M)
+            violations += _invariant_violations(spec, n, block)
+    except ValueError:
+        if len(cells) == 1:
+            return 0, 1
+        # A block was refused: find its culprits path by path.
+        tallies = [_tally_invariants(spec, n, policy, [cell]) for cell in cells]
+        return sum(c for c, _ in tallies), sum(v for _, v in tallies)
+    return checked, violations
+
+
 def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
     """Draw ``count`` paths over mixed densities/families/policies; count
     violations of the defining per-draw inequalities."""
     densities = (50, 500, 5000)
     checked = 0
     violations = 0
-    cells = ((seed, densities[trial % len(densities)], trial) for trial in range(count))
-    for trial, streams in enumerate(cell_streams(cells, 2)):
-        n = densities[trial % len(densities)]
-        family = ("uniform_scaled", "beta_scaled")[trial % 2]
-        policy = ("last_sample", "jittered")[(trial // 2) % 2]
+    # Trial t draws at density t mod 3, family t mod 2 and policy (t // 2)
+    # mod 2, so the trials of one residue mod 12 share a block routine call.
+    for first in range(12):
+        n = densities[first % len(densities)]
+        family = ("uniform_scaled", "beta_scaled")[first % 2]
+        policy = ("last_sample", "jittered")[(first // 2) % 2]
         lam = mu = 2.0 if family == "uniform_scaled" else 3.0
-        spec = RenewalSpec(family, lam, mu)
-        try:
-            path = draw_path(spec, n, PathStreams(*streams), policy)
-        except ValueError:
-            violations += 1  # SamplePath constructor enforces the S/T inequalities
-            continue
-        checked += 1
-        if not (path.M > n / spec.lam - 1):
-            violations += 1
-        if not (0.0 <= path.slack <= spec.mu / n + 1e-15):
-            violations += 1
-        if not (path.slack < path.T[path.M] - path.T[path.M - 1]):
-            violations += 1
+        cells = [(seed, n, trial) for trial in range(first, count, 12)]
+        c, v = _tally_invariants(RenewalSpec(family, lam, mu), n, policy, cells)
+        checked += c
+        violations += v
     return checked, violations
 
 

@@ -7,12 +7,20 @@ realized locations hug a uniform grid ever tighter as the density n grows.
 Neither the locations nor the timestamps are available downstream:
 sample_field hands on the M reading values as a bare array, and the estimator
 sees only those, the in-support count M and the horizon T0.
+
+draw_paths draws the paths of many cells at one density as a PathBlock, one
+path per row.  Each path's generators make the same calls, in the same order,
+as a draw_path call with them; the scaling, prefix sums, in-support counts,
+path checks, horizons and grid deviations are then 2-D passes over the block.
+draw_path and grid_deviation are its one-row case and give the same bits.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,12 +28,19 @@ from .field import FieldState, evaluate_at_points
 from .pde_core import require_real
 from .streams import PathStreams
 
+if TYPE_CHECKING:
+    from numpy.random import Generator
+
 FAMILIES = ("uniform_scaled", "beta_scaled", "deterministic")
 T0_POLICIES = ("last_sample", "jittered")
 
 # First Beta shape parameter; the second follows from the mean constraint
 # E[X] = 1/n, i.e. a / (a + b) = 1/lam.
 _BETA_SHAPE_A = 2.0
+
+# Float entries per array of a path block; draw_paths puts as many paths in
+# one block as their increment chunks fit.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,73 @@ class RenewalSpec:
             raise ValueError("uniform_scaled requires lam = mu = 2")
 
 
+def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
+    """The defining inequalities of a block of paths: row i holds S_1..S_{M+1}
+    and T_1..T_{M+1} of a path with M = M[i] and T0 = T0[i] in its first
+    M + 1 columns; later columns are not read."""
+    counts = M.tolist()
+    if min(counts) < 1:
+        raise ValueError("at least one in-support sample is required")
+    rows, width = np.arange(len(counts)), max(counts) + 1
+    S_end, T_end = S[rows, M], T[rows, M]
+    for name, X, end in (("locations", S, S_end), ("times", T, T_end)):
+        # One fused pass per array; a NaN fails every comparison, and a
+        # finite last entry bounds all the others.
+        steps = X[:, 1:width] > X[:, : width - 1]
+        if not steps.all():  # steps past a shorter row's end are not checked
+            steps |= np.arange(width - 1) >= M[:, None]
+        if not (X[:, 0].min() > 0 and steps.all() and end.max() < np.inf):
+            raise ValueError(f"{name} must be finite and strictly increasing from above 0")
+    if not (S[rows, M - 1].max() <= 1.0 < S_end.min()):
+        raise ValueError("require S_M <= 1 < S_{M+1}")
+    if not ((T[rows, M - 1] <= T0) & (T0 < T_end)).all():
+        raise ValueError("require T_M <= T0 < T_{M+1}")
+
+
+def _grid_deviations(
+    S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both grid deviations of every row of a block laid out as _check_rows
+    reads it.  Each row is summed over exactly its M entries: numpy's
+    pairwise sum depends on the length, so a padded row would change bits."""
+    counts = M.tolist()
+    idx = np.arange(1.0, max(counts) + 1.0)
+    m_col = M[:, None]
+    work = idx / m_col
+    np.subtract(S[:, : len(idx)], work, out=work)
+    np.square(work, out=work)
+    spatial = np.array([row[:m].sum() for row, m in zip(work, counts)]) / M
+    np.multiply(idx, T0[:, None], out=work)
+    work /= m_col
+    np.subtract(T[:, : len(idx)], work, out=work)
+    np.square(work, out=work)
+    return spatial, np.array([row[:m].sum() for row, m in zip(work, counts)]) / M
+
+
+@dataclass(frozen=True, eq=False)
+class PathBlock:
+    """Paths of one density, one per row: row i holds S_1..S_{M+1} and
+    T_1..T_{M+1} of the path with M = M[i] and T0 = T0[i] in its first M + 1
+    columns.  The rows are checked against SamplePath's inequalities."""
+
+    S: np.ndarray
+    T: np.ndarray
+    M: np.ndarray
+    T0: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_rows(self.S, self.T, self.M, self.T0)
+
+    @property
+    def slack(self) -> np.ndarray:
+        """J_M = T0 - T_M of every row."""
+        return self.T0 - self.T[np.arange(len(self.M)), self.M - 1]
+
+    def grid_deviations(self) -> tuple[np.ndarray, np.ndarray]:
+        """grid_deviation of every row, as two arrays."""
+        return _grid_deviations(self.S, self.T, self.M, self.T0)
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """Realized locations S_1..S_{M+1} and times T_1..T_{M+1}.
@@ -70,20 +152,9 @@ class SamplePath:
         require_real("T0", self.T0)
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
-        if self.M < 1:
-            raise ValueError("at least one in-support sample is required")
         if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
             raise ValueError("S and T must both hold M+1 entries")
-        # One fused pass per array; a NaN fails every comparison, and a
-        # finite last entry bounds all the others.
-        if not (S[0] > 0 and (S[1:] > S[:-1]).all() and S[-1] < np.inf):
-            raise ValueError("locations must be finite and strictly increasing from above 0")
-        if not (T[0] > 0 and (T[1:] > T[:-1]).all() and T[-1] < np.inf):
-            raise ValueError("times must be finite and strictly increasing from above 0")
-        if not (S[self.M - 1] <= 1.0 < S[self.M]):
-            raise ValueError("require S_M <= 1 < S_{M+1}")
-        if not (T[self.M - 1] <= self.T0 < T[self.M]):
-            raise ValueError("require T_M <= T0 < T_{M+1}")
+        _check_rows(S[None], T[None], np.array([self.M]), np.array([self.T0], dtype=float))
         S.flags.writeable = False
         T.flags.writeable = False
         object.__setattr__(self, "S", S)
@@ -113,35 +184,108 @@ class NoiseSpec:
 
 
 def _draw_increments(
-    family: str, n: int, bound_param: float, gen: np.random.Generator, count: int
-) -> np.ndarray:
-    scale = bound_param / n
+    family: str,
+    n: int,
+    bound_param: float,
+    rows: Iterable[tuple[Generator, np.ndarray]],
+    block: np.ndarray,
+) -> None:
+    """Fill every (generator, row) pair's row, a view into ``block``, with
+    its generator's raw draws, then scale the whole block into increments."""
     if family == "uniform_scaled":
-        u = gen.random(count)
-        np.subtract(1.0, u, out=u)  # in (0, 1]
+        for gen, row in rows:
+            gen.random(out=row)
+        np.subtract(1.0, block, out=block)  # in (0, 1]
     elif family == "beta_scaled":
-        u = gen.beta(_BETA_SHAPE_A, _BETA_SHAPE_A * (bound_param - 1.0), size=count)
+        shape_b = _BETA_SHAPE_A * (bound_param - 1.0)
+        for gen, row in rows:
+            row[:] = gen.beta(_BETA_SHAPE_A, shape_b, size=len(row))
     else:
         raise ValueError(f"family {family!r} has no stochastic increments")
-    u *= scale
-    return u
+    block *= bound_param / n
 
 
-def _draw_prefix_sums(family: str, n: int, lam: float, gen: np.random.Generator) -> np.ndarray:
-    """Prefix sums of increments, drawn in blocks until they pass 1."""
-    chunk = n + max(16, 4 * int(np.sqrt(n)))
-    parts: list[np.ndarray] = []
-    total = 0.0
-    while True:
-        sums = _draw_increments(family, n, lam, gen, chunk)
-        np.cumsum(sums, out=sums)
-        if total:  # adding 0.0 to the first block would change no bit
-            sums += total
-        parts.append(sums)
-        total = float(sums[-1])
-        if total > 1.0:
-            break
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+def _chunk(n: int) -> int:
+    """Increments drawn at a time for one path's locations."""
+    return n + max(16, 4 * int(np.sqrt(n)))
+
+
+def _draw_prefix_sums(
+    family: str, n: int, lam: float, gens: Sequence[Generator]
+) -> np.ndarray:
+    """Row i: prefix sums of gens[i]'s increments, drawn a chunk at a time
+    until they pass 1."""
+    chunk = _chunk(n)
+    sums = np.empty((len(gens), chunk))
+    _draw_increments(family, n, lam, zip(gens, sums), sums)
+    np.cumsum(sums, axis=1, out=sums)
+    while (short := np.flatnonzero(sums[:, -1] <= 1.0)).size:
+        # Rows still at or below 1 draw another chunk; the others are
+        # padded with +inf.
+        part = np.empty((short.size, chunk))
+        _draw_increments(family, n, lam, zip([gens[i] for i in short], part), part)
+        np.cumsum(part, axis=1, out=part)
+        part += sums[short, -1:]
+        grown = np.full((len(gens), chunk), np.inf)
+        grown[short] = part
+        sums = np.concatenate((sums, grown), axis=1)
+    return sums
+
+
+def _draw_block(
+    spec: RenewalSpec, n: int, gens: Sequence[tuple[Generator, Generator]], t0_policy: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked S, T, M and T0 of one path per (spatial, temporal) pair."""
+    if spec.family == "deterministic":
+        S = np.tile(np.arange(1, n + 2) / n, (len(gens), 1))
+        T = S.copy()
+        M = np.full(len(gens), n)
+    else:
+        S = _draw_prefix_sums(spec.family, n, spec.lam, [spatial for spatial, _ in gens])
+        M = np.argmax(S > 1.0, axis=1)  # the first sum past 1 is S_{M+1}
+        counts = M.tolist()
+        T = np.zeros((len(gens), max(counts) + 1))
+        temporal = [(gen, row[: m + 1]) for (_, gen), row, m in zip(gens, T, counts)]
+        _draw_increments(spec.family, n, spec.mu, temporal, T)
+        np.cumsum(T, axis=1, out=T)
+    rows = np.arange(len(gens))
+    T0 = T[rows, M - 1]
+    if t0_policy == "jittered":
+        u = np.array([temporal.random() for _, temporal in gens])  # in [0, 1), so T0 < T_{M+1}
+        T0 = T0 + u * (T[rows, M] - T0)
+    return S, T, M, T0
+
+
+def _checked_density(spec: RenewalSpec, n: int, t0_policy: str) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"density n must be a positive integer, got {n!r}")
+    n = int(n)
+    if spec.family != "deterministic" and max(spec.lam, spec.mu) > n / 10:
+        # Support parameters must stay far below n for the grid argument
+        # to bite; the zero-variance family is exempt.
+        raise ValueError("lam and mu must not exceed n/10")
+    if t0_policy not in T0_POLICIES:
+        raise ValueError(f"unknown T0 policy {t0_policy!r}")
+    return n
+
+
+def draw_paths(
+    spec: RenewalSpec,
+    n: int,
+    streams: Iterable[tuple[Generator, Generator]],
+    t0_policy: str = "last_sample",
+) -> Iterator[PathBlock]:
+    """The paths of many cells at average density ``n``, a PathBlock at a
+    time, in the order of ``streams``: each cell's (spatial, temporal)
+    generators, as ``cell_streams(cells, 2)`` yields them.  Row by row the
+    blocks hold what draw_path returns for the same generators."""
+    n = _checked_density(spec, n, t0_policy)
+    rows = max(1, _BLOCK_ELEMENTS // _chunk(n))
+    streams = iter(streams)
+    return (
+        PathBlock(*_draw_block(spec, n, gens, t0_policy))
+        for gens in iter(lambda: list(islice(streams, rows)), [])
+    )
 
 
 def draw_path(
@@ -153,32 +297,10 @@ def draw_path(
     ``last_sample`` takes T0 = T_M (zero slack), ``jittered`` places T0
     uniformly inside [T_M, T_{M+1}).
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"density n must be a positive integer, got {n!r}")
-    n = int(n)
-    if spec.family != "deterministic" and max(spec.lam, spec.mu) > n / 10:
-        # Support parameters must stay far below n for the grid argument
-        # to bite; the zero-variance family is exempt.
-        raise ValueError("lam and mu must not exceed n/10")
-    if t0_policy not in T0_POLICIES:
-        raise ValueError(f"unknown T0 policy {t0_policy!r}")
-    if spec.family == "deterministic":
-        m_count = n
-        idx = np.arange(1, m_count + 2)
-        S = idx / n
-        T = idx / n
-    else:
-        S = _draw_prefix_sums(spec.family, n, spec.lam, rng.spatial)
-        m_count = int(np.searchsorted(S, 1.0, side="right"))
-        S = S[: m_count + 1]
-        T = _draw_increments(spec.family, n, spec.mu, rng.temporal, m_count + 1)
-        np.cumsum(T, out=T)
-    if t0_policy == "last_sample":
-        t0 = float(T[m_count - 1])
-    else:
-        u = rng.temporal.random()  # in [0, 1), so T0 < T_{M+1} strictly
-        t0 = float(T[m_count - 1] + u * (T[m_count] - T[m_count - 1]))
-    return SamplePath(S=S, T=T, M=m_count, T0=t0)
+    n = _checked_density(spec, n, t0_policy)
+    S, T, M, T0 = _draw_block(spec, n, [(rng.spatial, rng.temporal)], t0_policy)
+    m_count = int(M[0])
+    return SamplePath(S=S[0, : m_count + 1], T=T[0], M=m_count, T0=float(T0[0]))
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,14 +335,7 @@ def sample_field(
 def grid_deviation(path: SamplePath) -> tuple[float, float]:
     """Mean squared deviations of the path from the uniform grid it mimics:
     (1/M) sum |S_i - i/M|^2 and (1/M) sum |T_i - i T0/M|^2."""
-    m_count = path.M
-    idx = np.arange(1.0, m_count + 1.0)
-    work = idx / m_count
-    np.subtract(path.S[:m_count], work, out=work)
-    np.square(work, out=work)
-    spatial = float(work.sum()) / m_count
-    np.multiply(idx, path.T0, out=work)
-    work /= m_count
-    np.subtract(path.T[:m_count], work, out=work)
-    np.square(work, out=work)
-    return spatial, float(work.sum()) / m_count
+    spatial, temporal = _grid_deviations(
+        path.S[None], path.T[None], np.array([path.M]), np.array([path.T0], dtype=float)
+    )
+    return float(spatial[0]), float(temporal[0])

@@ -23,7 +23,7 @@ from fieldrecon.oracle import (
     integrate_coefficient_ode,
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, solve_initial_coefficients
-from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, draw_paths
 from fieldrecon.streams import PathStreams, cell_streams, substream
 
 ACCEPTANCE_SEED = 20260808
@@ -156,11 +156,10 @@ def test_criterion_07_expected_sample_count():
     ok = True
     for n in (50, 500, 5000):
         spec = RenewalSpec()
-        counts = np.empty(10_000)
         # One master seed per path; its streams are keys (0,) and (1,).
         cells = (((ACCEPTANCE_SEED << 16) + n * 100_003 + trial,) for trial in range(10_000))
-        for trial, streams in enumerate(cell_streams(cells, 2)):
-            counts[trial] = draw_path(spec, n, PathStreams(*streams)).M
+        blocks = draw_paths(spec, n, cell_streams(cells, 2))
+        counts = np.concatenate([block.M for block in blocks]).astype(float)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / np.sqrt(len(counts)))
         ok &= (n - 1 - 3 * se) < mean <= (n + spec.lam - 1 + 3 * se)

@@ -244,6 +244,14 @@ def test_sweep_rows_sorted_and_csv_format():
         assert int(fields[5]) == row.rank_failures
 
 
+def test_sweep_refuses_non_integer_workers():
+    for workers in (1.5, 2.0, True, "2", None):  # refused, never truncated
+        with pytest.raises(ConfigInvalid, match="workers must be an integer"):
+            run_sweep(quick_config(), workers=workers)
+    with pytest.raises(ConfigInvalid, match="workers must be at least 1"):
+        run_sweep(quick_config(), workers=0)
+
+
 def test_sweep_deterministic_across_runs_and_workers():
     config = quick_config()
     first = sweep_csv_text(run_sweep(config))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import fieldrecon.oracle as oracle
 from fieldrecon.field import CATALOG, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.oracle import (
     bandlimit_preservation_check,
@@ -135,6 +136,28 @@ def test_scaling_bounded_band():
 def test_scaling_requires_trials():
     with pytest.raises(ValueError):
         grid_deviation_scaling(RenewalSpec(), (100,), trials=10, seed=0)
+    for trials in (100.5, 100.0, True, "100", None):  # refused, never truncated
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            grid_deviation_scaling(RenewalSpec(), (100,), trials=trials, seed=0)
+    grid_deviation_scaling(RenewalSpec(), (100,), trials=np.int64(100), seed=0)
+
+
+def test_fuzz_counts_a_refused_path_as_one_violation(monkeypatch):
+    # The first block is refused, and so is the first path when the cells
+    # are retried one by one; the other paths are checked as usual.
+    draw_paths, calls = oracle.draw_paths, []
+
+    def refuse_first_two(spec, n, streams, policy):
+        streams = list(streams)
+        calls.append(len(streams))
+        if len(calls) <= 2:
+            raise ValueError("require S_M <= 1 < S_{M+1}")
+        return draw_paths(spec, n, streams, policy)
+
+    monkeypatch.setattr(oracle, "draw_paths", refuse_first_two)
+    cells = [(7, 50, trial) for trial in range(5)]
+    assert oracle._tally_invariants(RenewalSpec(), 50, "jittered", cells) == (4, 1)
+    assert calls == [5, 1, 1, 1, 1, 1]
 
 
 def test_ode_suite_passes():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 from fieldrecon.field import PdeSpec, field_from_mode_values
 from fieldrecon.sampling import (
     NoiseSpec,
+    PathBlock,
     RenewalSpec,
     SamplePath,
     _draw_increments,
     _draw_noise,
+    _draw_prefix_sums,
     draw_path,
+    draw_paths,
     grid_deviation,
     sample_field,
 )
-from fieldrecon.streams import PathStreams
+from fieldrecon.streams import PathStreams, cell_streams
 
 
 def streams(seed=0):
@@ -99,7 +104,8 @@ def test_deterministic_path_large_n_boundary():
 def test_uniform_increment_moments():
     rng = np.random.default_rng(42)
     n = 50
-    draws = _draw_increments("uniform_scaled", n, 2.0, rng, 10**6)
+    draws = np.empty(10**6)
+    _draw_increments("uniform_scaled", n, 2.0, [(rng, draws)], draws)
     assert draws.min() > 0
     assert draws.max() <= 2.0 / n
     se = (2.0 / n) / np.sqrt(12.0) / 1000.0
@@ -109,7 +115,8 @@ def test_uniform_increment_moments():
 def test_beta_increment_moments():
     rng = np.random.default_rng(43)
     n, lam = 80, 4.0
-    draws = _draw_increments("beta_scaled", n, lam, rng, 10**6)
+    draws = np.empty(10**6)
+    _draw_increments("beta_scaled", n, lam, [(rng, draws)], draws)
     assert draws.min() > 0
     assert draws.max() <= lam / n
     se = draws.std() / 1000.0
@@ -329,3 +336,122 @@ def test_grid_deviation_bounded_by_one():
         spatial, temporal = grid_deviation(path)
         assert 0.0 <= spatial <= 1.0
         assert temporal >= 0.0
+
+
+# ------------------------------------------------------------- path blocks
+
+
+@pytest.mark.parametrize("n", [50, 500, 6400])
+@pytest.mark.parametrize("policy", ["last_sample", "jittered"])
+@pytest.mark.parametrize("family, lam", [("uniform_scaled", 2.0), ("beta_scaled", 3.0)])
+def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
+    spec = RenewalSpec(family, lam, lam)
+    cells = [(11, n, trial) for trial in range(24)]
+    singles = [
+        draw_path(spec, n, PathStreams(*streams), policy) for streams in cell_streams(cells, 2)
+    ]
+    blocks = list(draw_paths(spec, n, cell_streams(cells, 2), policy))
+    assert sum(len(block.M) for block in blocks) == len(cells)
+    assert any(len(set(block.M.tolist())) > 1 for block in blocks)  # ragged rows
+    row = 0
+    for block in blocks:
+        for (S, T, m, t0, slack, s_dev, t_dev) in zip(
+            block.S, block.T, block.M.tolist(), block.T0, block.slack, *block.grid_deviations()
+        ):
+            path = singles[row]
+            assert m == path.M and t0 == path.T0 and slack == path.slack
+            assert np.array_equal(S[: m + 1], path.S) and np.array_equal(T[: m + 1], path.T)
+            assert (s_dev, t_dev) == grid_deviation(path)
+            row += 1
+
+
+def test_draw_paths_checks_its_arguments_before_drawing():
+    with pytest.raises(ValueError, match="density n must be a positive integer"):
+        draw_paths(RenewalSpec(), 100.5, [])
+    with pytest.raises(ValueError, match="unknown T0 policy"):
+        draw_paths(RenewalSpec(), 100, [], "whenever")
+    assert list(draw_paths(RenewalSpec(), 100, [])) == []
+
+
+class ScriptedUniform:
+    """Stands in for a Generator: each ``random(out=...)`` call fills ``out``
+    with the next scripted value (a scalar or a row)."""
+
+    def __init__(self, *fills):
+        self.fills = list(fills)
+
+    def random(self, out):
+        out[:] = self.fills.pop(0)
+
+
+def chunked_prefix_sums(n, *fills):
+    """Prefix sums as the draw builds them: a cumsum per chunk, shifted by
+    the total of the chunks before it."""
+    chunk = n + max(16, 4 * int(np.sqrt(n)))
+    parts, total = [], 0.0
+    for fill in fills:
+        part = np.cumsum((1.0 - np.broadcast_to(fill, chunk)) * (2.0 / n))
+        parts.append(part + total if parts else part)
+        total = parts[-1][-1]
+    return np.concatenate(parts)
+
+
+def test_prefix_sums_draw_more_chunks_until_they_pass_one():
+    n, chunk = 50, 78
+    # Increments of 0.004 or 0.002 leave a 78-step chunk well below 1.
+    fills = ([0.0], [0.9, 0.5], [0.95, 0.95, 0.0])
+    gens = [ScriptedUniform(*row) for row in fills]
+    sums = _draw_prefix_sums("uniform_scaled", n, 2.0, gens)
+    assert sums.shape == (3, 3 * chunk)
+    assert all(not gen.fills for gen in gens)  # every scripted chunk drawn, no more
+    for row, scripted in zip(sums, fills):
+        expected = chunked_prefix_sums(n, *scripted)
+        # Every chunk but the last ends at or below 1.
+        assert expected[-1] > 1.0 and np.all(expected[chunk - 1 : -1 : chunk] <= 1.0)
+        assert np.array_equal(row[: len(expected)], expected)
+        assert np.all(row[len(expected) :] == np.inf)  # rows done early are padded
+    # Through draw_path, the continued sums become the path's locations.
+    temporal = np.random.default_rng(5)
+    path = draw_path(RenewalSpec(), n, PathStreams(ScriptedUniform(0.9, 0.5), temporal))
+    expected = chunked_prefix_sums(n, 0.9, 0.5)
+    assert path.M == int(np.searchsorted(expected, 1.0, side="right")) > chunk
+    assert np.array_equal(path.S, expected[: path.M + 1])
+
+
+def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
+    # u = 1 makes the first increment 0, so S_1 = 0.
+    broken = np.zeros(78)
+    broken[0] = 1.0
+    streams = [next(cell_streams([(3,)], 2)), (ScriptedUniform(broken), np.random.default_rng(4))]
+    with pytest.raises(ValueError) as expected:
+        SamplePath([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 2, 0.2)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        list(draw_paths(RenewalSpec(), 50, streams))
+
+
+def test_path_block_refuses_rows_with_sample_path_text():
+    good_S, good_T = path_arrays()
+    for S, T, m, t0 in (
+        ([0.0, 0.7, 1.2], good_T, 2, 0.5),  # S_1 not above 0
+        ([0.3, 0.3, 1.2], good_T, 2, 0.5),  # S not strictly increasing
+        (good_S, [0.2, 0.2, 0.9], 2, 0.5),  # T not strictly increasing
+        ([0.3, 1.1, 1.2], good_T, 2, 0.5),  # S_M > 1
+        (good_S, good_T, 2, 0.9),  # T0 = T_{M+1}
+        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3),  # NaN inside S
+        ([0.3, 0.7, np.inf], good_T, 2, 0.5),  # S_{M+1} overshoots to +inf
+        (good_S[2:], good_T[2:], 0, 0.5),  # no in-support sample
+    ):
+        with pytest.raises(ValueError) as expected:
+            SamplePath(S, T, m, t0)
+        # The good row is one entry shorter; its padding would break every
+        # inequality if it were read.
+        rows = [(good_S, good_T, 2, 0.5), (S, T, m, t0)]
+        width = max(len(S), 3) + 1
+        block_S, block_T = np.full((2, width), -1.0), np.full((2, width), -1.0)
+        for i, (s, t, _, _) in enumerate(rows):
+            block_S[i, : len(s)], block_T[i, : len(t)] = s, t
+        M = np.array([r[2] for r in rows])
+        T0 = np.array([r[3] for r in rows])
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            PathBlock(block_S, block_T, M, T0)
+        PathBlock(block_S[:1], block_T[:1], M[:1], T0[:1])  # the good row alone passes
