@@ -17,6 +17,7 @@ draw_path and grid_deviation are its one-row case and give the same bits.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import islice
@@ -68,23 +69,27 @@ class RenewalSpec:
 def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
     """The defining inequalities of a block of paths: row i holds S_1..S_{M+1}
     and T_1..T_{M+1} of a path with M = M[i] and T0 = T0[i] in its first
-    M + 1 columns; later columns are not read."""
+    M + 1 columns; later columns are not read.
+
+    The steps are compared in one pass per array; the few entries each row
+    is bounded by are read one by one, which keeps a one-row block cheap."""
     counts = M.tolist()
     if min(counts) < 1:
         raise ValueError("at least one in-support sample is required")
-    rows, width = np.arange(len(counts)), max(counts) + 1
-    S_end, T_end = S[rows, M], T[rows, M]
-    for name, X, end in (("locations", S, S_end), ("times", T, T_end)):
-        # One fused pass per array; a NaN fails every comparison, and a
-        # finite last entry bounds all the others.
+    width = max(counts) + 1
+    for name, X in (("locations", S), ("times", T)):
+        # A NaN fails every comparison, and a finite last entry bounds all
+        # the others.
         steps = X[:, 1:width] > X[:, : width - 1]
         if not steps.all():  # steps past a shorter row's end are not checked
             steps |= np.arange(width - 1) >= M[:, None]
-        if not (X[:, 0].min() > 0 and steps.all() and end.max() < np.inf):
+        bounded = all(X[i, 0] > 0 and X[i, m] < np.inf for i, m in enumerate(counts))
+        if not (steps.all() and bounded):
             raise ValueError(f"{name} must be finite and strictly increasing from above 0")
-    if not (S[rows, M - 1].max() <= 1.0 < S_end.min()):
+    if not all(S[i, m - 1] <= 1.0 < S[i, m] for i, m in enumerate(counts)):
         raise ValueError("require S_M <= 1 < S_{M+1}")
-    if not ((T[rows, M - 1] <= T0) & (T0 < T_end)).all():
+    horizons = T0.tolist()
+    if not all(T[i, m - 1] <= horizons[i] < T[i, m] for i, m in enumerate(counts)):
         raise ValueError("require T_M <= T0 < T_{M+1}")
 
 
@@ -207,7 +212,7 @@ def _draw_increments(
 
 def _chunk(n: int) -> int:
     """Increments drawn at a time for one path's locations."""
-    return n + max(16, 4 * int(np.sqrt(n)))
+    return n + max(16, 4 * int(math.sqrt(n)))
 
 
 def _draw_prefix_sums(
@@ -218,13 +223,13 @@ def _draw_prefix_sums(
     chunk = _chunk(n)
     sums = np.empty((len(gens), chunk))
     _draw_increments(family, n, lam, zip(gens, sums), sums)
-    np.cumsum(sums, axis=1, out=sums)
-    while (short := np.flatnonzero(sums[:, -1] <= 1.0)).size:
+    sums.cumsum(axis=1, out=sums)
+    while (short := (sums[:, -1] <= 1.0).nonzero()[0]).size:
         # Rows still at or below 1 draw another chunk; the others are
         # padded with +inf.
         part = np.empty((short.size, chunk))
         _draw_increments(family, n, lam, zip([gens[i] for i in short], part), part)
-        np.cumsum(part, axis=1, out=part)
+        part.cumsum(axis=1, out=part)
         part += sums[short, -1:]
         grown = np.full((len(gens), chunk), np.inf)
         grown[short] = part
@@ -242,12 +247,12 @@ def _draw_block(
         M = np.full(len(gens), n)
     else:
         S = _draw_prefix_sums(spec.family, n, spec.lam, [spatial for spatial, _ in gens])
-        M = np.argmax(S > 1.0, axis=1)  # the first sum past 1 is S_{M+1}
+        M = (S > 1.0).argmax(axis=1)  # the first sum past 1 is S_{M+1}
         counts = M.tolist()
         T = np.zeros((len(gens), max(counts) + 1))
         temporal = [(gen, row[: m + 1]) for (_, gen), row, m in zip(gens, T, counts)]
         _draw_increments(spec.family, n, spec.mu, temporal, T)
-        np.cumsum(T, axis=1, out=T)
+        T.cumsum(axis=1, out=T)
     rows = np.arange(len(gens))
     T0 = T[rows, M - 1]
     if t0_policy == "jittered":
