@@ -36,9 +36,11 @@ from .field import (
 )
 from .sampling import (
     NoiseSpec,
+    PathBlock,
     RenewalSpec,
     SamplePath,
     draw_path,
+    draw_paths,
     grid_deviation,
     sample_field,
 )
