@@ -11,8 +11,9 @@ sees only those, the in-support count M and the horizon T0.
 draw_paths draws the paths of many cells at one density as a PathBlock, one
 path per row.  Each path's generators make the same calls, in the same order,
 as a draw_path call with them; the scaling, prefix sums, in-support counts,
-path checks, horizons and grid deviations are then 2-D passes over the block.
-draw_path and grid_deviation are its one-row case and give the same bits.
+step checks, horizons and grid deviations are then 2-D passes over the block.
+draw_path, SamplePath's checks and grid_deviation are its one-row case and
+give the same bits.
 """
 
 from __future__ import annotations
