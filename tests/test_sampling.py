@@ -443,8 +443,8 @@ def test_path_block_refuses_rows_with_sample_path_text():
     ):
         with pytest.raises(ValueError) as expected:
             SamplePath(S, T, m, t0)
-        # The good row is one entry shorter; its padding would break every
-        # inequality if it were read.
+        # The block is wider than the good row; the padding, -1, would break
+        # every inequality if it were read.
         rows = [(good_S, good_T, 2, 0.5), (S, T, m, t0)]
         width = max(len(S), 3) + 1
         block_S, block_T = np.full((2, width), -1.0), np.full((2, width), -1.0)
