@@ -44,7 +44,7 @@ from .sampling import (
     grid_deviation,
     sample_field,
 )
-from .streams import PathStreams
+from .streams import substream
 from .estimator import (
     ConditionReport,
     DesignMatrix,

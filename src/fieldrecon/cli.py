@@ -147,7 +147,7 @@ def _cmd_scenarios(args) -> int:
         spec = entry.spec
         print(
             f"{entry.index}: p={spec.p_coeffs} q={spec.q_coeffs} "
-            f"coefficients={entry.set_id} b=3 m={spec.degree}"
+            f"coefficients={entry.set_id} b={entry.b} m={spec.degree}"
         )
         for k, value in enumerate(entry.mode_values):
             print(f"     a[{k}] = {value.real:+.4f} {value.imag:+.4f}j")

@@ -13,6 +13,7 @@ import ctypes
 import functools
 import json
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_r
 from .pde_core import PdeSpec, check_stability
 from .estimator import build_design_matrix, reconstruct
 from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
-from .streams import PathStreams, cell_streams, substream
+from .streams import cell_streams, substream
 
 RANDOM_SCENARIO_BAND = 3
 # Trials per task of a sweep: the unit a pool worker takes, and the cells
@@ -78,8 +79,11 @@ class ExperimentConfig:
             # pool both copies into one row, understating its stderr.
             repeated = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
             raise ConfigInvalid(f"n_list repeats densities {repeated}")
-        if self.trials < 1:
-            raise ConfigInvalid("trials must be at least 1")
+        # Densities and trial indices are stream key entries, which lie below 2**32.
+        if max(self.n_list) >= 2**32:
+            raise ConfigInvalid(f"n_list densities must be below 2**32, got {max(self.n_list)}")
+        if not 1 <= self.trials <= 2**32:
+            raise ConfigInvalid(f"trials must lie in [1, 2**32], got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigInvalid("master_seed must fit an unsigned 64-bit integer")
         if isinstance(self.pde, numbers.Integral) and not isinstance(self.pde, bool):
@@ -186,9 +190,8 @@ def run_trial(
 
     ``streams`` holds the cell's spatial, temporal and noise generators.
     """
-    spatial, temporal, noise = streams
-    path = draw_path(plan.renewal, n, PathStreams(spatial, temporal))
-    values = sample_field(plan.state, path, plan.noise, noise)
+    path = draw_path(plan.renewal, n, streams[:2])
+    values = sample_field(plan.state, path, plan.noise, streams[2])
     try:
         design = build_design_matrix(plan.state.roots, path.M, path.T0)
         result = reconstruct(design, values, plan.true_k0)
@@ -240,12 +243,7 @@ def _one_blas_thread() -> Iterator[None]:
         set_(previous)
 
 
-_WORKER_PLAN: SweepPlan | None = None
-
-
-def _init_worker(plan: SweepPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
+def _init_worker() -> None:
     # A pool worker lives for one sweep, so its count is never restored.
     control = _openblas_threads()
     if control is not None:
@@ -258,11 +256,6 @@ def _run_block(plan: SweepPlan, n: int, trials: range) -> list[TrialRecord]:
     cells = ((plan.master_seed, n, trial) for trial in trials)
     streams = cell_streams(cells, 3)
     return [run_trial(plan, n, trial, gens) for trial, gens in zip(trials, streams)]
-
-
-def _worker_block(task: tuple[int, range]) -> list[TrialRecord]:
-    assert _WORKER_PLAN is not None
-    return _run_block(_WORKER_PLAN, *task)
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:
@@ -290,10 +283,11 @@ def run_sweep(
 
     Trials that raise RankDeficient (or InsufficientSamples) count as
     rank_failures for their density and are excluded from the means.  With
-    ``workers > 1`` trials run in a process pool; results are identical to
-    the sequential run because every trial owns seed-derived streams and the
-    aggregation order is fixed.  A ``workers`` that is not an integer of at
-    least 1 raises ConfigInvalid.
+    ``workers > 1`` trials run in a process pool of at most ``workers``
+    processes, and no more than there are blocks of trials or CPUs; results
+    are identical to the sequential run because every trial owns
+    seed-derived streams and the aggregation order is fixed.  A ``workers``
+    that is not an integer of at least 1 raises ConfigInvalid.
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
@@ -317,14 +311,16 @@ def run_sweep(
         for n in config.n_list
         for start in range(0, config.trials, _TRIAL_BLOCK)
     ]
+    run_block = functools.partial(_run_block, plan)
     with _one_blas_thread():
         if workers == 1:
-            blocks = [_run_block(plan, n, trials) for n, trials in tasks]
+            blocks = [run_block(n, trials) for n, trials in tasks]
         else:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(plan,)
-            ) as pool:
-                blocks = list(pool.map(_worker_block, tasks))
+            # The pool starts all its processes at once, so it gets no more
+            # than there are tasks to run or CPUs to run them.
+            processes = min(workers, len(tasks), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker) as pool:
+                blocks = list(pool.map(run_block, *zip(*tasks)))
     records = [record for block in blocks for record in block]
 
     records.sort(key=lambda r: (r.n, r.trial))

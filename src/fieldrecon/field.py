@@ -36,13 +36,18 @@ SQRT2 = np.sqrt(2.0)
 @dataclass(frozen=True)
 class CatalogEntry:
     """One reference simulation: PDE index, coefficient-set id, PDE, and the
-    mode values a_k(0) for k = 0..3 (negative harmonics are conjugate mirrors
+    mode values a_k(0) for k = 0..b (negative harmonics are conjugate mirrors
     so the field is real)."""
 
     index: int
     set_id: str
     spec: PdeSpec
     mode_values: tuple[complex, ...]
+
+    @property
+    def b(self) -> int:
+        """The band limit: the highest harmonic with a mode value."""
+        return len(self.mode_values) - 1
 
 
 # Entry 1 is defined by the polynomial q1(z) = 0.01(z^2 - 0.0125 z^4); a variant
@@ -381,4 +386,4 @@ def scenario_field(set_id: str, spec: PdeSpec | None = None) -> FieldState:
     its own catalog equation.
     """
     entry = catalog_entry(set_id)
-    return field_from_mode_values(3, entry.spec if spec is None else spec, entry.mode_values)
+    return field_from_mode_values(entry.b, entry.spec if spec is None else spec, entry.mode_values)

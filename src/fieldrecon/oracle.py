@@ -156,6 +156,7 @@ def grid_deviation_scaling(
             for s_dev, t_dev in zip(*(devs.tolist() for devs in block.grid_deviations())):
                 spatial_sum += s_dev
                 temporal_sum += t_dev
+            del block  # freed before the next block is drawn, not after
         rows.append(
             ScalingRow(
                 n=n,
@@ -258,7 +259,8 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
         f"zero conditions -> zero coefficients on {instances} random root sets "
         f"(max |a| = {worst:.3e}) -> {'ok' if zero_ok else 'FAIL'}"
     )
-    injected = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
+    entry = catalog_entry(3)
+    injected = bandlimit_preservation_check(entry.spec, b=entry.b, conditions={5: [1.0]})
     control_ok = injected > 0.0
     passed &= control_ok
     lines.append(
@@ -290,6 +292,7 @@ def _tally_invariants(
         for block in draw_paths(spec, n, cell_streams(cells, 2), policy):
             checked += len(block.M)
             violations += _invariant_violations(spec, n, block)
+            del block  # freed before the next block is drawn, not after
     except ValueError:
         if len(cells) == 1:
             return 0, 1

@@ -28,7 +28,6 @@ import numpy as np
 
 from .field import FieldState, evaluate_at_points
 from .pde_core import require_real
-from .streams import PathStreams
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -295,16 +294,23 @@ def draw_paths(
 
 
 def draw_path(
-    spec: RenewalSpec, n: int, rng: PathStreams, t0_policy: str = "last_sample"
+    spec: RenewalSpec,
+    n: int,
+    streams: tuple[Generator, Generator],
+    t0_policy: str = "last_sample",
 ) -> SamplePath:
     """One realization of the sampling process at average density ``n``.
+
+    ``streams`` is the (spatial, temporal) generator pair.  The locations
+    use only the first and the timestamps only the second, so replacing the
+    temporal generator cannot change the spatial path, bit for bit.
 
     M is fixed by S_M <= 1 < S_{M+1}.  The horizon follows ``t0_policy``:
     ``last_sample`` takes T0 = T_M (zero slack), ``jittered`` places T0
     uniformly inside [T_M, T_{M+1}).
     """
     n = _checked_density(spec, n, t0_policy)
-    S, T, M, T0 = _draw_block(spec, n, [(rng.spatial, rng.temporal)], t0_policy)
+    S, T, M, T0 = _draw_block(spec, n, [streams], t0_policy)
     m_count = int(M[0])
     return SamplePath(S=S[0, : m_count + 1], T=T[0], M=m_count, T0=float(T0[0]))
 

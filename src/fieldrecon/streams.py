@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -164,23 +163,6 @@ def substream(master_seed: int, *key: int) -> Generator:
     return _generator_factory()(_seed_words([(master_seed, *key)])[0])
 
 
-@dataclass(frozen=True)
-class PathStreams:
-    """Separate generators for the two renewal processes.
-
-    Keeping them apart guarantees the independence contract: replacing the
-    temporal seed cannot change the spatial path, bit for bit.
-    """
-
-    spatial: Generator
-    temporal: Generator
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "PathStreams":
-        """Keys (0,) and (1,) under ``seed``: numpy's ``SeedSequence(seed).spawn(2)``."""
-        return cls(*next(cell_streams([(seed,)], 2)))
-
-
-def trial_streams(master_seed: int, n: int, trial: int) -> PathStreams:
-    """Path generators of one sweep cell (keys 0 and 1)."""
-    return PathStreams(*next(cell_streams([(master_seed, n, trial)], 2)))
+def trial_streams(master_seed: int, n: int, trial: int) -> tuple[Generator, Generator]:
+    """Spatial and temporal path generators of one sweep cell (keys 0 and 1)."""
+    return next(cell_streams([(master_seed, n, trial)], 2))

@@ -24,7 +24,7 @@ from fieldrecon.oracle import (
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, solve_initial_coefficients
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, draw_paths
-from fieldrecon.streams import PathStreams, cell_streams, substream
+from fieldrecon.streams import cell_streams, substream
 
 ACCEPTANCE_SEED = 20260808
 SWEEP_GRID = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -32,6 +32,11 @@ SCENARIOS = ((1, "set1"), (2, "set2"), (3, "diffusion"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # Criterion 6's scaled-deviation table at the acceptance seed, byte for byte.
 APPENDIX_B_TABLE = Path(__file__).resolve().parent / "golden" / "verify" / "appendix-b-table.txt"
+
+
+def path_streams(seed):
+    """The spatial and temporal generators of keys 0 and 1 under ``seed``."""
+    return substream(seed, 0), substream(seed, 1)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -175,7 +180,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
         if i < 4:
             # Deterministic grids of the second-order catalog entries.
             state = scenario_field(("set1", "set2")[i % 2])
-            path = draw_path(RenewalSpec(family="deterministic"), 256, PathStreams.from_seed(i))
+            path = draw_path(RenewalSpec(family="deterministic"), 256, path_streams(i))
             roots = state.roots
         else:
             c = float(rng.uniform(0.004, 0.05))
@@ -185,7 +190,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
             path = draw_path(
                 RenewalSpec(),
                 int(rng.integers(100, 900)),
-                PathStreams.from_seed(int(rng.integers(2**31))),
+                path_streams(int(rng.integers(2**31))),
             )
         design = build_design_matrix(roots, path.M, path.T0)
         diag = condition_diagnostics(design)

@@ -145,6 +145,15 @@ def test_sweep_refuses_repeated_densities(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_density_of_2_32(tmp_path, capsys):
+    # Stream key entries lie below 2**32: this sweep once ran its n = 64
+    # trials and then ended in a traceback.
+    config = write_config(tmp_path, n_list=[64, 2**32])
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error: n_list densities must be below 2**32")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_repeated_roots(tmp_path, capsys):
     config = write_config(tmp_path, pde=DOUBLE_ROOT_PDE)
     assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE

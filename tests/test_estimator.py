@@ -23,7 +23,12 @@ from fieldrecon.field import (
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
-from fieldrecon.streams import PathStreams
+from fieldrecon.streams import substream
+
+
+def path_streams(seed):
+    """The spatial and temporal generators of keys 0 and 1 under ``seed``."""
+    return substream(seed, 0), substream(seed, 1)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +75,7 @@ def test_entry_modulus_and_row_norm_bound(diffusion):
 
 def test_true_grid_forward_oracle(diffusion):
     # Y(true points) @ a must reproduce per-point field evaluation.
-    path = draw_path(RenewalSpec(), 120, PathStreams.from_seed(3))
+    path = draw_path(RenewalSpec(), 120, path_streams(3))
     entries = basis_matrix(diffusion.roots, path.S[: path.M], path.T[: path.M])
     design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=path.T[path.M - 1])
     predicted = design.entries @ design.layout.to_real(diffusion.flat_coeffs())
@@ -81,7 +86,7 @@ def test_true_grid_forward_oracle(diffusion):
 
 
 def test_exact_recovery_on_uniform_grid(diffusion):
-    path = draw_path(RenewalSpec(family="deterministic"), 200, PathStreams.from_seed(0))
+    path = draw_path(RenewalSpec(family="deterministic"), 200, path_streams(0))
     samples = sample_field(diffusion, path, NoiseSpec())
     design = build_design_matrix(diffusion.roots, path.M, path.T0)
     a_hat = solve(design, samples)
@@ -204,7 +209,7 @@ def test_distortion_parseval_quadrature(diffusion):
 
 
 def test_estimator_linearity(diffusion):
-    path = draw_path(RenewalSpec(), 150, PathStreams.from_seed(10))
+    path = draw_path(RenewalSpec(), 150, path_streams(10))
     design = build_design_matrix(diffusion.roots, path.M, path.T0)
     rng = np.random.default_rng(11)
     g1 = rng.uniform(-1, 1, path.M)
@@ -262,7 +267,7 @@ def test_inequality_flags_random_instances():
         path = draw_path(
             RenewalSpec(),
             int(rng.integers(100, 800)),
-            PathStreams.from_seed(int(rng.integers(2**31))),
+            path_streams(int(rng.integers(2**31))),
         )
         design = build_design_matrix(roots, path.M, path.T0)
         report = condition_diagnostics(design)
@@ -277,7 +282,7 @@ def test_chain_bound_on_reconstructions(diffusion):
     flat = diffusion.flat_coeffs()
     rng = np.random.default_rng(41)
     for seed in range(10):
-        path = draw_path(RenewalSpec(), 200, PathStreams.from_seed(seed))
+        path = draw_path(RenewalSpec(), 200, path_streams(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
         design = build_design_matrix(diffusion.roots, path.M, path.T0)
         result = reconstruct(design, samples, true_k0)
@@ -389,7 +394,7 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
     assume(feasible)
     state = random_real_field(b, spec, np.random.default_rng(seed))
     n = min(state.m * (2 * b + 1) + n_extra, 300)
-    path = draw_path(RenewalSpec(family="deterministic"), n, PathStreams.from_seed(seed))
+    path = draw_path(RenewalSpec(family="deterministic"), n, path_streams(seed))
     design = build_design_matrix(state.roots, path.M, path.T0)
     samples = sample_field(state, path, NoiseSpec())
     try:

@@ -194,6 +194,20 @@ def test_config_refuses_non_integers(override):
         quick_config(**override)
 
 
+def test_config_refuses_stream_keys_from_2_32():
+    # Densities and trial indices are stream key entries, which lie below
+    # 2**32; a density of 2**32 ran every smaller density's trials first,
+    # then failed deriving its own streams.
+    with pytest.raises(ConfigInvalid, match=r"densities must be below 2\*\*32"):
+        quick_config(n_list=(64, 2**32))
+    with pytest.raises(ConfigInvalid, match=r"trials must lie in \[1, 2\*\*32\]"):
+        quick_config(trials=2**32 + 1)
+    # The largest keys are accepted.  Only the config is built: one path at
+    # such a density would take tens of gigabytes.
+    config = quick_config(n_list=(64, 2**32 - 1), trials=2**32)
+    assert config.n_list == (64, 2**32 - 1) and config.trials == 2**32
+
+
 def test_config_accepts_numpy_integers():
     config = quick_config(n_list=np.array([64, 128]), trials=np.int64(6), master_seed=np.uint64(7))
     assert config.n_list == (64, 128) and config.trials == 6 and config.master_seed == 7
@@ -387,8 +401,46 @@ def test_pool_worker_pins_one_blas_thread(blas_threads):
     # parent's count, so the initializer sets it.
     get, set_ = blas_threads
     set_(2)
-    exp._init_worker(None)
+    exp._init_worker()
     assert get() == 1
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in: records its size and runs every task
+    in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, size",
+    [(8, 64, 2), (2, 64, 2), (8, 1, 1), (8, None, 1)],
+    ids=["tasks-bound", "workers-bound", "cpu-bound", "cpu-unknown"],
+)
+def test_pool_starts_no_more_workers_than_tasks_or_cpus(monkeypatch, workers, cpus, size):
+    # ProcessPoolExecutor starts all max_workers processes at the first
+    # submit, however few tasks there are.
+    config = quick_config(n_list=(64, 128), trials=6)  # one task per density
+    pinned = sweep_csv_text(run_sweep(config))
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sweep_csv_text(run_sweep(config, workers=workers)) == pinned
+    assert InlinePool.sizes == [size]
 
 
 def test_sweep_restores_blas_threads(monkeypatch, blas_threads):

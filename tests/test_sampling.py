@@ -19,11 +19,11 @@ from fieldrecon.sampling import (
     grid_deviation,
     sample_field,
 )
-from fieldrecon.streams import PathStreams, cell_streams
+from fieldrecon.streams import cell_streams, substream
 
 
 def streams(seed=0):
-    return PathStreams.from_seed(seed)
+    return substream(seed, 0), substream(seed, 1)
 
 
 def constant_state(value=0.5):
@@ -153,9 +153,9 @@ def test_path_invariants_fuzz(n, family, policy, seed):
 def test_temporal_seed_leaves_spatial_untouched():
     spec = RenewalSpec()
     base = np.random.SeedSequence(77).spawn(3)
-    mk = lambda i, j: PathStreams(
-        spatial=np.random.Generator(np.random.PCG64(base[i])),
-        temporal=np.random.Generator(np.random.PCG64(base[j])),
+    mk = lambda i, j: (
+        np.random.Generator(np.random.PCG64(base[i])),
+        np.random.Generator(np.random.PCG64(base[j])),
     )
     a = draw_path(spec, 300, mk(0, 1))
     b = draw_path(spec, 300, mk(0, 2))
@@ -308,7 +308,7 @@ def test_draws_and_grid_deviation_match_plain_formulas():
     ):
         for seed in range(5):
             path = draw_path(RenewalSpec(family, lam, lam), n, streams(seed), policy)
-            ref = streams(seed)
+            ref_spatial, ref_temporal = streams(seed)
             scale = lam / n
 
             def increments(gen, count):
@@ -317,10 +317,10 @@ def test_draws_and_grid_deviation_match_plain_formulas():
                 return gen.beta(2.0, 2.0 * (lam - 1.0), size=count) * scale
 
             chunk = n + max(16, 4 * int(np.sqrt(n)))
-            S = np.cumsum(increments(ref.spatial, chunk))
+            S = np.cumsum(increments(ref_spatial, chunk))
             assert S[-1] > 1.0  # one block suffices at these seeds
             M = int(np.searchsorted(S, 1.0, side="right"))
-            T = np.cumsum(increments(ref.temporal, M + 1))
+            T = np.cumsum(increments(ref_temporal, M + 1))
             assert path.M == M
             assert np.array_equal(path.S, S[: M + 1]) and np.array_equal(path.T, T)
             idx = np.arange(1, M + 1)
@@ -347,9 +347,7 @@ def test_grid_deviation_bounded_by_one():
 def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
     spec = RenewalSpec(family, lam, lam)
     cells = [(11, n, trial) for trial in range(24)]
-    singles = [
-        draw_path(spec, n, PathStreams(*streams), policy) for streams in cell_streams(cells, 2)
-    ]
+    singles = [draw_path(spec, n, streams, policy) for streams in cell_streams(cells, 2)]
     blocks = list(draw_paths(spec, n, cell_streams(cells, 2), policy))
     assert sum(len(block.M) for block in blocks) == len(cells)
     assert any(len(set(block.M.tolist())) > 1 for block in blocks)  # ragged rows
@@ -412,7 +410,7 @@ def test_prefix_sums_draw_more_chunks_until_they_pass_one():
         assert np.all(row[len(expected) :] == np.inf)  # rows done early are padded
     # Through draw_path, the continued sums become the path's locations.
     temporal = np.random.default_rng(5)
-    path = draw_path(RenewalSpec(), n, PathStreams(ScriptedUniform(0.9, 0.5), temporal))
+    path = draw_path(RenewalSpec(), n, (ScriptedUniform(0.9, 0.5), temporal))
     expected = chunked_prefix_sums(n, 0.9, 0.5)
     assert path.M == int(np.searchsorted(expected, 1.0, side="right")) > chunk
     assert np.array_equal(path.S, expected[: path.M + 1])

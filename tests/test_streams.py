@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldrecon
-from fieldrecon.streams import PathStreams, cell_streams, substream, trial_streams
+from fieldrecon.streams import cell_streams, substream, trial_streams
 
 # Edges of the stream domain: masters in [0, 2**64), key entries in [0, 2**32).
 MASTER_EDGES = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
@@ -37,15 +37,15 @@ def test_substreams_differ_by_key():
 
 
 def test_trial_streams_are_independent():
-    streams = trial_streams(99, 128, 5)
+    spatial, temporal = trial_streams(99, 128, 5)
     gens = {
-        "spatial": streams.spatial,
-        "temporal": streams.temporal,
+        "spatial": spatial,
+        "temporal": temporal,
         "noise": substream(99, 128, 5, 2),
     }
     values = {tag: gen.random(4).tobytes() for tag, gen in gens.items()}
     assert len(set(values.values())) == len(gens)
-    assert np.array_equal(trial_streams(99, 128, 5).spatial.random(4), np.frombuffer(values["spatial"]))
+    assert np.array_equal(trial_streams(99, 128, 5)[0].random(4), np.frombuffer(values["spatial"]))
     # Spawn keys 0, 1, 2 under (master_seed, n, trial) name the three streams.
     for key, tag in enumerate(gens):
         assert substream(99, 128, 5, key).random(4).tobytes() == values[tag]
@@ -93,8 +93,7 @@ def test_cells_outside_the_domain_are_refused(cells, error):
 
 def test_path_streams_from_seed_matches_numpy_spawn():
     children = np.random.SeedSequence(42).spawn(2)
-    streams = PathStreams.from_seed(42)
-    for gen, child in zip((streams.spatial, streams.temporal), children):
+    for gen, child in zip((substream(42, 0), substream(42, 1)), children):
         reference = np.random.Generator(np.random.PCG64(child))
         assert np.array_equal(gen.random(5), reference.random(5))
 
