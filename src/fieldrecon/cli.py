@@ -5,7 +5,8 @@ Subcommands: ``sweep`` (density sweep from a JSON config), ``verify``
 PDE), ``scenarios`` (catalog listing).
 
 Exit codes: 0 success, 2 configuration error, 3 PDE outside the model (a
-growing mode or repeated roots), 4 verification-suite failure.
+growing mode, repeated roots or an overflowing characteristic polynomial),
+4 verification-suite failure.  Commands raise; ``main`` alone maps refusals.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
     sweep.add_argument("--out", default=None, help="override the output directory")
     sweep.add_argument("--workers", type=int, default=1, help="trial-level process workers (>= 1)")
+    sweep.set_defaults(run=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the brute-force verification suites")
     verify.add_argument(
@@ -66,27 +68,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="appendix-b Monte Carlo size: paths per density of the scaling table "
         "and paths of the invariant fuzz (default: 10000)",
     )
+    verify.set_defaults(run=_cmd_verify)
 
     stability = sub.add_parser("stability", help="report characteristic-root feasibility")
     stability.add_argument("--pde", required=True, help="JSON file with p_coeffs and q_coeffs")
     stability.add_argument("--band", type=int, required=True, help="band limit b")
+    stability.set_defaults(run=_cmd_stability)
 
-    sub.add_parser("scenarios", help="list the scenario catalog")
+    sub.add_parser("scenarios", help="list the scenario catalog").set_defaults(run=_cmd_scenarios)
     return parser
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        result = run_sweep(config, workers=args.workers, out_dir=args.out)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InfeasiblePde, DegenerateRoots) as exc:
-        print(f"PDE outside the model: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
+    result = run_sweep(config, workers=args.workers, out_dir=args.out)
     header = f"{'n':>8} {'mean_distortion':>16} {'stderr':>12} {'mean_M':>10} {'mean_kappa':>12} {'rank_fail':>9}"
     print(header)
     for row in result.rows:
@@ -100,14 +97,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    # Checked before any suite runs, so bad input does no work.
-    # appendix-b fuzzes under seed + 1, which must stay a stream master.
+    # Checked before any suite runs, so bad input does no work.  appendix-b's
+    # stream master is seed + 1 and its stream key entries are trial indices.
     if not 0 <= args.seed < 2**64 - 1:
-        print(f"config error: --seed must lie in [0, 2**64 - 1), got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalid(f"--seed must lie in [0, 2**64 - 1), got {args.seed}")
     if "appendix-b" in names and args.trials < MIN_SCALING_TRIALS:
-        print(f"config error: --trials must be at least {MIN_SCALING_TRIALS}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalid(f"--trials must be at least {MIN_SCALING_TRIALS}")
+    if "appendix-b" in names and args.trials > 2**32:
+        raise ConfigInvalid(f"--trials must be at most 2**32, got {args.trials}")
     all_ok = True
     for name in names:
         report: SuiteReport = SUITE_RUNNERS[name](args)
@@ -120,19 +117,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    try:
-        spec = pde_from_record(read_json(args.pde))
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = check_stability(spec, args.band)
-    except ValueError as exc:  # a negative band limit
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateRoots as exc:
-        print(f"PDE outside the model: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    spec = pde_from_record(read_json(args.pde))
+    if args.band < 0:
+        raise ConfigInvalid("band limit must be non-negative")
+    report = check_stability(spec, args.band)
     for k in sorted(report.worst_real_parts):
         print(f"k={k:>4}  worst Re(r) = {report.worst_real_parts[k]: .6e}")
     if report.feasible:
@@ -156,13 +144,14 @@ def _cmd_scenarios(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "stability": _cmd_stability,
-        "scenarios": _cmd_scenarios,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.run(args)
+    except ConfigInvalid as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (InfeasiblePde, DegenerateRoots) as exc:
+        print(f"PDE outside the model: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -311,6 +311,12 @@ def run_sweep(
         for n in config.n_list
         for start in range(0, config.trials, _TRIAL_BLOCK)
     ]
+    target = out_dir if out_dir is not None else config.output_path
+    if target is not None:  # made before any trial runs, so a bad path costs none
+        try:
+            Path(target).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot create output directory {target}: {exc}") from exc
     run_block = functools.partial(_run_block, plan)
     with _one_blas_thread():
         if workers == 1:
@@ -356,7 +362,6 @@ def run_sweep(
     result = SweepResult(
         rows=tuple(rows), slope=slope, intercept=intercept, trial_records=tuple(records)
     )
-    target = out_dir if out_dir is not None else config.output_path
     if target is not None:
         write_outputs(result, config, target)
     return result
@@ -378,17 +383,19 @@ def sweep_csv_text(result: SweepResult) -> str:
 
 
 def write_outputs(result: SweepResult, config: ExperimentConfig, out_dir: str | Path) -> None:
-    """Write sweep.csv and a summary record next to it."""
+    """Write sweep.csv and a summary record into the existing directory ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(sweep_csv_text(result))
     summary = {
         "slope": result.slope if np.isfinite(result.slope) else None,
         "intercept": result.intercept if np.isfinite(result.intercept) else None,
         "version": __version__,
         "config": config_to_record(config),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        (out / "sweep.csv").write_text(sweep_csv_text(result))
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write the sweep outputs to {out}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

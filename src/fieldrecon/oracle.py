@@ -156,7 +156,6 @@ def grid_deviation_scaling(
             for s_dev, t_dev in zip(*(devs.tolist() for devs in block.grid_deviations())):
                 spatial_sum += s_dev
                 temporal_sum += t_dev
-            del block  # freed before the next block is drawn, not after
         rows.append(
             ScalingRow(
                 n=n,
@@ -292,7 +291,6 @@ def _tally_invariants(
         for block in draw_paths(spec, n, cell_streams(cells, 2), policy):
             checked += len(block.M)
             violations += _invariant_violations(spec, n, block)
-            del block  # freed before the next block is drawn, not after
     except ValueError:
         if len(cells) == 1:
             return 0, 1

@@ -111,12 +111,18 @@ def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
 
     Roots are sorted by (Re, Im) so downstream coefficient layouts are
     reproducible.  Raises DegenerateRoots when two roots collide within
-    tolerance (repeated-root dynamics are rejected, not approximated).
+    tolerance (repeated-root dynamics are rejected, not approximated), and
+    when the monic characteristic polynomial or its roots overflow.
     """
     target = spec.q_at_harmonic(k)
     coeffs = np.array(spec.p_coeffs, dtype=complex)
     coeffs[0] -= target
-    raw = np.roots(coeffs[::-1])  # np.roots eigendecomposes the companion matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = coeffs / coeffs[-1]
+    # np.roots eigendecomposes the companion matrix, whose top row is -monic.
+    raw = np.roots(coeffs[::-1]) if np.isfinite(monic).all() else monic
+    if not np.isfinite(raw).all():
+        raise DegenerateRoots(f"harmonic k={k}: the characteristic polynomial overflows")
     roots = tuple(sorted((complex(r) for r in raw), key=_order_key))
     _require_distinct(roots, k)
     return HarmonicRoots(k=k, roots=roots)

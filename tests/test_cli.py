@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fieldrecon
+import fieldrecon.cli as cli
+import fieldrecon.experiments as experiments
 from fieldrecon.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFY, main
 from fieldrecon.oracle import SuiteReport
 from fieldrecon.pde_core import STABILITY_TOL
@@ -100,6 +107,17 @@ def test_sweep_infeasible(tmp_path):
 
 # p = z^2, q = 0.01 z^2: a double characteristic root at 0 for harmonic k = 0.
 DOUBLE_ROOT_PDE = {"p_coeffs": [0.0, 0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}
+# Finite coefficients whose characteristic polynomial overflows at k != 0:
+# q(j*2*pi*k) itself, or its quotient by the leading p coefficient.
+OUTSIDE_MODEL_PDES = pytest.mark.parametrize(
+    "record",
+    [
+        DOUBLE_ROOT_PDE,
+        {"p_coeffs": [0, 1], "q_coeffs": [0, 0, 1e308]},
+        {"p_coeffs": [0, 1e-308], "q_coeffs": [0, 0, 1]},
+    ],
+    ids=["double-root", "q-overflows", "monic-overflows"],
+)
 
 
 def assert_one_line_error(capsys, prefix):
@@ -154,8 +172,9 @@ def test_sweep_refuses_density_of_2_32(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_repeated_roots(tmp_path, capsys):
-    config = write_config(tmp_path, pde=DOUBLE_ROOT_PDE)
+@OUTSIDE_MODEL_PDES
+def test_sweep_repeated_roots(tmp_path, capsys, record):
+    config = write_config(tmp_path, pde=record)
     assert main(["sweep", "--config", str(config)]) == EXIT_INFEASIBLE
     assert_one_line_error(capsys, "PDE outside the model:")
 
@@ -178,9 +197,10 @@ def test_stability_rejects_mistyped_coefficients(tmp_path, capsys, record):
     assert_one_line_error(capsys, "config error:")
 
 
-def test_stability_repeated_roots(tmp_path, capsys):
+@OUTSIDE_MODEL_PDES
+def test_stability_repeated_roots(tmp_path, capsys, record):
     pde = tmp_path / "pde.json"
-    pde.write_text(json.dumps(DOUBLE_ROOT_PDE))
+    pde.write_text(json.dumps(record))
     assert main(["stability", "--pde", str(pde), "--band", "2"]) == EXIT_INFEASIBLE
     assert_one_line_error(capsys, "PDE outside the model:")
 
@@ -192,6 +212,35 @@ def test_stability_tol_boundary(tmp_path, capsys, factor, code):
     pde.write_text(json.dumps({"p_coeffs": [0.0, 1.0], "q_coeffs": [STABILITY_TOL * factor]}))
     assert main(["stability", "--pde", str(pde), "--band", "2"]) == code
     assert ("feasible: yes" if code == EXIT_OK else "feasible: no") in capsys.readouterr().out
+
+
+def test_sweep_refuses_output_path_that_is_a_file(tmp_path, monkeypatch, capsys):
+    # The output directory is made before the first trial, so this costs none.
+    trials = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *args: trials.append(args))
+    config = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert_one_line_error(capsys, f"config error: cannot create output directory {out}")
+    assert trials == []
+
+
+def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    src = str(Path(fieldrecon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fieldrecon.cli", "sweep", "--config", str(config), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -210,10 +259,16 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
         ["--suite", "appendix-b", "--trials", "0"],
         ["--suite", "appendix-a", "--seed", "-1"],
         ["--suite", "appendix-a", "--seed", "18446744073709551615"],
+        ["--suite", "all", "--trials", str(2**32 + 1)],
     ],
-    ids=["trials=5", "trials=0", "seed=-1", "seed=2^64-1"],
+    ids=["trials=5", "trials=0", "seed=-1", "seed=2^64-1", "trials=2^32+1"],
 )
-def test_verify_rejects_bad_input(capsys, args):
+def test_verify_rejects_bad_input(monkeypatch, capsys, args):
+    def never_run(args):
+        raise AssertionError("a suite ran on refused input")
+
+    for name in cli.SUITE_RUNNERS:
+        monkeypatch.setitem(cli.SUITE_RUNNERS, name, never_run)
     assert main(["verify", *args]) == EXIT_CONFIG
     assert_one_line_error(capsys, "config error:")
 

@@ -17,7 +17,6 @@ from fieldrecon.field import (
     catalog_entry,
     coefficients_at,
     evaluate,
-    field_from_mode_values,
     random_real_field,
     scenario_field,
 )

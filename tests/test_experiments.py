@@ -222,10 +222,11 @@ def test_density_floor_validation():
         run_sweep(quick_config(n_list=(15, 64), trials=1))
 
 
-def test_infeasible_pde_rejected():
+def test_infeasible_pde_rejected(tmp_path):
     config = quick_config(pde=PdeSpec((0.0, 1.0), (0.0, 0.0, -0.01)))
     with pytest.raises(InfeasiblePde):
-        run_sweep(config)
+        run_sweep(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------- sweeps
@@ -273,6 +274,21 @@ def test_sweep_deterministic_across_runs_and_workers():
     assert first == second
     parallel = sweep_csv_text(run_sweep(config, workers=2))
     assert parallel == first
+
+
+def test_sweep_refuses_unusable_output_paths(tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    trials = []
+    with monkeypatch.context() as patch:
+        patch.setattr(exp, "run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ConfigInvalid, match=f"cannot create output directory {taken}"):
+            run_sweep(quick_config(), out_dir=taken)
+    assert trials == []
+    # A directory in the place of sweep.csv fails once the trials have run.
+    (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
+    with pytest.raises(ConfigInvalid, match="cannot write the sweep outputs to"):
+        run_sweep(quick_config(), out_dir=tmp_path / "out")
 
 
 def test_sweep_writes_outputs(tmp_path):

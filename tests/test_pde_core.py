@@ -117,6 +117,22 @@ def test_repeated_roots_rejected():
         characteristic_roots(spec, 0)
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((0.0, 1.0), (0.0, 0.0, 1e308)),  # q(j*2*pi*k) overflows
+        ((0.0, 1e-308), (0.0, 0.0, 1.0)),  # q(j*2*pi*k) / p_1 overflows
+        ((0.0, 1.0), (-1.7e308, 1.7e308 / (2 * np.pi))),  # the root r = -q overflows
+    ],
+    ids=["q", "monic", "root"],
+)
+def test_overflowing_characteristic_polynomial_rejected(p, q):
+    spec = PdeSpec(p, q)
+    assert np.isfinite(characteristic_roots(spec, 0).roots).all()
+    with pytest.raises(DegenerateRoots, match="harmonic k=-1: "):
+        characteristic_roots(spec, -1)
+
+
 @pytest.mark.parametrize("factor, distinct", [(1 + 1e-3, True), (1 - 1e-3, False)])
 def test_distinctness_rtol_boundary(factor, distinct):
     # p(z) = z (z + gap) with q(0) = 0 puts the k = 0 roots at 0 and -gap
