@@ -6,7 +6,7 @@ PDE), ``scenarios`` (catalog listing).
 
 Exit codes: 0 success, 2 configuration error, 3 PDE outside the model (a
 growing mode, repeated roots or an overflowing characteristic polynomial),
-4 verification-suite failure.  Commands raise; ``main`` alone maps refusals.
+4 verification-suite failure; ``main`` alone maps raised refusals to them.
 """
 
 from __future__ import annotations

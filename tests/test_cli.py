@@ -107,8 +107,9 @@ def test_sweep_infeasible(tmp_path):
 
 # p = z^2, q = 0.01 z^2: a double characteristic root at 0 for harmonic k = 0.
 DOUBLE_ROOT_PDE = {"p_coeffs": [0.0, 0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}
-# Finite coefficients whose characteristic polynomial overflows at k != 0:
-# q(j*2*pi*k) itself, or its quotient by the leading p coefficient.
+# PDEs outside the model: the double root, and finite coefficients whose
+# characteristic polynomial overflows at k != 0, in q(j*2*pi*k) itself or in
+# its quotient by the leading p coefficient.
 OUTSIDE_MODEL_PDES = pytest.mark.parametrize(
     "record",
     [
@@ -232,8 +233,9 @@ def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
     out.write_text("not a directory")
     src = str(Path(fieldrecon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["sweep", "--config", str(config), "--out", str(out)]
     done = subprocess.run(
-        [sys.executable, "-m", "fieldrecon.cli", "sweep", "--config", str(config), "--out", str(out)],
+        [sys.executable, "-m", "fieldrecon.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -264,7 +266,7 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
     ids=["trials=5", "trials=0", "seed=-1", "seed=2^64-1", "trials=2^32+1"],
 )
 def test_verify_rejects_bad_input(monkeypatch, capsys, args):
-    def never_run(args):
+    def never_run(suite_args):
         raise AssertionError("a suite ran on refused input")
 
     for name in cli.SUITE_RUNNERS:

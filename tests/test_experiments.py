@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -282,7 +283,8 @@ def test_sweep_refuses_unusable_output_paths(tmp_path, monkeypatch):
     trials = []
     with monkeypatch.context() as patch:
         patch.setattr(exp, "run_trial", lambda *args: trials.append(args))
-        with pytest.raises(ConfigInvalid, match=f"cannot create output directory {taken}"):
+        refusal = re.escape(f"cannot create output directory {taken}")
+        with pytest.raises(ConfigInvalid, match=refusal):
             run_sweep(quick_config(), out_dir=taken)
     assert trials == []
     # A directory in the place of sweep.csv fails once the trials have run.

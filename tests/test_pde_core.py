@@ -122,7 +122,7 @@ def test_repeated_roots_rejected():
     [
         ((0.0, 1.0), (0.0, 0.0, 1e308)),  # q(j*2*pi*k) overflows
         ((0.0, 1e-308), (0.0, 0.0, 1.0)),  # q(j*2*pi*k) / p_1 overflows
-        ((0.0, 1.0), (-1.7e308, 1.7e308 / (2 * np.pi))),  # the root r = -q overflows
+        ((0.0, 1.0), (-1.7e308, 1.7e308 / (2 * np.pi))),  # |r| overflows: a NaN root
     ],
     ids=["q", "monic", "root"],
 )
