@@ -4,6 +4,8 @@ A sweep runs ``trials`` independent reconstructions at every density in
 ``n_list`` and aggregates the distortion per density.  Every random draw is
 keyed by (master_seed, n, trial, stream), so the same configuration produces
 byte-identical outputs no matter how trials are scheduled or parallelized.
+Each trial reads its renewal and noise specs from the config; the rules on
+them, the density a renewal spec serves among them, live in ``sampling``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import __version__
 from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde, InsufficientSamples, RankDeficient
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
 from .pde_core import PdeSpec, check_stability
-from .estimator import build_design_matrix, reconstruct
+from .estimator import build_design_matrix, distortion, reconstruct
 from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from .streams import cell_streams, substream
 
@@ -172,33 +174,23 @@ class SweepResult:
     trial_records: tuple[TrialRecord, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SweepPlan:
-    """Picklable bundle of everything one trial needs."""
-
-    state: FieldState
-    true_k0: np.ndarray  # coefficients_at(state, 0.0), the score's ground truth
-    renewal: RenewalSpec
-    noise: NoiseSpec
-    master_seed: int
-
-
 def run_trial(
-    plan: SweepPlan, n: int, trial: int, streams: Sequence[np.random.Generator]
+    config: ExperimentConfig, state: FieldState, n: int, trial: int, streams: Sequence[np.random.Generator]
 ) -> TrialRecord:
-    """Draw a path, sample the field, reconstruct on the uniform grid, score.
+    """Draw a path with the config's renewal spec, sample ``state`` with its
+    noise spec, reconstruct on the uniform grid, score.
 
     ``streams`` holds the cell's spatial, temporal and noise generators.
     """
-    path = draw_path(plan.renewal, n, streams[:2])
-    values = sample_field(plan.state, path, plan.noise, streams[2])
+    path = draw_path(config.renewal, n, streams[:2])
+    values = sample_field(state, path, config.noise, streams[2])
     try:
-        design = build_design_matrix(plan.state.roots, path.M, path.T0)
-        result = reconstruct(design, values, plan.true_k0)
+        design = build_design_matrix(state.roots, path.M, path.T0)
+        result = reconstruct(design, values, coefficients_at(state, 0.0))
     except (RankDeficient, InsufficientSamples):
         nan = float("nan")
         return TrialRecord(n, trial, False, nan, nan, nan, path.M, path.T0)
-    coeff_error = float(np.sum(np.abs(result.a_hat - plan.state.flat_coeffs()) ** 2))
+    coeff_error = distortion(result.a_hat, state.flat_coeffs())
     return TrialRecord(
         n, trial, True, result.distortion, coeff_error, result.kappa, path.M, path.T0
     )
@@ -250,12 +242,12 @@ def _init_worker() -> None:
         control[1](1)
 
 
-def _run_block(plan: SweepPlan, n: int, trials: range) -> list[TrialRecord]:
+def _run_block(config: ExperimentConfig, state: FieldState, n: int, trials: range) -> list[TrialRecord]:
     """One block of trials at density ``n``; their generators (keys 0-2 of
     each cell) are hashed in one pass."""
-    cells = ((plan.master_seed, n, trial) for trial in trials)
+    cells = ((config.master_seed, n, trial) for trial in trials)
     streams = cell_streams(cells, 3)
-    return [run_trial(plan, n, trial, gens) for trial, gens in zip(trials, streams)]
+    return [run_trial(config, state, n, trial, gens) for trial, gens in zip(trials, streams)]
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:
@@ -267,13 +259,15 @@ def resolve_field(config: ExperimentConfig) -> FieldState:
 
 
 def _validate_densities(config: ExperimentConfig, state: FieldState) -> None:
+    """Every density exceeds the unknowns and passes the draws' own check."""
     cols = state.m * (2 * state.b + 1)
-    floor = 10.0 * max(config.renewal.lam, config.renewal.mu)
     for n in config.n_list:
         if n <= cols:
             raise ConfigInvalid(f"density n={n} must exceed the {cols} unknowns")
-        if n < floor:
-            raise ConfigInvalid(f"density n={n} must be at least 10*max(lam, mu) = {floor:g}")
+        try:
+            config.renewal.check_density(n)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
 
 def run_sweep(
@@ -287,7 +281,9 @@ def run_sweep(
     processes, and no more than there are blocks of trials or CPUs; results
     are identical to the sequential run because every trial owns
     seed-derived streams and the aggregation order is fixed.  A ``workers``
-    that is not an integer of at least 1 raises ConfigInvalid.
+    that is not an integer of at least 1 raises ConfigInvalid, and so does,
+    before any trial runs, a density at or below the field's unknowns or one
+    that ``RenewalSpec.check_density`` refuses.
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
@@ -299,13 +295,6 @@ def run_sweep(
     if not stability.feasible:
         raise InfeasiblePde(f"growing modes at k = {stability.offending}")
 
-    plan = SweepPlan(
-        state=state,
-        true_k0=coefficients_at(state, 0.0),
-        renewal=config.renewal,
-        noise=config.noise,
-        master_seed=config.master_seed,
-    )
     tasks = [
         (n, range(start, min(start + _TRIAL_BLOCK, config.trials)))
         for n in config.n_list
@@ -317,7 +306,7 @@ def run_sweep(
             Path(target).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"cannot create output directory {target}: {exc}") from exc
-    run_block = functools.partial(_run_block, plan)
+    run_block = functools.partial(_run_block, config, state)
     with _one_blas_thread():
         if workers == 1:
             blocks = [run_block(n, trials) for n, trials in tasks]

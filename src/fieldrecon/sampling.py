@@ -65,6 +65,14 @@ class RenewalSpec:
             # meets the unit-mean constraint.  Other supports go via beta_scaled.
             raise ValueError("uniform_scaled requires lam = mu = 2")
 
+    def check_density(self, n: int) -> None:
+        """Refuse a density ``n`` whose increment supports (0, lam/n] and
+        (0, mu/n] are not far below the unit span, as the grid argument
+        needs; the zero-variance ``deterministic`` family is exempt."""
+        widest = max(self.lam, self.mu)
+        if self.family != "deterministic" and widest > n / 10:
+            raise ValueError(f"density n={n} must be at least 10*max(lam, mu) = {10.0 * widest:g}")
+
 
 def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
     """The defining inequalities of a block of paths: row i holds S_1..S_{M+1}
@@ -186,6 +194,9 @@ class NoiseSpec:
             raise ValueError("variance must be finite and non-negative")
         if self.family == "none" and self.variance != 0.0:
             raise ValueError("noise family 'none' requires zero variance")
+        if self.family == "uniform" and not np.isfinite(3.0 * self.variance):
+            # _draw_noise draws on [-h, h] with h = sqrt(3 sigma^2).
+            raise ValueError(f"uniform noise variance {self.variance!r} overflows 3*variance")
 
 
 def _draw_increments(
@@ -265,10 +276,7 @@ def _checked_density(spec: RenewalSpec, n: int, t0_policy: str) -> int:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"density n must be a positive integer, got {n!r}")
     n = int(n)
-    if spec.family != "deterministic" and max(spec.lam, spec.mu) > n / 10:
-        # Support parameters must stay far below n for the grid argument
-        # to bite; the zero-variance family is exempt.
-        raise ValueError("lam and mu must not exceed n/10")
+    spec.check_density(n)
     if t0_policy not in T0_POLICIES:
         raise ValueError(f"unknown T0 policy {t0_policy!r}")
     return n

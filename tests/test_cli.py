@@ -144,6 +144,7 @@ def assert_one_line_error(capsys, prefix):
         {"scenario": 5},
         {"renewal": {"family": "uniform_scaled", "lambda": "2", "mu": 2.0}},
         {"noise": {"family": "gaussian", "variance": True}},
+        {"noise": {"family": "uniform", "variance": 1e308}},
         {"pde": {"p_coeffs": ["0", True], "q_coeffs": [0, 0, "0.01"]}},
         {"pde": {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, "0.01"]}},
         {"pde": {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]}},
@@ -228,21 +229,35 @@ def test_sweep_refuses_output_path_that_is_a_file(tmp_path, monkeypatch, capsys)
 
 
 def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
-    config = write_config(tmp_path)
-    out = tmp_path / "taken"
-    out.write_text("not a directory")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    # lambda = nextafter(17/10, inf): every draw at n = 17 refuses it, though
+    # 10 * lambda rounds to 17.
+    beta = {"family": "beta_scaled", "lambda": 1.7000000000000002, "mu": 1.5}
     src = str(Path(fieldrecon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    args = ["sweep", "--config", str(config), "--out", str(out)]
-    done = subprocess.run(
-        [sys.executable, "-m", "fieldrecon.cli", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == EXIT_CONFIG
-    assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1, done.stderr
-    assert "Traceback" not in done.stderr
+    for overrides, out in (({}, taken), ({"n_list": [17, 34], "renewal": beta}, tmp_path / "out")):
+        config = write_config(tmp_path, **overrides)
+        args = ["sweep", "--config", str(config), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "fieldrecon.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_sweep_draws_deterministic_densities_below_ten_lambda(tmp_path):
+    # The zero-variance family is exempt from the density floor, in the
+    # sweep's check as in every draw.
+    renewal = {"family": "deterministic", "lambda": 2.0, "mu": 2.0}
+    config = write_config(tmp_path, n_list=[10, 16], renewal=renewal)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["10", "16"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fieldrecon.experiments as exp
 from fieldrecon.errors import ConfigInvalid, DegenerateFit, InfeasiblePde, UnknownScenario
@@ -20,7 +22,7 @@ from fieldrecon.experiments import (
 )
 from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
-from fieldrecon.sampling import NoiseSpec, RenewalSpec
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
 
 
 def quick_config(**overrides):
@@ -223,6 +225,43 @@ def test_density_floor_validation():
         run_sweep(quick_config(n_list=(15, 64), trials=1))
 
 
+class Reached(Exception):
+    """Raised by the doubles below: the caller got past every check."""
+
+
+class NoDraws:
+    """A path generator that refuses to draw: draw_path reaches it only
+    once the density is accepted."""
+
+    def beta(self, *args, **kwargs):
+        raise Reached
+
+
+def reached_trial(*args):
+    raise Reached
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(11, 10**6 - 1), step=st.sampled_from([-1, 0, 1]))
+def test_sweep_refuses_exactly_the_densities_draws_refuse(n, step):
+    # lam = nextafter(n/10, 0), n/10 or nextafter(n/10, inf).  For many n,
+    # 10 * nextafter(n/10, inf) rounds to n, so a check written as
+    # n < 10 * lam lets through a density that every draw refuses.
+    lam = float(np.nextafter(n / 10, step * np.inf)) if step else n / 10
+    renewal = RenewalSpec("beta_scaled", lam, 1.5)
+    try:
+        draw_path(renewal, n, (NoDraws(), NoDraws()))
+    except ValueError:
+        drawn = False
+    except Reached:
+        drawn = True
+    config = quick_config(n_list=(n,), trials=1, renewal=renewal)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exp, "run_trial", reached_trial)
+        with pytest.raises(Reached if drawn else ConfigInvalid):
+            run_sweep(config)
+
+
 def test_infeasible_pde_rejected(tmp_path):
     config = quick_config(pde=PdeSpec((0.0, 1.0), (0.0, 0.0, -0.01)))
     with pytest.raises(InfeasiblePde):
@@ -393,12 +432,12 @@ def test_openblas_thread_control_found(blas_threads):
 _run_trial = exp.run_trial
 
 
-def _record_blas_threads(plan, n, trial, streams):
+def _record_blas_threads(*args):
     """run_trial, with the thread count it ran under in ``kappa`` and its
     process id in ``t0``."""
     get, _ = exp._openblas_threads()
     threads = get()
-    record = _run_trial(plan, n, trial, streams)
+    record = _run_trial(*args)
     return dataclasses.replace(record, kappa=float(threads), t0=float(os.getpid()))
 
 
@@ -467,7 +506,7 @@ def test_sweep_restores_blas_threads(monkeypatch, blas_threads):
     run_sweep(quick_config(n_list=(64,), trials=2))
     assert get() == 2
 
-    def failing_trial(plan, n, trial, streams):
+    def failing_trial(*args):
         raise RuntimeError("trial failed")
 
     monkeypatch.setattr(exp, "run_trial", failing_trial)

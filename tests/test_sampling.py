@@ -76,6 +76,10 @@ def test_noise_spec_validation():
         with pytest.raises(ValueError, match="must be a real number"):
             NoiseSpec("gaussian", variance)
     NoiseSpec("gaussian", np.float64(0.1))
+    # Uniform noise draws on [-h, h] with h = sqrt(3 sigma^2); 3 * 6e307 overflows.
+    NoiseSpec("uniform", 5.99e307)
+    with pytest.raises(ValueError, match="overflows 3\\*variance"):
+        NoiseSpec("uniform", 6e307)
 
 
 # ------------------------------------------------------------- deterministic
