@@ -6,6 +6,9 @@ keyed by (master_seed, n, trial, stream), so the same configuration produces
 byte-identical outputs no matter how trials are scheduled or parallelized.
 Each trial reads its renewal and noise specs from the config; the rules on
 them, the density a renewal spec serves among them, live in ``sampling``.
+The JSON reader checks only the shape of a record (objects, their keys)
+and hands its values unchanged to the specs, which refuse what they cannot
+hold; real numbers follow ``pde_core.real_number``.
 """
 
 from __future__ import annotations
@@ -416,6 +419,8 @@ def config_to_record(config: ExperimentConfig) -> dict:
 
 
 def _check_keys(record: dict, allowed: set[str], required: set[str], label: str) -> None:
+    if not isinstance(record, dict):
+        raise ConfigInvalid(f"{label} must be a JSON object")
     unknown = record.keys() - allowed
     if unknown:
         raise ConfigInvalid(f"unknown {label} keys: {sorted(unknown)}")
@@ -424,42 +429,25 @@ def _check_keys(record: dict, allowed: set[str], required: set[str], label: str)
         raise ConfigInvalid(f"missing {label} keys: {sorted(missing)}")
 
 
-def _typed(record: dict, key: str, kind: type | tuple[type, ...], what: str):
-    """``record[key]``, refused unless it has type ``kind``; a bool is never a number."""
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigInvalid(f"{key} must be {what}, got {value!r}")
-    return value
-
-
 def pde_from_record(record: dict) -> PdeSpec:
     """The PDE of a ``{"p_coeffs": [...], "q_coeffs": [...]}`` record."""
-    if not isinstance(record, dict):
-        raise ConfigInvalid("a PDE record must be a JSON object")
     _check_keys(record, _PDE_KEYS, _PDE_KEYS, "pde")
     try:
-        return PdeSpec(tuple(record["p_coeffs"]), tuple(record["q_coeffs"]))
+        return PdeSpec(record["p_coeffs"], record["q_coeffs"])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"invalid PDE coefficients: {exc}") from exc
 
 
 def config_from_record(record: dict) -> ExperimentConfig:
-    if not isinstance(record, dict):
-        raise ConfigInvalid("configuration must be a JSON object")
     _check_keys(record, _CONFIG_KEYS, _CONFIG_KEYS - {"output_path"}, "config")
-    pde = _typed(record, "pde", (int, dict), "a catalog index or a coefficient record")
+    pde, renewal_rec, noise_rec = record["pde"], record["renewal"], record["noise"]
     if isinstance(pde, dict):
         pde = pde_from_record(pde)
-    renewal_rec = _typed(record, "renewal", dict, "a JSON object")
     _check_keys(renewal_rec, _RENEWAL_KEYS, _RENEWAL_KEYS, "renewal")
-    noise_rec = _typed(record, "noise", dict, "a JSON object")
     _check_keys(noise_rec, _NOISE_KEYS, _NOISE_KEYS, "noise")
-    lam = float(_typed(renewal_rec, "lambda", (int, float), "a number"))
-    mu = float(_typed(renewal_rec, "mu", (int, float), "a number"))
-    variance = float(_typed(noise_rec, "variance", (int, float), "a number"))
     try:
-        renewal = RenewalSpec(family=renewal_rec["family"], lam=lam, mu=mu)
-        noise = NoiseSpec(family=noise_rec["family"], variance=variance)
+        renewal = RenewalSpec(renewal_rec["family"], renewal_rec["lambda"], renewal_rec["mu"])
+        noise = NoiseSpec(noise_rec["family"], noise_rec["variance"])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     return ExperimentConfig(

@@ -5,6 +5,9 @@ by mode into ODEs whose characteristic roots solve p(r) = q(j*2*pi*k).  This
 module finds those roots, gates physical feasibility (no growing modes), and
 splits initial conditions across the roots; field.coefficients_at evolves the
 result in closed form.
+
+real_number is the one home of the rule that makes a user-supplied number
+real: the specs here and in sampling store what it returns.
 """
 
 from __future__ import annotations
@@ -25,11 +28,16 @@ DISTINCTNESS_RTOL = 1e-6
 STABILITY_TOL = 1e-9
 
 
-def require_real(what: str, value) -> None:
-    """Refuse anything but a real number: float() would read "0.01" as a
-    number and True as 1, and numpy would fail later on a string."""
+def real_number(what: str, value) -> float:
+    """``value`` as a float; ValueError for anything but a real number
+    (float() would read "0.01" as a number and True as 1, and numpy would
+    fail later on a string) and for one beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond the float range") from None
 
 
 def eval_poly(coeffs: Sequence[float], z: complex) -> complex:
@@ -48,10 +56,8 @@ class PdeSpec:
     q_coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for c in (*self.p_coeffs, *self.q_coeffs):
-            require_real("a PDE coefficient", c)
-        p = tuple(float(c) for c in self.p_coeffs)
-        q = tuple(float(c) for c in self.q_coeffs)
+        p = tuple(real_number("a p_coeffs entry", c) for c in self.p_coeffs)
+        q = tuple(real_number("a q_coeffs entry", c) for c in self.q_coeffs)
         object.__setattr__(self, "p_coeffs", p)
         object.__setattr__(self, "q_coeffs", q)
         if len(p) < 2:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .field import FieldState, evaluate_at_points
-from .pde_core import require_real
+from .pde_core import real_number
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -55,15 +55,16 @@ class RenewalSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown renewal family {self.family!r}")
-        require_real("lam", self.lam)
-        require_real("mu", self.mu)
-        lam, mu = self.lam, self.mu
+        lam = real_number("lambda", self.lam)
+        mu = real_number("mu", self.mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
         if not (np.isfinite(lam) and np.isfinite(mu) and lam > 1.0 and mu > 1.0):
-            raise ValueError("support parameters lam and mu must be finite and > 1")
+            raise ValueError("support parameters lambda and mu must be finite and > 1")
         if self.family == "uniform_scaled" and (lam != 2.0 or mu != 2.0):
             # A uniform increment on (0, lam/n] has mean lam/(2n); only lam = 2
             # meets the unit-mean constraint.  Other supports go via beta_scaled.
-            raise ValueError("uniform_scaled requires lam = mu = 2")
+            raise ValueError("uniform_scaled requires lambda = mu = 2")
 
     def check_density(self, n: int) -> None:
         """Refuse a density ``n`` whose increment supports (0, lam/n] and
@@ -71,7 +72,9 @@ class RenewalSpec:
         needs; the zero-variance ``deterministic`` family is exempt."""
         widest = max(self.lam, self.mu)
         if self.family != "deterministic" and widest > n / 10:
-            raise ValueError(f"density n={n} must be at least 10*max(lam, mu) = {10.0 * widest:g}")
+            raise ValueError(
+                f"density n={n} allows max(lambda, mu) up to n/10 = {n / 10!r}, got {widest!r}"
+            )
 
 
 def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
@@ -162,12 +165,12 @@ class SamplePath:
     def __post_init__(self) -> None:
         if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral):
             raise ValueError(f"M must be an integer, got {self.M!r}")
-        require_real("T0", self.T0)
+        object.__setattr__(self, "T0", real_number("T0", self.T0))
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
         if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
             raise ValueError("S and T must both hold M+1 entries")
-        _check_rows(S[None], T[None], np.array([self.M]), np.array([self.T0], dtype=float))
+        _check_rows(S[None], T[None], np.array([self.M]), np.array([self.T0]))
         S.flags.writeable = False
         T.flags.writeable = False
         object.__setattr__(self, "S", S)
@@ -189,7 +192,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.family not in ("none", "gaussian", "uniform"):
             raise ValueError(f"unknown noise family {self.family!r}")
-        require_real("variance", self.variance)
+        object.__setattr__(self, "variance", real_number("variance", self.variance))
         if not np.isfinite(self.variance) or self.variance < 0:
             raise ValueError("variance must be finite and non-negative")
         if self.family == "none" and self.variance != 0.0:
@@ -320,7 +323,7 @@ def draw_path(
     n = _checked_density(spec, n, t0_policy)
     S, T, M, T0 = _draw_block(spec, n, [streams], t0_policy)
     m_count = int(M[0])
-    return SamplePath(S=S[0, : m_count + 1], T=T[0], M=m_count, T0=float(T0[0]))
+    return SamplePath(S=S[0, : m_count + 1], T=T[0], M=m_count, T0=T0[0])
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -356,6 +359,6 @@ def grid_deviation(path: SamplePath) -> tuple[float, float]:
     """Mean squared deviations of the path from the uniform grid it mimics:
     (1/M) sum |S_i - i/M|^2 and (1/M) sum |T_i - i T0/M|^2."""
     spatial, temporal = _grid_deviations(
-        path.S[None], path.T[None], np.array([path.M]), np.array([path.T0], dtype=float)
+        path.S[None], path.T[None], np.array([path.M]), np.array([path.T0])
     )
     return float(spatial[0]), float(temporal[0])

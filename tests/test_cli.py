@@ -14,6 +14,11 @@ from fieldrecon.oracle import SuiteReport
 from fieldrecon.pde_core import STABILITY_TOL
 
 
+# A JSON integer beyond the float range (10**400), once an OverflowError
+# traceback with exit 1.
+BEYOND_FLOAT = 10**400
+
+
 def write_config(tmp_path, **overrides):
     record = {
         "scenario": "diffusion",
@@ -148,6 +153,11 @@ def assert_one_line_error(capsys, prefix):
         {"pde": {"p_coeffs": ["0", True], "q_coeffs": [0, 0, "0.01"]}},
         {"pde": {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, "0.01"]}},
         {"pde": {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]}},
+        {"renewal": {"family": "beta_scaled", "lambda": BEYOND_FLOAT, "mu": 2.0}},
+        {"renewal": {"family": "beta_scaled", "lambda": 2.0, "mu": BEYOND_FLOAT}},
+        {"noise": {"family": "gaussian", "variance": BEYOND_FLOAT}},
+        {"pde": {"p_coeffs": [0.0, BEYOND_FLOAT], "q_coeffs": [0.0, 0.0, 0.01]}},
+        {"pde": {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, BEYOND_FLOAT]}},
     ],
     ids=lambda override: "-".join(f"{k}={v!r}" for k, v in override.items()),
 )
@@ -189,8 +199,18 @@ def test_sweep_repeated_roots(tmp_path, capsys, record):
         {"p_coeffs": [0.0, True], "q_coeffs": [0.0, 0.0, 0.01]},
         {"p_coeffs": [0, 1], "q_coeffs": [0, 0, 0.01], "q_coefs": [1]},
         [[0, 1], [0, 0, 0.01]],
+        {"p_coeffs": [0, BEYOND_FLOAT], "q_coeffs": [0, 0, 0.01]},
+        {"p_coeffs": [0, 1], "q_coeffs": [0, 0, BEYOND_FLOAT]},
     ],
-    ids=["strings-and-bool", "string", "bool", "misspelled-key", "not-an-object"],
+    ids=[
+        "strings-and-bool",
+        "string",
+        "bool",
+        "misspelled-key",
+        "not-an-object",
+        "p-beyond-float",
+        "q-beyond-float",
+    ],
 )
 def test_stability_rejects_mistyped_coefficients(tmp_path, capsys, record):
     pde = tmp_path / "pde.json"
@@ -234,9 +254,14 @@ def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
     # lambda = nextafter(17/10, inf): every draw at n = 17 refuses it, though
     # 10 * lambda rounds to 17.
     beta = {"family": "beta_scaled", "lambda": 1.7000000000000002, "mu": 1.5}
+    huge = {"family": "gaussian", "variance": BEYOND_FLOAT}
     src = str(Path(fieldrecon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for overrides, out in (({}, taken), ({"n_list": [17, 34], "renewal": beta}, tmp_path / "out")):
+    for overrides, out in (
+        ({}, taken),
+        ({"n_list": [17, 34], "renewal": beta}, tmp_path / "out"),
+        ({"noise": huge}, tmp_path / "out"),
+    ):
         config = write_config(tmp_path, **overrides)
         args = ["sweep", "--config", str(config), "--out", str(out)]
         done = subprocess.run(
@@ -248,6 +273,7 @@ def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
         assert done.returncode == EXIT_CONFIG
         assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1, done.stderr
         assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_draws_deterministic_densities_below_ten_lambda(tmp_path):

@@ -223,6 +223,11 @@ def test_density_floor_validation():
         run_sweep(quick_config(n_list=(6, 64), trials=1))
     with pytest.raises(ConfigInvalid):
         run_sweep(quick_config(n_list=(15, 64), trials=1))
+    # 10 * lambda rounds to 17 here, so a floor printed as 10*max(lam, mu)
+    # read "at least 17" for n = 17: the refusal states both sides exactly.
+    renewal = RenewalSpec("beta_scaled", 1.7000000000000002, 1.5)
+    with pytest.raises(ConfigInvalid, match=r"up to n/10 = 1\.7, got 1\.7000000000000002$"):
+        run_sweep(quick_config(n_list=(17, 64), trials=1, renewal=renewal))
 
 
 class Reached(Exception):
@@ -404,6 +409,61 @@ def test_config_refuses_repeated_densities():
         quick_config(n_list=(128, 128, 256))
     with pytest.raises(ConfigInvalid):
         quick_config(n_list=np.array([64, 64]))
+
+
+# Any JSON value: scalars (integers beyond the float range, NaN and +-inf
+# included), lists and objects.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**300, 10**400)
+    | st.integers(-(10**400), -(10**300))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=4,
+)
+# Where a value lands: a key path into a valid record with an explicit pde.
+CONFIG_PLACES = [
+    ("scenario",),
+    ("pde",),
+    ("n_list",),
+    ("n_list", 0),
+    ("trials",),
+    ("master_seed",),
+    ("renewal",),
+    ("renewal", "family"),
+    ("renewal", "lambda"),
+    ("renewal", "mu"),
+    ("noise",),
+    ("noise", "family"),
+    ("noise", "variance"),
+    ("pde", "p_coeffs"),
+    ("pde", "p_coeffs", 1),
+    ("pde", "q_coeffs"),
+    ("pde", "q_coeffs", 2),
+]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(value=JSON_VALUES, place=st.sampled_from(CONFIG_PLACES))
+def test_config_from_record_refuses_only_with_config_invalid(value, place):
+    # A 400-digit lambda, mu, variance or coefficient once escaped as
+    # OverflowError, a traceback at the command line.
+    record = config_to_record(quick_config(renewal=RenewalSpec("beta_scaled", 3.0, 3.0)))
+    record["pde"] = {"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}
+    *parents, last = place
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        config = config_from_record(record)
+    except ConfigInvalid:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 # ---------------------------------------------------------------- BLAS threads

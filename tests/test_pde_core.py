@@ -1,4 +1,5 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fieldrecon.pde_core import (
     characteristic_roots,
     check_stability,
     eval_poly,
+    real_number,
     solve_initial_coefficients,
 )
 
@@ -58,6 +60,18 @@ def test_pde_spec_validation():
             PdeSpec(p, q)
     spec = PdeSpec((np.float64(0.0), np.int64(1)), (0, 0, np.float32(0.5)))
     assert spec.p_coeffs == (0.0, 1.0) and spec.q_coeffs == (0.0, 0.0, 0.5)
+
+
+def test_real_number_boundaries():
+    # The largest finite float is accepted exactly; the next power of two,
+    # which float() cannot hold, is refused as a ValueError, not an OverflowError.
+    assert real_number("x", int(sys.float_info.max)) == sys.float_info.max
+    with pytest.raises(ValueError, match="x lies beyond the float range"):
+        real_number("x", 2**1024)
+    with pytest.raises(ValueError, match="x must be a real number"):
+        real_number("x", True)
+    half = real_number("x", np.float32(0.5))
+    assert type(half) is float and half == 0.5
 
 
 def test_diffusion_root_is_forcing():
