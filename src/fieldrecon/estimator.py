@@ -14,9 +14,9 @@ real coefficients, plus self-conjugate columns for the real roots at k = 0.
 Replacing each pair (c, conj c) by (sqrt(2) Re c, sqrt(2) Im c) multiplies Y0
 by a unitary matrix, so the real design (field.ConjugateLayout) has the same
 singular values: kappa, the RANK_RTOL gate and the trace identities read the
-same, and only one complex exponential per pair is evaluated.  The unique
-complex minimiser is conjugate-symmetric, so it is the image of the real one
-under the same map.
+same, and each pair takes one exp(a + jb), which field._exp_in_layout forms
+from a real exp and a tan.  The unique complex minimiser is
+conjugate-symmetric, so it is the image of the real one under the same map.
 
 The solve is one LAPACK least-squares call (gelsd, behind np.linalg.lstsq):
 a Householder QR of the tall design with Q^T applied to the readings, then an

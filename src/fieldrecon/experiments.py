@@ -8,7 +8,7 @@ Each trial reads its renewal and noise specs from the config; the rules on
 them, the density a renewal spec serves among them, live in ``sampling``.
 The JSON reader checks only the shape of a record (objects, their keys)
 and hands its values unchanged to the specs, which refuse what they cannot
-hold; real numbers follow ``pde_core.real_number``.
+hold; numbers follow ``pde_core.real_number`` and ``pde_core.integer``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde, InsufficientSamples, RankDeficient
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
-from .pde_core import PdeSpec, check_stability
+from .pde_core import PdeSpec, check_stability, integer
 from .estimator import build_design_matrix, distortion, reconstruct
 from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from .streams import cell_streams, substream
@@ -74,9 +74,12 @@ class ExperimentConfig:
             n_list = tuple(self.n_list)
         except TypeError:
             raise ConfigInvalid(f"n_list must be a list of integers, got {self.n_list!r}") from None
-        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list item") for n in n_list))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        try:
+            object.__setattr__(self, "n_list", tuple(integer("n_list item", n) for n in n_list))
+            object.__setattr__(self, "trials", integer("trials", self.trials))
+            object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
         if not self.n_list or any(n <= 0 for n in self.n_list):
             raise ConfigInvalid("n_list must be a non-empty sequence of positive integers")
         if len(set(self.n_list)) != len(self.n_list):
@@ -98,7 +101,9 @@ class ExperimentConfig:
             if self.pde not in [entry.index for entry in CATALOG]:
                 raise ConfigInvalid(f"unknown catalog PDE index {self.pde}")
         elif not isinstance(self.pde, PdeSpec):
-            raise ConfigInvalid(f"pde must be a catalog index or a PdeSpec, got {self.pde!r}")
+            raise ConfigInvalid(
+                f"pde must be a catalog index or an object with p_coeffs and q_coeffs, got {self.pde!r}"
+            )
         if not isinstance(self.renewal, RenewalSpec):
             raise ConfigInvalid(f"renewal must be a RenewalSpec, got {self.renewal!r}")
         if not isinstance(self.noise, NoiseSpec):
@@ -106,13 +111,6 @@ class ExperimentConfig:
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigInvalid(f"output_path must be a string, got {self.output_path!r}")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a non-integer number is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _parse_scenario_tag(tag: str) -> int | None:
@@ -290,7 +288,11 @@ def run_sweep(
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
-    if _integer(workers, "workers") < 1:
+    try:
+        workers = integer("workers", workers)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
+    if workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers}")
     state = resolve_field(config)
     _validate_densities(config, state)

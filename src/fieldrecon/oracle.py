@@ -8,14 +8,13 @@ plain Monte Carlo.  The suite runners emit plain-text tables for the CLI.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .field import CATALOG, catalog_entry, coefficients_at, scenario_field
-from .pde_core import HarmonicRoots, PdeSpec, eval_poly, solve_initial_coefficients
+from .pde_core import HarmonicRoots, PdeSpec, eval_poly, integer, solve_initial_coefficients
 from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
 
@@ -142,9 +141,7 @@ def grid_deviation_scaling(
     If the mean squared grid deviations really fall off like 1/n, both scaled
     columns sit in a flat band across densities.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < MIN_SCALING_TRIALS:
+    if integer("trials", trials) < MIN_SCALING_TRIALS:
         raise ValueError(f"at least {MIN_SCALING_TRIALS} trials required for a stable mean")
     rows = []
     for n in n_list:

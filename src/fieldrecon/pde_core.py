@@ -6,8 +6,9 @@ module finds those roots, gates physical feasibility (no growing modes), and
 splits initial conditions across the roots; field.coefficients_at evolves the
 result in closed form.
 
-real_number is the one home of the rule that makes a user-supplied number
-real: the specs here and in sampling store what it returns.
+real_number and integer are the homes of the rules that make a
+user-supplied number a float or an int: the specs here and in sampling, the
+sweep config and the Monte Carlo entry points use what they return.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ def real_number(what: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} lies beyond the float range") from None
+
+
+def integer(what: str, value) -> int:
+    """``value`` as an int; ValueError for a bool or a non-integer, which
+    int() would read as 0/1 or truncate (128.9 would run as 128)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def eval_poly(coeffs: Sequence[float], z: complex) -> complex:

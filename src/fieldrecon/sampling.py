@@ -19,7 +19,6 @@ give the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .field import FieldState, evaluate_at_points
-from .pde_core import real_number
+from .pde_core import integer, real_number
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -163,8 +162,7 @@ class SamplePath:
     T0: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral):
-            raise ValueError(f"M must be an integer, got {self.M!r}")
+        object.__setattr__(self, "M", integer("M", self.M))
         object.__setattr__(self, "T0", real_number("T0", self.T0))
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
@@ -276,9 +274,9 @@ def _draw_block(
 
 
 def _checked_density(spec: RenewalSpec, n: int, t0_policy: str) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    n = integer("density n", n)
+    if n < 1:
         raise ValueError(f"density n must be a positive integer, got {n!r}")
-    n = int(n)
     spec.check_density(n)
     if t0_policy not in T0_POLICIES:
         raise ValueError(f"unknown T0 policy {t0_policy!r}")

@@ -168,6 +168,17 @@ def test_sweep_rejects_mistyped_config(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_names_the_json_forms_of_a_malformed_pde(tmp_path, capsys):
+    # The refusal speaks JSON: an index or an object, not a Python class.
+    config = write_config(tmp_path, pde=[1])
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert_one_line_error(
+        capsys,
+        "config error: pde must be a catalog index or an object with p_coeffs and q_coeffs, got [1]",
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_refuses_repeated_densities(tmp_path, capsys):
     config = write_config(tmp_path, n_list=[128, 128, 256])
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -261,6 +272,7 @@ def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):
         ({}, taken),
         ({"n_list": [17, 34], "renewal": beta}, tmp_path / "out"),
         ({"noise": huge}, tmp_path / "out"),
+        ({"pde": [1]}, tmp_path / "out"),
     ):
         config = write_config(tmp_path, **overrides)
         args = ["sweep", "--config", str(config), "--out", str(out)]

@@ -15,6 +15,7 @@ from fieldrecon.pde_core import (
     characteristic_roots,
     check_stability,
     eval_poly,
+    integer,
     real_number,
     solve_initial_coefficients,
 )
@@ -72,6 +73,17 @@ def test_real_number_boundaries():
         real_number("x", True)
     half = real_number("x", np.float32(0.5))
     assert type(half) is float and half == 0.5
+
+
+def test_integer_rule():
+    # A bool or a whole float is refused, never read as 0/1 or truncated; a
+    # numpy integer comes back as an int, and so does one beyond int64.
+    for value in (True, np.False_, 128.0, 128.9, "128", None, np.float64(3)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            integer("n", value)
+    for value in (np.int64(-7), np.uint64(2**64 - 1), 10**400):
+        got = integer("n", value)
+        assert type(got) is int and got == int(value)
 
 
 def test_diffusion_root_is_forcing():

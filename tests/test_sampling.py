@@ -39,7 +39,7 @@ def test_renewal_spec_validation():
     with pytest.raises(ValueError):
         draw_path(RenewalSpec(), 0, streams())
     for n in (128.9, 128.0, "128", True, np.True_, None):  # refused, never truncated
-        with pytest.raises(ValueError, match="density n must be a positive integer"):
+        with pytest.raises(ValueError, match="density n must be an integer"):
             draw_path(RenewalSpec(), n, streams())
     draw_path(RenewalSpec(), np.int64(128), streams())  # numpy integers are integers
     with pytest.raises(ValueError):
@@ -368,7 +368,7 @@ def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
 
 
 def test_draw_paths_checks_its_arguments_before_drawing():
-    with pytest.raises(ValueError, match="density n must be a positive integer"):
+    with pytest.raises(ValueError, match="density n must be an integer"):
         draw_paths(RenewalSpec(), 100.5, [])
     with pytest.raises(ValueError, match="unknown T0 policy"):
         draw_paths(RenewalSpec(), 100, [], "whenever")
