@@ -3,10 +3,7 @@
 The readings g_s arrive as a bare real vector (sampling.sample_field); the
 estimator never sees where or when they were taken.  It pretends they lie on
 the uniform grid (i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the
-stacked modal coefficients.  Y0 is built from (M, T0) alone: on the grid
-every column is a geometric sequence s * z**i, so field.grid_basis_matrix
-fills it from two power tables of about sqrt(M) exponentials per column, one
-product per entry.
+stacked modal coefficients.  Y0 is known from (M, T0) alone.
 
 It works in real arithmetic.  The readings are real, and the complex columns
 of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
@@ -14,28 +11,41 @@ real coefficients, plus self-conjugate columns for the real roots at k = 0.
 Replacing each pair (c, conj c) by (sqrt(2) Re c, sqrt(2) Im c) multiplies Y0
 by a unitary matrix, so the real design (field.ConjugateLayout) has the same
 singular values: kappa, the RANK_RTOL gate and the trace identities read the
-same, and each pair takes one exp(a + jb), which field._exp_in_layout forms
-from a real exp and a tan.  The unique complex minimiser is
-conjugate-symmetric, so it is the image of the real one under the same map.
+same.  The unique complex minimiser is conjugate-symmetric, so it is the
+image of the real one under the same map.
 
-The solve is one LAPACK least-squares call (gelsd, behind np.linalg.lstsq):
-a Householder QR of the tall design with Q^T applied to the readings, then an
-SVD of the small triangular factor R.  It never forms Q or the M x c left
-singular vectors, yet stays backward stable and still yields the singular
-values that the RANK_RTOL gate and kappa read.  It does not go through the
-normal equations: the Gram matrix squares the condition number, and these
-design matrices (kappa up to 1e10) are exactly the kind that punish that.
+Y0 is never formed.  On the grid every column is a geometric sequence, so
+with i - 1 = B*h + l the block h of B rows is L E_h: one (B x c) power table
+L = field.GridTables.low, with each column scaled by one number, which E_h
+applies (a complex scalar per conjugate pair, a real one per self-conjugate
+column).  One Householder QR, L = Q_L R_L, then turns the M x c problem into
+an (H c + r) x c one: the stacked R_L E_h for the H full blocks, with data
+Q_L^T g_h, over the r < B rows of the last, partial block as they are
+(DesignMatrix.reduce).  Y0 is that system K times a matrix with orthonormal
+columns, blockdiag(Q_L, .., Q_L, I_r), so both have the same minimiser, the
+same singular values and the same Frobenius norm, and the rest of the
+estimator reads K in place of Y0.  With B about sqrt(M c), K has about
+2 sqrt(M c) rows, and the work falls from O(M c^2) to O(M c + sqrt(M c) c^2).
+
+The solve is one LAPACK least-squares call (gelsd, behind np.linalg.lstsq)
+on K: a Householder QR with Q^T applied to the data, then an SVD of the
+small triangular factor.  Like the reduction, it stays backward stable and
+still yields the singular values that the RANK_RTOL gate and kappa read.
+It does not go through the normal equations: the Gram matrix squares the
+condition number, and these design matrices (kappa up to 1e10) are exactly
+the kind that punish that.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import ConjugateLayout, conjugate_layout, grid_basis_matrix
+from .field import ConjugateLayout, GridTables, conjugate_layout, grid_tables
 from .pde_core import HarmonicRoots
 
 # Singular values at or below this fraction of the largest are treated as zero
@@ -47,7 +57,6 @@ from .pde_core import HarmonicRoots
 RANK_RTOL = 4e-6
 
 
-@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Real basis values at the estimation points, one row per sample.
 
@@ -55,31 +64,49 @@ class DesignMatrix:
     conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
     2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
     (real roots at k = 0) follow all pairs.  ``layout`` maps a real solution
-    back to the stacked complex coefficients of FieldState.  ``entries`` is
-    stored as a read-only view: a caller's float array is not copied.
+    back to the stacked complex coefficients of FieldState.
+
+    A design holds either its ``entries`` (basis values at any points) or, on
+    the uniform grid, the grid's power tables (``grid``); then ``entries`` is
+    materialized only when read, and ``reduce`` works from the tables.
+    Entries are stored as a read-only view: a caller's float array is not
+    copied.
     """
 
-    entries: np.ndarray
-    roots: tuple[HarmonicRoots, ...]
-    t0: float  # horizon of the grid's last row
-
-    def __post_init__(self) -> None:
-        if np.iscomplexobj(self.entries):
+    def __init__(
+        self,
+        *,
+        roots: Sequence[HarmonicRoots],
+        t0: float,  # horizon of the grid's last row
+        entries: np.ndarray | None = None,
+        grid: GridTables | None = None,
+    ) -> None:
+        self.roots = tuple(roots)
+        self.t0 = t0
+        self.grid = grid
+        self.cols = sum(hr.m for hr in self.roots)
+        if (entries is None) == (grid is None):
+            raise ValueError("a design holds either entries or grid tables")
+        if grid is not None:
+            if grid.low.shape[1] != self.cols:
+                raise ValueError("grid tables disagree with the root layout")
+            self.rows = grid.m_count
+            return
+        if np.iscomplexobj(entries):
             raise ValueError("design entries must be real (see field.basis_matrix)")
-        entries = np.asarray(self.entries, dtype=float).view()
-        if entries.ndim != 2 or entries.shape[1] != sum(hr.m for hr in self.roots):
+        entries = np.asarray(entries, dtype=float).view()
+        if entries.ndim != 2 or entries.shape[1] != self.cols:
             raise ValueError("entry matrix shape disagrees with the root layout")
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "roots", tuple(self.roots))
+        # Seeds the cached property below, which then never runs.
+        self.entries = entries
+        self.rows = entries.shape[0]
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        entries = self.grid.materialize()
+        entries.flags.writeable = False
+        return entries
 
     @property
     def m(self) -> int:
@@ -89,6 +116,31 @@ class DesignMatrix:
     def layout(self) -> ConjugateLayout:
         return conjugate_layout(self.roots)
 
+    def reduce(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A system (K, d) with the least-squares minimiser, singular values and
+        Frobenius norm of (entries, values).
+
+        K = P^T entries and d = P^T values for a matrix P with orthonormal
+        columns and entries = P K, so ||values - entries a||^2 differs from
+        ||d - K a||^2 by a constant.  From grid tables, P is
+        blockdiag(Q_L, .., Q_L, I_r) of the module docstring; explicit
+        entries are their own reduction.
+        """
+        if self.grid is None:
+            return self.entries, values
+        grid = self.grid
+        full, tail = divmod(self.rows, grid.block)
+        q, r = np.linalg.qr(grid.low)
+        k = len(r)  # c, unless a block is shorter than the design is wide
+        system = np.empty((full * k + tail, self.cols))
+        data = np.empty(len(system))
+        grid.scale(r, slice(full), system[: full * k].reshape(full, k, self.cols))
+        if tail:
+            grid.scale(grid.low[:tail], slice(full, full + 1), system[full * k :][None])
+        np.matmul(values[: full * grid.block].reshape(full, grid.block), q, out=data[: full * k].reshape(full, k))
+        data[full * k :] = values[full * grid.block :]
+        return system, data
+
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
     """Design matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
@@ -97,7 +149,7 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: 
     and when the readings were taken.
     """
     roots = tuple(roots_per_k)
-    return DesignMatrix(entries=grid_basis_matrix(roots, m_count, t0), roots=roots, t0=float(t0))
+    return DesignMatrix(roots=roots, t0=float(t0), grid=grid_tables(roots, m_count, t0))
 
 
 def _as_values(values) -> np.ndarray:
@@ -107,27 +159,28 @@ def _as_values(values) -> np.ndarray:
     return values
 
 
-def _rank_gate(entries: np.ndarray, singular: np.ndarray) -> None:
-    """InsufficientSamples when a real design has fewer rows than columns,
-    RankDeficient when its sigma_min <= RANK_RTOL * sigma_max."""
-    rows, cols = entries.shape
-    if rows < cols:
-        raise InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
+def _solve(design: DesignMatrix, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real least-squares solution in the design's column layout, the design's
+    singular values and its reduced system K.
+
+    InsufficientSamples when the design has fewer rows than columns,
+    RankDeficient when its sigma_min <= RANK_RTOL * sigma_max.
+    """
+    if len(values) != design.rows:
+        raise ValueError("one value per design-matrix row required")
+    if design.rows < design.cols:
+        raise InsufficientSamples(f"{design.rows} samples cannot determine {design.cols} coefficients")
+    system, data = design.reduce(values)
+    # rcond=None truncates below eps * max(rows, c) relative, far under
+    # RANK_RTOL, so every solve the gate accepts is a full-rank one.
+    solution, _, _, singular = np.linalg.lstsq(system, data, rcond=None)
+    if singular[0] == 0.0:
+        raise RankDeficient("the design matrix is zero")
     if singular[-1] <= RANK_RTOL * singular[0]:
         raise RankDeficient(
             f"singular value ratio {singular[-1] / singular[0]:.3g} below the rank tolerance"
         )
-
-
-def _svd_solve(entries: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real least-squares solution in the design's column layout, and the singular values."""
-    if len(values) != entries.shape[0]:
-        raise ValueError("one value per design-matrix row required")
-    # rcond=None truncates below eps * max(M, c) relative, far under RANK_RTOL,
-    # so every solve the gate accepts is a full-rank one.
-    solution, _, _, singular = np.linalg.lstsq(entries, values, rcond=None)
-    _rank_gate(entries, singular)
-    return solution, singular
+    return solution, singular, system
 
 
 def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> float:
@@ -151,7 +204,7 @@ class ReconstructionResult:
 def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> ReconstructionResult:
     """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
     as stacked complex coefficients, scored per harmonic at t = 0."""
-    solution, singular = _svd_solve(design.entries, _as_values(values))
+    solution, singular, _ = _solve(design, _as_values(values))
     a_hat = design.layout.to_complex(solution)
     a_hat_k0 = a_hat.reshape(len(design.roots), design.m).sum(axis=1)
     return ReconstructionResult(
@@ -193,10 +246,10 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     horizon at most about the unit span; a failure flags a numerical problem,
     not physics.
     """
-    singular = np.linalg.svd(design.entries, compute_uv=False)
-    _rank_gate(design.entries, singular)
+    # The reduced system K has the singular values and the Frobenius norm of Y0.
+    _, singular, system = _solve(design, np.zeros(design.rows))
     eigenvalues = singular**2
-    trace = float(np.sum(design.entries**2))
+    trace = float(np.sum(system**2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))
     kappa = float(eigenvalues[0] / eigenvalues[-1])
     cols = design.cols

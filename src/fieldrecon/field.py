@@ -314,38 +314,79 @@ def basis_matrix(roots_per_k: Sequence[HarmonicRoots], xs, ts) -> np.ndarray:
     return _exp_in_layout(out, 2 * len(layout.pairs)).T
 
 
-def grid_basis_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> np.ndarray:
-    """basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M, from power tables.
+@dataclass(frozen=True, eq=False)
+class GridTables:
+    """The real basis on the uniform grid (i/M, i*t0/M), i = 1..M, as two power tables.
 
-    On the grid each column is a geometric sequence s * z**i, with the step
+    On the grid each layout column is a geometric sequence s * z**i (see
+    grid_tables).  Writing i - 1 = B*h + l with 0 <= l < B, row i is
+    ``low[l] * high[h]`` in layout arithmetic (see ``scale``): low[l] holds
+    z**l and high[h] holds s * z**(1 + B*h).  So each block of B consecutive
+    rows is the one (B x c) table ``low`` with every column scaled by one
+    number, which lets the estimator reduce the least-squares problem through
+    a single factorization of ``low`` (estimator.DesignMatrix.reduce).
+    """
+
+    low: np.ndarray  # (B, c)
+    high: np.ndarray  # (ceil(M / B), c)
+    m_count: int
+    n_pair: int  # the pair columns come first, two per conjugate pair
+
+    @property
+    def block(self) -> int:
+        return self.low.shape[0]
+
+    def scale(self, left: np.ndarray, blocks: slice, out: np.ndarray) -> np.ndarray:
+        """out[j] = left * high[blocks][j] in layout arithmetic, for (rows, c) ``left``.
+
+        Each pair's two columns are one complex column, multiplied by the pair's
+        complex high entry, and each self-conjugate column by its real one: the
+        map a row of z**l takes to the row of z**l * s * z**(1 + B*h).  It is
+        linear in ``left``, so it commutes with any row operation on ``low``.
+        """
+        high = self.high[blocks, None]
+        n = self.n_pair
+        np.multiply(left[:, :n].view(complex), high[..., :n].view(complex), out=out[..., :n].view(complex))
+        np.multiply(left[:, n:], high[..., n:], out=out[..., n:])
+        return out
+
+    def materialize(self) -> np.ndarray:
+        """The (M x c) basis, one product per entry."""
+        blocks, cols = len(self.high), self.low.shape[1]
+        out = np.empty((blocks, self.block, cols))
+        return self.scale(self.low, slice(None), out).reshape(-1, cols)[: self.m_count]
+
+
+def grid_tables(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> GridTables:
+    """Power tables of basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
+
+    Each column is a geometric sequence s * z**i, with the step
     log z = (t0, 1, 0) @ exponents / M and the scale log s = exponents[2]
-    (s = sqrt(2) on pairs, 1 on self-conjugate columns).  Writing
-    i = B*h + l with B = ceil(sqrt(M + 1)), entry i is (s * z**(B*h)) * z**l:
-    one product per entry and 2B exponentials per column.  Every table entry
-    is an exponential of its own argument, never a running product, so
-    rounding does not grow with i.
+    (s = sqrt(2) on pairs, 1 on self-conjugate columns).  The block length is
+    B = isqrt(M*c) + 1 for c columns, about sqrt(M*c): it balances the B rows
+    of ``low`` against the c rows the estimator keeps for each of the M/B
+    blocks, and the two tables take B + M/B exponentials per column.  Every
+    table entry is an exponential of its own argument, never a running
+    product, so rounding does not grow with i.
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
-    side = math.isqrt(m_count) + 1  # ceil(sqrt(M + 1)): side**2 covers i = 0..M
+    block = math.isqrt(m_count * layout.cols) + 1
+    blocks = -(-m_count // block)
     # max(M, 1): an empty grid (M = 0) takes no step.
     step = np.array([t0, 1.0, 0.0]) @ layout.exponents / max(m_count, 1)
-    powers = np.arange(side, dtype=float)
-    # Both tables in one kernel call, one layout column per row: entries
-    # 0..B-1 are z**l and entries B..2B-1 are s * z**(B*h).  The products
-    # below read them transposed back to one power per row.
-    tables = np.multiply.outer(step, np.concatenate((powers, side * powers)))
-    tables[:, side:] += layout.exponents[2][:, None]
+    powers = np.concatenate((np.arange(block), 1 + block * np.arange(blocks))).astype(float)
+    # Both tables in one kernel call, one layout column per row, then
+    # transposed back to one power per row.
+    tables = np.multiply.outer(step, powers)
+    tables[:, block:] += layout.exponents[2][:, None]
     tables = np.ascontiguousarray(_exp_in_layout(tables, n_pair).T)
-    low, high = tables[:side], tables[side:]
-    out = np.empty((side * side, layout.cols))
-    # Write through a reshaped view of the whole buffer: reshaping a column
-    # slice would copy, and the products would be lost.
-    grid = out.reshape(side, side, layout.cols)
-    pair = grid[..., :n_pair].view(complex)
-    np.multiply(high[:, None, :n_pair].view(complex), low[None, :, :n_pair].view(complex), out=pair)
-    np.multiply(high[:, None, n_pair:], low[None, :, n_pair:], out=grid[..., n_pair:])
-    return out[1 : m_count + 1]
+    return GridTables(low=tables[:block], high=tables[block:], m_count=m_count, n_pair=n_pair)
+
+
+def grid_basis_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> np.ndarray:
+    """basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M, from its power tables."""
+    return grid_tables(roots_per_k, m_count, t0).materialize()
 
 
 def _paired_points(xs, ts) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -401,3 +403,125 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
     except RankDeficient:
         return
     assert result.distortion < 1e-14
+
+
+# ------------------------------------- reduced solve vs lstsq on the entries
+
+# Relative gap between the two solutions, in units of eps * sqrt(kappa).  Its
+# measured maximum over 2 500 random draws of this test's strategies was 52.8
+# for the solution and 5.7 for the singular values.  The largest gaps all sit
+# on single-column grids (c = 1, kappa = 1) and come from lstsq on the
+# materialized column, which sums its M rows in one pass: on a root at 0 it
+# misses the exact coefficient by 57 eps at M = 9000 while the reduced solve
+# stays within 3 eps.  Above kappa = 1e4 the largest gap was 1.7.
+REDUCED_SOLVE_C = 64.0
+EDGES = ("c - 1", "c", "c + 1", "c + 2", "kB - 1", "kB", "kB + 1")
+
+
+def grid_block(m_count, cols):
+    """Block length of the grid's power tables (field.grid_tables)."""
+    return math.isqrt(m_count * cols) + 1
+
+
+def block_edge(cols, edge, k):
+    """Sample count at ``edge``: the least M >= cols with M - offset equal to
+    k blocks of its own block length, for kB - 1, kB and kB + 1; else M itself.
+
+    M = c has one block longer than the grid (B = c + 1: every row is in the
+    partial block), M = c + 1 fills one block exactly and M = c + 2 leaves a
+    one-row partial block, the B - 1, B and B + 1 of the smallest grids.
+    """
+    if not edge.startswith("kB"):
+        return cols + int(edge.removeprefix("c").replace(" ", "") or 0)
+    offset = int(edge.removeprefix("kB").replace(" ", "") or 0)
+    m_count = cols
+    while m_count - offset != k * grid_block(m_count, cols):
+        m_count += 1
+    return m_count
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    spec=feasible_pdes(),
+    b=st.integers(0, 4),
+    size=st.one_of(st.sampled_from(EDGES), st.integers(0, 9000)),
+    blocks=st.integers(2, 12),
+    t0=st.floats(0.3, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# catalog set1 at the acceptance sweep's densest grid
+@example(spec=catalog_entry(1).spec, b=3, size=8192, blocks=2, t0=0.9, seed=4)
+# third order with advection at the largest band, a one-row partial block
+@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, size="kB + 1", blocks=12, t0=1.2, seed=5)
+def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, t0, seed):
+    # The solve from the grid's power tables against np.linalg.lstsq on the
+    # materialized design, on noiseless readings of a random real field.
+    try:
+        feasible = check_stability(spec, b).feasible
+        roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
+    except DegenerateRoots:
+        assume(False)
+    assume(feasible)
+    cols = spec.degree * (2 * b + 1)
+    m_count = size if isinstance(size, int) else block_edge(cols, size, blocks)
+    design = build_design_matrix(roots, m_count, t0)
+    assert design.grid.block == grid_block(m_count, cols)
+    rng = np.random.default_rng(seed)
+    values = design.entries @ rng.normal(size=cols)
+    if m_count < cols:
+        with pytest.raises(InsufficientSamples):
+            solve(design, values)
+        return
+    solution, _, _, singular = np.linalg.lstsq(design.entries, values, rcond=None)
+    if singular[-1] <= RANK_RTOL * singular[0]:
+        with pytest.raises(RankDeficient):
+            solve(design, values)
+        return
+    result = reconstruct(design, values, np.zeros(2 * b + 1))
+    kappa = (singular[0] / singular[-1]) ** 2
+    assert result.kappa == pytest.approx(kappa, rel=1e-9)
+    bound = REDUCED_SOLVE_C * np.finfo(float).eps * np.sqrt(kappa)
+    oracle = design.layout.to_complex(solution)
+    assert np.linalg.norm(result.a_hat - oracle) <= bound * np.linalg.norm(oracle)
+    reduced = np.linalg.svd(design.reduce(values)[0], compute_uv=False)
+    assert np.max(np.abs(reduced - singular)) <= bound * singular[0]
+
+
+@pytest.mark.parametrize("cols_short", [1, 2, 7])
+def test_insufficient_samples_counts_design_rows(diffusion, cols_short):
+    # The reduced system of a grid with M >= c never has fewer than c rows,
+    # and M < c is refused whatever it would have.
+    m_count = 7 - cols_short
+    with pytest.raises(InsufficientSamples, match=f"{m_count} samples cannot determine 7"):
+        solve(build_design_matrix(diffusion.roots, m_count, 1.0), np.zeros(m_count))
+    for m_count in range(7, 200):
+        design = build_design_matrix(diffusion.roots, m_count, 1.0)
+        assert design.reduce(np.zeros(m_count))[0].shape[0] >= 7
+
+
+def test_explicit_entries_are_their_own_reduction(diffusion):
+    entries = basis_matrix(diffusion.roots, np.linspace(0, 1, 30), np.linspace(0, 1, 30))
+    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=1.0)
+    values = np.arange(30.0)
+    system, data = design.reduce(values)
+    assert system is design.entries and data is values
+
+
+def test_grid_design_materializes_only_when_read(diffusion):
+    design = build_design_matrix(diffusion.roots, 500, 0.8)
+    assert "entries" not in vars(design)
+    idx = np.arange(1, 501)
+    expected = basis_matrix(diffusion.roots, idx / 500, idx * 0.8 / 500)
+    assert np.max(np.abs(design.entries - expected)) < 1e-13
+    assert not design.entries.flags.writeable
+    assert design.entries is design.entries
+
+
+@pytest.mark.parametrize("call", [solve, lambda design, values: condition_diagnostics(design)])
+def test_all_zero_design_is_rank_deficient(call):
+    # sigma_max = 0: refused with a finite message, no 0/0 warning.
+    roots = tuple(characteristic_roots(catalog_entry(3).spec, k) for k in range(-3, 4))
+    design = DesignMatrix(entries=np.zeros((10, 7)), roots=roots, t0=1.0)
+    with pytest.raises(RankDeficient, match="zero") as refusal:
+        call(design, np.ones(10))
+    assert "nan" not in str(refusal.value)

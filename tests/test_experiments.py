@@ -20,7 +20,7 @@ from fieldrecon.experiments import (
     run_sweep,
     sweep_csv_text,
 )
-from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
+from fieldrecon.field import GridTables, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
 
@@ -391,6 +391,27 @@ def test_rank_failures_counted(monkeypatch):
     result = run_sweep(quick_config(n_list=(64,), trials=6))
     assert result.rows[0].rank_failures == 2
     assert sum(1 for r in result.trial_records if r.ok) == 4
+
+
+def test_trials_never_materialize_the_design(monkeypatch):
+    # Each trial solves through the grid's power tables; the M x c design is
+    # built only when something reads DesignMatrix.entries.
+    def refuse(tables):
+        raise AssertionError(f"materialized a {tables.m_count}-row design")
+
+    designs = []
+
+    def build(*args):
+        designs.append(original(*args))
+        return designs[-1]
+
+    original = exp.build_design_matrix
+    monkeypatch.setattr(GridTables, "materialize", refuse)
+    monkeypatch.setattr(exp, "build_design_matrix", build)
+    result = run_sweep(quick_config(scenario="set1", pde=1, n_list=(64, 2048), trials=3))
+    assert all(record.ok for record in result.trial_records)
+    assert len(designs) == 6
+    assert all("entries" not in vars(design) for design in designs)
 
 
 def test_trial_records_cover_grid():

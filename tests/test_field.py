@@ -164,8 +164,8 @@ def test_two_evaluation_paths_agree(diffusion, set1):
 @pytest.mark.parametrize("m_count", [1, 2, 3, 15, 16, 17, 8191, 8192, 8193])
 @pytest.mark.parametrize("t0", [0.3, 1.0, 1.7])
 def test_grid_basis_matches_basis_matrix(entry, m_count, t0):
-    # Power tables have side ceil(sqrt(M + 1)): M = 15 fills a 4 x 4 table
-    # exactly, M = 16 starts a 5 x 5 one.
+    # Tiny, mid-size and acceptance-size grids; the block edges of the power
+    # tables are covered by test_estimator's reduced-solve test.
     roots = tuple(characteristic_roots(entry.spec, k) for k in range(-3, 4))
     idx = np.arange(1, m_count + 1)
     expected = basis_matrix(roots, idx / m_count, idx * t0 / m_count)

@@ -1,12 +1,17 @@
-"""No stale imports or helpers: every imported name is used, and every
-private top-level function or class of the package is referenced.
+"""No stale imports or helpers: every imported name is used, every private
+top-level function or class of the package is referenced, and the package
+imports nothing beyond the standard library and its declared dependencies.
 
 A plain ``ast`` scan, so it needs no linter.  The package's ``__init__``
 imports only to re-export, and is left out of the import check.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "fieldrecon").glob("*.py"))
@@ -63,3 +68,26 @@ def test_every_private_helper_is_referenced():
             if not any(name in referenced_names(other) for other in others):
                 unused.append(f"{module} {name}")
     assert unused == []
+
+
+def test_package_imports_only_declared_dependencies():
+    # Importing scipy.linalg alone costs about as long as importing the whole
+    # CLI, so a solver shortcut through it would double every start-up.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_]+", dep).group() for dep in project["dependencies"]}
+    assert declared == {"numpy"}
+    foreign = []
+    for path in PACKAGE:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in declared:
+                    foreign.append(f"{path.name}:{node.lineno} {name}")
+    assert foreign == []
