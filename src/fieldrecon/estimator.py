@@ -131,7 +131,7 @@ class DesignMatrix:
         grid = self.grid
         full, tail = divmod(self.rows, grid.block)
         q, r = np.linalg.qr(grid.low)
-        k = len(r)  # c, unless a block is shorter than the design is wide
+        k = len(r)  # min(B, c), which is c whenever a block is full
         system = np.empty((full * k + tail, self.cols))
         data = np.empty(len(system))
         grid.scale(r, slice(full), system[: full * k].reshape(full, k, self.cols))

@@ -415,7 +415,9 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
 # misses the exact coefficient by 57 eps at M = 9000 while the reduced solve
 # stays within 3 eps.  Above kappa = 1e4 the largest gap was 1.7.
 REDUCED_SOLVE_C = 64.0
-EDGES = ("c - 1", "c", "c + 1", "c + 2", "kB - 1", "kB", "kB + 1")
+# Sample counts at the block edges, as (base, offset): M = c + offset, or
+# M = k B + offset for k blocks of the grid's own block length B.
+EDGES = (("c", -1), ("c", 0), ("c", 1), ("c", 2), ("kB", -1), ("kB", 0), ("kB", 1))
 
 
 def grid_block(m_count, cols):
@@ -424,16 +426,16 @@ def grid_block(m_count, cols):
 
 
 def block_edge(cols, edge, k):
-    """Sample count at ``edge``: the least M >= cols with M - offset equal to
-    k blocks of its own block length, for kB - 1, kB and kB + 1; else M itself.
+    """Sample count at ``edge``: c + offset, or the least M >= c with
+    M - offset equal to k blocks of its own block length.
 
     M = c has one block longer than the grid (B = c + 1: every row is in the
     partial block), M = c + 1 fills one block exactly and M = c + 2 leaves a
     one-row partial block, the B - 1, B and B + 1 of the smallest grids.
     """
-    if not edge.startswith("kB"):
-        return cols + int(edge.removeprefix("c").replace(" ", "") or 0)
-    offset = int(edge.removeprefix("kB").replace(" ", "") or 0)
+    base, offset = edge
+    if base == "c":
+        return cols + offset
     m_count = cols
     while m_count - offset != k * grid_block(m_count, cols):
         m_count += 1
@@ -452,7 +454,7 @@ def block_edge(cols, edge, k):
 # catalog set1 at the acceptance sweep's densest grid
 @example(spec=catalog_entry(1).spec, b=3, size=8192, blocks=2, t0=0.9, seed=4)
 # third order with advection at the largest band, a one-row partial block
-@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, size="kB + 1", blocks=12, t0=1.2, seed=5)
+@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, size=("kB", 1), blocks=12, t0=1.2, seed=5)
 def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, t0, seed):
     # The solve from the grid's power tables against np.linalg.lstsq on the
     # materialized design, on noiseless readings of a random real field.
@@ -487,13 +489,12 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, t0, seed)
     assert np.max(np.abs(reduced - singular)) <= bound * singular[0]
 
 
-@pytest.mark.parametrize("cols_short", [1, 2, 7])
-def test_insufficient_samples_counts_design_rows(diffusion, cols_short):
-    # The reduced system of a grid with M >= c never has fewer than c rows,
-    # and M < c is refused whatever it would have.
-    m_count = 7 - cols_short
-    with pytest.raises(InsufficientSamples, match=f"{m_count} samples cannot determine 7"):
-        solve(build_design_matrix(diffusion.roots, m_count, 1.0), np.zeros(m_count))
+def test_insufficient_samples_counts_design_rows(diffusion):
+    # M < c is refused, down to the empty grid; from M = c on, the reduced
+    # system never has fewer rows than columns, so it cannot refuse.
+    for m_count in (0, 6):
+        with pytest.raises(InsufficientSamples, match=f"^{m_count} samples cannot determine 7"):
+            solve(build_design_matrix(diffusion.roots, m_count, 1.0), np.zeros(m_count))
     for m_count in range(7, 200):
         design = build_design_matrix(diffusion.roots, m_count, 1.0)
         assert design.reduce(np.zeros(m_count))[0].shape[0] >= 7
