@@ -27,13 +27,23 @@ same singular values and the same Frobenius norm, and the rest of the
 estimator reads K in place of Y0.  With B about sqrt(M c), K has about
 2 sqrt(M c) rows, and the work falls from O(M c^2) to O(M c + sqrt(M c) c^2).
 
-The solve is one LAPACK least-squares call (gelsd, behind np.linalg.lstsq)
-on K: a Householder QR with Q^T applied to the data, then an SVD of the
-small triangular factor.  Like the reduction, it stays backward stable and
-still yields the singular values that the RANK_RTOL gate and kappa read.
-It does not go through the normal equations: the Gram matrix squares the
-condition number, and these design matrices (kappa up to 1e10) are exactly
-the kind that punish that.
+A sweep solves many such problems, each small enough that numpy's fixed
+cost per call outweighs LAPACK's arithmetic, so the solve works on stacks
+of them (reconstruct_stack; reconstruct is its one-member case).  The
+members share one block length, and each member's K is padded with zero
+rows to the stack's height; zero rows change neither a minimiser nor a
+singular value.  Three stacked LAPACK calls then finish every member:
+- a Householder QR of [K | d] (np.linalg.qr, mode "r"), whose triangular
+  factor [R | e] holds R = Q^T K and e = (Q^T d)[:c];
+- an SVD of the c x c factor R (values only).  Q is orthogonal, so these
+  are K's singular values, read by the RANK_RTOL gate and kappa;
+- a back-substitution R a = e (np.linalg.solve, whose partial pivoting
+  never swaps the rows of a triangular matrix), which gives the minimiser.
+Householder QR is backward stable: the solution is the exact minimiser for
+a system within O(eps) of K, as with an SVD-based solver, and the SVD of R
+is as accurate as one of K.  The solve never forms the normal equations:
+the Gram matrix squares the condition number, and these designs (kappa up
+to 1e10) are exactly the kind that punish that.
 """
 
 from __future__ import annotations
@@ -67,10 +77,10 @@ class DesignMatrix:
     back to the stacked complex coefficients of FieldState.
 
     A design holds either its ``entries`` (basis values at any points) or, on
-    the uniform grid, the grid's power tables (``grid``); then ``entries`` is
-    materialized only when read, and ``reduce`` works from the tables.
-    Entries are stored as a read-only view: a caller's float array is not
-    copied.
+    the uniform grid, the grid's power tables (``grid``, a stack of one
+    grid); then ``entries`` is materialized only when read, and ``reduce``
+    works from the tables.  Entries are stored as a read-only view: a
+    caller's float array is not copied.
     """
 
     def __init__(
@@ -88,9 +98,9 @@ class DesignMatrix:
         if (entries is None) == (grid is None):
             raise ValueError("a design holds either entries or grid tables")
         if grid is not None:
-            if grid.low.shape[1] != self.cols:
-                raise ValueError("grid tables disagree with the root layout")
-            self.rows = grid.m_count
+            if grid.low.shape[0] != 1 or grid.low.shape[2] != self.cols:
+                raise ValueError("grid tables must hold one grid in the root layout")
+            self.rows = int(grid.m_counts[0])
             return
         if np.iscomplexobj(entries):
             raise ValueError("design entries must be real (see field.basis_matrix)")
@@ -128,18 +138,8 @@ class DesignMatrix:
         """
         if self.grid is None:
             return self.entries, values
-        grid = self.grid
-        full, tail = divmod(self.rows, grid.block)
-        q, r = np.linalg.qr(grid.low)
-        k = len(r)  # min(B, c), which is c whenever a block is full
-        system = np.empty((full * k + tail, self.cols))
-        data = np.empty(len(system))
-        grid.scale(r, slice(full), system[: full * k].reshape(full, k, self.cols))
-        if tail:
-            grid.scale(grid.low[:tail], slice(full, full + 1), system[full * k :][None])
-        np.matmul(values[: full * grid.block].reshape(full, grid.block), q, out=data[: full * k].reshape(full, k))
-        data[full * k :] = values[full * grid.block :]
-        return system, data
+        augmented = _reduce_grids(self.grid, [values])[0]
+        return augmented[:, :-1], augmented[:, -1]
 
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
@@ -149,7 +149,41 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: 
     and when the readings were taken.
     """
     roots = tuple(roots_per_k)
-    return DesignMatrix(roots=roots, t0=float(t0), grid=grid_tables(roots, m_count, t0))
+    return DesignMatrix(roots=roots, t0=float(t0), grid=grid_tables(roots, [m_count], [t0]))
+
+
+def _reduce_grids(grid: GridTables, values: Sequence[np.ndarray]) -> np.ndarray:
+    """The reduced systems [K | d] of every grid of ``grid`` (DesignMatrix.reduce)
+    with readings ``values[g]`` on grid g, stacked and padded with zero rows.
+
+    Grid g's system holds its full blocks, zero blocks up to the most full
+    blocks of any grid, its partial block's rows as they are and zero rows
+    up to the longest partial block.
+    """
+    count, block, cols = grid.low.shape
+    fulls = [len(v) // block for v in values]
+    n_full = max(fulls)
+    n_tail = max(len(v) - f * block for v, f in zip(values, fulls))
+    q, r = np.linalg.qr(grid.low)
+    k = r.shape[1]  # min(B, c), which is c whenever a block is full
+    split = n_full * k
+    augmented = np.zeros((count, split + n_tail, cols + 1))
+    head = augmented[:, :split].reshape(count, n_full, k, cols + 1)
+    grid.scale(r[:, None], grid.high[:, :n_full, None], head[..., :cols])
+    # Each grid's full blocks of readings, zero past them.
+    readings = np.zeros((count, n_full * block))
+    # A grid's partial block h scales by high[h]; a grid without one reads
+    # any row of ``high`` and zeroes the result below.
+    last = grid.high[range(count), [min(f, grid.high.shape[1] - 1) for f in fulls]]
+    grid.scale(grid.low[:, :n_tail], last[:, None], augmented[:, split:, :cols])
+    for g, (v, f) in enumerate(zip(values, fulls)):
+        readings[g, : f * block] = v[: f * block]
+        tail = len(v) - f * block
+        augmented[g, split : split + tail, cols] = v[f * block :]
+        head[g, f:] = 0.0
+        augmented[g, split + tail :] = 0.0
+    np.matmul(readings.reshape(count, n_full, block), q, out=head[..., cols])
+    return augmented
 
 
 def _as_values(values) -> np.ndarray:
@@ -159,28 +193,51 @@ def _as_values(values) -> np.ndarray:
     return values
 
 
-def _solve(design: DesignMatrix, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real least-squares solution in the design's column layout, the design's
-    singular values and its reduced system K.
+def _insufficient(rows: int, cols: int) -> InsufficientSamples | None:
+    if rows < cols:
+        return InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
+    return None
 
-    InsufficientSamples when the design has fewer rows than columns,
-    RankDeficient when its sigma_min <= RANK_RTOL * sigma_max.
+
+def _reduced(design: DesignMatrix, values: np.ndarray) -> np.ndarray:
+    """design.reduce(values) as a stack of one system [K | d].
+
+    ValueError unless there is one value per row, InsufficientSamples when
+    the design has fewer rows than columns.
     """
     if len(values) != design.rows:
         raise ValueError("one value per design-matrix row required")
-    if design.rows < design.cols:
-        raise InsufficientSamples(f"{design.rows} samples cannot determine {design.cols} coefficients")
-    system, data = design.reduce(values)
-    # rcond=None truncates below eps * max(rows, c) relative, far under
-    # RANK_RTOL, so every solve the gate accepts is a full-rank one.
-    solution, _, _, singular = np.linalg.lstsq(system, data, rcond=None)
-    if singular[0] == 0.0:
-        raise RankDeficient("the design matrix is zero")
-    if singular[-1] <= RANK_RTOL * singular[0]:
-        raise RankDeficient(
-            f"singular value ratio {singular[-1] / singular[0]:.3g} below the rank tolerance"
-        )
-    return solution, singular, system
+    if refusal := _insufficient(design.rows, design.cols):
+        raise refusal
+    if design.grid is not None:
+        return _reduce_grids(design.grid, [values])
+    return np.column_stack((design.entries, values))[None]
+
+
+def _solve(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[RankDeficient | None]]:
+    """Least-squares solutions in the column layout and singular values of a
+    stack of systems [K | d], each with at least as many rows as K has
+    columns, and each member's refusal: RankDeficient when its sigma_min <=
+    RANK_RTOL * sigma_max, else None.  A refused member's solution is
+    meaningless.
+    """
+    cols = augmented.shape[2] - 1
+    r = np.linalg.qr(augmented, mode="r")
+    factor = r[:, :cols, :cols]
+    singular = np.linalg.svd(factor, compute_uv=False)
+    refusals = [_rank_refusal(s[0], s[-1]) for s in singular.tolist()]
+    for member, refusal in enumerate(refusals):
+        if refusal is not None:  # a singular factor would fail the whole solve
+            factor[member] = np.eye(cols)
+    return np.linalg.solve(factor, r[:, :cols, cols:])[..., 0], singular, refusals
+
+
+def _rank_refusal(largest: float, smallest: float) -> RankDeficient | None:
+    if largest == 0.0:
+        return RankDeficient("the design matrix is zero")
+    if smallest <= RANK_RTOL * largest:
+        return RankDeficient(f"singular value ratio {smallest / largest:.3g} below the rank tolerance")
+    return None
 
 
 def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> float:
@@ -201,17 +258,63 @@ class ReconstructionResult:
     kappa: float
 
 
+def _reconstruct(
+    roots: tuple[HarmonicRoots, ...], augmented: np.ndarray, true_k0: Sequence[complex]
+) -> list[ReconstructionResult | RankDeficient]:
+    """The outcome of every member of a stack of reduced systems [K | d]."""
+    solution, singular, refusals = _solve(augmented)
+    a_hat = conjugate_layout(roots).to_complex(solution)
+    a_hat_k0 = a_hat.reshape(len(a_hat), len(roots), -1).sum(axis=2)
+    if a_hat_k0.shape[1] != len(true_k0):
+        raise ValueError("coefficient vectors must have equal length")
+    errors = np.sum(np.abs(a_hat_k0 - np.asarray(true_k0, dtype=complex)) ** 2, axis=1).tolist()
+    return [
+        refusal or ReconstructionResult(a_hat=est, distortion=error, kappa=(s[0] / s[-1]) ** 2)
+        for est, error, s, refusal in zip(a_hat, errors, singular.tolist(), refusals)
+    ]
+
+
 def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> ReconstructionResult:
     """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
-    as stacked complex coefficients, scored per harmonic at t = 0."""
-    solution, singular, _ = _solve(design, _as_values(values))
-    a_hat = design.layout.to_complex(solution)
-    a_hat_k0 = a_hat.reshape(len(design.roots), design.m).sum(axis=1)
-    return ReconstructionResult(
-        a_hat=a_hat,
-        distortion=distortion(a_hat_k0, true_k0),
-        kappa=float((singular[0] / singular[-1]) ** 2),
-    )
+    as stacked complex coefficients, scored per harmonic at t = 0.
+
+    The one-member case of reconstruct_stack, on any design.
+    """
+    (outcome,) = _reconstruct(design.roots, _reduced(design, _as_values(values)), true_k0)
+    if not isinstance(outcome, ReconstructionResult):
+        raise outcome
+    return outcome
+
+
+def reconstruct_stack(
+    roots_per_k: Sequence[HarmonicRoots],
+    m_counts: Sequence[int],
+    t0s: Sequence[float],
+    values: Sequence[np.ndarray],
+    true_k0: Sequence[complex],
+) -> list[ReconstructionResult | InsufficientSamples | RankDeficient]:
+    """reconstruct on the uniform grid of every (M, t0) of ``m_counts`` and
+    ``t0s``, with readings ``values[i]`` on grid i, through one set of
+    stacked numpy calls.
+
+    Each member's outcome is its ReconstructionResult or the refusal that
+    reconstruct raises for it alone (InsufficientSamples, RankDeficient);
+    one member's refusal never touches another.  The grids share one block
+    length (field.grid_tables), set by the longest, so a member's result
+    depends on its stack at rounding level (about 1e-11 relative).
+    """
+    roots = tuple(roots_per_k)
+    values = [_as_values(v) for v in values]
+    m_counts = [int(m) for m in m_counts]
+    if len(values) != len(m_counts) or any(len(v) != m for v, m in zip(values, m_counts)):
+        raise ValueError("one value per design-matrix row required")
+    cols = sum(hr.m for hr in roots)
+    short = [_insufficient(m, cols) for m in m_counts]
+    if all(short):
+        return short
+    grid = grid_tables(roots, m_counts, t0s)
+    outcomes = _reconstruct(roots, _reduce_grids(grid, values), true_k0)
+    return [refusal or outcome for refusal, outcome in zip(short, outcomes)]
 
 
 @dataclass(frozen=True)
@@ -247,8 +350,12 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     not physics.
     """
     # The reduced system K has the singular values and the Frobenius norm of Y0.
-    _, singular, system = _solve(design, np.zeros(design.rows))
-    eigenvalues = singular**2
+    augmented = _reduced(design, np.zeros(design.rows))
+    _, singular, (refusal,) = _solve(augmented)
+    system = augmented[0, :, :-1]
+    if refusal is not None:
+        raise refusal
+    eigenvalues = singular[0] ** 2
     trace = float(np.sum(system**2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))
     kappa = float(eigenvalues[0] / eigenvalues[-1])

@@ -22,22 +22,25 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde, InsufficientSamples, RankDeficient
+from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
 from .pde_core import PdeSpec, check_stability, integer
-from .estimator import build_design_matrix, distortion, reconstruct
-from .sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
+from .estimator import ReconstructionResult, distortion, reconstruct_stack
+from .sampling import NoiseSpec, RenewalSpec, draw_paths, sample_paths
 from .streams import cell_streams, substream
 
 RANDOM_SCENARIO_BAND = 3
 # Trials per task of a sweep: the unit a pool worker takes, and the cells
 # whose generators one hashing pass derives.
 _TRIAL_BLOCK = 16
+# Design floats (M x c per trial) one stack of a task's trials spans at
+# most, unless one trial alone exceeds it (see _run_trials).
+_STACK_ELEMENTS = 2**16
 
 _CONFIG_KEYS = {
     "scenario",
@@ -181,20 +184,59 @@ def run_trial(
     """Draw a path with the config's renewal spec, sample ``state`` with its
     noise spec, reconstruct on the uniform grid, score.
 
-    ``streams`` holds the cell's spatial, temporal and noise generators.
+    ``streams`` holds the cell's spatial, temporal and noise generators.  The
+    one-trial case of a sweep task (_run_trials).
     """
-    path = draw_path(config.renewal, n, streams[:2])
-    values = sample_field(state, path, config.noise, streams[2])
-    try:
-        design = build_design_matrix(state.roots, path.M, path.T0)
-        result = reconstruct(design, values, coefficients_at(state, 0.0))
-    except (RankDeficient, InsufficientSamples):
-        nan = float("nan")
-        return TrialRecord(n, trial, False, nan, nan, nan, path.M, path.T0)
-    coeff_error = distortion(result.a_hat, state.flat_coeffs())
-    return TrialRecord(
-        n, trial, True, result.distortion, coeff_error, result.kappa, path.M, path.T0
-    )
+    (record,) = _run_trials(config, state, coefficients_at(state, 0.0), n, [trial], [streams])
+    return record
+
+
+def _run_trials(
+    config: ExperimentConfig,
+    state: FieldState,
+    true_k0: np.ndarray,
+    n: int,
+    trials: Sequence[int],
+    streams: Iterable[Sequence[np.random.Generator]],
+) -> list[TrialRecord]:
+    """Run ``trials`` at density ``n``, trial i on the i-th (spatial,
+    temporal, noise) generators of ``streams``.
+
+    The paths are drawn as blocks and read one at a time.  Consecutive
+    trials are solved as one stack (estimator.reconstruct_stack) while their
+    designs span at most _STACK_ELEMENTS floats; a stack is solved as soon
+    as the next trial would overflow it, so only one stack's readings are
+    held at a time.
+    """
+    streams = list(streams)
+    paths = draw_paths(config.renewal, n, [gens[:2] for gens in streams])
+    readings = sample_paths(state, paths, config.noise, [gens[2] for gens in streams])
+    cols = state.m * (2 * state.b + 1)
+    records: list[TrialRecord] = []
+    stack: list[tuple[int, float, np.ndarray]] = []
+    for trial, (t0, values) in zip(trials, readings):
+        if stack and (sum(len(v) for _, _, v in stack) + len(values)) * cols > _STACK_ELEMENTS:
+            records += _solve_stack(state, true_k0, n, stack)
+            stack = []
+        stack.append((trial, t0, values))
+    return records + _solve_stack(state, true_k0, n, stack)
+
+
+def _solve_stack(
+    state: FieldState, true_k0: np.ndarray, n: int, stack: Sequence[tuple[int, float, np.ndarray]]
+) -> list[TrialRecord]:
+    """Reconstruct and score one stack of (trial, T0, readings)."""
+    trials, t0s, values = zip(*stack)
+    m_counts = [len(v) for v in values]
+    outcomes = reconstruct_stack(state.roots, m_counts, t0s, values, true_k0)
+    flat = state.flat_coeffs()
+    nan = float("nan")
+    return [
+        TrialRecord(n, trial, True, result.distortion, distortion(result.a_hat, flat), result.kappa, m, t0)
+        if isinstance(result, ReconstructionResult)
+        else TrialRecord(n, trial, False, nan, nan, nan, m, t0)
+        for trial, m, t0, result in zip(trials, m_counts, t0s, outcomes)
+    ]
 
 
 @functools.cache
@@ -243,12 +285,13 @@ def _init_worker() -> None:
         control[1](1)
 
 
-def _run_block(config: ExperimentConfig, state: FieldState, n: int, trials: range) -> list[TrialRecord]:
-    """One block of trials at density ``n``; their generators (keys 0-2 of
-    each cell) are hashed in one pass."""
+def _run_block(
+    config: ExperimentConfig, state: FieldState, true_k0: np.ndarray, n: int, trials: range
+) -> list[TrialRecord]:
+    """One task of a sweep: a block of trials at density ``n``, whose
+    generators (keys 0-2 of each cell) are hashed in one pass."""
     cells = ((config.master_seed, n, trial) for trial in trials)
-    streams = cell_streams(cells, 3)
-    return [run_trial(config, state, n, trial, gens) for trial, gens in zip(trials, streams)]
+    return _run_trials(config, state, true_k0, n, trials, cell_streams(cells, 3))
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:
@@ -311,7 +354,7 @@ def run_sweep(
             Path(target).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"cannot create output directory {target}: {exc}") from exc
-    run_block = functools.partial(_run_block, config, state)
+    run_block = functools.partial(_run_block, config, state, coefficients_at(state, 0.0))
     with _one_blas_thread():
         if workers == 1:
             blocks = [run_block(n, trials) for n, trials in tasks]

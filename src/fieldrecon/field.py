@@ -234,13 +234,14 @@ class ConjugateLayout:
         return out
 
     def to_complex(self, x: np.ndarray) -> np.ndarray:
-        """Conjugate-symmetric stacked coefficients a with to_real(a) = x."""
+        """Conjugate-symmetric stacked coefficients a with to_real(a) = x, for
+        every real-layout vector along the last axis of ``x``."""
         p, q = self.pairs.T
-        pair = x[: 2 * len(p)].view(complex) / SQRT2
-        out = np.empty(self.cols, dtype=complex)
-        out[p] = pair.conj()
-        out[q] = pair
-        out[self.selfconj] = x[2 * len(p) :]
+        pair = x[..., : 2 * len(p)].view(complex) / SQRT2
+        out = np.empty(x.shape[:-1] + (self.cols,), dtype=complex)
+        out[..., p] = pair.conj()
+        out[..., q] = pair
+        out[..., self.selfconj] = x[..., 2 * len(p) :]
         return out
 
     def asymmetry(self, coeffs: np.ndarray) -> float:
@@ -316,77 +317,83 @@ def basis_matrix(roots_per_k: Sequence[HarmonicRoots], xs, ts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridTables:
-    """The real basis on the uniform grid (i/M, i*t0/M), i = 1..M, as two power tables.
+    """The real basis on a stack of uniform grids (i/M, i*t0/M), i = 1..M, one
+    per (M, t0) pair, as two power tables per grid.
 
-    On the grid each layout column is a geometric sequence s * z**i (see
-    grid_tables).  Writing i - 1 = B*h + l with 0 <= l < B, row i is
-    ``low[l] * high[h]`` in layout arithmetic (see ``scale``): low[l] holds
-    z**l and high[h] holds s * z**(1 + B*h).  So each block of B consecutive
-    rows is the one (B x c) table ``low`` with every column scaled by one
-    number, which lets the estimator reduce the least-squares problem through
-    a single factorization of ``low`` (estimator.DesignMatrix.reduce).
+    On a grid each layout column is a geometric sequence s * z**i (see
+    grid_tables).  Writing i - 1 = B*h + l with 0 <= l < B, row i of grid g is
+    ``low[g, l] * high[g, h]`` in layout arithmetic (see ``scale``): low[g, l]
+    holds z**l and high[g, h] holds s * z**(1 + B*h).  So each block of B
+    consecutive rows is the one (B x c) table ``low[g]`` with every column
+    scaled by one number, which lets the estimator reduce the least-squares
+    problem through a single factorization of ``low[g]``
+    (estimator.DesignMatrix.reduce).  Every grid of a stack shares the block
+    length B and the number of ``high`` rows, which the longest grid sets.
     """
 
-    low: np.ndarray  # (B, c)
-    high: np.ndarray  # (ceil(M / B), c)
-    m_count: int
+    low: np.ndarray  # (G, B, c)
+    high: np.ndarray  # (G, ceil(max M / B), c)
+    m_counts: np.ndarray  # (G,)
     n_pair: int  # the pair columns come first, two per conjugate pair
 
     @property
     def block(self) -> int:
-        return self.low.shape[0]
+        return self.low.shape[1]
 
-    def scale(self, left: np.ndarray, blocks: slice, out: np.ndarray) -> np.ndarray:
-        """out[j] = left * high[blocks][j] in layout arithmetic, for (rows, c) ``left``.
+    def scale(self, left: np.ndarray, high: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = left * high in layout arithmetic, broadcast over leading axes.
 
         Each pair's two columns are one complex column, multiplied by the pair's
-        complex high entry, and each self-conjugate column by its real one: the
-        map a row of z**l takes to the row of z**l * s * z**(1 + B*h).  It is
-        linear in ``left``, so it commutes with any row operation on ``low``.
+        complex ``high`` entry, and each self-conjugate column by its real one:
+        the map a row of z**l takes to the row of z**l * s * z**(1 + B*h).  It
+        is linear in ``left``, so it commutes with any row operation on ``low``.
         """
-        high = self.high[blocks, None]
         n = self.n_pair
-        np.multiply(left[:, :n].view(complex), high[..., :n].view(complex), out=out[..., :n].view(complex))
-        np.multiply(left[:, n:], high[..., n:], out=out[..., n:])
+        np.multiply(left[..., :n].view(complex), high[..., :n].view(complex), out=out[..., :n].view(complex))
+        np.multiply(left[..., n:], high[..., n:], out=out[..., n:])
         return out
 
-    def materialize(self) -> np.ndarray:
-        """The (M x c) basis, one product per entry."""
-        blocks, cols = len(self.high), self.low.shape[1]
-        out = np.empty((blocks, self.block, cols))
-        return self.scale(self.low, slice(None), out).reshape(-1, cols)[: self.m_count]
+    def materialize(self, grid: int = 0) -> np.ndarray:
+        """The (M x c) basis of grid ``grid``, one product per entry."""
+        high, cols = self.high[grid], self.low.shape[2]
+        out = np.empty((len(high), self.block, cols))
+        return self.scale(self.low[grid], high[:, None], out).reshape(-1, cols)[: self.m_counts[grid]]
 
 
-def grid_tables(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> GridTables:
-    """Power tables of basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
+def grid_tables(
+    roots_per_k: Sequence[HarmonicRoots], m_counts: Sequence[int], t0s: Sequence[float]
+) -> GridTables:
+    """Power tables of basis_matrix on the uniform grids (i/M, i*t0/M),
+    i = 1..M, of every pair (M, t0) of ``m_counts`` and ``t0s``.
 
     Each column is a geometric sequence s * z**i, with the step
     log z = (t0, 1, 0) @ exponents / M and the scale log s = exponents[2]
     (s = sqrt(2) on pairs, 1 on self-conjugate columns).  The block length is
-    B = isqrt(M*c) + 1 for c columns, about sqrt(M*c): it balances the B rows
-    of ``low`` against the c rows the estimator keeps for each of the M/B
-    blocks, and the two tables take B + M/B exponentials per column.  Every
-    table entry is an exponential of its own argument, never a running
-    product, so rounding does not grow with i.
+    B = isqrt(M*c) + 1 for c columns and the largest M, about sqrt(M*c): it
+    balances the B rows of ``low`` against the c rows the estimator keeps for
+    each of the M/B blocks, and the two tables take B + M/B exponentials per
+    column.  Every table entry is an exponential of its own argument, never a
+    running product, so rounding does not grow with i.  All grids go through
+    one exponentiation.
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
-    block = math.isqrt(m_count * layout.cols) + 1
-    blocks = -(-m_count // block)
-    # max(M, 1): an empty grid (M = 0) takes no step.
-    step = np.array([t0, 1.0, 0.0]) @ layout.exponents / max(m_count, 1)
+    m_counts = np.array(m_counts, dtype=np.intp)
+    top = int(m_counts.max())
+    block = math.isqrt(top * layout.cols) + 1
+    blocks = -(-top // block)
+    # One layout column per row, one grid per column: (c, G).  max(M, 1): an
+    # empty grid (M = 0) takes no step.
+    step = np.multiply.outer(layout.exponents[0], t0s)
+    step += layout.exponents[1][:, None]
+    step /= np.maximum(m_counts, 1)
     powers = np.concatenate((np.arange(block), 1 + block * np.arange(blocks))).astype(float)
-    # Both tables in one kernel call, one layout column per row, then
-    # transposed back to one power per row.
+    # Both tables of every grid in one kernel call, then transposed back to
+    # one power per row.
     tables = np.multiply.outer(step, powers)
-    tables[:, block:] += layout.exponents[2][:, None]
-    tables = np.ascontiguousarray(_exp_in_layout(tables, n_pair).T)
-    return GridTables(low=tables[:block], high=tables[block:], m_count=m_count, n_pair=n_pair)
-
-
-def grid_basis_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> np.ndarray:
-    """basis_matrix on the uniform grid (i/M, i*t0/M), i = 1..M, from its power tables."""
-    return grid_tables(roots_per_k, m_count, t0).materialize()
+    tables[..., block:] += layout.exponents[2][:, None, None]
+    tables = np.ascontiguousarray(_exp_in_layout(tables, n_pair).transpose(1, 2, 0))
+    return GridTables(low=tables[:, :block], high=tables[:, block:], m_counts=m_counts, n_pair=n_pair)
 
 
 def _paired_points(xs, ts) -> tuple[np.ndarray, np.ndarray]:

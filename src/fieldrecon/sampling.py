@@ -13,7 +13,8 @@ path per row.  Each path's generators make the same calls, in the same order,
 as a draw_path call with them; the scaling, prefix sums, in-support counts,
 step checks, horizons and grid deviations are then 2-D passes over the block.
 draw_path, SamplePath's checks and grid_deviation are its one-row case and
-give the same bits.
+give the same bits, and sample_paths reads a block's paths as sample_field
+reads each.
 """
 
 from __future__ import annotations
@@ -343,12 +344,30 @@ def sample_field(
     The noise generator must be a stream of its own; it is never the one that
     produced the path, so readings stay independent of the sampling process.
     """
+    return _read(state, path.S[: path.M], path.T[: path.M], noise, rng)
+
+
+def sample_paths(
+    state: FieldState,
+    blocks: Iterable[PathBlock],
+    noise: NoiseSpec,
+    rngs: Iterable[np.random.Generator | None],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The horizon T0 and the readings of every path of ``blocks``, in order,
+    each read as sample_field reads it with the next noise generator of
+    ``rngs``.  A path is read only when it is reached."""
+    rngs = iter(rngs)
+    for block in blocks:
+        for xs, ts, m, t0 in zip(block.S, block.T, block.M.tolist(), block.T0.tolist()):
+            yield t0, _read(state, xs[:m], ts[:m], noise, next(rngs))
+
+
+def _read(
+    state: FieldState, xs: np.ndarray, ts: np.ndarray, noise: NoiseSpec, rng: np.random.Generator | None
+) -> np.ndarray:
     if noise.family != "none" and rng is None:
         raise ValueError("a noise RNG is required for stochastic noise")
-    xs = path.S[: path.M]
-    ts = path.T[: path.M]
-    clean = evaluate_at_points(state, xs, ts)
-    values = clean + _draw_noise(noise, path.M, rng)
+    values = evaluate_at_points(state, xs, ts) + _draw_noise(noise, len(xs), rng)
     values.flags.writeable = False
     return values
 

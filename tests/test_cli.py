@@ -249,14 +249,14 @@ def test_stability_tol_boundary(tmp_path, capsys, factor, code):
 
 def test_sweep_refuses_output_path_that_is_a_file(tmp_path, monkeypatch, capsys):
     # The output directory is made before the first trial, so this costs none.
-    trials = []
-    monkeypatch.setattr(experiments, "run_trial", lambda *args: trials.append(args))
+    tasks = []
+    monkeypatch.setattr(experiments, "_run_block", lambda *args: tasks.append(args))
     config = write_config(tmp_path)
     out = tmp_path / "taken"
     out.write_text("not a directory")
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert_one_line_error(capsys, f"config error: cannot create output directory {out}")
-    assert trials == []
+    assert tasks == []
 
 
 def test_sweep_refusal_is_one_line_at_the_process_boundary(tmp_path):

@@ -9,22 +9,26 @@ from fieldrecon.errors import DegenerateRoots, InsufficientSamples, RankDeficien
 from fieldrecon.estimator import (
     RANK_RTOL,
     DesignMatrix,
+    ReconstructionResult,
     build_design_matrix,
     condition_diagnostics,
     distortion,
     reconstruct,
+    reconstruct_stack,
 )
 from fieldrecon.field import (
     basis_matrix,
     catalog_entry,
     coefficients_at,
+    conjugate_layout,
     evaluate,
+    grid_tables,
     random_real_field,
     scenario_field,
 )
 from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
-from fieldrecon.streams import substream
+from fieldrecon.streams import cell_streams, substream
 
 
 def path_streams(seed):
@@ -407,17 +411,21 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
 
 # ------------------------------------- reduced solve vs lstsq on the entries
 
-# Relative gap between the two solutions, in units of eps * sqrt(kappa).  Its
-# measured maximum over 2 500 random draws of this test's strategies was 52.8
-# for the solution and 5.7 for the singular values.  The largest gaps all sit
-# on single-column grids (c = 1, kappa = 1) and come from lstsq on the
-# materialized column, which sums its M rows in one pass: on a root at 0 it
-# misses the exact coefficient by 57 eps at M = 9000 while the reduced solve
-# stays within 3 eps.  Above kappa = 1e4 the largest gap was 1.7.
+# Relative gap between a member's solution and lstsq on its materialized
+# design, in units of eps * sqrt(kappa).  Its measured maximum over 2 000
+# random draws of this test's strategies (4 551 members) was 35.8; above
+# kappa = 1e4 it was 1.9.  The largest gaps sit on single-column grids
+# (c = 1, kappa = 1) and come from lstsq on the materialized column, which
+# sums its M rows in one pass: on a root at 0 it misses the exact
+# coefficient by tens of eps at M = 9000 while the reduced solve stays
+# within a few eps.
 REDUCED_SOLVE_C = 64.0
 # Sample counts at the block edges, as (base, offset): M = c + offset, or
 # M = k B + offset for k blocks of the grid's own block length B.
 EDGES = (("c", -1), ("c", 0), ("c", 1), ("c", 2), ("kB", -1), ("kB", 0), ("kB", 1))
+# The other members of a stack, at the edges of the block length B that its
+# longest member sets: c, c + 1, B - 1, B, B + 1 and k B +- 1.
+STACK_EDGES = (("c", 0), ("c", 1), ("B", -1), ("B", 0), ("B", 1), ("kB", -1), ("kB", 1))
 
 
 def grid_block(m_count, cols):
@@ -442,22 +450,39 @@ def block_edge(cols, edge, k):
     return m_count
 
 
+def stack_edge(cols, block, edge, k):
+    """Sample count at ``edge`` of a stack with block length ``block``."""
+    base, offset = edge
+    return {"c": cols, "B": block, "kB": k * block}[base] + offset
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     spec=feasible_pdes(),
     b=st.integers(0, 4),
     size=st.one_of(st.sampled_from(EDGES), st.integers(0, 9000)),
     blocks=st.integers(2, 12),
+    others=st.lists(st.tuples(st.sampled_from(STACK_EDGES), st.integers(2, 12)), max_size=4),
     t0=st.floats(0.3, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
-# catalog set1 at the acceptance sweep's densest grid
-@example(spec=catalog_entry(1).spec, b=3, size=8192, blocks=2, t0=0.9, seed=4)
+# catalog set1 at the acceptance sweep's densest grid, alone
+@example(spec=catalog_entry(1).spec, b=3, size=8192, blocks=2, others=[], t0=0.9, seed=4)
 # third order with advection at the largest band, a one-row partial block
-@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, size=("kB", 1), blocks=12, t0=1.2, seed=5)
-def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, t0, seed):
-    # The solve from the grid's power tables against np.linalg.lstsq on the
-    # materialized design, on noiseless readings of a random real field.
+@example(
+    spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)),
+    b=4,
+    size=("kB", 1),
+    blocks=12,
+    others=[(("c", 0), 2), (("B", 1), 2), (("kB", -1), 5)],
+    t0=1.2,
+    seed=5,
+)
+def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, others, t0, seed):
+    # Each member of a stack, solved from the grids' power tables, against
+    # np.linalg.lstsq on its materialized design, on noiseless readings of a
+    # random real field.  The first member is the longest and sets the
+    # stack's block length; the others sit at that length's edges.
     try:
         feasible = check_stability(spec, b).feasible
         roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
@@ -465,28 +490,95 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, t0, seed)
         assume(False)
     assume(feasible)
     cols = spec.degree * (2 * b + 1)
-    m_count = size if isinstance(size, int) else block_edge(cols, size, blocks)
-    design = build_design_matrix(roots, m_count, t0)
-    assert design.grid.block == grid_block(m_count, cols)
+    top = size if isinstance(size, int) else block_edge(cols, size, blocks)
+    block = grid_block(top, cols)
+    m_counts = [top] + [min(top, max(0, stack_edge(cols, block, edge, k))) for edge, k in others]
     rng = np.random.default_rng(seed)
-    values = design.entries @ rng.normal(size=cols)
-    if m_count < cols:
-        with pytest.raises(InsufficientSamples):
-            solve(design, values)
-        return
-    solution, _, _, singular = np.linalg.lstsq(design.entries, values, rcond=None)
-    if singular[-1] <= RANK_RTOL * singular[0]:
-        with pytest.raises(RankDeficient):
-            solve(design, values)
-        return
-    result = reconstruct(design, values, np.zeros(2 * b + 1))
-    kappa = (singular[0] / singular[-1]) ** 2
-    assert result.kappa == pytest.approx(kappa, rel=1e-9)
-    bound = REDUCED_SOLVE_C * np.finfo(float).eps * np.sqrt(kappa)
-    oracle = design.layout.to_complex(solution)
-    assert np.linalg.norm(result.a_hat - oracle) <= bound * np.linalg.norm(oracle)
-    reduced = np.linalg.svd(design.reduce(values)[0], compute_uv=False)
-    assert np.max(np.abs(reduced - singular)) <= bound * singular[0]
+    t0s = [t0, *rng.uniform(0.3, 1.5, len(others))]
+    tables = grid_tables(roots, m_counts, t0s)
+    assert tables.block == block
+    designs = [tables.materialize(g) for g in range(len(m_counts))]
+    values = [entries @ rng.normal(size=cols) for entries in designs]
+    outcomes = reconstruct_stack(roots, m_counts, t0s, values, np.zeros(2 * b + 1))
+    for entries, v, outcome in zip(designs, values, outcomes):
+        if len(v) < cols:
+            assert isinstance(outcome, InsufficientSamples)
+            continue
+        solution, _, _, singular = np.linalg.lstsq(entries, v, rcond=None)
+        if singular[-1] <= RANK_RTOL * singular[0]:
+            assert isinstance(outcome, RankDeficient)
+            continue
+        kappa = (singular[0] / singular[-1]) ** 2
+        assert outcome.kappa == pytest.approx(kappa, rel=1e-9)
+        bound = REDUCED_SOLVE_C * np.finfo(float).eps * np.sqrt(kappa)
+        oracle = conjugate_layout(roots).to_complex(solution)
+        assert np.linalg.norm(outcome.a_hat - oracle) <= bound * np.linalg.norm(oracle)
+
+
+def test_reduced_system_keeps_the_singular_values(diffusion):
+    # One grid at a block edge: DesignMatrix.reduce keeps the design's
+    # singular values and Frobenius norm.
+    for m_count in (7, 8, 9, 60, 61, 62, 700):
+        design = build_design_matrix(diffusion.roots, m_count, 1.1)
+        system, data = design.reduce(np.arange(float(m_count)))
+        assert len(data) == len(system)
+        expected = np.linalg.svd(design.entries, compute_uv=False)
+        reduced = np.linalg.svd(system, compute_uv=False)
+        assert np.max(np.abs(reduced - expected)) <= 1e-13 * expected[0]
+
+
+# Largest relative gap between a member of a stack and its one-member solve
+# (solution, kappa and distortion) on set1 at n = 1024.  Measured: 4.4e-11,
+# 9.2e-12 and 8.0e-11 over 40 stacks of four paths; a member's result moves
+# only through the block length it shares with the stack.
+STACK_RTOL = 1e-9
+
+
+def test_stack_members_are_independent():
+    state = scenario_field("set1")
+    true_k0 = coefficients_at(state, 0.0)
+    m_counts, t0s, values = [], [], []
+    for gens in cell_streams([(2024, 1024, trial) for trial in range(4)], 3):
+        path = draw_path(RenewalSpec(), 1024, gens[:2])
+        m_counts.append(path.M)
+        t0s.append(path.T0)
+        values.append(sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2]))
+    # The same readings at set1's collision horizon T0* = 2 pi / (1.564 +
+    # 4.133), where sigma_min / sigma_max falls below RANK_RTOL, and at fewer
+    # samples than the 14 columns.
+    m_counts[2:2] = [m_counts[1]]
+    t0s[2:2] = [1.1028]
+    values[2:2] = [values[1]]
+    m_counts.append(10)
+    t0s.append(1.0)
+    values.append(values[0][:10])
+    outcomes = reconstruct_stack(state.roots, m_counts, t0s, values, true_k0)
+
+    kept = []
+    for m_count, t0, v, outcome in zip(m_counts, t0s, values, outcomes):
+        design = build_design_matrix(state.roots, m_count, t0)
+        try:
+            alone = reconstruct(design, v, true_k0)
+        except (InsufficientSamples, RankDeficient) as refusal:
+            assert type(outcome) is type(refusal) and str(outcome) == str(refusal)
+            continue
+        assert isinstance(outcome, ReconstructionResult)
+        kept.append((m_count, t0, v, outcome))
+        assert np.linalg.norm(outcome.a_hat - alone.a_hat) <= STACK_RTOL * np.linalg.norm(alone.a_hat)
+        assert outcome.kappa == pytest.approx(alone.kappa, rel=STACK_RTOL)
+        assert outcome.distortion == pytest.approx(alone.distortion, rel=STACK_RTOL)
+    assert [type(o).__name__ for o in outcomes] == [
+        "ReconstructionResult",
+        "ReconstructionResult",
+        "RankDeficient",
+        "ReconstructionResult",
+        "ReconstructionResult",
+        "InsufficientSamples",
+    ]
+    m_counts, t0s, values, before = zip(*kept)
+    for outcome, result in zip(reconstruct_stack(state.roots, m_counts, t0s, values, true_k0), before):
+        assert np.linalg.norm(outcome.a_hat - result.a_hat) <= STACK_RTOL * np.linalg.norm(result.a_hat)
+        assert outcome.distortion == pytest.approx(result.distortion, rel=STACK_RTOL)
 
 
 def test_insufficient_samples_counts_design_rows(diffusion):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ class NoDraws:
         raise Reached
 
 
-def reached_trial(*args):
+def reached_task(*args):
     raise Reached
 
 
@@ -262,7 +263,7 @@ def test_sweep_refuses_exactly_the_densities_draws_refuse(n, step):
         drawn = True
     config = quick_config(n_list=(n,), trials=1, renewal=renewal)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exp, "run_trial", reached_trial)
+        patch.setattr(exp, "_run_block", reached_task)
         with pytest.raises(Reached if drawn else ConfigInvalid):
             run_sweep(config)
 
@@ -324,13 +325,13 @@ def test_sweep_deterministic_across_runs_and_workers():
 def test_sweep_refuses_unusable_output_paths(tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
-    trials = []
+    tasks = []
     with monkeypatch.context() as patch:
-        patch.setattr(exp, "run_trial", lambda *args: trials.append(args))
+        patch.setattr(exp, "_run_block", lambda *args: tasks.append(args))
         refusal = re.escape(f"cannot create output directory {taken}")
         with pytest.raises(ConfigInvalid, match=refusal):
             run_sweep(quick_config(), out_dir=taken)
-    assert trials == []
+    assert tasks == []
     # A directory in the place of sweep.csv fails once the trials have run.
     (tmp_path / "out" / "sweep.csv").mkdir(parents=True)
     with pytest.raises(ConfigInvalid, match="cannot write the sweep outputs to"):
@@ -378,40 +379,64 @@ def test_random_scenario_reproducible():
 def test_rank_failures_counted(monkeypatch):
     from fieldrecon.errors import RankDeficient
 
-    calls = {"count": 0}
+    def sometimes_fail(*args):
+        # Every third member of each stack is refused.
+        outcomes = original(*args)
+        return [RankDeficient("forced for the test") if i % 3 == 2 else o for i, o in enumerate(outcomes)]
 
-    def sometimes_fail(design, samples, true_k0):
-        calls["count"] += 1
-        if calls["count"] % 3 == 0:
-            raise RankDeficient("forced for the test")
-        return original(design, samples, true_k0)
-
-    original = exp.reconstruct
-    monkeypatch.setattr(exp, "reconstruct", sometimes_fail)
+    original = exp.reconstruct_stack
+    monkeypatch.setattr(exp, "reconstruct_stack", sometimes_fail)
     result = run_sweep(quick_config(n_list=(64,), trials=6))
     assert result.rows[0].rank_failures == 2
-    assert sum(1 for r in result.trial_records if r.ok) == 4
+    assert [r.ok for r in result.trial_records] == [True, True, False] * 2
+    kept = [r.distortion for r in result.trial_records if r.ok]
+    assert result.rows[0].mean_distortion == pytest.approx(np.mean(kept), rel=1e-15)
 
 
 def test_trials_never_materialize_the_design(monkeypatch):
-    # Each trial solves through the grid's power tables; the M x c design is
-    # built only when something reads DesignMatrix.entries.
-    def refuse(tables):
-        raise AssertionError(f"materialized a {tables.m_count}-row design")
+    # Each stack of trials solves through the grids' power tables; the M x c
+    # design is built only when something reads DesignMatrix.entries.
+    def refuse(tables, grid=0):
+        raise AssertionError(f"materialized a {tables.m_counts[grid]}-row design")
 
-    designs = []
+    stacks = []
 
-    def build(*args):
-        designs.append(original(*args))
-        return designs[-1]
+    def solve(roots, m_counts, *args):
+        stacks.append(len(m_counts))
+        return original(roots, m_counts, *args)
 
-    original = exp.build_design_matrix
+    original = exp.reconstruct_stack
     monkeypatch.setattr(GridTables, "materialize", refuse)
-    monkeypatch.setattr(exp, "build_design_matrix", build)
+    monkeypatch.setattr(exp, "reconstruct_stack", solve)
     result = run_sweep(quick_config(scenario="set1", pde=1, n_list=(64, 2048), trials=3))
     assert all(record.ok for record in result.trial_records)
-    assert len(designs) == 6
-    assert all("entries" not in vars(design) for design in designs)
+    # 14 columns: three 64-sample designs fit one stack, 2048-sample ones two.
+    assert stacks == [3, 2, 1]
+
+
+# Traced peak of one 16-trial task on set1.  Measured: 0.65 MB at n = 128
+# and 0.60 MB at n = 8192.  A task that held all its readings and reduced
+# systems at once read 8.6 MB at n = 8192; one trial at a time, 0.06 MB and
+# 0.5 MB.
+TASK_PEAK_MB = 1.5
+
+
+@pytest.mark.parametrize("n", [128, 8192])
+def test_task_memory_stays_bounded(n):
+    # numpy reports its buffers to tracemalloc, so this pins what a task
+    # holds at once: one stack's readings and systems, not the whole task's.
+    config = quick_config(scenario="set1", pde=1, n_list=(n,), trials=16)
+    state = exp.resolve_field(config)
+    true_k0 = coefficients_at(state, 0.0)
+    exp._run_block(config, state, true_k0, n, range(16))  # warm caches
+    tracemalloc.start()
+    try:
+        records = exp._run_block(config, state, true_k0, n, range(16, 32))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 16
+    assert peak < TASK_PEAK_MB
 
 
 def test_trial_records_cover_grid():
@@ -510,23 +535,23 @@ def test_openblas_thread_control_found(blas_threads):
         assert get() == count
 
 
-_run_trial = exp.run_trial
+_run_block = exp._run_block
 
 
 def _record_blas_threads(*args):
-    """run_trial, with the thread count it ran under in ``kappa`` and its
-    process id in ``t0``."""
+    """_run_block, with the thread count its task ran under in ``kappa`` and
+    its process id in ``t0``."""
     get, _ = exp._openblas_threads()
     threads = get()
-    record = _run_trial(*args)
-    return dataclasses.replace(record, kappa=float(threads), t0=float(os.getpid()))
+    records = _run_block(*args)
+    return [dataclasses.replace(r, kappa=float(threads), t0=float(os.getpid())) for r in records]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trials_run_on_one_blas_thread(monkeypatch, blas_threads, workers):
     get, set_ = blas_threads
     set_(2)
-    monkeypatch.setattr(exp, "run_trial", _record_blas_threads)
+    monkeypatch.setattr(exp, "_run_block", _record_blas_threads)
     result = run_sweep(quick_config(n_list=(64,), trials=4), workers=workers)
     assert {r.kappa for r in result.trial_records} == {1.0}
     pids = {int(r.t0) for r in result.trial_records}
@@ -587,11 +612,11 @@ def test_sweep_restores_blas_threads(monkeypatch, blas_threads):
     run_sweep(quick_config(n_list=(64,), trials=2))
     assert get() == 2
 
-    def failing_trial(*args):
-        raise RuntimeError("trial failed")
+    def failing_task(*args):
+        raise RuntimeError("task failed")
 
-    monkeypatch.setattr(exp, "run_trial", failing_trial)
-    with pytest.raises(RuntimeError, match="trial failed"):
+    monkeypatch.setattr(exp, "_run_block", failing_task)
+    with pytest.raises(RuntimeError, match="task failed"):
         run_sweep(quick_config(n_list=(64,), trials=2))
     assert get() == 2
 

@@ -18,7 +18,7 @@ from fieldrecon.field import (
     evaluate,
     evaluate_at_points,
     field_from_mode_values,
-    grid_basis_matrix,
+    grid_tables,
     random_real_field,
     scenario_field,
 )
@@ -169,7 +169,7 @@ def test_grid_basis_matches_basis_matrix(entry, m_count, t0):
     roots = tuple(characteristic_roots(entry.spec, k) for k in range(-3, 4))
     idx = np.arange(1, m_count + 1)
     expected = basis_matrix(roots, idx / m_count, idx * t0 / m_count)
-    grid = grid_basis_matrix(roots, m_count, t0)
+    grid = grid_tables(roots, [m_count], [t0]).materialize()
     assert grid.shape == expected.shape
     assert np.max(np.abs(grid - expected)) < 1e-13
 

@@ -18,6 +18,7 @@ from fieldrecon.sampling import (
     draw_paths,
     grid_deviation,
     sample_field,
+    sample_paths,
 )
 from fieldrecon.streams import cell_streams, substream
 
@@ -365,6 +366,22 @@ def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
             assert np.array_equal(S[: m + 1], path.S) and np.array_equal(T[: m + 1], path.T)
             assert (s_dev, t_dev) == grid_deviation(path)
             row += 1
+
+
+@pytest.mark.parametrize("n", [50, 2000])
+def test_sample_paths_read_as_sample_field_bit_for_bit(n):
+    state = field_from_mode_values(2, PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01)), [0.3, 0.1 + 0.2j, -0.05j])
+    noise = NoiseSpec("gaussian", 1e-4)
+    cells = [(5, n, trial) for trial in range(20)]
+    paths = [draw_path(RenewalSpec(), n, gens[:2]) for gens in cell_streams(cells, 3)]
+    singles = [sample_field(state, path, noise, gens[2]) for path, gens in zip(paths, cell_streams(cells, 3))]
+    gens = list(cell_streams(cells, 3))
+    blocks = draw_paths(RenewalSpec(), n, [g[:2] for g in gens])
+    read = list(sample_paths(state, blocks, noise, [g[2] for g in gens]))
+    assert len(read) == len(singles)
+    for (t0, values), path, single in zip(read, paths, singles):
+        assert t0 == path.T0 and np.array_equal(values, single)
+        assert not values.flags.writeable
 
 
 def test_draw_paths_checks_its_arguments_before_drawing():
