@@ -167,7 +167,7 @@ def _reduce_grids(grid: GridTables, values: Sequence[np.ndarray]) -> np.ndarray:
     q, r = np.linalg.qr(grid.low)
     k = r.shape[1]  # min(B, c), which is c whenever a block is full
     split = n_full * k
-    augmented = np.zeros((count, split + n_tail, cols + 1))
+    augmented = np.empty((count, split + n_tail, cols + 1))
     head = augmented[:, :split].reshape(count, n_full, k, cols + 1)
     grid.scale(r[:, None], grid.high[:, :n_full, None], head[..., :cols])
     # Each grid's full blocks of readings, zero past them.
