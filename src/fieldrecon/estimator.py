@@ -172,10 +172,11 @@ def _reduce_grids(grid: GridTables, values: Sequence[np.ndarray]) -> np.ndarray:
     grid.scale(r[:, None], grid.high[:, :n_full, None], head[..., :cols])
     # Each grid's full blocks of readings, zero past them.
     readings = np.zeros((count, n_full * block))
-    # A grid's partial block h scales by high[h]; a grid without one reads
-    # any row of ``high`` and zeroes the result below.
-    last = grid.high[range(count), [min(f, grid.high.shape[1] - 1) for f in fulls]]
-    grid.scale(grid.low[:, :n_tail], last[:, None], augmented[:, split:, :cols])
+    if n_tail:
+        # A grid's partial block h scales by high[h]; a grid without one
+        # reads any row of ``high`` and zeroes the result below.
+        last = grid.high[range(count), [min(f, grid.high.shape[1] - 1) for f in fulls]]
+        grid.scale(grid.low[:, :n_tail], last[:, None], augmented[:, split:, :cols])
     for g, (v, f) in enumerate(zip(values, fulls)):
         readings[g, : f * block] = v[: f * block]
         tail = len(v) - f * block

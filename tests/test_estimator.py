@@ -525,6 +525,9 @@ def test_reduced_system_keeps_the_singular_values(diffusion):
         expected = np.linalg.svd(design.entries, compute_uv=False)
         reduced = np.linalg.svd(system, compute_uv=False)
         assert np.max(np.abs(reduced - expected)) <= 1e-13 * expected[0]
+    # An empty grid reduces to an empty system.
+    system, data = build_design_matrix(diffusion.roots, 0, 1.1).reduce(np.zeros(0))
+    assert system.shape == (0, len(diffusion.roots)) and data.shape == (0,)
 
 
 # Largest relative gap between a member of a stack and its one-member solve
