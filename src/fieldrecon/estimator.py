@@ -126,20 +126,22 @@ class DesignMatrix:
     def layout(self) -> ConjugateLayout:
         return conjugate_layout(self.roots)
 
-    def reduce(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A system (K, d) with the least-squares minimiser, singular values and
-        Frobenius norm of (entries, values).
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        """The system [K | d], as a stack of one, with the least-squares
+        minimiser, singular values and Frobenius norm of (entries, values).
 
         K = P^T entries and d = P^T values for a matrix P with orthonormal
         columns and entries = P K, so ||values - entries a||^2 differs from
         ||d - K a||^2 by a constant.  From grid tables, P is
         blockdiag(Q_L, .., Q_L, I_r) of the module docstring; explicit
-        entries are their own reduction.
+        entries are their own reduction.  ValueError unless there is one
+        value per row.
         """
+        if len(values) != self.rows:
+            raise ValueError("one value per design-matrix row required")
         if self.grid is None:
-            return self.entries, values
-        augmented = _reduce_grids(self.grid, [values])[0]
-        return augmented[:, :-1], augmented[:, -1]
+            return np.column_stack((self.entries, values))[None]
+        return _reduce_grids(self.grid, [values])
 
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
@@ -201,18 +203,12 @@ def _insufficient(rows: int, cols: int) -> InsufficientSamples | None:
 
 
 def _reduced(design: DesignMatrix, values: np.ndarray) -> np.ndarray:
-    """design.reduce(values) as a stack of one system [K | d].
-
-    ValueError unless there is one value per row, InsufficientSamples when
-    the design has fewer rows than columns.
-    """
-    if len(values) != design.rows:
-        raise ValueError("one value per design-matrix row required")
+    """design.reduce(values); InsufficientSamples when the design has fewer
+    rows than columns."""
+    augmented = design.reduce(values)
     if refusal := _insufficient(design.rows, design.cols):
         raise refusal
-    if design.grid is not None:
-        return _reduce_grids(design.grid, [values])
-    return np.column_stack((design.entries, values))[None]
+    return augmented
 
 
 def _solve(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[RankDeficient | None]]:
@@ -241,13 +237,18 @@ def _rank_refusal(largest: float, smallest: float) -> RankDeficient | None:
     return None
 
 
-def distortion(estimated_k0: Sequence[complex], true_k0: Sequence[complex]) -> float:
-    """Sum_k |est_k - true_k|^2; by Parseval, the integrated squared error at t = 0."""
+def distortion(
+    estimated_k0: np.ndarray | Sequence[complex], true_k0: Sequence[complex]
+) -> float | list[float]:
+    """Sum_k |est_k - true_k|^2; by Parseval, the integrated squared error at t = 0.
+
+    A float, or a list of floats, one per row, for a stack of estimates.
+    """
     est = np.asarray(estimated_k0, dtype=complex)
     true = np.asarray(true_k0, dtype=complex)
-    if est.shape != true.shape:
+    if est.shape[-1:] != true.shape:
         raise ValueError("coefficient vectors must have equal length")
-    return float(np.sum(np.abs(est - true) ** 2))
+    return np.sum(np.abs(est - true) ** 2, axis=-1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +266,7 @@ def _reconstruct(
     """The outcome of every member of a stack of reduced systems [K | d]."""
     solution, singular, refusals = _solve(augmented)
     a_hat = conjugate_layout(roots).to_complex(solution)
-    a_hat_k0 = a_hat.reshape(len(a_hat), len(roots), -1).sum(axis=2)
-    if a_hat_k0.shape[1] != len(true_k0):
-        raise ValueError("coefficient vectors must have equal length")
-    errors = np.sum(np.abs(a_hat_k0 - np.asarray(true_k0, dtype=complex)) ** 2, axis=1).tolist()
+    errors = distortion(a_hat.reshape(len(a_hat), len(roots), -1).sum(axis=2), true_k0)
     return [
         refusal or ReconstructionResult(a_hat=est, distortion=error, kappa=(s[0] / s[-1]) ** 2)
         for est, error, s, refusal in zip(a_hat, errors, singular.tolist(), refusals)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fieldrecon import estimator
 from fieldrecon.errors import DegenerateRoots, InsufficientSamples, RankDeficient
 from fieldrecon.estimator import (
     RANK_RTOL,
@@ -412,13 +413,14 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
 # ------------------------------------- reduced solve vs lstsq on the entries
 
 # Relative gap between a member's solution and lstsq on its materialized
-# design, in units of eps * sqrt(kappa).  Its measured maximum over 2 000
-# random draws of this test's strategies (4 551 members) was 35.8; above
-# kappa = 1e4 it was 1.9.  The largest gaps sit on single-column grids
-# (c = 1, kappa = 1) and come from lstsq on the materialized column, which
-# sums its M rows in one pass: on a root at 0 it misses the exact
-# coefficient by tens of eps at M = 9000 while the reduced solve stays
-# within a few eps.
+# design, and between their singular values (relative to sigma_max), in
+# units of eps * sqrt(kappa).  Measured maxima over 6 000 random draws of
+# this test's strategies (12 566 members): 47.7 for the solution and 11.5
+# for the singular values; above kappa = 1e4, 1.2 and 0.05.  The largest
+# solution gaps sit on single-column grids (c = 1, kappa = 1) and come from
+# lstsq on the materialized column, which sums its M rows in one pass: on
+# a root at 0 it misses the exact coefficient by tens of eps at M = 9000
+# while the reduced solve stays within a few eps.
 REDUCED_SOLVE_C = 64.0
 # Sample counts at the block edges, as (base, offset): M = c + offset, or
 # M = k B + offset for k blocks of the grid's own block length B.
@@ -500,7 +502,12 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, others, t
     designs = [tables.materialize(g) for g in range(len(m_counts))]
     values = [entries @ rng.normal(size=cols) for entries in designs]
     outcomes = reconstruct_stack(roots, m_counts, t0s, values, np.zeros(2 * b + 1))
-    for entries, v, outcome in zip(designs, values, outcomes):
+    if top >= cols:
+        # Each member's reduced system within the stack, and the singular
+        # values the solve reads from it (rank gate, kappa, trace identities).
+        reduced = estimator._reduce_grids(tables, values)
+        read = estimator._solve(reduced)[1]
+    for g, (entries, v, outcome) in enumerate(zip(designs, values, outcomes)):
         if len(v) < cols:
             assert isinstance(outcome, InsufficientSamples)
             continue
@@ -513,21 +520,24 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, others, t
         bound = REDUCED_SOLVE_C * np.finfo(float).eps * np.sqrt(kappa)
         oracle = conjugate_layout(roots).to_complex(solution)
         assert np.linalg.norm(outcome.a_hat - oracle) <= bound * np.linalg.norm(oracle)
+        kept = np.linalg.svd(reduced[g, :, :-1], compute_uv=False)
+        assert np.max(np.abs(kept - singular)) <= bound * singular[0]
+        assert np.max(np.abs(read[g] - singular)) <= bound * singular[0]
 
 
 def test_reduced_system_keeps_the_singular_values(diffusion):
     # One grid at a block edge: DesignMatrix.reduce keeps the design's
-    # singular values and Frobenius norm.
+    # singular values, in the property test's C eps sqrt(kappa) form.
     for m_count in (7, 8, 9, 60, 61, 62, 700):
         design = build_design_matrix(diffusion.roots, m_count, 1.1)
-        system, data = design.reduce(np.arange(float(m_count)))
-        assert len(data) == len(system)
+        (augmented,) = design.reduce(np.arange(float(m_count)))
         expected = np.linalg.svd(design.entries, compute_uv=False)
-        reduced = np.linalg.svd(system, compute_uv=False)
-        assert np.max(np.abs(reduced - expected)) <= 1e-13 * expected[0]
+        reduced = np.linalg.svd(augmented[:, :-1], compute_uv=False)
+        bound = REDUCED_SOLVE_C * np.finfo(float).eps * (expected[0] / expected[-1])
+        assert np.max(np.abs(reduced - expected)) <= bound * expected[0]
     # An empty grid reduces to an empty system.
-    system, data = build_design_matrix(diffusion.roots, 0, 1.1).reduce(np.zeros(0))
-    assert system.shape == (0, len(diffusion.roots)) and data.shape == (0,)
+    augmented = build_design_matrix(diffusion.roots, 0, 1.1).reduce(np.zeros(0))
+    assert augmented.shape == (1, 0, len(diffusion.roots) + 1)
 
 
 # Largest relative gap between a member of a stack and its one-member solve
@@ -599,8 +609,10 @@ def test_explicit_entries_are_their_own_reduction(diffusion):
     entries = basis_matrix(diffusion.roots, np.linspace(0, 1, 30), np.linspace(0, 1, 30))
     design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=1.0)
     values = np.arange(30.0)
-    system, data = design.reduce(values)
-    assert system is design.entries and data is values
+    (augmented,) = design.reduce(values)
+    assert np.array_equal(augmented, np.column_stack((design.entries, values)))
+    with pytest.raises(ValueError, match="one value per design-matrix row"):
+        design.reduce(values[:-1])
 
 
 def test_grid_design_materializes_only_when_read(diffusion):

@@ -24,6 +24,7 @@ from fieldrecon.experiments import (
 from fieldrecon.field import GridTables, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
+from fieldrecon.streams import cell_streams
 
 
 def quick_config(**overrides):
@@ -437,6 +438,27 @@ def test_task_memory_stays_bounded(n):
         tracemalloc.stop()
     assert len(records) == 16
     assert peak < TASK_PEAK_MB
+
+
+def test_run_trial_is_one_trial_of_a_task():
+    # A trial alone gives the record a sweep task gives it within a stack;
+    # the stack's shared block length moves the floats at rounding level.
+    config = quick_config(scenario="set1", pde=1, n_list=(256,), trials=16)
+    state = exp.resolve_field(config)
+    task = exp._run_block(config, state, coefficients_at(state, 0.0), 256, range(16))
+    cells = [(config.master_seed, 256, trial) for trial in (0, 7, 15)]
+    for (_, n, trial), streams in zip(cells, cell_streams(cells, 3)):
+        record = exp.run_trial(config, state, n, trial, streams)
+        expected = task[trial]
+        assert (record.n, record.trial, record.ok, record.samples, record.t0) == (
+            expected.n,
+            expected.trial,
+            expected.ok,
+            expected.samples,
+            expected.t0,
+        )
+        for name in ("distortion", "coeff_error_sq", "kappa"):
+            assert getattr(record, name) == pytest.approx(getattr(expected, name), rel=1e-9)
 
 
 def test_trial_records_cover_grid():
