@@ -14,25 +14,18 @@ singular values: kappa, the RANK_RTOL gate and the trace identities read the
 same.  The unique complex minimiser is conjugate-symmetric, so it is the
 image of the real one under the same map.
 
-Y0 is never formed.  On the grid every column is a geometric sequence, so
-with i - 1 = B*h + l the block h of B rows is L E_h: one (B x c) power table
-L = field.GridTables.low, with each column scaled by one number, which E_h
-applies (a complex scalar per conjugate pair, a real one per self-conjugate
-column).  One Householder QR, L = Q_L R_L, then turns the M x c problem into
-an (H c + r) x c one: the stacked R_L E_h for the H full blocks, with data
-Q_L^T g_h, over the r < B rows of the last, partial block as they are
-(DesignMatrix.reduce).  Y0 is that system K times a matrix with orthonormal
-columns, blockdiag(Q_L, .., Q_L, I_r), so both have the same minimiser, the
-same singular values and the same Frobenius norm, and the rest of the
-estimator reads K in place of Y0.  With B about sqrt(M c), K has about
-2 sqrt(M c) rows, and the work falls from O(M c^2) to O(M c + sqrt(M c) c^2).
+Y0 is never formed.  The grid's power tables reduce the problem to a
+smaller system [K | d] (field.GridTables.reduce) with Y0 = P K and
+d = P^T g_s for a matrix P with orthonormal columns.  So ||g_s - Y0 a||^2
+and ||d - K a||^2 differ by the constant ||(I - P P^T) g_s||^2 and share
+their minimiser, and Y0^T Y0 = K^T K gives both the same singular values
+and Frobenius norm: the rest of the estimator reads K in place of Y0.
 
 A sweep solves many such problems, each small enough that numpy's fixed
 cost per call outweighs LAPACK's arithmetic, so the solve works on stacks
-of them (reconstruct_stack; reconstruct is its one-member case).  The
-members share one block length, and each member's K is padded with zero
-rows to the stack's height; zero rows change neither a minimiser nor a
-singular value.  Three stacked LAPACK calls then finish every member:
+of them (reconstruct_stack; reconstruct is its one-member case), as
+GridTables.reduce returns them.  Three stacked LAPACK calls finish every
+member:
 - a Householder QR of [K | d] (np.linalg.qr, mode "r"), whose triangular
   factor [R | e] holds R = Q^T K and e = (Q^T d)[:c];
 - an SVD of the c x c factor R (values only).  Q is orthogonal, so these
@@ -98,7 +91,7 @@ class DesignMatrix:
         if (entries is None) == (grid is None):
             raise ValueError("a design holds either entries or grid tables")
         if grid is not None:
-            if grid.low.shape[0] != 1 or grid.low.shape[2] != self.cols:
+            if len(grid.m_counts) != 1 or grid.cols != self.cols:
                 raise ValueError("grid tables must hold one grid in the root layout")
             self.rows = int(grid.m_counts[0])
             return
@@ -119,29 +112,20 @@ class DesignMatrix:
         return entries
 
     @property
-    def m(self) -> int:
-        return self.roots[0].m
-
-    @property
     def layout(self) -> ConjugateLayout:
         return conjugate_layout(self.roots)
 
     def reduce(self, values: np.ndarray) -> np.ndarray:
         """The system [K | d], as a stack of one, with the least-squares
-        minimiser, singular values and Frobenius norm of (entries, values).
-
-        K = P^T entries and d = P^T values for a matrix P with orthonormal
-        columns and entries = P K, so ||values - entries a||^2 differs from
-        ||d - K a||^2 by a constant.  From grid tables, P is
-        blockdiag(Q_L, .., Q_L, I_r) of the module docstring; explicit
-        entries are their own reduction.  ValueError unless there is one
-        value per row.
+        minimiser, singular values and Frobenius norm of (entries, values):
+        GridTables.reduce on grid tables, while explicit entries are their
+        own reduction.  ValueError unless there is one value per row.
         """
         if len(values) != self.rows:
             raise ValueError("one value per design-matrix row required")
         if self.grid is None:
             return np.column_stack((self.entries, values))[None]
-        return _reduce_grids(self.grid, [values])
+        return self.grid.reduce([values])
 
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
@@ -152,41 +136,6 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: 
     """
     roots = tuple(roots_per_k)
     return DesignMatrix(roots=roots, t0=float(t0), grid=grid_tables(roots, [m_count], [t0]))
-
-
-def _reduce_grids(grid: GridTables, values: Sequence[np.ndarray]) -> np.ndarray:
-    """The reduced systems [K | d] of every grid of ``grid`` (DesignMatrix.reduce)
-    with readings ``values[g]`` on grid g, stacked and padded with zero rows.
-
-    Grid g's system holds its full blocks, zero blocks up to the most full
-    blocks of any grid, its partial block's rows as they are and zero rows
-    up to the longest partial block.
-    """
-    count, block, cols = grid.low.shape
-    fulls = [len(v) // block for v in values]
-    n_full = max(fulls)
-    n_tail = max(len(v) - f * block for v, f in zip(values, fulls))
-    q, r = np.linalg.qr(grid.low)
-    k = r.shape[1]  # min(B, c), which is c whenever a block is full
-    split = n_full * k
-    augmented = np.empty((count, split + n_tail, cols + 1))
-    head = augmented[:, :split].reshape(count, n_full, k, cols + 1)
-    grid.scale(r[:, None], grid.high[:, :n_full, None], head[..., :cols])
-    # Each grid's full blocks of readings, zero past them.
-    readings = np.zeros((count, n_full * block))
-    if n_tail:
-        # A grid's partial block h scales by high[h]; a grid without one
-        # reads any row of ``high`` and zeroes the result below.
-        last = grid.high[range(count), [min(f, grid.high.shape[1] - 1) for f in fulls]]
-        grid.scale(grid.low[:, :n_tail], last[:, None], augmented[:, split:, :cols])
-    for g, (v, f) in enumerate(zip(values, fulls)):
-        readings[g, : f * block] = v[: f * block]
-        tail = len(v) - f * block
-        augmented[g, split : split + tail, cols] = v[f * block :]
-        head[g, f:] = 0.0
-        augmented[g, split + tail :] = 0.0
-    np.matmul(readings.reshape(count, n_full, block), q, out=head[..., cols])
-    return augmented
 
 
 def _as_values(values) -> np.ndarray:
@@ -287,14 +236,13 @@ def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> Rec
 
 def reconstruct_stack(
     roots_per_k: Sequence[HarmonicRoots],
-    m_counts: Sequence[int],
     t0s: Sequence[float],
     values: Sequence[np.ndarray],
     true_k0: Sequence[complex],
 ) -> list[ReconstructionResult | InsufficientSamples | RankDeficient]:
-    """reconstruct on the uniform grid of every (M, t0) of ``m_counts`` and
-    ``t0s``, with readings ``values[i]`` on grid i, through one set of
-    stacked numpy calls.
+    """reconstruct on the uniform grid (i/M, i*t0/M) of every horizon t0 of
+    ``t0s``, with the M = len(values[i]) readings ``values[i]`` on grid i,
+    through one set of stacked numpy calls.
 
     Each member's outcome is its ReconstructionResult or the refusal that
     reconstruct raises for it alone (InsufficientSamples, RankDeficient);
@@ -304,15 +252,12 @@ def reconstruct_stack(
     """
     roots = tuple(roots_per_k)
     values = [_as_values(v) for v in values]
-    m_counts = [int(m) for m in m_counts]
-    if len(values) != len(m_counts) or any(len(v) != m for v, m in zip(values, m_counts)):
-        raise ValueError("one value per design-matrix row required")
+    m_counts = [len(v) for v in values]
     cols = sum(hr.m for hr in roots)
     short = [_insufficient(m, cols) for m in m_counts]
     if all(short):
         return short
-    grid = grid_tables(roots, m_counts, t0s)
-    outcomes = _reconstruct(roots, _reduce_grids(grid, values), true_k0)
+    outcomes = _reconstruct(roots, grid_tables(roots, m_counts, t0s).reduce(values), true_k0)
     return [refusal or outcome for refusal, outcome in zip(short, outcomes)]
 
 
@@ -351,11 +296,10 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     # The reduced system K has the singular values and the Frobenius norm of Y0.
     augmented = _reduced(design, np.zeros(design.rows))
     _, singular, (refusal,) = _solve(augmented)
-    system = augmented[0, :, :-1]
     if refusal is not None:
         raise refusal
     eigenvalues = singular[0] ** 2
-    trace = float(np.sum(system**2))
+    trace = float(np.sum(augmented[0, :, :-1] ** 2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))
     kappa = float(eigenvalues[0] / eigenvalues[-1])
     cols = design.cols

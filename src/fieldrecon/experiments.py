@@ -200,7 +200,8 @@ def _run_trials(
     streams: Iterable[Sequence[np.random.Generator]],
 ) -> list[TrialRecord]:
     """Run ``trials`` at density ``n``, trial i on the i-th (spatial,
-    temporal, noise) generators of ``streams``.
+    temporal, noise) generators of ``streams``; without noise to draw
+    (NoiseSpec.draws), the noise generator may be left out.
 
     The paths are drawn as blocks and read one at a time.  Consecutive
     trials are solved as one stack (estimator.reconstruct_stack) while their
@@ -210,15 +211,18 @@ def _run_trials(
     """
     streams = list(streams)
     paths = draw_paths(config.renewal, n, [gens[:2] for gens in streams])
-    readings = sample_paths(state, paths, config.noise, [gens[2] for gens in streams])
+    rngs = [gens[2] if config.noise.draws else None for gens in streams]
+    readings = sample_paths(state, paths, config.noise, rngs)
     cols = state.m * (2 * state.b + 1)
     records: list[TrialRecord] = []
     stack: list[tuple[int, float, np.ndarray]] = []
+    rows = 0  # readings held in ``stack``
     for trial, (t0, values) in zip(trials, readings):
-        if stack and (sum(len(v) for _, _, v in stack) + len(values)) * cols > _STACK_ELEMENTS:
+        if stack and (rows + len(values)) * cols > _STACK_ELEMENTS:
             records += _solve_stack(state, true_k0, n, stack)
-            stack = []
+            stack, rows = [], 0
         stack.append((trial, t0, values))
+        rows += len(values)
     return records + _solve_stack(state, true_k0, n, stack)
 
 
@@ -227,15 +231,14 @@ def _solve_stack(
 ) -> list[TrialRecord]:
     """Reconstruct and score one stack of (trial, T0, readings)."""
     trials, t0s, values = zip(*stack)
-    m_counts = [len(v) for v in values]
-    outcomes = reconstruct_stack(state.roots, m_counts, t0s, values, true_k0)
+    outcomes = reconstruct_stack(state.roots, t0s, values, true_k0)
     flat = state.flat_coeffs()
     nan = float("nan")
     return [
         TrialRecord(n, trial, True, result.distortion, distortion(result.a_hat, flat), result.kappa, m, t0)
         if isinstance(result, ReconstructionResult)
         else TrialRecord(n, trial, False, nan, nan, nan, m, t0)
-        for trial, m, t0, result in zip(trials, m_counts, t0s, outcomes)
+        for trial, m, t0, result in zip(trials, map(len, values), t0s, outcomes)
     ]
 
 
@@ -289,9 +292,11 @@ def _run_block(
     config: ExperimentConfig, state: FieldState, true_k0: np.ndarray, n: int, trials: range
 ) -> list[TrialRecord]:
     """One task of a sweep: a block of trials at density ``n``, whose
-    generators (keys 0-2 of each cell) are hashed in one pass."""
+    generators (keys 0-2 of each cell, or 0-1 without noise to draw) are
+    hashed in one pass."""
     cells = ((config.master_seed, n, trial) for trial in trials)
-    return _run_trials(config, state, true_k0, n, trials, cell_streams(cells, 3))
+    streams = cell_streams(cells, 3 if config.noise.draws else 2)
+    return _run_trials(config, state, true_k0, n, trials, streams)
 
 
 def resolve_field(config: ExperimentConfig) -> FieldState:

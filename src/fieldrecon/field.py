@@ -154,11 +154,13 @@ class FieldState:
         return out
 
 
-def coefficients_at(state: FieldState, t: float) -> np.ndarray:
-    """Modal values a_k(t) for k = -b..b; the ground truth at t = 0."""
-    if t < 0:
+def coefficients_at(state: FieldState, t) -> np.ndarray:
+    """Modal values a_k(t) for k = -b..b; the ground truth at t = 0.  An array
+    of times gives one row of modal values per time."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    return np.sum(state.coeffs * np.exp(state.root_matrix() * t), axis=1)
+    return np.sum(state.coeffs * np.exp(np.multiply.outer(t, state.root_matrix())), axis=-1)
 
 
 def evaluate(state: FieldState, x, t: float):
@@ -325,10 +327,10 @@ class GridTables:
     ``low[g, l] * high[g, h]`` in layout arithmetic (see ``scale``): low[g, l]
     holds z**l and high[g, h] holds s * z**(1 + B*h).  So each block of B
     consecutive rows is the one (B x c) table ``low[g]`` with every column
-    scaled by one number, which lets the estimator reduce the least-squares
-    problem through a single factorization of ``low[g]``
-    (estimator.DesignMatrix.reduce).  Every grid of a stack shares the block
-    length B and the number of ``high`` rows, which the longest grid sets.
+    scaled by one number, which lets ``reduce`` shrink a least-squares problem
+    on the grid through a single factorization of ``low[g]``.  Every grid of
+    a stack shares the block length B and the number of ``high`` rows, which
+    the longest grid sets.
     """
 
     low: np.ndarray  # (G, B, c)
@@ -339,6 +341,10 @@ class GridTables:
     @property
     def block(self) -> int:
         return self.low.shape[1]
+
+    @property
+    def cols(self) -> int:
+        return self.low.shape[2]
 
     def scale(self, left: np.ndarray, high: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = left * high in layout arithmetic, broadcast over leading axes.
@@ -355,9 +361,54 @@ class GridTables:
 
     def materialize(self, grid: int = 0) -> np.ndarray:
         """The (M x c) basis of grid ``grid``, one product per entry."""
-        high, cols = self.high[grid], self.low.shape[2]
+        high, cols = self.high[grid], self.cols
         out = np.empty((len(high), self.block, cols))
         return self.scale(self.low[grid], high[:, None], out).reshape(-1, cols)[: self.m_counts[grid]]
+
+    def reduce(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        """The least-squares systems [K | d] of every grid, with readings
+        ``values[g]`` (one per row) on grid g, stacked.
+
+        One Householder QR, low[g] = Q_L R_L, serves every block h of the
+        grid's basis Y0, which is Q_L (R_L scaled by high[g, h]).  K stacks
+        R_L scaled by high[g, h] for the H full blocks, with data Q_L^T times
+        the block's readings, over the r < B rows of the partial block as they
+        are.  So Y0 = P K and d = P^T values for P = blockdiag(Q_L, .., Q_L,
+        I_r), whose columns are orthonormal.  K has about 2 sqrt(M c) rows,
+        and the work falls from O(M c^2) to O(M c + sqrt(M c) c^2).
+
+        Grid g's system is padded with zero blocks up to the most full blocks
+        of any grid, and with zero rows up to the longest partial block; zero
+        rows change neither a minimiser nor a singular value.  ValueError
+        unless grid g has len(values[g]) rows.
+        """
+        if [len(v) for v in values] != self.m_counts.tolist():
+            raise ValueError("one value per grid row required")
+        count, block, cols = self.low.shape
+        fulls = [len(v) // block for v in values]
+        n_full = max(fulls)
+        n_tail = max(len(v) - f * block for v, f in zip(values, fulls))
+        q, r = np.linalg.qr(self.low)
+        k = r.shape[1]  # min(B, c), which is c whenever a block is full
+        split = n_full * k
+        augmented = np.empty((count, split + n_tail, cols + 1))
+        head = augmented[:, :split].reshape(count, n_full, k, cols + 1)
+        self.scale(r[:, None], self.high[:, :n_full, None], head[..., :cols])
+        # Each grid's full blocks of readings, zero past them.
+        readings = np.zeros((count, n_full * block))
+        if n_tail:
+            # A grid's partial block h scales by high[h]; a grid without one
+            # reads any row of ``high`` and zeroes the result below.
+            last = self.high[range(count), [min(f, self.high.shape[1] - 1) for f in fulls]]
+            self.scale(self.low[:, :n_tail], last[:, None], augmented[:, split:, :cols])
+        for g, (v, f) in enumerate(zip(values, fulls)):
+            readings[g, : f * block] = v[: f * block]
+            tail = len(v) - f * block
+            augmented[g, split : split + tail, cols] = v[f * block :]
+            head[g, f:] = 0.0
+            augmented[g, split + tail :] = 0.0
+        np.matmul(readings.reshape(count, n_full, block), q, out=head[..., cols])
+        return augmented
 
 
 def grid_tables(
@@ -370,11 +421,11 @@ def grid_tables(
     log z = (t0, 1, 0) @ exponents / M and the scale log s = exponents[2]
     (s = sqrt(2) on pairs, 1 on self-conjugate columns).  The block length is
     B = isqrt(M*c) + 1 for c columns and the largest M, about sqrt(M*c): it
-    balances the B rows of ``low`` against the c rows the estimator keeps for
-    each of the M/B blocks, and the two tables take B + M/B exponentials per
-    column.  Every table entry is an exponential of its own argument, never a
-    running product, so rounding does not grow with i.  All grids go through
-    one exponentiation.
+    balances the B rows of ``low`` against the c rows GridTables.reduce keeps
+    for each of the M/B blocks, and the two tables take B + M/B exponentials
+    per column.  Every table entry is an exponential of its own argument,
+    never a running product, so rounding does not grow with i.  All grids go
+    through one exponentiation.
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)

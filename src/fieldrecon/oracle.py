@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .field import CATALOG, catalog_entry, coefficients_at, scenario_field
+from .field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
 from .pde_core import HarmonicRoots, PdeSpec, eval_poly, integer, solve_initial_coefficients
 from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
@@ -63,24 +63,46 @@ def integrate_coefficient_ode(
     at once.  Row h of ``conditions`` holds harmonic ks[h]'s initial value and
     temporal derivatives.  t_end is rounded to whole steps.
 
+    The one-PDE case of _integrate: a harmonic's trajectory is the same, bit
+    for bit, whatever else is in the stack.
+    """
+    times, (values,) = _integrate([(spec, ks, conditions)], t_end, dt)
+    return OdeTrajectory(ks=tuple(int(k) for k in ks), times=times, values=values)
+
+
+# An RK4 problem: a PDE, harmonics ks, and one row of initial conditions per k.
+OdeProblem = tuple[PdeSpec, Sequence[int], Sequence[Sequence[complex]]]
+
+
+def _integrate(problems: Sequence[OdeProblem], t_end: float, dt: float) -> tuple[np.ndarray, list]:
+    """The time grid and each problem's trajectories (one column per
+    harmonic, as OdeTrajectory.values) from one RK4 loop over all problems.
+
     The harmonics share nothing but the time grid: each stage applies the
-    stacked companion matrices with one einsum, so a harmonic's trajectory
-    is the same, bit for bit, whatever else is in the stack.
+    stacked companion matrices with one einsum.  A lower-degree harmonic is
+    zero-padded; its padded state stays zero and adds only exact zeros, so
+    its trajectory is the one its PDE gives alone, bit for bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
-    ks = tuple(int(k) for k in ks)
-    if not ks:
-        raise ValueError("at least one harmonic is required")
-    m = spec.degree
-    y = np.array(conditions, dtype=complex)
-    if y.shape != (len(ks), m):
-        raise ValueError(f"expected {len(ks)} x {m} initial conditions, got {y.shape}")
-    system = np.stack([_companion_system(spec, k) for k in ks])
+    rows = []  # (spec, k, initial row) per harmonic
+    for spec, ks, conditions in problems:
+        if len(ks) == 0:
+            raise ValueError("at least one harmonic is required")
+        y = np.array(conditions, dtype=complex)
+        if y.shape != (len(ks), spec.degree):
+            raise ValueError(f"expected {len(ks)} x {spec.degree} initial conditions, got {y.shape}")
+        rows += zip([spec] * len(ks), ks, y)
+    width = max(spec.degree for spec, _, _ in rows)
+    system = np.zeros((len(rows), width, width), dtype=complex)
+    y = np.zeros((len(rows), width), dtype=complex)
+    for h, (spec, k, initial) in enumerate(rows):
+        system[h, : spec.degree, : spec.degree] = _companion_system(spec, int(k))
+        y[h, : spec.degree] = initial
     steps = int(round(t_end / dt))
-    values = np.empty((steps + 1, len(ks)), dtype=complex)
+    values = np.empty((steps + 1, len(rows)), dtype=complex)
     values[0] = y[:, 0]
     for i in range(1, steps + 1):
         k1 = np.einsum("hij,hj->hi", system, y)
@@ -89,13 +111,21 @@ def integrate_coefficient_ode(
         k4 = np.einsum("hij,hj->hi", system, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[i] = y[:, 0]
-    times = np.arange(steps + 1) * dt
-    return OdeTrajectory(ks=ks, times=times, values=values)
+    bounds = np.cumsum([len(ks) for _, ks, _ in problems])[:-1]
+    return np.arange(steps + 1) * dt, np.split(values, bounds, axis=1)
 
 
 # RK4 step and horizon of every oracle integration.
 ORACLE_DT = 1e-3
 ORACLE_T_END = 1.0
+
+
+def _out_of_band(spec: PdeSpec, b: int, conditions: Mapping[int, Sequence[complex]] | None) -> OdeProblem:
+    """The harmonics b < |k| <= 2b + 4, each at zero unless ``conditions``
+    gives its initial value and temporal derivatives."""
+    zero = np.zeros(spec.degree)
+    ks = [signed for k in range(b + 1, 2 * b + 5) for signed in (k, -k)]
+    return spec, ks, [np.asarray((conditions or {}).get(k, zero), dtype=complex) for k in ks]
 
 
 def bandlimit_preservation_check(
@@ -109,11 +139,7 @@ def bandlimit_preservation_check(
     leak across harmonics.  Supplying a nonzero condition (the negative
     control) must surface as a positive return.
     """
-    conditions = dict(conditions or {})
-    zero = np.zeros(spec.degree)
-    ks = [signed for k in range(b + 1, 2 * b + 5) for signed in (k, -k)]
-    initial = [np.asarray(conditions.get(k, zero), dtype=complex) for k in ks]
-    traj = integrate_coefficient_ode(spec, ks, initial, ORACLE_T_END, ORACLE_DT)
+    traj = integrate_coefficient_ode(*_out_of_band(spec, b, conditions), ORACLE_T_END, ORACLE_DT)
     return float(np.max(np.abs(traj.values)))
 
 
@@ -145,21 +171,14 @@ def grid_deviation_scaling(
         raise ValueError(f"at least {MIN_SCALING_TRIALS} trials required for a stable mean")
     rows = []
     for n in n_list:
-        spatial_sum = 0.0
-        temporal_sum = 0.0
+        spatial_sum = temporal_sum = 0.0
         cells = ((seed, n, trial) for trial in range(trials))
         for block in draw_paths(spec, n, cell_streams(cells, 2)):
             # Path by path, in trial order, as the means were always summed.
             for s_dev, t_dev in zip(*(devs.tolist() for devs in block.grid_deviations())):
                 spatial_sum += s_dev
                 temporal_sum += t_dev
-        rows.append(
-            ScalingRow(
-                n=n,
-                scaled_spatial=n * spatial_sum / trials,
-                scaled_temporal=n * temporal_sum / trials,
-            )
-        )
+        rows.append(ScalingRow(n, n * spatial_sum / trials, n * temporal_sum / trials))
     return rows
 
 
@@ -182,88 +201,70 @@ class SuiteReport:
     lines: tuple[str, ...]
 
 
+def _report(name: str, checks: Sequence[tuple[str, bool]], head: Sequence[str] = ()) -> SuiteReport:
+    """The ``head`` lines, then one verdict line per (text, ok) check; the
+    suite passes when every check does."""
+    lines = [*head, *(f"{text} -> {'ok' if ok else 'FAIL'}" for text, ok in checks)]
+    return SuiteReport(name=name, passed=all(ok for _, ok in checks), lines=tuple(lines))
+
+
+def _at_rest(state: FieldState) -> OdeProblem:
+    """Every harmonic of ``state`` starting at rest, as catalog modes do:
+    value a_k(0), higher temporal derivatives zero."""
+    conditions = np.zeros(state.coeffs.shape, dtype=complex)
+    conditions[:, 0] = state.coeffs.sum(axis=1)
+    return state.spec, [hr.k for hr in state.roots], conditions
+
+
 def ode_equivalence_suite() -> SuiteReport:
     """Closed-form evolution (field.coefficients_at) against RK4 on every
     catalog harmonic, plus an order-of-convergence check on step halving."""
-    lines = []
-    passed = True
     dt, t_end = ORACLE_DT, ORACLE_T_END
-    worst = {dt: 0.0, dt / 2: 0.0}
-    for entry in CATALOG:
-        state = scenario_field(entry.set_id)
-        # Catalog modes start at rest: value a_k(0), higher derivatives zero.
-        conditions = np.zeros(state.coeffs.shape, dtype=complex)
-        conditions[:, 0] = state.coeffs.sum(axis=1)
-        ks = [hr.k for hr in state.roots]
-        devs = {}
-        for step in worst:
-            traj = integrate_coefficient_ode(state.spec, ks, conditions, t_end, step)
-            # One closed-form call per time point serves every harmonic.
-            closed = np.array([coefficients_at(state, t) for t in traj.times])
-            devs[step] = float(np.max(np.abs(closed - traj.values)))
-            worst[step] = max(worst[step], devs[step])
-        ok = devs[dt] < 1e-6
-        passed &= ok
-        lines.append(
-            f"scenario {entry.index}: max |closed-form - RK4| = {devs[dt]:.3e} over [0, {t_end}] "
-            f"at dt={dt:g} -> {'ok' if ok else 'FAIL'}"
-        )
+    states = [scenario_field(entry.set_id) for entry in CATALOG]
+    devs = {}  # step -> each scenario's max |closed-form - RK4|
+    for step in (dt, dt / 2):
+        times, runs = _integrate([_at_rest(state) for state in states], t_end, step)
+        devs[step] = [float(np.max(np.abs(coefficients_at(s, times) - v))) for s, v in zip(states, runs)]
+    checks = []
+    for entry, dev in zip(CATALOG, devs[dt]):
+        text = f"scenario {entry.index}: max |closed-form - RK4| = {dev:.3e} over [0, {t_end}] at dt={dt:g}"
+        checks.append((text, dev < 1e-6))
+    worst = {step: max(column) for step, column in devs.items()}
     ratio = worst[dt] / worst[dt / 2] if worst[dt / 2] > 0 else float("inf")
     ratio_ok = 8.0 <= ratio <= 32.0
-    passed &= ratio_ok
-    lines.append(
-        f"step halving error ratio = {ratio:.2f} (expect ~16, accept [8, 32]) "
-        f"-> {'ok' if ratio_ok else 'FAIL'}"
-    )
-    return SuiteReport(name="ode", passed=bool(passed), lines=tuple(lines))
+    checks.append((f"step halving error ratio = {ratio:.2f} (expect ~16, accept [8, 32])", ratio_ok))
+    return _report("ode", checks)
 
 
 def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     """Out-of-band harmonics must stay exactly silent; the zero-condition
     Vandermonde solve must return exact zeros; a deliberate out-of-band
     injection must register."""
-    lines = []
-    passed = True
-    for entry in CATALOG:
-        state = scenario_field(entry.set_id)
-        leak = bandlimit_preservation_check(state.spec, b=state.b)
-        ok = leak < 1e-12
-        passed &= ok
-        lines.append(
-            f"scenario {entry.index}: max out-of-band |a_k(t)| = {leak:.3e} -> "
-            f"{'ok' if ok else 'FAIL'}"
-        )
+    control = catalog_entry(3)
+    # The catalog's leak checks and the negative control share one RK4 run.
+    problems = [_out_of_band(entry.spec, entry.b, None) for entry in CATALOG]
+    problems.append(_out_of_band(control.spec, control.b, {5: [1.0]}))
+    _, runs = _integrate(problems, ORACLE_T_END, ORACLE_DT)
+    *leaks, injected = [float(np.max(np.abs(values))) for values in runs]
+    checks = [
+        (f"scenario {entry.index}: max out-of-band |a_k(t)| = {leak:.3e}", leak < 1e-12)
+        for entry, leak in zip(CATALOG, leaks)
+    ]
     rng = substream(seed, 0)
     worst = 0.0
     for _ in range(instances):
         m = int(rng.integers(2, 5))
         while True:
-            roots = tuple(
-                complex(-abs(re), im)
-                for re, im in zip(rng.uniform(0.05, 5.0, m), rng.uniform(-5.0, 5.0, m))
-            )
+            roots = tuple(map(complex, -np.abs(rng.uniform(0.05, 5.0, m)), rng.uniform(-5.0, 5.0, m)))
             gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]]
             if min(gaps) > 1e-3:
                 break
-        solved = solve_initial_coefficients(
-            HarmonicRoots(k=0, roots=roots), np.zeros(m, dtype=complex)
-        )
+        solved = solve_initial_coefficients(HarmonicRoots(k=0, roots=roots), np.zeros(m, dtype=complex))
         worst = max(worst, float(np.max(np.abs(solved))))
-    zero_ok = worst < 1e-14
-    passed &= zero_ok
-    lines.append(
-        f"zero conditions -> zero coefficients on {instances} random root sets "
-        f"(max |a| = {worst:.3e}) -> {'ok' if zero_ok else 'FAIL'}"
-    )
-    entry = catalog_entry(3)
-    injected = bandlimit_preservation_check(entry.spec, b=entry.b, conditions={5: [1.0]})
-    control_ok = injected > 0.0
-    passed &= control_ok
-    lines.append(
-        f"negative control (injected out-of-band energy) = {injected:.3e} > 0 -> "
-        f"{'ok' if control_ok else 'FAIL'}"
-    )
-    return SuiteReport(name="appendix-a", passed=bool(passed), lines=tuple(lines))
+    text = f"zero conditions -> zero coefficients on {instances} random root sets (max |a| = {worst:.3e})"
+    checks.append((text, worst < 1e-14))
+    checks.append((f"negative control (injected out-of-band energy) = {injected:.3e} > 0", injected > 0.0))
+    return _report("appendix-a", checks)
 
 
 def _invariant_violations(spec: RenewalSpec, n: int, block: PathBlock) -> int:
@@ -323,21 +324,14 @@ def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
     fuzzed paths."""
     spec = RenewalSpec("uniform_scaled", 2.0, 2.0)
     rows = grid_deviation_scaling(spec, (100, 400, 1600, 6400), trials, seed)
-    lines = [format_scaling_table(rows)]
-    passed = True
+    checks = []
     for label, column in (
         ("spatial", [r.scaled_spatial for r in rows]),
         ("temporal", [r.scaled_temporal for r in rows]),
     ):
         ratio = max(column) / min(column)
-        ok = ratio < 3.0
-        passed &= ok
-        lines.append(f"{label} column max/min = {ratio:.3f} (< 3) -> {'ok' if ok else 'FAIL'}")
+        checks.append((f"{label} column max/min = {ratio:.3f} (< 3)", ratio < 3.0))
     checked, violations = _fuzz_path_invariants(seed + 1, trials)
     fuzz_ok = violations == 0 and checked == trials
-    passed &= fuzz_ok
-    lines.append(
-        f"per-draw invariants: {violations} violations over {checked} paths -> "
-        f"{'ok' if fuzz_ok else 'FAIL'}"
-    )
-    return SuiteReport(name="appendix-b", passed=bool(passed), lines=tuple(lines))
+    checks.append((f"per-draw invariants: {violations} violations over {checked} paths", fuzz_ok))
+    return _report("appendix-b", checks, head=[format_scaling_table(rows)])

@@ -200,6 +200,11 @@ class NoiseSpec:
             # _draw_noise draws on [-h, h] with h = sqrt(3 sigma^2).
             raise ValueError(f"uniform noise variance {self.variance!r} overflows 3*variance")
 
+    @property
+    def draws(self) -> bool:
+        """Whether readings take random noise, and so need a generator."""
+        return self.family != "none" and self.variance > 0.0
+
 
 def _draw_increments(
     family: str,
@@ -326,7 +331,7 @@ def draw_path(
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    if noise.family == "none" or noise.variance == 0.0:
+    if not noise.draws:
         return np.zeros(count)
     if noise.family == "gaussian":
         return rng.normal(0.0, np.sqrt(noise.variance), size=count)
@@ -365,7 +370,7 @@ def sample_paths(
 def _read(
     state: FieldState, xs: np.ndarray, ts: np.ndarray, noise: NoiseSpec, rng: np.random.Generator | None
 ) -> np.ndarray:
-    if noise.family != "none" and rng is None:
+    if noise.draws and rng is None:
         raise ValueError("a noise RNG is required for stochastic noise")
     values = evaluate_at_points(state, xs, ts) + _draw_noise(noise, len(xs), rng)
     values.flags.writeable = False

@@ -501,11 +501,11 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, others, t
     assert tables.block == block
     designs = [tables.materialize(g) for g in range(len(m_counts))]
     values = [entries @ rng.normal(size=cols) for entries in designs]
-    outcomes = reconstruct_stack(roots, m_counts, t0s, values, np.zeros(2 * b + 1))
+    outcomes = reconstruct_stack(roots, t0s, values, np.zeros(2 * b + 1))
     if top >= cols:
         # Each member's reduced system within the stack, and the singular
         # values the solve reads from it (rank gate, kappa, trace identities).
-        reduced = estimator._reduce_grids(tables, values)
+        reduced = tables.reduce(values)
         read = estimator._solve(reduced)[1]
     for g, (entries, v, outcome) in enumerate(zip(designs, values, outcomes)):
         if len(v) < cols:
@@ -550,33 +550,30 @@ STACK_RTOL = 1e-9
 def test_stack_members_are_independent():
     state = scenario_field("set1")
     true_k0 = coefficients_at(state, 0.0)
-    m_counts, t0s, values = [], [], []
+    t0s, values = [], []
     for gens in cell_streams([(2024, 1024, trial) for trial in range(4)], 3):
         path = draw_path(RenewalSpec(), 1024, gens[:2])
-        m_counts.append(path.M)
         t0s.append(path.T0)
         values.append(sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2]))
     # The same readings at set1's collision horizon T0* = 2 pi / (1.564 +
     # 4.133), where sigma_min / sigma_max falls below RANK_RTOL, and at fewer
     # samples than the 14 columns.
-    m_counts[2:2] = [m_counts[1]]
     t0s[2:2] = [1.1028]
     values[2:2] = [values[1]]
-    m_counts.append(10)
     t0s.append(1.0)
     values.append(values[0][:10])
-    outcomes = reconstruct_stack(state.roots, m_counts, t0s, values, true_k0)
+    outcomes = reconstruct_stack(state.roots, t0s, values, true_k0)
 
     kept = []
-    for m_count, t0, v, outcome in zip(m_counts, t0s, values, outcomes):
-        design = build_design_matrix(state.roots, m_count, t0)
+    for t0, v, outcome in zip(t0s, values, outcomes):
+        design = build_design_matrix(state.roots, len(v), t0)
         try:
             alone = reconstruct(design, v, true_k0)
         except (InsufficientSamples, RankDeficient) as refusal:
             assert type(outcome) is type(refusal) and str(outcome) == str(refusal)
             continue
         assert isinstance(outcome, ReconstructionResult)
-        kept.append((m_count, t0, v, outcome))
+        kept.append((t0, v, outcome))
         assert np.linalg.norm(outcome.a_hat - alone.a_hat) <= STACK_RTOL * np.linalg.norm(alone.a_hat)
         assert outcome.kappa == pytest.approx(alone.kappa, rel=STACK_RTOL)
         assert outcome.distortion == pytest.approx(alone.distortion, rel=STACK_RTOL)
@@ -588,8 +585,8 @@ def test_stack_members_are_independent():
         "ReconstructionResult",
         "InsufficientSamples",
     ]
-    m_counts, t0s, values, before = zip(*kept)
-    for outcome, result in zip(reconstruct_stack(state.roots, m_counts, t0s, values, true_k0), before):
+    t0s, values, before = zip(*kept)
+    for outcome, result in zip(reconstruct_stack(state.roots, t0s, values, true_k0), before):
         assert np.linalg.norm(outcome.a_hat - result.a_hat) <= STACK_RTOL * np.linalg.norm(result.a_hat)
         assert outcome.distortion == pytest.approx(result.distortion, rel=STACK_RTOL)
 

@@ -402,9 +402,9 @@ def test_trials_never_materialize_the_design(monkeypatch):
 
     stacks = []
 
-    def solve(roots, m_counts, *args):
-        stacks.append(len(m_counts))
-        return original(roots, m_counts, *args)
+    def solve(roots, t0s, *args):
+        stacks.append(len(t0s))
+        return original(roots, t0s, *args)
 
     original = exp.reconstruct_stack
     monkeypatch.setattr(GridTables, "materialize", refuse)
@@ -413,6 +413,25 @@ def test_trials_never_materialize_the_design(monkeypatch):
     assert all(record.ok for record in result.trial_records)
     # 14 columns: three 64-sample designs fit one stack, 2048-sample ones two.
     assert stacks == [3, 2, 1]
+
+
+def test_noiseless_sweep_derives_no_noise_stream(monkeypatch):
+    # Without noise to draw, each cell derives its two path generators only,
+    # and the sweep reads as it does with the noise generator derived too.
+    counts = []
+
+    def derive(cells, count):
+        counts.append(count)
+        return cell_streams(cells, count)
+
+    config = quick_config(noise=NoiseSpec(), n_list=(64, 128), trials=20)
+    monkeypatch.setattr(exp, "cell_streams", derive)
+    lean = run_sweep(config)
+    assert set(counts) == {2}
+    monkeypatch.setattr(exp, "cell_streams", lambda cells, count: cell_streams(cells, 3))
+    full = run_sweep(config)
+    assert sweep_csv_text(lean) == sweep_csv_text(full)
+    assert [repr(r) for r in lean.trial_records] == [repr(r) for r in full.trial_records]
 
 
 # Traced peak of one 16-trial task on set1.  Measured: 0.65 MB at n = 128

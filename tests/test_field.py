@@ -75,6 +75,15 @@ def test_coefficients_at_zero_row_sums(diffusion, set1):
         assert np.allclose(coefficients_at(state, 0.0), state.coeffs.sum(axis=1), atol=0)
 
 
+def test_coefficients_at_a_time_grid(set1):
+    # One row per time, each the same bits as the time alone.
+    times = np.linspace(0.0, 1.0, 11)
+    expected = np.array([coefficients_at(set1, t) for t in times])
+    assert np.array_equal(coefficients_at(set1, times), expected)
+    with pytest.raises(ValueError, match="non-negative"):
+        coefficients_at(set1, [0.5, -1e-3])
+
+
 def test_coefficients_at_parseval(diffusion):
     # Quadrature oracle: 4096-point trapezoid of |g(x, 0)|^2 over one period.
     xs = np.linspace(0.0, 1.0, 4097)
@@ -172,6 +181,13 @@ def test_grid_basis_matches_basis_matrix(entry, m_count, t0):
     grid = grid_tables(roots, [m_count], [t0]).materialize()
     assert grid.shape == expected.shape
     assert np.max(np.abs(grid - expected)) < 1e-13
+
+
+def test_grid_reduce_needs_one_value_per_row():
+    tables = grid_tables(scenario_field("diffusion").roots, [20, 9], [1.0, 0.5])
+    assert tables.reduce([np.zeros(20), np.zeros(9)]).shape[0] == 2
+    with pytest.raises(ValueError, match="one value per grid row"):
+        tables.reduce([np.zeros(20), np.zeros(8)])
 
 
 def assert_matches_complex_exp(a, b):

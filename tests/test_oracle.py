@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from fieldrecon.pde_core import PdeSpec
 from fieldrecon.sampling import RenewalSpec
 
 DIFFUSION_RATE = -0.39478417604357435
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
+
+
+def assert_golden_lines(report, name):
+    # The suite's report lines, byte for byte, as pinned in tests/golden/verify.
+    assert ("\n".join(report.lines) + "\n").encode() == (GOLDEN / name).read_bytes()
 
 
 def test_rk4_scalar_exponential():
@@ -69,6 +76,19 @@ def test_rk4_stacked_equals_each_harmonic_alone():
             alone = integrate_coefficient_ode(state.spec, [k], conditions[h : h + 1], 0.3, 1e-3)
             assert np.array_equal(stacked.values[:, h], alone.values[:, 0]), (entry.index, k)
             assert np.array_equal(stacked.times, alone.times)
+
+
+def test_rk4_one_stack_equals_each_pde_alone():
+    # The suites integrate the catalog's PDEs (degrees 2, 2, 1) as one
+    # zero-padded stack; each trajectory must equal its own PDE's run.
+    states = [scenario_field(entry.set_id) for entry in CATALOG]
+    for dt in (oracle.ORACLE_DT, oracle.ORACLE_DT / 2):
+        times, runs = oracle._integrate([oracle._at_rest(state) for state in states], 1.0, dt)
+        for state, values in zip(states, runs):
+            alone = integrate_coefficient_ode(*oracle._at_rest(state), 1.0, dt)
+            assert values.shape == (len(times), 2 * state.b + 1)
+            assert np.array_equal(values, alone.values), (state.spec, dt)
+            assert np.array_equal(times, alone.times)
 
 
 def test_rk4_fourth_order_convergence():
@@ -163,11 +183,13 @@ def test_fuzz_counts_a_refused_path_as_one_violation(monkeypatch):
 def test_ode_suite_passes():
     report = ode_equivalence_suite()
     assert report.passed, "\n".join(report.lines)
+    assert_golden_lines(report, "ode-suite.txt")
 
 
 def test_bandlimit_suite_passes():
     report = bandlimit_suite(instances=30)
     assert report.passed, "\n".join(report.lines)
+    assert_golden_lines(report, "appendix-a-suite-30.txt")
 
 
 def test_grid_deviation_suite_smoke():

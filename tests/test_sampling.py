@@ -298,6 +298,11 @@ def test_noise_requires_rng():
     path = draw_path(RenewalSpec(), 50, streams())
     with pytest.raises(ValueError):
         sample_field(state, path, NoiseSpec("gaussian", 0.1), None)
+    # Only noise that draws needs a generator (NoiseSpec.draws).
+    quiet = (NoiseSpec(), NoiseSpec("gaussian", 0.0), NoiseSpec("uniform", 0.0))
+    assert not any(spec.draws for spec in quiet) and NoiseSpec("uniform", 0.1).draws
+    expected = sample_field(state, path, NoiseSpec())
+    assert all(np.array_equal(sample_field(state, path, spec, None), expected) for spec in quiet)
 
 
 # ------------------------------------------------------------ grid deviation
