@@ -48,8 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import ConjugateLayout, GridTables, conjugate_layout, grid_tables
-from .pde_core import HarmonicRoots
+from .field import ConjugateLayout, conjugate_layout, grid_tables
+from .pde_core import HarmonicRoots, integer
 
 # Singular values at or below this fraction of the largest are treated as zero
 # and the solve refuses with RankDeficient rather than returning garbage.  The
@@ -60,82 +60,51 @@ from .pde_core import HarmonicRoots
 RANK_RTOL = 4e-6
 
 
+@dataclass(frozen=True)
 class DesignMatrix:
-    """Real basis values at the estimation points, one row per sample.
+    """The uniform-grid design (i/M, i*t0/M), i = 1..M: all the estimator
+    knows of where and when the ``rows`` = M readings were taken.
 
     Columns follow the conjugate layout of ``roots`` (field.ConjugateLayout):
     conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
     2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
     (real roots at k = 0) follow all pairs.  ``layout`` maps a real solution
-    back to the stacked complex coefficients of FieldState.
-
-    A design holds either its ``entries`` (basis values at any points) or, on
-    the uniform grid, the grid's power tables (``grid``, a stack of one
-    grid); then ``entries`` is materialized only when read, and ``reduce``
-    works from the tables.  Entries are stored as a read-only view: a
-    caller's float array is not copied.
+    back to the stacked complex coefficients of FieldState.  The solve works
+    from the grid's power tables (field.grid_tables); the read-only M x c
+    ``entries`` are materialized only when read.
     """
 
-    def __init__(
-        self,
-        *,
-        roots: Sequence[HarmonicRoots],
-        t0: float,  # horizon of the grid's last row
-        entries: np.ndarray | None = None,
-        grid: GridTables | None = None,
-    ) -> None:
-        self.roots = tuple(roots)
-        self.t0 = t0
-        self.grid = grid
-        self.cols = sum(hr.m for hr in self.roots)
-        if (entries is None) == (grid is None):
-            raise ValueError("a design holds either entries or grid tables")
-        if grid is not None:
-            if len(grid.m_counts) != 1 or grid.cols != self.cols:
-                raise ValueError("grid tables must hold one grid in the root layout")
-            self.rows = int(grid.m_counts[0])
-            return
-        if np.iscomplexobj(entries):
-            raise ValueError("design entries must be real (see field.basis_matrix)")
-        entries = np.asarray(entries, dtype=float).view()
-        if entries.ndim != 2 or entries.shape[1] != self.cols:
-            raise ValueError("entry matrix shape disagrees with the root layout")
-        entries.flags.writeable = False
-        # Seeds the cached property below, which then never runs.
-        self.entries = entries
-        self.rows = entries.shape[0]
+    roots: tuple[HarmonicRoots, ...]
+    rows: int
+    t0: float  # horizon of the grid's last row
 
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        entries = self.grid.materialize()
-        entries.flags.writeable = False
-        return entries
+    @property
+    def cols(self) -> int:
+        return sum(hr.m for hr in self.roots)
 
     @property
     def layout(self) -> ConjugateLayout:
         return conjugate_layout(self.roots)
 
-    def reduce(self, values: np.ndarray) -> np.ndarray:
-        """The system [K | d], as a stack of one, with the least-squares
-        minimiser, singular values and Frobenius norm of (entries, values):
-        GridTables.reduce on grid tables, while explicit entries are their
-        own reduction.  ValueError unless there is one value per row.
-        """
-        if len(values) != self.rows:
-            raise ValueError("one value per design-matrix row required")
-        if self.grid is None:
-            return np.column_stack((self.entries, values))[None]
-        return self.grid.reduce([values])
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        entries = grid_tables(self.roots, [self.rows], [self.t0]).materialize()
+        entries.flags.writeable = False
+        return entries
 
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
     """Design matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
 
     The sample count and the horizon are all the estimator knows of where
-    and when the readings were taken.
+    and when the readings were taken.  ValueError unless M is an integer
+    >= 0; a horizon that is not finite is refused when the design is used
+    (field.grid_tables).
     """
-    roots = tuple(roots_per_k)
-    return DesignMatrix(roots=roots, t0=float(t0), grid=grid_tables(roots, [m_count], [t0]))
+    m_count = integer("the sample count M", m_count)
+    if m_count < 0:
+        raise ValueError(f"the sample count M must be >= 0, got {m_count}")
+    return DesignMatrix(roots=tuple(roots_per_k), rows=m_count, t0=float(t0))
 
 
 def _as_values(values) -> np.ndarray:
@@ -149,15 +118,6 @@ def _insufficient(rows: int, cols: int) -> InsufficientSamples | None:
     if rows < cols:
         return InsufficientSamples(f"{rows} samples cannot determine {cols} coefficients")
     return None
-
-
-def _reduced(design: DesignMatrix, values: np.ndarray) -> np.ndarray:
-    """design.reduce(values); InsufficientSamples when the design has fewer
-    rows than columns."""
-    augmented = design.reduce(values)
-    if refusal := _insufficient(design.rows, design.cols):
-        raise refusal
-    return augmented
 
 
 def _solve(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[RankDeficient | None]]:
@@ -226,9 +186,13 @@ def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> Rec
     """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
     as stacked complex coefficients, scored per harmonic at t = 0.
 
-    The one-member case of reconstruct_stack, on any design.
+    The one-member case of reconstruct_stack: its outcome, returned or
+    raised.  ValueError unless there is one real value per design row.
     """
-    (outcome,) = _reconstruct(design.roots, _reduced(design, _as_values(values)), true_k0)
+    values = _as_values(values)
+    if len(values) != design.rows:
+        raise ValueError("one value per design-matrix row required")
+    (outcome,) = reconstruct_stack(design.roots, [design.t0], [values], true_k0)
     if not isinstance(outcome, ReconstructionResult):
         raise outcome
     return outcome
@@ -293,8 +257,10 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     horizon at most about the unit span; a failure flags a numerical problem,
     not physics.
     """
+    if refusal := _insufficient(design.rows, design.cols):
+        raise refusal
     # The reduced system K has the singular values and the Frobenius norm of Y0.
-    augmented = _reduced(design, np.zeros(design.rows))
+    augmented = grid_tables(design.roots, [design.rows], [design.t0]).reduce([np.zeros(design.rows)])
     _, singular, (refusal,) = _solve(augmented)
     if refusal is not None:
         raise refusal

@@ -426,10 +426,17 @@ def grid_tables(
     per column.  Every table entry is an exponential of its own argument,
     never a running product, so rounding does not grow with i.  All grids go
     through one exponentiation.
+
+    ValueError unless there is one finite horizon per grid.
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
     m_counts = np.array(m_counts, dtype=np.intp)
+    t0s = np.array(t0s, dtype=float)
+    if t0s.shape != m_counts.shape:
+        raise ValueError(f"horizon count {t0s.size} differs from grid count {m_counts.size}: one t0 per grid")
+    if not np.all(np.isfinite(t0s)):
+        raise ValueError(f"grid horizons t0 must be finite, got {t0s.tolist()}")
     top = int(m_counts.max())
     block = math.isqrt(top * layout.cols) + 1
     blocks = -(-top // block)

@@ -9,7 +9,6 @@ from fieldrecon import estimator
 from fieldrecon.errors import DegenerateRoots, InsufficientSamples, RankDeficient
 from fieldrecon.estimator import (
     RANK_RTOL,
-    DesignMatrix,
     ReconstructionResult,
     build_design_matrix,
     condition_diagnostics,
@@ -83,8 +82,7 @@ def test_true_grid_forward_oracle(diffusion):
     # Y(true points) @ a must reproduce per-point field evaluation.
     path = draw_path(RenewalSpec(), 120, path_streams(3))
     entries = basis_matrix(diffusion.roots, path.S[: path.M], path.T[: path.M])
-    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=path.T[path.M - 1])
-    predicted = design.entries @ design.layout.to_real(diffusion.flat_coeffs())
+    predicted = entries @ conjugate_layout(diffusion.roots).to_real(diffusion.flat_coeffs())
     direct = np.array(
         [evaluate(diffusion, x, t) for x, t in zip(path.S[: path.M], path.T[: path.M])]
     )
@@ -136,62 +134,54 @@ def test_condition_diagnostics_refuses_underdetermined(diffusion):
         condition_diagnostics(design)
 
 
-def test_design_matrix_validation(diffusion):
-    entries = basis_matrix(diffusion.roots, [0.25, 0.5], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        DesignMatrix(entries=entries.astype(complex), roots=diffusion.roots, t0=0.2)
-    with pytest.raises(ValueError):
-        DesignMatrix(entries=entries[:, :-1], roots=diffusion.roots, t0=0.2)
-    with pytest.raises(ValueError):
-        DesignMatrix(entries=entries[0], roots=diffusion.roots, t0=0.2)
-
-
-def test_design_matrix_stores_read_only_view(diffusion):
-    entries = basis_matrix(diffusion.roots, [0.25, 0.5], [0.1, 0.2])
-    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=0.2)
-    assert not design.entries.flags.writeable
-    assert np.shares_memory(design.entries, entries)
-    assert entries.flags.writeable
-
-
 def test_reconstruct_requires_real_vector(diffusion):
     design = build_design_matrix(diffusion.roots, 20, 1.0)
     with pytest.raises(ValueError):
         solve(design, np.zeros(20, dtype=complex))
     with pytest.raises(ValueError):
         solve(design, np.zeros((20, 1)))
+    with pytest.raises(ValueError, match="one value per design-matrix row"):
+        solve(design, np.zeros(19))
 
 
 def test_rank_deficient_detected():
-    spec = catalog_entry(3).spec
-    roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    entries = basis_matrix(roots, [0.5] * 5, [0.5] * 5)  # identical rows: rank 1 < 3
-    design = DesignMatrix(entries=entries, roots=roots, t0=0.5)
-    with pytest.raises(RankDeficient):
-        solve(design, np.zeros(5))
-    with pytest.raises(RankDeficient):
-        condition_diagnostics(design)
+    # set1 at M = 2048 around its collision horizon T0* = 1.1028, where two
+    # columns share a real part: the solve and the diagnostics refuse exactly
+    # when lstsq on the materialized design reads sigma_min / sigma_max at or
+    # below RANK_RTOL (about 5.8e-6, 3.6e-6, 1.7e-8 and 4.2e-6 here).
+    roots = scenario_field("set1").roots
+    values = np.random.default_rng(12).uniform(-1, 1, 2048)
+    refused = []
+    for t0 in (1.085, 1.0925, 1.1028, 1.115):
+        design = build_design_matrix(roots, 2048, t0)
+        singular = np.linalg.lstsq(design.entries, values, rcond=None)[3]
+        refused.append(bool(singular[-1] <= RANK_RTOL * singular[0]))
+        if refused[-1]:
+            with pytest.raises(RankDeficient):
+                solve(design, values)
+            with pytest.raises(RankDeficient):
+                condition_diagnostics(design)
+        else:
+            solve(design, values)
+            condition_diagnostics(design)
+    assert refused == [False, True, True, False]
 
 
 @pytest.mark.parametrize("factor, refused", [(1 + 1e-3, False), (1 - 1e-3, True)])
 def test_rank_gate_boundary(factor, refused):
-    # Synthetic U diag(s) V^T with sigma_min / sigma_max a hair off RANK_RTOL:
-    # the solve and the diagnostics share one gate.
-    spec = catalog_entry(3).spec
-    roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
+    # Synthetic U diag(s) V^T with sigma_min / sigma_max a hair off RANK_RTOL,
+    # through the one gate the solve and the diagnostics share.
     rng = np.random.default_rng(12)
     u, _ = np.linalg.qr(rng.normal(size=(40, 3)))
     v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     ratio = RANK_RTOL * factor
-    design = DesignMatrix(entries=(u * [1.0, ratio**0.5, ratio]) @ v.T, roots=roots, t0=1.0)
+    augmented = np.column_stack(((u * [1.0, ratio**0.5, ratio]) @ v.T, np.ones(40)))[None]
+    _, singular, (refusal,) = estimator._solve(augmented)
     if refused:
-        with pytest.raises(RankDeficient):
-            solve(design, np.ones(40))
-        with pytest.raises(RankDeficient):
-            condition_diagnostics(design)
+        assert isinstance(refusal, RankDeficient)
     else:
-        solve(design, np.ones(40))
-        assert condition_diagnostics(design).kappa == pytest.approx(ratio**-2, rel=1e-6)
+        assert refusal is None
+        assert (singular[0, 0] / singular[0, -1]) ** 2 == pytest.approx(ratio**-2, rel=1e-6)
 
 
 def test_distortion_values():
@@ -305,6 +295,10 @@ def test_grid_design_layout(diffusion):
     idx = np.arange(1, 5)
     expected = basis_matrix(diffusion.roots, idx / 4, idx * 0.8 / 4)
     assert np.max(np.abs(design.entries - expected)) < 1e-13
+    # M is a count: no fractional or negative grids, no bool.
+    for m_count, message in ((50.5, "integer"), (True, "integer"), (-3, ">= 0")):
+        with pytest.raises(ValueError, match=f"sample count M must be.*{message}"):
+            build_design_matrix(diffusion.roots, m_count, 0.8)
 
 
 # ------------------------------------------- real estimator vs complex oracle
@@ -526,17 +520,17 @@ def test_reduced_solve_matches_lstsq_on_entries(spec, b, size, blocks, others, t
 
 
 def test_reduced_system_keeps_the_singular_values(diffusion):
-    # One grid at a block edge: DesignMatrix.reduce keeps the design's
+    # One grid at a block edge: GridTables.reduce keeps the design's
     # singular values, in the property test's C eps sqrt(kappa) form.
     for m_count in (7, 8, 9, 60, 61, 62, 700):
         design = build_design_matrix(diffusion.roots, m_count, 1.1)
-        (augmented,) = design.reduce(np.arange(float(m_count)))
+        (augmented,) = grid_tables(diffusion.roots, [m_count], [1.1]).reduce([np.arange(float(m_count))])
         expected = np.linalg.svd(design.entries, compute_uv=False)
         reduced = np.linalg.svd(augmented[:, :-1], compute_uv=False)
         bound = REDUCED_SOLVE_C * np.finfo(float).eps * (expected[0] / expected[-1])
         assert np.max(np.abs(reduced - expected)) <= bound * expected[0]
     # An empty grid reduces to an empty system.
-    augmented = build_design_matrix(diffusion.roots, 0, 1.1).reduce(np.zeros(0))
+    augmented = grid_tables(diffusion.roots, [0], [1.1]).reduce([np.zeros(0)])
     assert augmented.shape == (1, 0, len(diffusion.roots) + 1)
 
 
@@ -591,6 +585,46 @@ def test_stack_members_are_independent():
         assert outcome.distortion == pytest.approx(result.distortion, rel=STACK_RTOL)
 
 
+def test_reconstruct_is_the_one_member_stack():
+    # reconstruct returns, or raises, exactly what reconstruct_stack gives
+    # its one member: on a healthy path, at set1's collision horizon
+    # T0* = 1.1028 and at fewer samples than the 14 columns.
+    state = scenario_field("set1")
+    true_k0 = coefficients_at(state, 0.0)
+    path = draw_path(RenewalSpec(), 1024, path_streams(5))
+    readings = sample_field(state, path, NoiseSpec("gaussian", 1e-4), np.random.default_rng(5))
+    members = []
+    for t0, values in ((path.T0, readings), (1.1028, readings), (1.0, readings[:10])):
+        (member,) = reconstruct_stack(state.roots, [t0], [values], true_k0)
+        members.append(type(member).__name__)
+        design = build_design_matrix(state.roots, len(values), t0)
+        try:
+            alone = reconstruct(design, values, true_k0)
+        except (InsufficientSamples, RankDeficient) as refusal:
+            assert type(refusal) is type(member) and str(refusal) == str(member)
+            continue
+        assert np.array_equal(alone.a_hat, member.a_hat)
+        assert (alone.distortion, alone.kappa) == (member.distortion, member.kappa)
+    assert members == ["ReconstructionResult", "RankDeficient", "InsufficientSamples"]
+
+
+def test_horizons_are_checked(diffusion):
+    # One finite horizon per grid, refused by name before any table is built.
+    values = np.zeros(50)
+    for t0s, stack in (([0.9, 1.0, 1.1], [values]), ([1.0], [values] * 3)):
+        message = f"horizon count {len(t0s)} differs from grid count {len(stack)}"
+        with pytest.raises(ValueError, match=message):
+            reconstruct_stack(diffusion.roots, t0s, stack, np.zeros(7))
+    for t0 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizons t0 must be finite"):
+            reconstruct_stack(diffusion.roots, [t0], [values], np.zeros(7))
+        design = build_design_matrix(diffusion.roots, 50, t0)
+        with pytest.raises(ValueError, match="horizons t0 must be finite"):
+            solve(design, values)
+        with pytest.raises(ValueError, match="horizons t0 must be finite"):
+            condition_diagnostics(design)
+
+
 def test_insufficient_samples_counts_design_rows(diffusion):
     # M < c is refused, down to the empty grid; from M = c on, the reduced
     # system never has fewer rows than columns, so it cannot refuse.
@@ -598,18 +632,7 @@ def test_insufficient_samples_counts_design_rows(diffusion):
         with pytest.raises(InsufficientSamples, match=f"^{m_count} samples cannot determine 7"):
             solve(build_design_matrix(diffusion.roots, m_count, 1.0), np.zeros(m_count))
     for m_count in range(7, 200):
-        design = build_design_matrix(diffusion.roots, m_count, 1.0)
-        assert design.reduce(np.zeros(m_count))[0].shape[0] >= 7
-
-
-def test_explicit_entries_are_their_own_reduction(diffusion):
-    entries = basis_matrix(diffusion.roots, np.linspace(0, 1, 30), np.linspace(0, 1, 30))
-    design = DesignMatrix(entries=entries, roots=diffusion.roots, t0=1.0)
-    values = np.arange(30.0)
-    (augmented,) = design.reduce(values)
-    assert np.array_equal(augmented, np.column_stack((design.entries, values)))
-    with pytest.raises(ValueError, match="one value per design-matrix row"):
-        design.reduce(values[:-1])
+        assert grid_tables(diffusion.roots, [m_count], [1.0]).reduce([np.zeros(m_count)])[0].shape[0] >= 7
 
 
 def test_grid_design_materializes_only_when_read(diffusion):
@@ -624,9 +647,12 @@ def test_grid_design_materializes_only_when_read(diffusion):
 
 @pytest.mark.parametrize("call", [solve, lambda design, values: condition_diagnostics(design)])
 def test_all_zero_design_is_rank_deficient(call):
-    # sigma_max = 0: refused with a finite message, no 0/0 warning.
-    roots = tuple(characteristic_roots(catalog_entry(3).spec, k) for k in range(-3, 4))
-    design = DesignMatrix(entries=np.zeros((10, 7)), roots=roots, t0=1.0)
+    # sigma_max = 0: refused with a finite message, no 0/0 warning.  Every
+    # root's real part is about -1e300, so every grid entry underflows to 0.
+    spec = PdeSpec((1e300, 1.0), (0.0, 0.0, 0.01))
+    roots = tuple(characteristic_roots(spec, k) for k in range(-3, 4))
+    design = build_design_matrix(roots, 10, 1.0)
+    assert not np.any(design.entries)
     with pytest.raises(RankDeficient, match="zero") as refusal:
         call(design, np.ones(10))
     assert "nan" not in str(refusal.value)
