@@ -51,7 +51,6 @@ from .estimator import (
     ReconstructionResult,
     build_design_matrix,
     condition_diagnostics,
-    distortion,
     reconstruct,
 )
 from .oracle import (
@@ -63,6 +62,7 @@ from .oracle import (
 from .experiments import (
     ExperimentConfig,
     SweepResult,
+    distortion,
     fit_loglog_slope,
     load_config,
     run_sweep,

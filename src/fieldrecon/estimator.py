@@ -3,7 +3,9 @@
 The readings g_s arrive as a bare real vector (sampling.sample_field); the
 estimator never sees where or when they were taken.  It pretends they lie on
 the uniform grid (i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the
-stacked modal coefficients.  Y0 is known from (M, T0) alone.
+stacked modal coefficients.  Y0 is known from (M, T0) alone.  The estimator
+only solves: it returns the estimate and its design's kappa, never receives
+the true field, and leaves all scoring to the sweep harness (experiments).
 
 It works in real arithmetic.  The readings are real, and the complex columns
 of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
@@ -48,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import ConjugateLayout, conjugate_layout, grid_tables
+from .field import conjugate_layout, grid_tables
 from .pde_core import HarmonicRoots, integer
 
 # Singular values at or below this fraction of the largest are treated as zero
@@ -68,10 +70,9 @@ class DesignMatrix:
     Columns follow the conjugate layout of ``roots`` (field.ConjugateLayout):
     conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
     2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
-    (real roots at k = 0) follow all pairs.  ``layout`` maps a real solution
-    back to the stacked complex coefficients of FieldState.  The solve works
-    from the grid's power tables (field.grid_tables); the read-only M x c
-    ``entries`` are materialized only when read.
+    (real roots at k = 0) follow all pairs.  The solve works from the grid's
+    power tables (field.grid_tables); the read-only M x c ``entries`` are
+    materialized only when read.
     """
 
     roots: tuple[HarmonicRoots, ...]
@@ -81,10 +82,6 @@ class DesignMatrix:
     @property
     def cols(self) -> int:
         return sum(hr.m for hr in self.roots)
-
-    @property
-    def layout(self) -> ConjugateLayout:
-        return conjugate_layout(self.roots)
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -109,8 +106,10 @@ def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: 
 
 def _as_values(values) -> np.ndarray:
     values = np.asarray(values)
-    if values.ndim != 1 or np.iscomplexobj(values):
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
         raise ValueError("sample values must form a real vector")
+    if not np.isfinite(values).all():
+        raise ValueError("sample values must be finite")
     return values
 
 
@@ -146,63 +145,32 @@ def _rank_refusal(largest: float, smallest: float) -> RankDeficient | None:
     return None
 
 
-def distortion(
-    estimated_k0: np.ndarray | Sequence[complex], true_k0: Sequence[complex]
-) -> float | list[float]:
-    """Sum_k |est_k - true_k|^2; by Parseval, the integrated squared error at t = 0.
-
-    A float, or a list of floats, one per row, for a stack of estimates.
-    """
-    est = np.asarray(estimated_k0, dtype=complex)
-    true = np.asarray(true_k0, dtype=complex)
-    if est.shape[-1:] != true.shape:
-        raise ValueError("coefficient vectors must have equal length")
-    return np.sum(np.abs(est - true) ** 2, axis=-1).tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Stacked estimate, its distortion at t = 0, and the design's kappa."""
+    """Stacked complex estimate and the design's kappa."""
 
     a_hat: np.ndarray
-    distortion: float
     kappa: float
 
 
-def _reconstruct(
-    roots: tuple[HarmonicRoots, ...], augmented: np.ndarray, true_k0: Sequence[complex]
-) -> list[ReconstructionResult | RankDeficient]:
-    """The outcome of every member of a stack of reduced systems [K | d]."""
-    solution, singular, refusals = _solve(augmented)
-    a_hat = conjugate_layout(roots).to_complex(solution)
-    errors = distortion(a_hat.reshape(len(a_hat), len(roots), -1).sum(axis=2), true_k0)
-    return [
-        refusal or ReconstructionResult(a_hat=est, distortion=error, kappa=(s[0] / s[-1]) ** 2)
-        for est, error, s, refusal in zip(a_hat, errors, singular.tolist(), refusals)
-    ]
-
-
-def reconstruct(design: DesignMatrix, values, true_k0: Sequence[complex]) -> ReconstructionResult:
+def reconstruct(design: DesignMatrix, values) -> ReconstructionResult:
     """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
-    as stacked complex coefficients, scored per harmonic at t = 0.
+    as stacked complex coefficients, and kappa = (sigma_max / sigma_min)^2.
 
     The one-member case of reconstruct_stack: its outcome, returned or
-    raised.  ValueError unless there is one real value per design row.
+    raised.  ValueError unless there is one finite real value per design row.
     """
     values = _as_values(values)
     if len(values) != design.rows:
         raise ValueError("one value per design-matrix row required")
-    (outcome,) = reconstruct_stack(design.roots, [design.t0], [values], true_k0)
+    (outcome,) = reconstruct_stack(design.roots, [design.t0], [values])
     if not isinstance(outcome, ReconstructionResult):
         raise outcome
     return outcome
 
 
 def reconstruct_stack(
-    roots_per_k: Sequence[HarmonicRoots],
-    t0s: Sequence[float],
-    values: Sequence[np.ndarray],
-    true_k0: Sequence[complex],
+    roots_per_k: Sequence[HarmonicRoots], t0s: Sequence[float], values: Sequence[np.ndarray]
 ) -> list[ReconstructionResult | InsufficientSamples | RankDeficient]:
     """reconstruct on the uniform grid (i/M, i*t0/M) of every horizon t0 of
     ``t0s``, with the M = len(values[i]) readings ``values[i]`` on grid i,
@@ -221,8 +189,12 @@ def reconstruct_stack(
     short = [_insufficient(m, cols) for m in m_counts]
     if all(short):
         return short
-    outcomes = _reconstruct(roots, grid_tables(roots, m_counts, t0s).reduce(values), true_k0)
-    return [refusal or outcome for refusal, outcome in zip(short, outcomes)]
+    solution, singular, refusals = _solve(grid_tables(roots, m_counts, t0s).reduce(values))
+    a_hat = conjugate_layout(roots).to_complex(solution)
+    return [
+        too_few or refusal or ReconstructionResult(a_hat=est, kappa=(s[0] / s[-1]) ** 2)
+        for est, s, too_few, refusal in zip(a_hat, singular.tolist(), short, refusals)
+    ]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from . import __version__
 from .errors import ConfigInvalid, DegenerateFit, InfeasiblePde
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, random_real_field, scenario_field
 from .pde_core import PdeSpec, check_stability, integer
-from .estimator import ReconstructionResult, distortion, reconstruct_stack
+from .estimator import ReconstructionResult, reconstruct_stack
 from .sampling import NoiseSpec, RenewalSpec, draw_paths, sample_paths
 from .streams import cell_streams, substream
 
@@ -146,6 +146,20 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return float(slope), float(intercept)
 
 
+def distortion(
+    estimated_k0: np.ndarray | Sequence[complex], true_k0: Sequence[complex]
+) -> float | list[float]:
+    """Sum_k |est_k - true_k|^2; by Parseval, the integrated squared error at t = 0.
+
+    A float, or a list of floats, one per row, for a stack of estimates.
+    """
+    est = np.asarray(estimated_k0, dtype=complex)
+    true = np.asarray(true_k0, dtype=complex)
+    if est.shape[-1:] != true.shape:
+        raise ValueError("coefficient vectors must have equal length")
+    return np.sum(np.abs(est - true) ** 2, axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one reconstruction; failures stay visible, never imputed."""
@@ -229,16 +243,23 @@ def _run_trials(
 def _solve_stack(
     state: FieldState, true_k0: np.ndarray, n: int, stack: Sequence[tuple[int, float, np.ndarray]]
 ) -> list[TrialRecord]:
-    """Reconstruct and score one stack of (trial, T0, readings)."""
+    """Reconstruct one stack of (trial, T0, readings) and score its solved
+    members in one pass: the mode values at t = 0 (each harmonic's
+    coefficients summed) against ``true_k0``, and the coefficients against
+    the state's.  A refused member's scores stay NaN."""
     trials, t0s, values = zip(*stack)
-    outcomes = reconstruct_stack(state.roots, t0s, values, true_k0)
-    flat = state.flat_coeffs()
-    nan = float("nan")
+    outcomes = reconstruct_stack(state.roots, t0s, values)
+    solved = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ReconstructionResult)]
+    scores = np.full((len(outcomes), 3), np.nan)  # distortion, coeff_error_sq, kappa
+    if solved:
+        a_hat = np.array([outcomes[i].a_hat for i in solved])
+        modes = a_hat.reshape(len(solved), len(state.roots), -1).sum(axis=2)
+        scores[solved, 0] = distortion(modes, true_k0)
+        scores[solved, 1] = distortion(a_hat, state.flat_coeffs())
+        scores[solved, 2] = [outcomes[i].kappa for i in solved]
     return [
-        TrialRecord(n, trial, True, result.distortion, distortion(result.a_hat, flat), result.kappa, m, t0)
-        if isinstance(result, ReconstructionResult)
-        else TrialRecord(n, trial, False, nan, nan, nan, m, t0)
-        for trial, m, t0, result in zip(trials, map(len, values), t0s, outcomes)
+        TrialRecord(n, trial, isinstance(outcome, ReconstructionResult), *score, len(v), t0)
+        for trial, t0, v, outcome, score in zip(trials, t0s, values, outcomes, scores.tolist())
     ]
 
 

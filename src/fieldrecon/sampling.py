@@ -43,6 +43,9 @@ _BETA_SHAPE_A = 2.0
 # one block as their increment chunks fit.
 _BLOCK_ELEMENTS = 2**14
 
+# A path's rule on its arrays' length, shared by SamplePath and PathBlock.
+_WIDTH_RULE = "S and T must both hold M+1 entries"
+
 
 @dataclass(frozen=True)
 class RenewalSpec:
@@ -78,16 +81,35 @@ class RenewalSpec:
 
 
 def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
-    """The defining inequalities of a block of paths: row i holds S_1..S_{M+1}
-    and T_1..T_{M+1} of a path with M = M[i] and T0 = T0[i] in its first
-    M + 1 columns; later columns are not read.
+    """The rules of a block of paths: row i holds S_1..S_{M+1} and
+    T_1..T_{M+1} of a path with M = M[i] and T0 = T0[i] in its first M + 1
+    columns; later columns are not read.
 
-    The steps are compared in one pass per array; the few entries each row
-    is bounded by are read one by one, which keeps a one-row block cheap."""
+    The arrays come first: float S and T with one row per path, one integer
+    M and one real T0 per row, and rows of at least M + 1 entries, all read
+    from dtypes and shapes.  Then the defining inequalities: the steps are
+    compared in one pass per array, and the few entries each row is bounded
+    by are read one by one, which keeps a one-row block cheap."""
+    if not all(isinstance(a, np.ndarray) for a in (S, T, M, T0)):
+        raise ValueError("a path block's S, T, M and T0 must be numpy arrays")
+    if M.dtype.kind not in "iu":
+        raise ValueError(f"M must be an integer, got {M.dtype} entries")
+    if T0.dtype.kind not in "iuf":
+        raise ValueError(f"T0 must be a real number, got {T0.dtype} entries")
+    if S.dtype.kind != "f" or T.dtype.kind != "f":
+        raise ValueError("S and T must be float arrays")
+    one_per_path = (
+        M.ndim == 1 and M.size > 0 and T0.shape == M.shape
+        and S.ndim == T.ndim == 2 and len(S) == len(T) == len(M)
+    )
+    if not one_per_path:
+        raise ValueError("a path block holds one or more paths: one row of S and T and one M and T0 each")
     counts = M.tolist()
     if min(counts) < 1:
         raise ValueError("at least one in-support sample is required")
     width = max(counts) + 1
+    if min(S.shape[1], T.shape[1]) < width:
+        raise ValueError(_WIDTH_RULE)
     for name, X in (("locations", S), ("times", T)):
         # A NaN fails every comparison, and a finite last entry bounds all
         # the others.
@@ -168,7 +190,7 @@ class SamplePath:
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
         if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
-            raise ValueError("S and T must both hold M+1 entries")
+            raise ValueError(_WIDTH_RULE)
         _check_rows(S[None], T[None], np.array([self.M]), np.array([self.T0]))
         S.flags.writeable = False
         T.flags.writeable = False

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import fieldrecon.experiments as exp
 from fieldrecon.errors import ConfigInvalid, DegenerateFit, InfeasiblePde, UnknownScenario
+from fieldrecon.estimator import ReconstructionResult, reconstruct_stack
 from fieldrecon.experiments import (
     ExperimentConfig,
     config_from_record,
     config_to_record,
+    distortion,
     fit_loglog_slope,
     load_config,
     run_sweep,
@@ -23,7 +25,7 @@ from fieldrecon.experiments import (
 )
 from fieldrecon.field import GridTables, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
-from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from fieldrecon.streams import cell_streams
 
 
@@ -457,6 +459,33 @@ def test_task_memory_stays_bounded(n):
         tracemalloc.stop()
     assert len(records) == 16
     assert peak < TASK_PEAK_MB
+
+
+def test_stack_scoring_is_each_members_own_distortion():
+    # One stack of healthy set1 paths, the same readings at set1's collision
+    # horizon T0* = 1.1028 and 10 readings for its 14 columns: the harness
+    # scores the solved members in one pass, bit for bit as each member's
+    # own estimate scores alone, and leaves the refused ones NaN.
+    state = scenario_field("set1")
+    true_k0 = coefficients_at(state, 0.0)
+    stack = []
+    for trial, gens in enumerate(cell_streams([(77, 512, trial) for trial in range(3)], 3)):
+        path = draw_path(RenewalSpec(), 512, gens[:2])
+        stack.append((trial, path.T0, sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2])))
+    stack += [(3, 1.1028, stack[0][2]), (4, 1.0, stack[1][2][:10])]
+    records = exp._solve_stack(state, true_k0, 512, stack)
+    outcomes = reconstruct_stack(state.roots, [t0 for _, t0, _ in stack], [v for _, _, v in stack])
+    assert [r.ok for r in records] == [True, True, True, False, False]
+    for record, (trial, t0, values), outcome in zip(records, stack, outcomes):
+        assert (record.n, record.trial, record.samples, record.t0) == (512, trial, len(values), t0)
+        if not record.ok:
+            assert not isinstance(outcome, ReconstructionResult)
+            assert all(math.isnan(x) for x in (record.distortion, record.coeff_error_sq, record.kappa))
+            continue
+        modes = outcome.a_hat.reshape(len(state.roots), -1).sum(axis=1)
+        assert record.distortion == distortion(modes, true_k0)
+        assert record.coeff_error_sq == distortion(outcome.a_hat, state.flat_coeffs())
+        assert record.kappa == outcome.kappa
 
 
 def test_run_trial_is_one_trial_of_a_task():

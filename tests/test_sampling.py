@@ -479,3 +479,29 @@ def test_path_block_refuses_rows_with_sample_path_text():
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             PathBlock(block_S, block_T, M, T0)
         PathBlock(block_S[:1], block_T[:1], M[:1], T0[:1])  # the good row alone passes
+    # Malformed arrays are refused by the rule they break, in SamplePath's
+    # words where SamplePath has the same rule: a one-row, three-column block.
+    S, T, M, T0 = good_S[None], good_T[None], np.array([2]), np.array([0.5])
+    for args, rule in (
+        ((good_S, good_T, 2.0, 0.5), "M must be an integer"),
+        ((good_S, good_T[:2], 2, 0.5), "S and T must both hold M+1 entries"),
+        ((good_S, good_T, 3, 0.5), "S and T must both hold M+1 entries"),
+        ((good_S, good_T, 2, 0.5j), "T0 must be a real number"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            SamplePath(*args)
+    for block, rule in (
+        ((S, T, np.array([2.0]), T0), "M must be an integer"),
+        ((S, T, np.array([True]), T0), "M must be an integer"),
+        ((S, T[:, :2], M, T0), "S and T must both hold M+1 entries"),
+        ((S, T, np.array([3]), T0), "S and T must both hold M+1 entries"),
+        ((S, T, M, np.array([0.5j])), "T0 must be a real number"),
+        ((S, T, np.array([2, 2]), T0), "one row of S and T and one M and T0 each"),
+        ((good_S, T, M, T0), "one row of S and T and one M and T0 each"),
+        ((S, T, M, np.array([0.5, 0.5])), "one row of S and T and one M and T0 each"),
+        ((S[:0], T[:0], M[:0], T0[:0]), "one or more paths"),
+        ((S, T, [2], T0), "must be numpy arrays"),
+        ((S.astype(complex), T, M, T0), "S and T must be float arrays"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            PathBlock(*block)
