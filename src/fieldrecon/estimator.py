@@ -160,8 +160,7 @@ def reconstruct(design: DesignMatrix, values) -> ReconstructionResult:
     The one-member case of reconstruct_stack: its outcome, returned or
     raised.  ValueError unless there is one finite real value per design row.
     """
-    values = _as_values(values)
-    if len(values) != design.rows:
+    if np.shape(values) != (design.rows,):
         raise ValueError("one value per design-matrix row required")
     (outcome,) = reconstruct_stack(design.roots, [design.t0], [values])
     if not isinstance(outcome, ReconstructionResult):

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ RANDOM_SCENARIO_BAND = 3
 # whose generators one hashing pass derives.
 _TRIAL_BLOCK = 16
 # Design floats (M x c per trial) one stack of a task's trials spans at
-# most, unless one trial alone exceeds it (see _run_trials).
+# most, unless one trial alone exceeds it (see _run_block).
 _STACK_ELEMENTS = 2**16
 
 _CONFIG_KEYS = {
@@ -192,47 +192,36 @@ class SweepResult:
     trial_records: tuple[TrialRecord, ...]
 
 
-def run_trial(
-    config: ExperimentConfig, state: FieldState, n: int, trial: int, streams: Sequence[np.random.Generator]
-) -> TrialRecord:
+def run_trial(config: ExperimentConfig, state: FieldState, n: int, trial: int) -> TrialRecord:
     """Draw a path with the config's renewal spec, sample ``state`` with its
-    noise spec, reconstruct on the uniform grid, score.
-
-    ``streams`` holds the cell's spatial, temporal and noise generators.  The
-    one-trial case of a sweep task (_run_trials).
-    """
-    (record,) = _run_trials(config, state, coefficients_at(state, 0.0), n, [trial], [streams])
+    noise spec, reconstruct on the uniform grid, score: the one-trial case
+    of a sweep task, on the generators of cell (master_seed, n, trial)."""
+    (record,) = _run_block(config, state, n, range(trial, trial + 1))
     return record
 
 
-def _run_trials(
-    config: ExperimentConfig,
-    state: FieldState,
-    true_k0: np.ndarray,
-    n: int,
-    trials: Sequence[int],
-    streams: Iterable[Sequence[np.random.Generator]],
-) -> list[TrialRecord]:
-    """Run ``trials`` at density ``n``, trial i on the i-th (spatial,
-    temporal, noise) generators of ``streams``; without noise to draw
-    (NoiseSpec.draws), the noise generator may be left out.
+def _run_block(config: ExperimentConfig, state: FieldState, n: int, trials: range) -> list[TrialRecord]:
+    """One task of a sweep: the ``trials`` at density ``n``.
 
-    The paths are drawn as blocks and read one at a time.  Consecutive
-    trials are solved as one stack (estimator.reconstruct_stack) while their
-    designs span at most _STACK_ELEMENTS floats; a stack is solved as soon
-    as the next trial would overflow it, so only one stack's readings are
-    held at a time.
+    The generators of the task's cells (master_seed, n, trial) are hashed
+    in one pass: keys 0-2 of each cell, or 0-1 without noise to draw
+    (NoiseSpec.draws).  The paths are drawn as blocks and read one at a
+    time.  Consecutive trials are solved as one stack
+    (estimator.reconstruct_stack) while their designs span at most
+    _STACK_ELEMENTS floats; a stack is solved as soon as the next trial
+    would overflow it, so only one stack's readings are held at a time.
     """
-    streams = list(streams)
+    cells = ((config.master_seed, n, trial) for trial in trials)
+    streams = list(cell_streams(cells, 3 if config.noise.draws else 2))
     paths = draw_paths(config.renewal, n, [gens[:2] for gens in streams])
     rngs = [gens[2] if config.noise.draws else None for gens in streams]
     readings = sample_paths(state, paths, config.noise, rngs)
-    cols = state.m * (2 * state.b + 1)
+    true_k0 = coefficients_at(state, 0.0)
     records: list[TrialRecord] = []
     stack: list[tuple[int, float, np.ndarray]] = []
     rows = 0  # readings held in ``stack``
     for trial, (t0, values) in zip(trials, readings):
-        if stack and (rows + len(values)) * cols > _STACK_ELEMENTS:
+        if stack and (rows + len(values)) * state.coeffs.size > _STACK_ELEMENTS:
             records += _solve_stack(state, true_k0, n, stack)
             stack, rows = [], 0
         stack.append((trial, t0, values))
@@ -309,17 +298,6 @@ def _init_worker() -> None:
         control[1](1)
 
 
-def _run_block(
-    config: ExperimentConfig, state: FieldState, true_k0: np.ndarray, n: int, trials: range
-) -> list[TrialRecord]:
-    """One task of a sweep: a block of trials at density ``n``, whose
-    generators (keys 0-2 of each cell, or 0-1 without noise to draw) are
-    hashed in one pass."""
-    cells = ((config.master_seed, n, trial) for trial in trials)
-    streams = cell_streams(cells, 3 if config.noise.draws else 2)
-    return _run_trials(config, state, true_k0, n, trials, streams)
-
-
 def resolve_field(config: ExperimentConfig) -> FieldState:
     pde = catalog_entry(config.pde).spec if isinstance(config.pde, int) else config.pde
     field_seed = _parse_scenario_tag(config.scenario)
@@ -330,7 +308,7 @@ def resolve_field(config: ExperimentConfig) -> FieldState:
 
 def _validate_densities(config: ExperimentConfig, state: FieldState) -> None:
     """Every density exceeds the unknowns and passes the draws' own check."""
-    cols = state.m * (2 * state.b + 1)
+    cols = state.coeffs.size
     for n in config.n_list:
         if n <= cols:
             raise ConfigInvalid(f"density n={n} must exceed the {cols} unknowns")
@@ -380,7 +358,7 @@ def run_sweep(
             Path(target).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"cannot create output directory {target}: {exc}") from exc
-    run_block = functools.partial(_run_block, config, state, coefficients_at(state, 0.0))
+    run_block = functools.partial(_run_block, config, state)
     with _one_blas_thread():
         if workers == 1:
             blocks = [run_block(n, trials) for n, trials in tasks]

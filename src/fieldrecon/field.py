@@ -125,9 +125,6 @@ class FieldState:
     def k_values(self) -> np.ndarray:
         return np.arange(-self.b, self.b + 1)
 
-    def row(self, k: int) -> np.ndarray:
-        return self.coeffs[k + self.b]
-
     def flat_coeffs(self) -> np.ndarray:
         """Stacked coefficient vector, k ascending, root order within each k."""
         return self.coeffs.reshape(-1)
@@ -158,8 +155,8 @@ def coefficients_at(state: FieldState, t) -> np.ndarray:
     """Modal values a_k(t) for k = -b..b; the ground truth at t = 0.  An array
     of times gives one row of modal values per time."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError("t must be finite and non-negative")
     return np.sum(state.coeffs * np.exp(np.multiply.outer(t, state.root_matrix())), axis=-1)
 
 

@@ -98,7 +98,7 @@ def test_criterion_04_ode_oracle_equivalence():
             closed = np.array([coefficients_at(state, t) for t in times])  # all harmonics
             for hr in state.roots:
                 conditions = np.zeros(state.m, dtype=complex)
-                conditions[0] = complex(np.sum(state.row(hr.k)))
+                conditions[0] = complex(np.sum(state.coeffs[hr.k + state.b]))
                 traj = integrate_coefficient_ode(state.spec, [hr.k], [conditions], 1.0, dt)
                 assert np.array_equal(traj.times, times)
                 dev = float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values[:, 0])))

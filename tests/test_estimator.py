@@ -163,6 +163,22 @@ def test_non_finite_readings_are_refused(diffusion, bad):
         reconstruct_stack(diffusion.roots, [1.0, 0.9], [np.zeros(200), values])
 
 
+def test_reconstruct_converts_its_readings_once(diffusion, monkeypatch):
+    # The design-row check reads the shape; the one conversion and finiteness
+    # pass is reconstruct_stack's.
+    calls = []
+    as_values = estimator._as_values
+
+    def counted(values):
+        calls.append(values)
+        return as_values(values)
+
+    monkeypatch.setattr(estimator, "_as_values", counted)
+    design = build_design_matrix(diffusion.roots, 200, 1.0)
+    solve(design, np.random.default_rng(3).uniform(-1, 1, 200))
+    assert len(calls) == 1
+
+
 def test_rank_deficient_detected():
     # set1 at M = 2048 around its collision horizon T0* = 1.1028, where two
     # columns share a real part: the solve and the diagnostics refuse exactly

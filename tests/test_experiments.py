@@ -449,11 +449,10 @@ def test_task_memory_stays_bounded(n):
     # holds at once: one stack's readings and systems, not the whole task's.
     config = quick_config(scenario="set1", pde=1, n_list=(n,), trials=16)
     state = exp.resolve_field(config)
-    true_k0 = coefficients_at(state, 0.0)
-    exp._run_block(config, state, true_k0, n, range(16))  # warm caches
+    exp._run_block(config, state, n, range(16))  # warm caches
     tracemalloc.start()
     try:
-        records = exp._run_block(config, state, true_k0, n, range(16, 32))
+        records = exp._run_block(config, state, n, range(16, 32))
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -493,10 +492,9 @@ def test_run_trial_is_one_trial_of_a_task():
     # the stack's shared block length moves the floats at rounding level.
     config = quick_config(scenario="set1", pde=1, n_list=(256,), trials=16)
     state = exp.resolve_field(config)
-    task = exp._run_block(config, state, coefficients_at(state, 0.0), 256, range(16))
-    cells = [(config.master_seed, 256, trial) for trial in (0, 7, 15)]
-    for (_, n, trial), streams in zip(cells, cell_streams(cells, 3)):
-        record = exp.run_trial(config, state, n, trial, streams)
+    task = exp._run_block(config, state, 256, range(16))
+    for trial in (0, 7, 15):
+        record = exp.run_trial(config, state, 256, trial)
         expected = task[trial]
         assert (record.n, record.trial, record.ok, record.samples, record.t0) == (
             expected.n,

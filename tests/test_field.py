@@ -84,6 +84,16 @@ def test_coefficients_at_a_time_grid(set1):
         coefficients_at(set1, [0.5, -1e-3])
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.25, np.nan, 0.5]], ids=["nan", "inf", "array-with-nan"])
+def test_coefficients_at_refuses_non_finite_times(diffusion, t):
+    # NaN passes a t < 0 test, and at +inf the k = 0 root (0) times inf is
+    # NaN: both used to come back as NaN modal values.
+    with pytest.raises(ValueError, match="non-negative"):
+        coefficients_at(diffusion, t)
+    with pytest.raises(ValueError, match="non-negative"):
+        evaluate(diffusion, 0.5, t)
+
+
 def test_coefficients_at_parseval(diffusion):
     # Quadrature oracle: 4096-point trapezoid of |g(x, 0)|^2 over one period.
     xs = np.linspace(0.0, 1.0, 4097)

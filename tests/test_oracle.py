@@ -56,7 +56,7 @@ def test_rk4_matches_closed_form_all_scenarios():
         closed = np.array([coefficients_at(state, t) for t in times])
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
-            conditions[0] = complex(np.sum(state.row(hr.k)))
+            conditions[0] = complex(np.sum(state.coeffs[hr.k + state.b]))
             traj = integrate_coefficient_ode(state.spec, [hr.k], [conditions], t_end=1.0, dt=1e-3)
             assert np.array_equal(traj.times, times)
             assert float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values[:, 0]))) < 1e-6
@@ -94,7 +94,7 @@ def test_rk4_one_stack_equals_each_pde_alone():
 def test_rk4_fourth_order_convergence():
     # Halving the step should shrink the error by about 2^4.
     state = scenario_field("set1")  # k = 3 has the largest |r| among the scenarios
-    conditions = np.array([[complex(np.sum(state.row(3))), 0.0]])
+    conditions = np.array([[complex(np.sum(state.coeffs[3 + state.b])), 0.0]])
     errors = {}
     for dt in (1e-3, 5e-4):
         traj = integrate_coefficient_ode(state.spec, [3], conditions, t_end=1.0, dt=dt)
