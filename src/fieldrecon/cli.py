@@ -7,11 +7,13 @@ PDE), ``scenarios`` (catalog listing).
 Exit codes: 0 success, 2 configuration error, 3 PDE outside the model (a
 growing mode, repeated roots or an overflowing characteristic polynomial),
 4 verification-suite failure; ``main`` alone maps raised refusals to them.
+A sweep that runs but measures nothing exits 0 with warnings on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -92,6 +94,11 @@ def _cmd_sweep(args) -> int:
             f"{row.mean_M:>10.1f} {row.mean_kappa:>12.4e} {row.rank_failures:>9}"
         )
     print(f"log-log slope = {result.slope:.4f}, intercept = {result.intercept:.4f}")
+    for row in result.rows:
+        if row.rank_failures == config.trials:
+            print(f"warning: n={row.n}: all {config.trials} trials refused, no mean distortion", file=sys.stderr)
+    if math.isnan(result.slope):
+        print("warning: no slope fitted: fewer than two densities have a positive mean", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ them, the density a renewal spec serves among them, live in ``sampling``.
 The JSON reader checks only the shape of a record (objects, their keys)
 and hands its values unchanged to the specs, which refuse what they cannot
 hold; numbers follow ``pde_core.real_number`` and ``pde_core.integer``.
+Reading, writing and key checks follow one schema: ``_SECTIONS``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -42,20 +43,6 @@ _TRIAL_BLOCK = 16
 # most, unless one trial alone exceeds it (see _run_block).
 _STACK_ELEMENTS = 2**16
 
-_CONFIG_KEYS = {
-    "scenario",
-    "pde",
-    "n_list",
-    "trials",
-    "renewal",
-    "noise",
-    "master_seed",
-    "output_path",
-}
-_RENEWAL_KEYS = {"family", "lambda", "mu"}
-_NOISE_KEYS = {"family", "variance"}
-_PDE_KEYS = {"p_coeffs", "q_coeffs"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,10 +60,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str):
             raise ConfigInvalid(f"scenario must be a string, got {self.scenario!r}")
-        try:
-            n_list = tuple(self.n_list)
-        except TypeError:
-            raise ConfigInvalid(f"n_list must be a list of integers, got {self.n_list!r}") from None
+        n_list = self.n_list.tolist() if isinstance(self.n_list, np.ndarray) else self.n_list
+        if not isinstance(n_list, (list, tuple)):  # not a string's characters or a mapping's keys
+            raise ConfigInvalid(f"n_list must be a list of integers, got {self.n_list!r}")
         try:
             object.__setattr__(self, "n_list", tuple(integer("n_list item", n) for n in n_list))
             object.__setattr__(self, "trials", integer("trials", self.trials))
@@ -121,10 +107,13 @@ def _parse_scenario_tag(tag: str) -> int | None:
     if tag in [entry.set_id for entry in CATALOG]:
         return None
     if tag.startswith("random:"):
+        text = tag.split(":", 1)[1]
         try:
-            seed = int(tag.split(":", 1)[1])
+            seed = int(text)
         except ValueError as exc:
             raise ConfigInvalid(f"malformed random scenario tag {tag!r}") from exc
+        if str(seed) != text:  # int() also reads " 7", "+7", "007", "1_0" and other digits
+            raise ConfigInvalid(f"random scenario seed must be written in canonical decimal, got {tag!r}")
         if not 0 <= seed < 2**64:
             raise ConfigInvalid("random scenario seed must fit an unsigned 64-bit integer")
         return seed
@@ -440,75 +429,68 @@ def write_outputs(result: SweepResult, config: ExperimentConfig, out_dir: str | 
 
 
 # --------------------------------------------------------------------------
-# Config file handling (JSON, keys exactly matching ExperimentConfig fields).
+# Config file handling.  A record has one key per ExperimentConfig field.
+# A section is a JSON object read into a spec: its type, and its keys in the
+# order the spec's constructor takes them.
 # --------------------------------------------------------------------------
+_SECTIONS = {
+    "pde": (PdeSpec, ("p_coeffs", "q_coeffs")),
+    "renewal": (RenewalSpec, ("family", "lambda", "mu")),
+    "noise": (NoiseSpec, ("family", "variance")),
+}
+# Config keys a record may leave out; written only when they differ from
+# their ExperimentConfig default, so adding one changes no existing record.
+_OPTIONAL_KEYS = ("output_path",)
 
 
-def config_to_record(config: ExperimentConfig) -> dict:
-    pde = config.pde
-    pde_record = (
-        pde if isinstance(pde, int) else {"p_coeffs": list(pde.p_coeffs), "q_coeffs": list(pde.q_coeffs)}
-    )
-    record = {
-        "scenario": config.scenario,
-        "pde": pde_record,
-        "n_list": list(config.n_list),
-        "trials": config.trials,
-        "renewal": {
-            "family": config.renewal.family,
-            "lambda": config.renewal.lam,
-            "mu": config.renewal.mu,
-        },
-        "noise": {"family": config.noise.family, "variance": config.noise.variance},
-        "master_seed": config.master_seed,
-    }
-    if config.output_path is not None:
-        record["output_path"] = config.output_path
-    return record
-
-
-def _check_keys(record: dict, allowed: set[str], required: set[str], label: str) -> None:
+def _check_keys(record, keys: Sequence[str], optional: Sequence[str], label: str) -> None:
     if not isinstance(record, dict):
         raise ConfigInvalid(f"{label} must be a JSON object")
-    unknown = record.keys() - allowed
+    unknown = record.keys() - set(keys)
     if unknown:
         raise ConfigInvalid(f"unknown {label} keys: {sorted(unknown)}")
-    missing = required - record.keys()
+    missing = set(keys) - set(optional) - record.keys()
     if missing:
         raise ConfigInvalid(f"missing {label} keys: {sorted(missing)}")
 
 
-def pde_from_record(record: dict) -> PdeSpec:
-    """The PDE of a ``{"p_coeffs": [...], "q_coeffs": [...]}`` record."""
-    _check_keys(record, _PDE_KEYS, _PDE_KEYS, "pde")
+def _read_section(name: str, record):
+    spec_type, keys = _SECTIONS[name]
+    _check_keys(record, keys, (), name)
     try:
-        return PdeSpec(record["p_coeffs"], record["q_coeffs"])
+        return spec_type(*(record[key] for key in keys))
     except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"invalid PDE coefficients: {exc}") from exc
+        raise ConfigInvalid(f"invalid {name}: {exc}") from exc
+
+
+def _to_json(value):
+    """A config value as its record holds it: a spec as its section's object."""
+    for spec_type, keys in _SECTIONS.values():
+        if isinstance(value, spec_type):
+            return {key: _to_json(getattr(value, f.name)) for key, f in zip(keys, fields(spec_type))}
+    return list(value) if isinstance(value, tuple) else value
+
+
+def config_to_record(config: ExperimentConfig) -> dict:
+    return {
+        f.name: _to_json(getattr(config, f.name))
+        for f in fields(ExperimentConfig)
+        if f.name not in _OPTIONAL_KEYS or getattr(config, f.name) != f.default
+    }
+
+
+def pde_from_record(record: dict) -> PdeSpec:
+    """The PDE of a JSON object holding the p_coeffs and q_coeffs lists."""
+    return _read_section("pde", record)
 
 
 def config_from_record(record: dict) -> ExperimentConfig:
-    _check_keys(record, _CONFIG_KEYS, _CONFIG_KEYS - {"output_path"}, "config")
-    pde, renewal_rec, noise_rec = record["pde"], record["renewal"], record["noise"]
-    if isinstance(pde, dict):
-        pde = pde_from_record(pde)
-    _check_keys(renewal_rec, _RENEWAL_KEYS, _RENEWAL_KEYS, "renewal")
-    _check_keys(noise_rec, _NOISE_KEYS, _NOISE_KEYS, "noise")
-    try:
-        renewal = RenewalSpec(renewal_rec["family"], renewal_rec["lambda"], renewal_rec["mu"])
-        noise = NoiseSpec(noise_rec["family"], noise_rec["variance"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(str(exc)) from exc
-    return ExperimentConfig(
-        scenario=record["scenario"],
-        pde=pde,
-        n_list=record["n_list"],
-        trials=record["trials"],
-        renewal=renewal,
-        noise=noise,
-        master_seed=record["master_seed"],
-        output_path=record.get("output_path"),
-    )
+    _check_keys(record, [f.name for f in fields(ExperimentConfig)], _OPTIONAL_KEYS, "config")
+    values = dict(record)
+    for name in _SECTIONS:
+        if name != "pde" or isinstance(record[name], dict):  # else a catalog index
+            values[name] = _read_section(name, record[name])
+    return ExperimentConfig(**values)
 
 
 def read_json(path: str | Path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fieldrecon.cli as cli
 from fieldrecon.estimator import (
     build_design_matrix,
     condition_diagnostics,
@@ -57,6 +58,15 @@ def test_criterion_01_slope_reproduction(scenario_sweeps):
     ok = all(-1.15 <= slope <= -0.85 for slope in slopes.values())
     report(1, ok, "fitted log-log slopes " + ", ".join(f"{s:.4f}" for s in slopes.values()))
     assert ok, slopes
+
+
+def test_acceptance_sweeps_print_no_warning(scenario_sweeps, monkeypatch, capsys):
+    # The CLI's warnings read only the sweep's result, so the fixture's
+    # sweeps of the same files stand in for the runs.
+    for index, scenario in SCENARIOS:
+        monkeypatch.setattr(cli, "run_sweep", lambda config, **kwargs: scenario_sweeps[index])
+        assert cli.main(["sweep", "--config", str(CONFIG_DIR / f"{scenario}.json")]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 def test_criterion_02_scaled_distortion_band(scenario_sweeps):

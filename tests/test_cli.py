@@ -103,6 +103,25 @@ def test_sweep_config_error(tmp_path, capsys):
     assert_one_line_error(capsys, "config error:")
 
 
+def test_sweep_warns_when_every_trial_is_refused(tmp_path, capsys):
+    # An order-3 PDE whose every design the rank gate refuses: this sweep
+    # once exited 0 with rows of NaN, a null slope and nothing on stderr.
+    config = write_config(
+        tmp_path,
+        scenario="random:7",
+        pde={"p_coeffs": [1, 3, 3, 1], "q_coeffs": [-0.5, 0, 0.01]},
+        n_list=[256, 1024, 4096],
+        trials=16,
+        master_seed=5,
+    )
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"warning: n={n}: all 16 trials refused, no mean distortion" for n in (256, 1024, 4096)),
+        "warning: no slope fitted: fewer than two densities have a positive mean",
+    ]
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def test_sweep_infeasible(tmp_path):
     config = write_config(
         tmp_path, pde={"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, -0.01]}
@@ -146,6 +165,7 @@ def assert_one_line_error(capsys, prefix):
         {"n_list": [64, 128.0]},
         {"n_list": [True, 128]},
         {"n_list": 128},
+        {"n_list": "128"},
         {"scenario": 5},
         {"renewal": {"family": "uniform_scaled", "lambda": "2", "mu": 2.0}},
         {"noise": {"family": "gaussian", "variance": True}},

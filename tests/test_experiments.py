@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from fieldrecon.field import GridTables, catalog_entry, coefficients_at, scenari
 from fieldrecon.pde_core import PdeSpec, check_stability, eval_poly
 from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_path, sample_field
 from fieldrecon.streams import cell_streams
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quick_config(**overrides):
@@ -101,6 +105,31 @@ def test_config_record_roundtrip(tmp_path):
     target = tmp_path / "config.json"
     target.write_text(json.dumps(record))
     assert load_config(target) == config
+    # An optional key at its default stays out of the record, both ways.
+    record = config_to_record(quick_config())
+    assert "output_path" not in record
+    assert config_to_record(config_from_record(record)) == record
+
+
+def test_config_schema_is_complete():
+    # A field added to ExperimentConfig or to a spec, but not to the schema,
+    # fails here: every field is a record key, and each section's keys name
+    # its spec's fields one to one, in order ("lambda" is a Python keyword).
+    config = quick_config(pde=PdeSpec((0.0, 1.0), (0.0, 0.0, 0.02)))
+    record = config_to_record(config)
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(record) == [name for name in names if name not in exp._OPTIONAL_KEYS]
+    assert config_from_record(record) == config
+    for name, (spec_type, keys) in exp._SECTIONS.items():
+        assert [{"lambda": "lam"}.get(key, key) for key in keys] == [f.name for f in dataclasses.fields(spec_type)]
+        assert list(record[name]) == list(keys)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert all(defaults[key] is not dataclasses.MISSING for key in exp._OPTIONAL_KEYS)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_committed_configs_round_trip(path):
+    assert config_to_record(load_config(path)) == json.loads(path.read_text())
 
 
 def test_config_unknown_keys():
@@ -151,6 +180,15 @@ def test_config_validation_errors():
         quick_config(pde=9)
     with pytest.raises(ConfigInvalid):
         quick_config(scenario="random:18446744073709551616")  # 2**64
+    # int() reads each of these as a seed that a canonical tag also names
+    # ("random:10" or "random:7"), so one field had many tags.
+    for tag in ("random:1_0", "random: 7 ", "random:+7", "random:007", "random:\uff17"):
+        with pytest.raises(ConfigInvalid, match="canonical decimal"):
+            quick_config(scenario=tag)
+    # A string was read by its characters, a mapping by its keys.
+    for n_list in ("128", {64: 1, 128: 1}):
+        with pytest.raises(ConfigInvalid, match="n_list must be a list of integers"):
+            quick_config(n_list=n_list)
     # Mistyped fields are refused here, not met later as AttributeError or TypeError.
     for override in (
         {"scenario": 5},
