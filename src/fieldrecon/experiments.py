@@ -20,7 +20,6 @@ import functools
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -99,6 +98,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"noise must be a NoiseSpec, got {self.noise!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigInvalid(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path == "":  # Path("") is the working directory
+            raise ConfigInvalid("output_path must not be empty; write '.' for the working directory")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
 
 
@@ -318,9 +319,9 @@ def run_sweep(
     processes, and no more than there are blocks of trials or CPUs; results
     are identical to the sequential run because every trial owns
     seed-derived streams and the aggregation order is fixed.  A ``workers``
-    that is not an integer of at least 1 raises ConfigInvalid, and so does,
-    before any trial runs, a density at or below the field's unknowns or one
-    that ``RenewalSpec.check_density`` refuses.
+    that is not an integer of at least 1 raises ConfigInvalid, and so do,
+    before any trial runs, an empty ``out_dir``, a density at or below the
+    field's unknowns and one that ``RenewalSpec.check_density`` refuses.
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
@@ -330,6 +331,8 @@ def run_sweep(
         raise ConfigInvalid(str(exc)) from None
     if workers < 1:
         raise ConfigInvalid(f"workers must be at least 1, got {workers}")
+    if out_dir == "":  # Path("") is the working directory
+        raise ConfigInvalid("output directory must not be empty; write '.' for the working directory")
     state = resolve_field(config)
     _validate_densities(config, state)
     stability = check_stability(state.spec, state.b)
@@ -352,6 +355,10 @@ def run_sweep(
         if workers == 1:
             blocks = [run_block(n, trials) for n, trials in tasks]
         else:
+            # Imported here: the pool machinery (multiprocessing and the
+            # modules it loads) costs about 2 MB that no other run uses.
+            from concurrent.futures import ProcessPoolExecutor
+
             # The pool starts all its processes at once, so it gets no more
             # than there are tasks to run or CPUs to run them.
             processes = min(workers, len(tasks), os.cpu_count() or 1)

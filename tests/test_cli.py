@@ -328,6 +328,19 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize(
+    "override, out", [({}, ["--out", ""]), ({"output_path": ""}, [])], ids=["--out", "output_path"]
+)
+def test_sweep_refuses_empty_output_directory(tmp_path, monkeypatch, capsys, override, out):
+    # Path("") is the working directory: this sweep once replaced the
+    # sweep.csv and summary.json there, with exit 0.
+    config = write_config(tmp_path, **override)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(config), *out]) == EXIT_CONFIG
+    assert_one_line_error(capsys, "config error:")
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--suite", "appendix-b", "--trials", "5"],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -197,6 +198,7 @@ def test_config_validation_errors():
         {"renewal": 5},
         {"noise": "gaussian"},
         {"output_path": 5},
+        {"output_path": ""},  # Path("") is the working directory
     ):
         with pytest.raises(ConfigInvalid):
             quick_config(**override)
@@ -705,7 +707,7 @@ def test_pool_starts_no_more_workers_than_tasks_or_cpus(monkeypatch, workers, cp
     # submit, however few tasks there are.
     config = quick_config(n_list=(64, 128), trials=6)  # one task per density
     pinned = sweep_csv_text(run_sweep(config))
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sweep_csv_text(run_sweep(config, workers=workers)) == pinned

@@ -138,8 +138,9 @@ def test_block_generators_are_independent():
             assert np.array_equal(later.random(4), expected)
 
 
-def test_import_leaves_numpy_random_unimported():
-    code = "import sys, fieldrecon; print('numpy.random' in sys.modules)"
+def run_fresh(code):
+    """The last stdout line of ``code`` run by a fresh interpreter that
+    imports this checkout's package."""
     src = str(Path(fieldrecon.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -149,4 +150,23 @@ def test_import_leaves_numpy_random_unimported():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()[-1]
+
+
+# numpy.random loads with the first stream; the pool machinery only when a
+# sweep with workers > 1 starts a pool.
+@pytest.mark.parametrize("module", ["numpy.random", "concurrent.futures.process", "multiprocessing"])
+def test_import_leaves_module_unloaded(module):
+    code = f"import sys, fieldrecon, fieldrecon.cli; print({module!r} in sys.modules)"
+    assert run_fresh(code) == "False"
+
+
+def test_sequential_sweep_and_verify_leave_multiprocessing_unloaded():
+    code = (
+        "import sys\n"
+        "from fieldrecon import ExperimentConfig, cli, run_sweep\n"
+        "run_sweep(ExperimentConfig('diffusion', 3, (64, 128), 2), workers=1)\n"
+        "assert cli.main(['verify', '--suite', 'ode']) == 0\n"
+        "print('multiprocessing' in sys.modules)"
+    )
+    assert run_fresh(code) == "False"
