@@ -122,12 +122,15 @@ def _parse_scenario_tag(tag: str) -> int | None:
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Ordinary least squares of log10(y) on log10(n)."""
+    """Ordinary least squares of log10(y) on log10(n), over two or more
+    finite, positive points (ValueError otherwise)."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
     n = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
+    if not np.all(np.isfinite(n) & np.isfinite(y)):
+        raise ValueError("log-log fit requires finite coordinates")
     if np.any(y <= 0) or np.any(n <= 0):
         raise ValueError("log-log fit requires positive coordinates")
     if np.all(n == n[0]):
@@ -390,7 +393,7 @@ def run_sweep(
             )
         )
 
-    fit_points = [(row.n, row.mean_distortion) for row in rows if row.mean_distortion > 0]
+    fit_points = [(row.n, row.mean_distortion) for row in rows if 0 < row.mean_distortion < np.inf]
     if len(fit_points) >= 2:
         slope, intercept = fit_loglog_slope(fit_points)
     else:

@@ -3,14 +3,15 @@
 A field with band limit b carries 2b+1 Fourier modes.  Each mode k splits
 across the m characteristic roots of its ODE, so the full state at t = 0 is
 a (2b+1) x m matrix of modal coefficients: row k holds a_k1(0) .. a_km(0)
-and the mode evolves as a_k(t) = sum_i a_ki(0) exp(r_i(k) t).
+and the mode evolves as a_k(t) = sum_i a_ki(0) exp(r_i(k) t).  A FieldState
+is the PDE and that matrix; the band limit and the roots follow from them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -92,30 +93,31 @@ def catalog_entry(key: int | str) -> CatalogEntry:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Field snapshot: band limit, PDE, modal coefficients, cached roots.
+    """Field snapshot: the PDE and its (2b+1, m) modal coefficients at t = 0.
 
-    ``coeffs`` is stored as a read-only view: a caller's complex array is not
-    copied, so it must not be changed once the state is built.
+    The band limit ``b`` and the roots, ``characteristic_roots(spec, k)`` for
+    k = -b..b, are derived once, when the state is built, and are pickled
+    with it.  ValueError unless ``coeffs`` is 2-D with an odd number of rows
+    and m columns.  ``coeffs`` is stored as a read-only view: a caller's
+    complex array is not copied, so it must not be changed afterwards.
     """
 
-    b: int
     spec: PdeSpec
-    coeffs: np.ndarray  # (2b+1, m) complex; row k+b holds a_k1(0) .. a_km(0)
-    roots: tuple[HarmonicRoots, ...]
+    coeffs: np.ndarray  # row k+b holds a_k1(0) .. a_km(0)
+    b: int = field(init=False)
+    roots: tuple[HarmonicRoots, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex).view()
-        expected = (2 * self.b + 1, self.spec.degree)
-        if coeffs.shape != expected:
-            raise ValueError(f"coefficient matrix must be {expected}, got {coeffs.shape}")
-        if len(self.roots) != 2 * self.b + 1:
-            raise ValueError("one HarmonicRoots entry required per harmonic")
-        for offset, hr in enumerate(self.roots):
-            if hr.k != offset - self.b:
-                raise ValueError("roots must be ordered k = -b..b")
+        m = self.spec.degree
+        if coeffs.ndim != 2 or len(coeffs) % 2 == 0 or coeffs.shape[1] != m:
+            raise ValueError(f"coefficient matrix must be (2b+1, {m}), got {coeffs.shape}")
+        b = len(coeffs) // 2
+        roots = tuple(characteristic_roots(self.spec, k) for k in range(-b, b + 1))
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "roots", tuple(self.roots))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def m(self) -> int:
@@ -196,11 +198,10 @@ class ConjugateLayout:
     """Conjugate pairing of the stacked modal columns of one root tuple.
 
     Column (k, r) and column (-k, conj r) take conjugate basis values at every
-    real point, because p and q have real coefficients.  ``partner[i]`` is the
-    flat index of column i's partner; ``pairs`` lists each pair once as
-    (p, q), with p the member in harmonic k > 0 (at k = 0, the root with
-    Im r > 0); ``selfconj`` lists the columns that are their own partner,
-    the real roots at k = 0.
+    real point, because p and q have real coefficients.  ``pairs`` lists each
+    pair of flat column indices once as (p, q), with p the member in harmonic
+    k > 0 (at k = 0, the root with Im r > 0); ``selfconj`` lists the columns
+    that are their own partner, the real roots at k = 0.
 
     The real layout puts pair i at columns 2i and 2i+1, holding sqrt(2) Re c_p
     and sqrt(2) Im c_p, and the self-conjugate columns after all pairs,
@@ -209,7 +210,6 @@ class ConjugateLayout:
     complex one.
     """
 
-    partner: np.ndarray
     pairs: np.ndarray  # (P, 2)
     selfconj: np.ndarray  # (S,)
     # (3, 2P + S): (t, x, 1) @ exponents gives log(sqrt(2) c_p) as (Re, Im) in
@@ -218,7 +218,7 @@ class ConjugateLayout:
 
     @property
     def cols(self) -> int:
-        return len(self.partner)
+        return 2 * len(self.pairs) + len(self.selfconj)
 
     def to_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Real-layout vector x with basis @ x = Re(complex basis @ coeffs).
@@ -288,7 +288,6 @@ def conjugate_layout(roots_per_k: tuple[HarmonicRoots, ...]) -> ConjugateLayout:
     self_exp = np.zeros((3, len(selfconj)))
     self_exp[0] = roots[selfconj].real
     layout = ConjugateLayout(
-        partner=partner_arr,
         pairs=np.column_stack((primary, partner_arr[primary])),
         selfconj=selfconj,
         exponents=np.hstack((pair_exp.reshape(3, -1), self_exp)),
@@ -489,16 +488,18 @@ def _exp_in_layout(out: np.ndarray, n_pair: int) -> np.ndarray:
     return out
 
 
-def field_from_mode_values(b: int, spec: PdeSpec, mode_values: Sequence[complex]) -> FieldState:
-    """Assemble a real field from mode values a_k(0) for k = 0..b.
+def field_from_mode_values(spec: PdeSpec, mode_values: Sequence[complex]) -> FieldState:
+    """Assemble a real field from mode values a_k(0) for k = 0..b, so the
+    band limit b is ``len(mode_values) - 1``.
 
     Negative harmonics are conjugate mirrors.  Each mode starts at rest: its
     higher temporal derivatives vanish at t = 0, and the Vandermonde solve
     splits the value across the m roots.
     """
     values = np.asarray(mode_values, dtype=complex)
-    if values.shape != (b + 1,):
-        raise ValueError(f"expected {b + 1} mode values for k = 0..b")
+    if values.ndim != 1 or len(values) == 0:
+        raise ValueError("expected one mode value for each k = 0..b")
+    b = len(values) - 1
     if abs(values[0].imag) > 0:
         raise ValueError("the k = 0 mode value must be real")
     m = spec.degree
@@ -510,23 +511,25 @@ def field_from_mode_values(b: int, spec: PdeSpec, mode_values: Sequence[complex]
         coeffs[k + b] = solve_initial_coefficients(roots[k + b], conditions)
         if k > 0:
             coeffs[b - k] = solve_initial_coefficients(roots[b - k], conditions.conj())
-    return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots)
+    return FieldState(spec, coeffs)
 
 
 def random_real_field(b: int, spec: PdeSpec, rng: np.random.Generator) -> FieldState:
     """Random bounded real field: mode values uniform on [-1, 1] per real and
-    imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1."""
+    imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1.
+    check_stability reads the band limit ``b`` first, by pde_core.integer's
+    rule."""
     report = check_stability(spec, b)
     if not report.feasible:
         raise InfeasiblePde(f"growing modes at k = {report.offending}")
     re = rng.uniform(-1.0, 1.0, size=b + 1)
     im = rng.uniform(-1.0, 1.0, size=b + 1)
     im[0] = 0.0
-    state = field_from_mode_values(b, spec, re + 1j * im)
+    state = field_from_mode_values(spec, re + 1j * im)
     xs = np.arange(NORMALIZATION_GRID) / NORMALIZATION_GRID
     peak = float(np.max(np.abs(evaluate(state, xs, 0.0))))
     if peak > 0.0:
-        state = FieldState(b=b, spec=spec, coeffs=state.coeffs / peak, roots=state.roots)
+        state = FieldState(spec, state.coeffs / peak)
     return state
 
 
@@ -537,4 +540,4 @@ def scenario_field(set_id: str, spec: PdeSpec | None = None) -> FieldState:
     its own catalog equation.
     """
     entry = catalog_entry(set_id)
-    return field_from_mode_values(entry.b, entry.spec if spec is None else spec, entry.mode_values)
+    return field_from_mode_values(entry.spec if spec is None else spec, entry.mode_values)

@@ -8,7 +8,9 @@ result in closed form.
 
 real_number and integer are the homes of the rules that make a
 user-supplied number a float or an int: the specs here and in sampling, the
-sweep config and the Monte Carlo entry points use what they return.
+sweep config, the Monte Carlo entry points and the two public inputs of a
+band limit (check_stability and field.random_real_field) use what they
+return.
 """
 
 from __future__ import annotations
@@ -145,21 +147,26 @@ def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Worst root real part per harmonic, and whether any mode can grow."""
+    """Worst root real part per harmonic, and the harmonics whose modes can grow."""
 
     worst_real_parts: dict[int, float]
-    feasible: bool
     offending: tuple[int, ...]
+
+    @property
+    def feasible(self) -> bool:
+        """Whether no mode can grow."""
+        return not self.offending
 
 
 def check_stability(spec: PdeSpec, b: int) -> StabilityReport:
     """Feasibility gate: every root of every harmonic in [-b, b] must satisfy
-    Re(r) <= STABILITY_TOL."""
+    Re(r) <= STABILITY_TOL.  The band limit ``b`` follows ``integer``'s rule."""
+    b = integer("band limit b", b)
     if b < 0:
         raise ValueError("band limit must be non-negative")
     worst = {k: characteristic_roots(spec, k).worst_real_part() for k in range(-b, b + 1)}
     offending = tuple(sorted(k for k, w in worst.items() if w > STABILITY_TOL))
-    return StabilityReport(worst_real_parts=worst, feasible=not offending, offending=offending)
+    return StabilityReport(worst_real_parts=worst, offending=offending)
 
 
 def solve_initial_coefficients(

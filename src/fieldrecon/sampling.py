@@ -14,7 +14,8 @@ as a draw_path call with them; the scaling, prefix sums, in-support counts,
 step checks, horizons and grid deviations are then 2-D passes over the block.
 draw_path, SamplePath's checks and grid_deviation are its one-row case and
 give the same bits, and sample_paths reads a block's paths as sample_field
-reads each.
+reads each.  A SamplePath stores S, T and T0 and reads its in-support count
+M as len(S) - 1; a PathBlock stores M, because its rows are padded.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ class PathBlock:
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Realized locations S_1..S_{M+1} and times T_1..T_{M+1}.
+    """Realized locations S_1..S_{M+1} and times T_1..T_{M+1}, and the
+    horizon T0; the in-support count M is ``len(S) - 1``.
 
     The single overshoot sample (index M+1) is retained so the defining
     inequalities can be asserted, but it never feeds the estimator.  S and T
@@ -181,21 +183,24 @@ class SamplePath:
 
     S: np.ndarray
     T: np.ndarray
-    M: int
     T0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "M", integer("M", self.M))
         object.__setattr__(self, "T0", real_number("T0", self.T0))
         S = np.asarray(self.S, dtype=float).view()
         T = np.asarray(self.T, dtype=float).view()
-        if S.shape != (self.M + 1,) or T.shape != (self.M + 1,):
+        if S.ndim != 1 or T.shape != S.shape:
             raise ValueError(_WIDTH_RULE)
-        _check_rows(S[None], T[None], np.array([self.M]), np.array([self.T0]))
+        _check_rows(S[None], T[None], np.array([len(S) - 1]), np.array([self.T0]))
         S.flags.writeable = False
         T.flags.writeable = False
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
+
+    @property
+    def M(self) -> int:
+        """The number of in-support samples: every entry of S but the overshoot."""
+        return len(self.S) - 1
 
     @property
     def slack(self) -> float:
@@ -348,8 +353,7 @@ def draw_path(
     """
     n = _checked_density(spec, n, t0_policy)
     S, T, M, T0 = _draw_block(spec, n, [streams], t0_policy)
-    m_count = int(M[0])
-    return SamplePath(S=S[0, : m_count + 1], T=T[0], M=m_count, T0=T0[0])
+    return SamplePath(S=S[0, : M[0] + 1], T=T[0], T0=T0[0])
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:

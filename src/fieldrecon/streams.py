@@ -61,11 +61,14 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 def _entropy_words(cells: Sequence[Sequence[int]]) -> np.ndarray:
     """Each cell's SeedSequence entropy as a row of uint32 words.
 
-    A cell is ``(master, *key)``: a master below 2**64 and key entries below
-    2**32, the same number in every cell of a block.  As SeedSequence
-    assembles it, the row is ``[master lo, master hi, 0, 0, key words...]``.
+    A cell is ``(master, *key)``: a master below 2**64 and one or more key
+    entries below 2**32, the same number in every cell of a block.  As
+    SeedSequence assembles it, the row is ``[master lo, master hi, 0, 0,
+    key words...]``.
     """
     flat = np.asarray(cells)  # ValueError when the cells differ in length
+    if flat.shape[1] < 2:
+        raise ValueError("a stream needs a master seed and at least one key entry")
     if flat.dtype.kind not in "iu":
         # Masters of 2**63 and up read as float64, which has lost their low
         # bits, or as object: convert the cells themselves, checked first,
@@ -145,9 +148,13 @@ def cell_streams(cells: Iterable[Sequence[int]], count: int) -> Iterator[tuple[G
     """For each cell ``(master, *key)`` in order, the generators of keys
     (*key, 0) .. (*key, count - 1) under ``master``.
 
-    Cells are read and hashed a block at a time, and a cell's generators
-    are built only when it is reached.
+    Every cell holds a master, and ``count`` is at least 1, so every
+    generator's key is non-empty; ValueError otherwise.  Cells are read and
+    hashed a block at a time, and a cell's generators are built only when it
+    is reached.
     """
+    if count < 1:
+        raise ValueError(f"a cell needs at least one generator, got count={count}")
     make = _generator_factory()
     cells = iter(cells)
     while block := list(itertools.islice(cells, _BLOCK_CELLS)):
@@ -158,8 +165,6 @@ def cell_streams(cells: Iterable[Sequence[int]], count: int) -> Iterator[tuple[G
 
 def substream(master_seed: int, *key: int) -> Generator:
     """Generator for the substream identified by ``key`` under ``master_seed``."""
-    if not key:
-        raise ValueError("a stream key needs at least one entry")
     return _generator_factory()(_seed_words([(master_seed, *key)])[0])
 
 

@@ -79,6 +79,18 @@ def test_fit_slope_degenerate():
         fit_loglog_slope([(100, 1.0), (200, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(200, math.nan), (200, math.inf), (math.nan, 1.0), (math.inf, 1.0)],
+    ids=["y-nan", "y-inf", "n-nan", "n-inf"],
+)
+def test_fit_slope_refuses_non_finite_coordinates(point, capfd):
+    # Not (nan, nan), and no LAPACK complaint on stderr before a LinAlgError.
+    with pytest.raises(ValueError, match="finite coordinates"):
+        fit_loglog_slope([(100, 1.0), point, (400, 0.25)])
+    assert capfd.readouterr().err == ""
+
+
 # ------------------------------------------------------------------- catalog
 
 

@@ -1,4 +1,5 @@
 import cmath
+import pickle
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def set1():
 def constant_mode_state(value=0.5):
     # p(z) = z, q(z) = z gives r = q(0) = 0 at k = 0: a frozen constant field.
     spec = PdeSpec((0.0, 1.0), (0.0, 1.0))
-    return field_from_mode_values(0, spec, [value])
+    return field_from_mode_values(spec, [value])
 
 
 def test_constant_mode_everywhere(diffusion):
@@ -113,22 +114,19 @@ def test_coefficients_at_oscillator_preserves_modulus():
     # p(z) = z^2 + 4, q(z) = z: roots -2j, 2j at k = 0.  A value riding one
     # purely imaginary root keeps its modulus for all time.
     spec = PdeSpec((4.0, 0.0, 1.0), (0.0, 1.0))
-    roots = (characteristic_roots(spec, 0),)
-    assert roots[0].roots == pytest.approx((-2j, 2j), abs=1e-12)
-    state = FieldState(b=0, spec=spec, coeffs=[[0.0, 0.4 - 0.3j]], roots=roots)
+    state = FieldState(spec, [[0.0, 0.4 - 0.3j]])
+    assert state.roots[0].roots == pytest.approx((-2j, 2j), abs=1e-12)
     for t in (0.0, 0.7, 3.1):
         assert abs(coefficients_at(state, t)[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coefficients_at_decay_envelope():
     # |a_k(t)| <= sum_i |a_ki| exp(max_i Re r_i(k) t), harmonic by harmonic.
-    spec = catalog_entry(2).spec
-    roots = tuple(characteristic_roots(spec, k) for k in range(-3, 4))
     a = np.array([0.5 + 0.2j, -0.3 + 0.4j])
-    state = FieldState(b=3, spec=spec, coeffs=np.tile(a, (7, 1)), roots=roots)
+    state = FieldState(catalog_entry(2).spec, np.tile(a, (7, 1)))
     for t in (0.5, 1.0, 2.0):
         values = coefficients_at(state, t)
-        for hr in roots:
+        for hr in state.roots:
             bound = float(np.sum(np.abs(a))) * np.exp(hr.worst_real_part() * t)
             assert abs(values[hr.k + 3]) <= bound + 1e-12
 
@@ -273,7 +271,7 @@ def test_evaluate_at_points_row_blocks(set1, m_count):
 def test_evaluate_at_points_refuses_asymmetric_coefficients(set1):
     coeffs = set1.coeffs.copy()
     coeffs[0, 0] += 1e-6  # k = -b no longer mirrors k = b
-    state = FieldState(b=set1.b, spec=set1.spec, coeffs=coeffs, roots=set1.roots)
+    state = FieldState(set1.spec, coeffs)
     xs = np.linspace(0.0, 1.0, 2 * ROW_BLOCK + 1)
     with pytest.raises(ValueError, match="conjugate asymmetry"):
         evaluate_at_points(state, xs, xs)
@@ -336,21 +334,80 @@ def test_random_field_infeasible():
 
 
 def test_field_state_shape_validation():
+    # Malformed coefficients are refused when the state is built, never by
+    # an IndexError in a later evaluation.
     spec = catalog_entry(3).spec
-    roots = tuple(characteristic_roots(spec, k) for k in range(-1, 2))
-    with pytest.raises(ValueError):
-        FieldState(b=1, spec=spec, coeffs=np.zeros((2, 1)), roots=roots)
-    with pytest.raises(ValueError):
-        FieldState(b=1, spec=spec, coeffs=np.zeros((3, 1)), roots=roots[:2])
-    with pytest.raises(ValueError):
-        FieldState(b=1, spec=spec, coeffs=np.zeros((3, 1)), roots=roots[::-1])
+    for coeffs in (
+        np.zeros((2, 1)),  # an even number of rows is no band limit
+        np.zeros((0, 1)),
+        np.zeros((3, 2)),  # the PDE has one root per harmonic
+        np.zeros((3, 0)),
+        np.zeros(3),  # not 2-D
+        np.zeros((3, 1, 1)),
+        0.5,
+    ):
+        with pytest.raises(ValueError, match="coefficient matrix must be"):
+            FieldState(spec, coeffs)
+
+
+def test_field_state_derives_band_limit_and_roots_from_spec():
+    # The diffusion coefficients under q = 0.01 z^2 and under q = 0.02 z^2:
+    # each state evolves with its own PDE's roots, a_3(1) = 0.2 exp(9 r t)
+    # with r = DIFFUSION_RATE and twice it (5.7e-3 and 1.6e-4 in real part).
+    diffusion = scenario_field("diffusion")
+    for factor in (1.0, 2.0):
+        spec = PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01 * factor))
+        state = FieldState(spec, diffusion.coeffs)
+        assert state.b == 3
+        assert state.roots == tuple(characteristic_roots(spec, k) for k in range(-3, 4))
+        expected = (0.2 + 0.0821j) * cmath.exp(factor * DIFFUSION_RATE * 9 * 1.0)
+        assert coefficients_at(state, 1.0)[6] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    spec=st.one_of(feasible_pdes(), st.sampled_from([entry.spec for entry in CATALOG])),
+    b=st.integers(0, 4),
+)
+def test_field_state_roots_are_the_characteristic_roots(spec, b):
+    try:
+        expected = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
+    except DegenerateRoots:
+        assume(False)
+    state = FieldState(spec, np.zeros((2 * b + 1, spec.degree)))
+    assert state.b == b
+    assert state.roots == expected
+
+
+def test_field_state_pickle_carries_roots(monkeypatch):
+    import fieldrecon.field as field_module
+
+    state = scenario_field("set1")
+    calls = []
+
+    def counted(spec, k):
+        calls.append(k)
+        return characteristic_roots(spec, k)
+
+    monkeypatch.setattr(field_module, "characteristic_roots", counted)
+    copy = pickle.loads(pickle.dumps(state))
+    assert calls == []
+    assert copy.b == state.b and copy.roots == state.roots
+    assert np.array_equal(copy.coeffs, state.coeffs)
+
+
+def test_random_field_band_limit_follows_the_integer_rule():
+    spec = catalog_entry(3).spec
+    for b in (True, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="band limit b must be an integer"):
+            random_real_field(b, spec, np.random.default_rng(0))
+    state = random_real_field(np.int64(2), spec, np.random.default_rng(0))
+    assert type(state.b) is int and state.b == 2
 
 
 def test_field_state_stores_read_only_view():
-    spec = catalog_entry(3).spec
-    roots = tuple(characteristic_roots(spec, k) for k in range(-1, 2))
     coeffs = np.array([[0.1 - 0.2j], [0.3], [0.1 + 0.2j]])
-    state = FieldState(b=1, spec=spec, coeffs=coeffs, roots=roots)
+    state = FieldState(catalog_entry(3).spec, coeffs)
     assert not state.coeffs.flags.writeable
     assert np.shares_memory(state.coeffs, coeffs)
     assert coeffs.flags.writeable

@@ -200,6 +200,15 @@ def test_stability_tol_boundary(factor, feasible):
     assert report.offending == (() if feasible else (-2, -1, 0, 1, 2))
 
 
+def test_stability_band_limit_follows_the_integer_rule():
+    spec = catalog_entry(3).spec
+    for b in (True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="band limit b must be an integer"):
+            check_stability(spec, b)
+    worst = check_stability(spec, np.int64(1)).worst_real_parts  # numpy integers are integers
+    assert worst == check_stability(spec, 1).worst_real_parts
+
+
 def test_stability_zero_root_allowed():
     # b = 0 with q(0) = 0: the root r = 0 is a sustained oscillation, not growth.
     report = check_stability(catalog_entry(3).spec, 0)
@@ -245,8 +254,7 @@ def single_harmonic_state(spec, a, k=1):
     b = abs(k)
     coeffs = np.zeros((2 * b + 1, spec.degree), dtype=complex)
     coeffs[k + b] = a
-    roots = tuple(characteristic_roots(spec, j) for j in range(-b, b + 1))
-    return FieldState(b=b, spec=spec, coeffs=coeffs, roots=roots)
+    return FieldState(spec, coeffs)
 
 
 def test_evolve_at_zero_is_plain_sum():

@@ -28,7 +28,7 @@ def streams(seed=0):
 
 
 def constant_state(value=0.5):
-    return field_from_mode_values(0, PdeSpec((0.0, 1.0), (0.0, 1.0)), [value])
+    return field_from_mode_values(PdeSpec((0.0, 1.0), (0.0, 1.0)), [value])
 
 
 # ---------------------------------------------------------------- validation
@@ -198,40 +198,39 @@ def path_arrays():
 
 def test_sample_path_validation():
     S, T = path_arrays()
-    SamplePath(S, T, 2, 0.5)
-    SamplePath(list(S), list(T), 2, 0.5)
-    with pytest.raises(ValueError, match="at least one in-support sample"):
-        SamplePath(S[2:], T[2:], 0, 0.5)
+    assert SamplePath(S, T, 0.5).M == 2
+    SamplePath(list(S), list(T), 0.5)
+    for args in ((S[2:], T[2:], 0.5), ([], [], 0.5)):
+        with pytest.raises(ValueError, match="at least one in-support sample"):
+            SamplePath(*args)
     for args in (
-        (S[:2], T, 2, 0.5),  # M + 1 locations required
-        (S, T[:2], 2, 0.5),
-        ([0.0, 0.7, 1.2], T, 2, 0.5),  # S_1 not above 0
-        ([0.3, 0.3, 1.2], T, 2, 0.5),  # S not strictly increasing
-        (S, [0.0, 0.5, 0.9], 2, 0.5),  # T_1 not above 0
-        (S, [0.2, 0.2, 0.9], 2, 0.5),  # T not strictly increasing
-        ([0.3, 1.1, 1.2], T, 2, 0.5),  # S_M > 1
-        ([0.3, 0.7, 1.0], T, 2, 0.5),  # S_{M+1} = 1
-        (S, T, 2, 0.4),  # T0 < T_M
-        (S, T, 2, 0.9),  # T0 = T_{M+1}
-        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3),  # NaN inside S
-        ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 3, 0.3),  # NaN inside T
-        ([0.3, 0.7, np.inf], T, 2, 0.5),  # S_{M+1} overshoots to +inf
-        (S, [0.2, 0.4, np.inf], 2, 0.5),  # T_{M+1} overshoots to +inf
+        (S[:2], T, 0.5),  # one time per location required
+        (S, T[:2], 0.5),
+        (S[None], T[None], 0.5),  # one path, not a block
+        ([0.0, 0.7, 1.2], T, 0.5),  # S_1 not above 0
+        ([0.3, 0.3, 1.2], T, 0.5),  # S not strictly increasing
+        (S, [0.0, 0.5, 0.9], 0.5),  # T_1 not above 0
+        (S, [0.2, 0.2, 0.9], 0.5),  # T not strictly increasing
+        ([0.3, 1.1, 1.2], T, 0.5),  # S_M > 1
+        ([0.3, 0.7, 1.0], T, 0.5),  # S_{M+1} = 1
+        (S, T, 0.4),  # T0 < T_M
+        (S, T, 0.9),  # T0 = T_{M+1}
+        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 0.3),  # NaN inside S
+        ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 0.3),  # NaN inside T
+        ([0.3, 0.7, np.inf], T, 0.5),  # S_{M+1} overshoots to +inf
+        (S, [0.2, 0.4, np.inf], 0.5),  # T_{M+1} overshoots to +inf
     ):
         with pytest.raises(ValueError):
             SamplePath(*args)
-    for m in (2.0, "2", True, np.True_, None):
-        with pytest.raises(ValueError, match="M must be an integer"):
-            SamplePath(S, T, m, 0.5)
     for t0 in ("0.5", True, 0.5 + 0j, None):
         with pytest.raises(ValueError, match="T0 must be a real number"):
-            SamplePath(S, T, 2, t0)
-    SamplePath(S, T, np.int64(2), np.float32(0.5))
+            SamplePath(S, T, t0)
+    SamplePath(S, T, np.float32(0.5))
 
 
 def test_sample_path_stores_read_only_views():
     S, T = path_arrays()
-    path = SamplePath(S, T, 2, 0.5)
+    path = SamplePath(S, T, 0.5)
     for stored, given in ((path.S, S), (path.T, T)):
         assert not stored.flags.writeable
         assert np.shares_memory(stored, given)
@@ -280,7 +279,7 @@ def test_sample_field_real_guard():
     coeffs = base.coeffs.copy()
     coeffs[base.b - 1] += 0.05 + 0.02j  # row -1 no longer the conjugate mirror of row 1
     with pytest.raises(ValueError):
-        sample_field(FieldState(base.b, base.spec, coeffs, base.roots), path, NoiseSpec())
+        sample_field(FieldState(base.spec, coeffs), path, NoiseSpec())
 
 
 def test_sample_field_returns_read_only_vector():
@@ -375,7 +374,7 @@ def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
 
 @pytest.mark.parametrize("n", [50, 2000])
 def test_sample_paths_read_as_sample_field_bit_for_bit(n):
-    state = field_from_mode_values(2, PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01)), [0.3, 0.1 + 0.2j, -0.05j])
+    state = field_from_mode_values(PdeSpec((0.0, 1.0), (0.0, 0.0, 0.01)), [0.3, 0.1 + 0.2j, -0.05j])
     noise = NoiseSpec("gaussian", 1e-4)
     cells = [(5, n, trial) for trial in range(20)]
     paths = [draw_path(RenewalSpec(), n, gens[:2]) for gens in cell_streams(cells, 3)]
@@ -448,7 +447,7 @@ def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
     broken[0] = 1.0
     streams = [next(cell_streams([(3,)], 2)), (ScriptedUniform(broken), np.random.default_rng(4))]
     with pytest.raises(ValueError) as expected:
-        SamplePath([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 2, 0.2)
+        SamplePath([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 0.2)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         list(draw_paths(RenewalSpec(), 50, streams))
 
@@ -466,7 +465,7 @@ def test_path_block_refuses_rows_with_sample_path_text():
         (good_S[2:], good_T[2:], 0, 0.5),  # no in-support sample
     ):
         with pytest.raises(ValueError) as expected:
-            SamplePath(S, T, m, t0)
+            SamplePath(S, T, t0)
         # The block is wider than the good row; the padding, -1, would break
         # every inequality if it were read.
         rows = [(good_S, good_T, 2, 0.5), (S, T, m, t0)]
@@ -483,10 +482,8 @@ def test_path_block_refuses_rows_with_sample_path_text():
     # words where SamplePath has the same rule: a one-row, three-column block.
     S, T, M, T0 = good_S[None], good_T[None], np.array([2]), np.array([0.5])
     for args, rule in (
-        ((good_S, good_T, 2.0, 0.5), "M must be an integer"),
-        ((good_S, good_T[:2], 2, 0.5), "S and T must both hold M+1 entries"),
-        ((good_S, good_T, 3, 0.5), "S and T must both hold M+1 entries"),
-        ((good_S, good_T, 2, 0.5j), "T0 must be a real number"),
+        ((good_S, good_T[:2], 0.5), "S and T must both hold M+1 entries"),
+        ((good_S, good_T, 0.5j), "T0 must be a real number"),
     ):
         with pytest.raises(ValueError, match=re.escape(rule)):
             SamplePath(*args)

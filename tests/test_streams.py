@@ -91,6 +91,19 @@ def test_cells_outside_the_domain_are_refused(cells, error):
         next(cell_streams(cells, 2))
 
 
+def test_cell_without_master_is_refused_by_rule():
+    # Not SeedSequence(0) and SeedSequence(1): with no master, the stream
+    # index would take its place.
+    with pytest.raises(ValueError, match="a master seed and at least one key entry"):
+        next(cell_streams([()], 2))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_cell_streams_refuses_count_below_one(count):
+    with pytest.raises(ValueError, match="at least one generator"):
+        next(cell_streams([(5, 1)], count))
+
+
 def test_path_streams_from_seed_matches_numpy_spawn():
     children = np.random.SeedSequence(42).spawn(2)
     for gen, child in zip((substream(42, 0), substream(42, 1)), children):
