@@ -54,7 +54,6 @@ from .estimator import (
     reconstruct,
 )
 from .oracle import (
-    OdeTrajectory,
     bandlimit_preservation_check,
     grid_deviation_scaling,
     integrate_coefficient_ode,

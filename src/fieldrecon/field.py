@@ -99,7 +99,8 @@ class FieldState:
     k = -b..b, are derived once, when the state is built, and are pickled
     with it.  ValueError unless ``coeffs`` is 2-D with an odd number of rows
     and m columns.  ``coeffs`` is stored as a read-only view: a caller's
-    complex array is not copied, so it must not be changed afterwards.
+    complex array is not copied, so it must not be changed afterwards.  An
+    unpickled state's arrays are read-only too.
     """
 
     spec: PdeSpec
@@ -118,6 +119,13 @@ class FieldState:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "roots", roots)
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy unpickles arrays writeable: restore the guard, derive nothing.
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def m(self) -> int:

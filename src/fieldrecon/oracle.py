@@ -19,26 +19,6 @@ from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
 
 
-@dataclass(frozen=True, eq=False)
-class OdeTrajectory:
-    """Numerically integrated modal coefficients a_k(t) of the harmonics
-    ``ks`` on a uniform time grid; ``values[:, h]`` is harmonic ``ks[h]``."""
-
-    ks: tuple[int, ...]
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if times.ndim != 1 or values.shape != (len(times), len(self.ks)):
-            raise ValueError("values must hold one column per harmonic at every time")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must increase strictly from 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
 def _companion_system(spec: PdeSpec, k: int) -> np.ndarray:
     """First-order system matrix for p(d/dt) a = q(j 2 pi k) a."""
     m = spec.degree
@@ -52,36 +32,24 @@ def _companion_system(spec: PdeSpec, k: int) -> np.ndarray:
     return system
 
 
-def integrate_coefficient_ode(
-    spec: PdeSpec,
-    ks: Sequence[int],
-    conditions: Sequence[Sequence[complex]],
-    t_end: float,
-    dt: float,
-) -> OdeTrajectory:
-    """Classical fixed-step RK4 on the modal ODEs of the harmonics ``ks``, all
-    at once.  Row h of ``conditions`` holds harmonic ks[h]'s initial value and
-    temporal derivatives.  t_end is rounded to whole steps.
-
-    The one-PDE case of _integrate: a harmonic's trajectory is the same, bit
-    for bit, whatever else is in the stack.
-    """
-    times, (values,) = _integrate([(spec, ks, conditions)], t_end, dt)
-    return OdeTrajectory(ks=tuple(int(k) for k in ks), times=times, values=values)
-
-
 # An RK4 problem: a PDE, harmonics ks, and one row of initial conditions per k.
 OdeProblem = tuple[PdeSpec, Sequence[int], Sequence[Sequence[complex]]]
 
 
-def _integrate(problems: Sequence[OdeProblem], t_end: float, dt: float) -> tuple[np.ndarray, list]:
-    """The time grid and each problem's trajectories (one column per
-    harmonic, as OdeTrajectory.values) from one RK4 loop over all problems.
+def integrate_coefficient_ode(
+    problems: Sequence[OdeProblem], t_end: float, dt: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Classical fixed-step RK4 on the modal ODEs of every problem's
+    harmonics, all in one loop.  Row h of a problem's conditions holds
+    harmonic ks[h]'s initial value and temporal derivatives; t_end is rounded
+    to whole steps.  Returns the time grid, from 0 in steps of dt, and one
+    array per problem whose column h is harmonic ks[h]'s trajectory a_k(t).
 
     The harmonics share nothing but the time grid: each stage applies the
     stacked companion matrices with one einsum.  A lower-degree harmonic is
-    zero-padded; its padded state stays zero and adds only exact zeros, so
-    its trajectory is the one its PDE gives alone, bit for bit.
+    zero-padded; its padded state stays zero and adds only exact zeros, so a
+    harmonic's trajectory is the one it gives alone, bit for bit, whatever
+    else is in the stack.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -139,8 +107,8 @@ def bandlimit_preservation_check(
     leak across harmonics.  Supplying a nonzero condition (the negative
     control) must surface as a positive return.
     """
-    traj = integrate_coefficient_ode(*_out_of_band(spec, b, conditions), ORACLE_T_END, ORACLE_DT)
-    return float(np.max(np.abs(traj.values)))
+    _, (values,) = integrate_coefficient_ode([_out_of_band(spec, b, conditions)], ORACLE_T_END, ORACLE_DT)
+    return float(np.max(np.abs(values)))
 
 
 # Fewest Monte Carlo trials per density that grid_deviation_scaling accepts.
@@ -196,16 +164,15 @@ def format_scaling_table(rows: Sequence[ScalingRow]) -> str:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    name: str
     passed: bool
     lines: tuple[str, ...]
 
 
-def _report(name: str, checks: Sequence[tuple[str, bool]], head: Sequence[str] = ()) -> SuiteReport:
+def _report(checks: Sequence[tuple[str, bool]], head: Sequence[str] = ()) -> SuiteReport:
     """The ``head`` lines, then one verdict line per (text, ok) check; the
     suite passes when every check does."""
     lines = [*head, *(f"{text} -> {'ok' if ok else 'FAIL'}" for text, ok in checks)]
-    return SuiteReport(name=name, passed=all(ok for _, ok in checks), lines=tuple(lines))
+    return SuiteReport(passed=all(ok for _, ok in checks), lines=tuple(lines))
 
 
 def _at_rest(state: FieldState) -> OdeProblem:
@@ -223,7 +190,7 @@ def ode_equivalence_suite() -> SuiteReport:
     states = [scenario_field(entry.set_id) for entry in CATALOG]
     devs = {}  # step -> each scenario's max |closed-form - RK4|
     for step in (dt, dt / 2):
-        times, runs = _integrate([_at_rest(state) for state in states], t_end, step)
+        times, runs = integrate_coefficient_ode([_at_rest(state) for state in states], t_end, step)
         devs[step] = [float(np.max(np.abs(coefficients_at(s, times) - v))) for s, v in zip(states, runs)]
     checks = []
     for entry, dev in zip(CATALOG, devs[dt]):
@@ -233,7 +200,7 @@ def ode_equivalence_suite() -> SuiteReport:
     ratio = worst[dt] / worst[dt / 2] if worst[dt / 2] > 0 else float("inf")
     ratio_ok = 8.0 <= ratio <= 32.0
     checks.append((f"step halving error ratio = {ratio:.2f} (expect ~16, accept [8, 32])", ratio_ok))
-    return _report("ode", checks)
+    return _report(checks)
 
 
 def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
@@ -244,7 +211,7 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     # The catalog's leak checks and the negative control share one RK4 run.
     problems = [_out_of_band(entry.spec, entry.b, None) for entry in CATALOG]
     problems.append(_out_of_band(control.spec, control.b, {5: [1.0]}))
-    _, runs = _integrate(problems, ORACLE_T_END, ORACLE_DT)
+    _, runs = integrate_coefficient_ode(problems, ORACLE_T_END, ORACLE_DT)
     *leaks, injected = [float(np.max(np.abs(values))) for values in runs]
     checks = [
         (f"scenario {entry.index}: max out-of-band |a_k(t)| = {leak:.3e}", leak < 1e-12)
@@ -264,7 +231,7 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     text = f"zero conditions -> zero coefficients on {instances} random root sets (max |a| = {worst:.3e})"
     checks.append((text, worst < 1e-14))
     checks.append((f"negative control (injected out-of-band energy) = {injected:.3e} > 0", injected > 0.0))
-    return _report("appendix-a", checks)
+    return _report(checks)
 
 
 def _invariant_violations(spec: RenewalSpec, n: int, block: PathBlock) -> int:
@@ -334,4 +301,4 @@ def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
     checked, violations = _fuzz_path_invariants(seed + 1, trials)
     fuzz_ok = violations == 0 and checked == trials
     checks.append((f"per-draw invariants: {violations} violations over {checked} paths", fuzz_ok))
-    return _report("appendix-b", checks, head=[format_scaling_table(rows)])
+    return _report(checks, head=[format_scaling_table(rows)])

@@ -15,6 +15,7 @@ return.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -123,6 +124,7 @@ def _order_key(r: complex) -> tuple[float, float]:
     return (round(r.real, 9), round(r.imag, 9))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
     """All m roots of p(r) = q(j*2*pi*k) via companion-matrix eigenvalues.
 
@@ -130,6 +132,11 @@ def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
     reproducible.  Raises DegenerateRoots when two roots collide within
     tolerance (repeated-root dynamics are rejected, not approximated), and
     when the monic characteristic polynomial or its roots overflow.
+
+    Memoized per (spec, k) and the type of k: both are hashable and the
+    result is immutable, so a field's roots are derived once per process
+    however often it is built or gated, and ``k`` is returned as given.  A
+    refusal is not cached; it raises on every call.
     """
     target = spec.q_at_harmonic(k)
     coeffs = np.array(spec.p_coeffs, dtype=complex)

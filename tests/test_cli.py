@@ -377,7 +377,7 @@ def test_verify_single_suite(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import fieldrecon.cli as cli
 
-    failing = lambda args: SuiteReport(name="ode", passed=False, lines=("boom",))
+    failing = lambda args: SuiteReport(passed=False, lines=("boom",))
     monkeypatch.setitem(cli.SUITE_RUNNERS, "ode", failing)
     assert main(["verify", "--suite", "ode"]) == EXIT_VERIFY
     assert "[FAIL]" in capsys.readouterr().out

@@ -227,6 +227,11 @@ def test_distortion_values():
     assert distortion(bumped, a) == pytest.approx(0.01, abs=1e-15)
 
 
+def test_distortion_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="coefficient vectors must have equal length"):
+        distortion([0.1, 0.2], [0.1, 0.2, 0.3])
+
+
 def test_distortion_parseval_quadrature(diffusion):
     # Quadrature oracle: integrate |Ghat(x,0) - g(x,0)|^2 on a 4096-point grid.
     rng = np.random.default_rng(8)

@@ -23,7 +23,7 @@ from fieldrecon.field import (
     random_real_field,
     scenario_field,
 )
-from fieldrecon.pde_core import PdeSpec, characteristic_roots, check_stability
+from fieldrecon.pde_core import HarmonicRoots, PdeSpec, characteristic_roots, check_stability
 from test_estimator import feasible_pdes
 
 DIFFUSION_RATE = -0.39478417604357435
@@ -277,6 +277,47 @@ def test_evaluate_at_points_refuses_asymmetric_coefficients(set1):
         evaluate_at_points(state, xs, xs)
 
 
+@pytest.mark.parametrize(
+    "roots_per_k, message",
+    [
+        (  # k = 0 carries two roots, k = +-1 one each
+            [(-1, (-1 - 2j,)), (0, (-1.0 + 0j, -2.0 + 0j)), (1, (-1 + 2j,))],
+            "all harmonics must carry the same number of roots",
+        ),
+        ([(0, (-1.0 + 0j,)), (1, (-1 + 2j,))], "harmonic k=1 has no mirror harmonic k=-1"),
+        (
+            [(-1, (-1 - 2j,)), (0, (-1.0 + 0j,)), (1, (-1 + 3j,))],
+            "harmonic k=-1: root -1-2j has no conjugate at k=1",
+        ),
+        (  # both k = -1 roots lie within the tolerance of one k = 1 conjugate
+            [(-1, (-1 - 1j, -1 + 1e-8 - 1j)), (1, (-1 + 1j, -1 + 5e-8 + 1j))],
+            "conjugate pairing is not one-to-one",
+        ),
+    ],
+    ids=["root-counts", "mirror", "conjugate", "one-to-one"],
+)
+def test_conjugate_layout_refusals(roots_per_k, message):
+    roots = tuple(HarmonicRoots(k=k, roots=r) for k, r in roots_per_k)
+    with pytest.raises(ValueError, match=message):
+        basis_matrix(roots, [0.5], [0.1])
+    with pytest.raises(ValueError, match=message):
+        grid_tables(roots, [8], [1.0])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([], "expected one mode value for each k = 0..b"),
+        ([[0.1, 0.2]], "expected one mode value for each k = 0..b"),
+        ([0.1 + 0.2j, 0.3], "the k = 0 mode value must be real"),
+    ],
+    ids=["empty", "not-1d", "complex-k0"],
+)
+def test_field_from_mode_values_refusals(values, message):
+    with pytest.raises(ValueError, match=message):
+        field_from_mode_values(catalog_entry(3).spec, values)
+
+
 def test_evaluate_at_points_refuses_unpaired_points(set1):
     for xs, ts in (([0.1, 0.2], [0.1]), ([], [0.1]), (np.zeros((2, 2)), np.zeros((2, 2)))):
         with pytest.raises(ValueError, match="1-d arrays of equal length"):
@@ -383,6 +424,7 @@ def test_field_state_pickle_carries_roots(monkeypatch):
     import fieldrecon.field as field_module
 
     state = scenario_field("set1")
+    state.real_coeffs  # cached, so pickled with the state
     calls = []
 
     def counted(spec, k):
@@ -394,6 +436,10 @@ def test_field_state_pickle_carries_roots(monkeypatch):
     assert calls == []
     assert copy.b == state.b and copy.roots == state.roots
     assert np.array_equal(copy.coeffs, state.coeffs)
+    # A pool worker's copy refuses writes, as the parent's state does.
+    assert "real_coeffs" in vars(copy)
+    assert not copy.coeffs.flags.writeable
+    assert not copy.real_coeffs.flags.writeable
 
 
 def test_random_field_band_limit_follows_the_integer_rule():

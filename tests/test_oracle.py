@@ -28,25 +28,25 @@ def assert_golden_lines(report, name):
 
 
 def test_rk4_scalar_exponential():
-    traj = integrate_coefficient_ode(catalog_entry(3).spec, [1], [[1.0]], t_end=1.0, dt=1e-3)
-    assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert traj.values.shape == (1001, 1)
-    assert abs(traj.values[-1, 0] - cmath.exp(DIFFUSION_RATE)) < 1e-9
+    times, (values,) = integrate_coefficient_ode([(catalog_entry(3).spec, [1], [[1.0]])], t_end=1.0, dt=1e-3)
+    assert times[-1] == pytest.approx(1.0, abs=1e-12)
+    assert values.shape == (1001, 1)
+    assert abs(values[-1, 0] - cmath.exp(DIFFUSION_RATE)) < 1e-9
 
 
 def test_rk4_two_mode_closed_form():
     # p(z) = z^2 + 3z with constant forcing -2 puts the roots at -1 and -2,
     # so a(0) = 1, a'(0) = 0 evolves as 2 e^{-t} - e^{-2t}.
     spec = PdeSpec((0.0, 3.0, 1.0), (-2.0,))
-    traj = integrate_coefficient_ode(spec, [0], [[1.0, 0.0]], t_end=1.0, dt=1e-3)
+    _, (values,) = integrate_coefficient_ode([(spec, [0], [[1.0, 0.0]])], t_end=1.0, dt=1e-3)
     expected = 2 * math.exp(-1.0) - math.exp(-2.0)
     assert expected == pytest.approx(0.600423599106272, abs=1e-12)
-    assert abs(traj.values[-1, 0] - expected) < 1e-8
+    assert abs(values[-1, 0] - expected) < 1e-8
 
 
 def test_rk4_zero_initial_conditions():
-    traj = integrate_coefficient_ode(catalog_entry(2).spec, [2], [[0.0, 0.0]], t_end=0.5, dt=1e-3)
-    assert np.all(traj.values == 0)
+    _, (values,) = integrate_coefficient_ode([(catalog_entry(2).spec, [2], [[0.0, 0.0]])], t_end=0.5, dt=1e-3)
+    assert np.all(values == 0)
 
 
 def test_rk4_matches_closed_form_all_scenarios():
@@ -57,9 +57,9 @@ def test_rk4_matches_closed_form_all_scenarios():
         for hr in state.roots:
             conditions = np.zeros(state.m, dtype=complex)
             conditions[0] = complex(np.sum(state.coeffs[hr.k + state.b]))
-            traj = integrate_coefficient_ode(state.spec, [hr.k], [conditions], t_end=1.0, dt=1e-3)
-            assert np.array_equal(traj.times, times)
-            assert float(np.max(np.abs(closed[:, hr.k + state.b] - traj.values[:, 0]))) < 1e-6
+            rk4_times, (values,) = integrate_coefficient_ode([(state.spec, [hr.k], [conditions])], 1.0, 1e-3)
+            assert np.array_equal(rk4_times, times)
+            assert float(np.max(np.abs(closed[:, hr.k + state.b] - values[:, 0]))) < 1e-6
 
 
 def test_rk4_stacked_equals_each_harmonic_alone():
@@ -69,13 +69,12 @@ def test_rk4_stacked_equals_each_harmonic_alone():
         ks = [hr.k for hr in state.roots] + [7, -9]
         rng = np.random.default_rng(entry.index)
         conditions = rng.normal(size=(len(ks), state.m)) + 1j * rng.normal(size=(len(ks), state.m))
-        stacked = integrate_coefficient_ode(state.spec, ks, conditions, t_end=0.3, dt=1e-3)
-        assert stacked.ks == tuple(ks)
-        assert stacked.values.shape == (301, len(ks))
+        times, (stacked,) = integrate_coefficient_ode([(state.spec, ks, conditions)], t_end=0.3, dt=1e-3)
+        assert stacked.shape == (301, len(ks))
         for h, k in enumerate(ks):
-            alone = integrate_coefficient_ode(state.spec, [k], conditions[h : h + 1], 0.3, 1e-3)
-            assert np.array_equal(stacked.values[:, h], alone.values[:, 0]), (entry.index, k)
-            assert np.array_equal(stacked.times, alone.times)
+            alone_times, (alone,) = integrate_coefficient_ode([(state.spec, [k], conditions[h : h + 1])], 0.3, 1e-3)
+            assert np.array_equal(stacked[:, h], alone[:, 0]), (entry.index, k)
+            assert np.array_equal(times, alone_times)
 
 
 def test_rk4_one_stack_equals_each_pde_alone():
@@ -83,12 +82,12 @@ def test_rk4_one_stack_equals_each_pde_alone():
     # zero-padded stack; each trajectory must equal its own PDE's run.
     states = [scenario_field(entry.set_id) for entry in CATALOG]
     for dt in (oracle.ORACLE_DT, oracle.ORACLE_DT / 2):
-        times, runs = oracle._integrate([oracle._at_rest(state) for state in states], 1.0, dt)
+        times, runs = integrate_coefficient_ode([oracle._at_rest(state) for state in states], 1.0, dt)
         for state, values in zip(states, runs):
-            alone = integrate_coefficient_ode(*oracle._at_rest(state), 1.0, dt)
+            alone_times, (alone,) = integrate_coefficient_ode([oracle._at_rest(state)], 1.0, dt)
             assert values.shape == (len(times), 2 * state.b + 1)
-            assert np.array_equal(values, alone.values), (state.spec, dt)
-            assert np.array_equal(times, alone.times)
+            assert np.array_equal(values, alone), (state.spec, dt)
+            assert np.array_equal(times, alone_times)
 
 
 def test_rk4_fourth_order_convergence():
@@ -97,21 +96,21 @@ def test_rk4_fourth_order_convergence():
     conditions = np.array([[complex(np.sum(state.coeffs[3 + state.b])), 0.0]])
     errors = {}
     for dt in (1e-3, 5e-4):
-        traj = integrate_coefficient_ode(state.spec, [3], conditions, t_end=1.0, dt=dt)
-        closed = np.array([coefficients_at(state, t)[3 + state.b] for t in traj.times])
-        errors[dt] = float(np.max(np.abs(closed - traj.values[:, 0])))
+        times, (values,) = integrate_coefficient_ode([(state.spec, [3], conditions)], t_end=1.0, dt=dt)
+        closed = np.array([coefficients_at(state, t)[3 + state.b] for t in times])
+        errors[dt] = float(np.max(np.abs(closed - values[:, 0])))
     ratio = errors[1e-3] / errors[5e-4]
     assert 8.0 <= ratio <= 32.0
 
 
 def test_rk4_parameter_validation():
     diffusion, set2 = catalog_entry(3).spec, catalog_entry(2).spec
-    with pytest.raises(ValueError):
-        integrate_coefficient_ode(diffusion, [0], [[1.0]], t_end=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        integrate_coefficient_ode(diffusion, [0], [[1.0]], t_end=0.001, dt=0.01)
-    with pytest.raises(ValueError):
-        integrate_coefficient_ode(diffusion, [], np.zeros((0, 1)), t_end=1.0, dt=0.01)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        integrate_coefficient_ode([(diffusion, [0], [[1.0]])], t_end=1.0, dt=0.0)
+    with pytest.raises(ValueError, match="t_end must be at least one step"):
+        integrate_coefficient_ode([(diffusion, [0], [[1.0]])], t_end=0.001, dt=0.01)
+    with pytest.raises(ValueError, match="at least one harmonic"):
+        integrate_coefficient_ode([(diffusion, [], np.zeros((0, 1)))], t_end=1.0, dt=0.01)
     for conditions in (
         [[1.0]],  # one value for a second-order ODE
         [1.0, 0.0],  # not one row per harmonic
@@ -119,7 +118,28 @@ def test_rk4_parameter_validation():
         [[1.0, 0.0, 0.0]],  # three values for a second-order ODE
     ):
         with pytest.raises(ValueError, match="initial conditions"):
-            integrate_coefficient_ode(set2, [0], conditions, t_end=1.0, dt=0.01)
+            integrate_coefficient_ode([(set2, [0], conditions)], t_end=1.0, dt=0.01)
+        # The same shape check holds for every problem of a stack.
+        with pytest.raises(ValueError, match="initial conditions"):
+            integrate_coefficient_ode([(diffusion, [0], [[1.0]]), (set2, [0], conditions)], t_end=1.0, dt=0.01)
+
+
+def test_suites_reach_the_rk4_through_its_public_name(monkeypatch):
+    # Each RK4 run goes through oracle.integrate_coefficient_ode, the name a
+    # tracer hooks: one stack per step size for the ode suite, one for
+    # appendix-a.
+    integrate, calls = oracle.integrate_coefficient_ode, []
+
+    def counted(problems, t_end, dt):
+        calls.append(dt)
+        return integrate(problems, t_end, dt)
+
+    monkeypatch.setattr(oracle, "integrate_coefficient_ode", counted)
+    ode_equivalence_suite()
+    assert len(calls) == 2
+    calls.clear()
+    bandlimit_suite(instances=30)
+    assert len(calls) == 1
 
 
 def test_bandlimit_silent_out_of_band():
@@ -194,7 +214,9 @@ def test_bandlimit_suite_passes():
 
 def test_grid_deviation_suite_smoke():
     report = grid_deviation_suite(trials=500)
-    assert report.name == "appendix-b"
+    # The scaling table heads the report, one row per density.
+    assert report.lines[0].splitlines()[0].split() == ["n", "n*E[spatial_dev]", "n*E[temporal_dev]"]
+    assert len(report.lines[0].splitlines()) == 5
     # The scaled columns are noisy at 500 trials but the invariant fuzz and
     # table structure must hold; full-scale bounds run in the acceptance suite.
     assert any("per-draw invariants" in line for line in report.lines)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldrecon.errors import DegenerateRoots
-from fieldrecon.field import CATALOG, FieldState, catalog_entry, coefficients_at
+from fieldrecon.field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import (
     DISTINCTNESS_RTOL,
     STABILITY_TOL,
@@ -143,6 +143,28 @@ def test_repeated_roots_rejected():
         characteristic_roots(spec, 0)
 
 
+def test_roots_are_derived_once_per_harmonic():
+    # Building a catalog field and gating it, as a sweep does, misses the
+    # root cache once per harmonic and hits it for every later use.
+    characteristic_roots.cache_clear()
+    state = scenario_field("set1")
+    check_stability(state.spec, state.b)
+    info = characteristic_roots.cache_info()
+    assert info.misses == 2 * state.b + 1
+    assert info.hits == 2 * (2 * state.b + 1)  # the FieldState and the gate
+    scenario_field("set1")
+    assert characteristic_roots.cache_info().misses == 2 * state.b + 1
+    # An equal k of another type gets its own entry, so k comes back as given.
+    assert type(characteristic_roots(state.spec, np.int64(1)).k) is np.int64
+    assert type(characteristic_roots(state.spec, 1).k) is int
+    # A refusal is not cached: it raises again on the next call.
+    spec = PdeSpec((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(DegenerateRoots):
+            characteristic_roots(spec, 0)
+    assert characteristic_roots.cache_info().currsize == 2 * state.b + 2
+
+
 @pytest.mark.parametrize(
     "p, q",
     [
@@ -207,6 +229,8 @@ def test_stability_band_limit_follows_the_integer_rule():
             check_stability(spec, b)
     worst = check_stability(spec, np.int64(1)).worst_real_parts  # numpy integers are integers
     assert worst == check_stability(spec, 1).worst_real_parts
+    with pytest.raises(ValueError, match="band limit must be non-negative"):
+        check_stability(spec, -1)
 
 
 def test_stability_zero_root_allowed():
