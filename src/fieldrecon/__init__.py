@@ -38,7 +38,6 @@ from .sampling import (
     NoiseSpec,
     PathBlock,
     RenewalSpec,
-    SamplePath,
     draw_path,
     draw_paths,
     grid_deviation,

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
-from .pde_core import HarmonicRoots, PdeSpec, eval_poly, integer, solve_initial_coefficients
+from .pde_core import HarmonicRoots, PdeSpec, eval_poly, integer, real_number, solve_initial_coefficients
 from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
 
@@ -50,11 +50,18 @@ def integrate_coefficient_ode(
     zero-padded; its padded state stays zero and adds only exact zeros, so a
     harmonic's trajectory is the one it gives alone, bit for bit, whatever
     else is in the stack.
+
+    ValueError names the input at fault: no problem or no harmonic, a
+    harmonic that is not an integer, conditions of the wrong shape, a dt
+    that is not positive and finite or a t_end below one step or not finite.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < dt:
-        raise ValueError("t_end must be at least one step")
+    dt, t_end = real_number("dt", dt), real_number("t_end", t_end)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not dt <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and at least one step, got {t_end!r}")
+    if len(problems) == 0:
+        raise ValueError("at least one problem is required")
     rows = []  # (spec, k, initial row) per harmonic
     for spec, ks, conditions in problems:
         if len(ks) == 0:
@@ -62,12 +69,12 @@ def integrate_coefficient_ode(
         y = np.array(conditions, dtype=complex)
         if y.shape != (len(ks), spec.degree):
             raise ValueError(f"expected {len(ks)} x {spec.degree} initial conditions, got {y.shape}")
-        rows += zip([spec] * len(ks), ks, y)
+        rows += zip([spec] * len(ks), [integer("a harmonic k", k) for k in ks], y)
     width = max(spec.degree for spec, _, _ in rows)
     system = np.zeros((len(rows), width, width), dtype=complex)
     y = np.zeros((len(rows), width), dtype=complex)
     for h, (spec, k, initial) in enumerate(rows):
-        system[h, : spec.degree, : spec.degree] = _companion_system(spec, int(k))
+        system[h, : spec.degree, : spec.degree] = _companion_system(spec, k)
         y[h, : spec.degree] = initial
     steps = int(round(t_end / dt))
     values = np.empty((steps + 1, len(rows)), dtype=complex)

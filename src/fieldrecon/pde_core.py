@@ -8,9 +8,10 @@ result in closed form.
 
 real_number and integer are the homes of the rules that make a
 user-supplied number a float or an int: the specs here and in sampling, the
-sweep config, the Monte Carlo entry points and the two public inputs of a
-band limit (check_stability and field.random_real_field) use what they
-return.
+sweep config, the Monte Carlo entry points, the RK4 oracle's step, horizon
+and harmonics, the generator count of streams.cell_streams and the two
+public inputs of a band limit (check_stability and field.random_real_field)
+use what they return.
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ Neither the locations nor the timestamps are available downstream:
 sample_field hands on the M reading values as a bare array, and the estimator
 sees only those, the in-support count M and the horizon T0.
 
-draw_paths draws the paths of many cells at one density as a PathBlock, one
-path per row.  Each path's generators make the same calls, in the same order,
-as a draw_path call with them; the scaling, prefix sums, in-support counts,
-step checks, horizons and grid deviations are then 2-D passes over the block.
-draw_path, SamplePath's checks and grid_deviation are its one-row case and
-give the same bits, and sample_paths reads a block's paths as sample_field
-reads each.  A SamplePath stores S, T and T0 and reads its in-support count
-M as len(S) - 1; a PathBlock stores M, because its rows are padded.
+A PathBlock is the one path record: paths of one density, one per row,
+padded to a common width.  draw_paths draws the paths of many cells as
+PathBlocks.  Each path's generators make the same calls, in the same order,
+whatever else is in the block; the scaling, prefix sums, in-support counts,
+step checks, horizons and grid deviations are then 2-D passes over the
+block.  draw_path, sample_field and grid_deviation are the one-path case of
+draw_paths, sample_paths and PathBlock.grid_deviations: draw_path returns a
+one-row block, and the other two refuse a block of more than one path.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ _BETA_SHAPE_A = 2.0
 # Float entries per array of a path block; draw_paths puts as many paths in
 # one block as their increment chunks fit.
 _BLOCK_ELEMENTS = 2**14
-
-# A path's rule on its arrays' length, shared by SamplePath and PathBlock.
-_WIDTH_RULE = "S and T must both hold M+1 entries"
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,7 @@ class RenewalSpec:
 
 
 def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
-    """The rules of a block of paths: row i holds S_1..S_{M+1} and
-    T_1..T_{M+1} of a path with M = M[i] and T0 = T0[i] in its first M + 1
-    columns; later columns are not read.
+    """The rules of a PathBlock's arrays.
 
     The arrays come first: float S and T with one row per path, one integer
     M and one real T0 per row, and rows of at least M + 1 entries, all read
@@ -110,7 +105,7 @@ def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> 
         raise ValueError("at least one in-support sample is required")
     width = max(counts) + 1
     if min(S.shape[1], T.shape[1]) < width:
-        raise ValueError(_WIDTH_RULE)
+        raise ValueError("S and T must both hold M+1 entries")
     for name, X in (("locations", S), ("times", T)):
         # A NaN fails every comparison, and a finite last entry bounds all
         # the others.
@@ -127,31 +122,18 @@ def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> 
         raise ValueError("require T_M <= T0 < T_{M+1}")
 
 
-def _grid_deviations(
-    S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both grid deviations of every row of a block laid out as _check_rows
-    reads it.  Each row is summed over exactly its M entries: numpy's
-    pairwise sum depends on the length, so a padded row would change bits."""
-    counts = M.tolist()
-    idx = np.arange(1.0, max(counts) + 1.0)
-    m_col = M[:, None]
-    work = idx / m_col
-    np.subtract(S[:, : len(idx)], work, out=work)
-    np.square(work, out=work)
-    spatial = np.array([row[:m].sum() for row, m in zip(work, counts)]) / M
-    np.multiply(idx, T0[:, None], out=work)
-    work /= m_col
-    np.subtract(T[:, : len(idx)], work, out=work)
-    np.square(work, out=work)
-    return spatial, np.array([row[:m].sum() for row, m in zip(work, counts)]) / M
-
-
 @dataclass(frozen=True, eq=False)
 class PathBlock:
-    """Paths of one density, one per row: row i holds S_1..S_{M+1} and
-    T_1..T_{M+1} of the path with M = M[i] and T0 = T0[i] in its first M + 1
-    columns.  The rows are checked against SamplePath's inequalities."""
+    """Paths of one density, one per row: row i holds the realized
+    locations S_1..S_{M+1} and times T_1..T_{M+1} of the path with
+    in-support count M = M[i] and horizon T0 = T0[i] in its first M + 1
+    columns; later columns are padding and are not read.
+
+    The single overshoot sample (index M+1) is retained so the defining
+    inequalities can be checked, but it never feeds the estimator.  The four
+    arrays are stored as read-only views: a caller's array is not copied,
+    and a checked path cannot be edited through the block.
+    """
 
     S: np.ndarray
     T: np.ndarray
@@ -160,52 +142,35 @@ class PathBlock:
 
     def __post_init__(self) -> None:
         _check_rows(self.S, self.T, self.M, self.T0)
+        for name in ("S", "T", "M", "T0"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def slack(self) -> np.ndarray:
-        """J_M = T0 - T_M of every row."""
+        """J_M = T0 - T_M of every row, the horizon slack past the last
+        in-support sample."""
         return self.T0 - self.T[np.arange(len(self.M)), self.M - 1]
 
     def grid_deviations(self) -> tuple[np.ndarray, np.ndarray]:
-        """grid_deviation of every row, as two arrays."""
-        return _grid_deviations(self.S, self.T, self.M, self.T0)
-
-
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """Realized locations S_1..S_{M+1} and times T_1..T_{M+1}, and the
-    horizon T0; the in-support count M is ``len(S) - 1``.
-
-    The single overshoot sample (index M+1) is retained so the defining
-    inequalities can be asserted, but it never feeds the estimator.  S and T
-    are stored as read-only views: a caller's float array is not copied.
-    """
-
-    S: np.ndarray
-    T: np.ndarray
-    T0: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "T0", real_number("T0", self.T0))
-        S = np.asarray(self.S, dtype=float).view()
-        T = np.asarray(self.T, dtype=float).view()
-        if S.ndim != 1 or T.shape != S.shape:
-            raise ValueError(_WIDTH_RULE)
-        _check_rows(S[None], T[None], np.array([len(S) - 1]), np.array([self.T0]))
-        S.flags.writeable = False
-        T.flags.writeable = False
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
-
-    @property
-    def M(self) -> int:
-        """The number of in-support samples: every entry of S but the overshoot."""
-        return len(self.S) - 1
-
-    @property
-    def slack(self) -> float:
-        """J_M = T0 - T_M, the horizon slack past the last in-support sample."""
-        return self.T0 - float(self.T[self.M - 1])
+        """Mean squared deviations of every row from the uniform grid it
+        mimics, (1/M) sum |S_i - i/M|^2 and (1/M) sum |T_i - i T0/M|^2, as
+        two arrays.  Each row is summed over exactly its M entries: numpy's
+        pairwise sum depends on the length, so a padded row would change
+        bits."""
+        counts = self.M.tolist()
+        idx = np.arange(1.0, max(counts) + 1.0)
+        m_col = self.M[:, None]
+        work = idx / m_col
+        np.subtract(self.S[:, : len(idx)], work, out=work)
+        np.square(work, out=work)
+        spatial = np.array([row[:m].sum() for row, m in zip(work, counts)]) / self.M
+        np.multiply(idx, self.T0[:, None], out=work)
+        work /= m_col
+        np.subtract(self.T[:, : len(idx)], work, out=work)
+        np.square(work, out=work)
+        return spatial, np.array([row[:m].sum() for row, m in zip(work, counts)]) / self.M
 
 
 @dataclass(frozen=True)
@@ -306,16 +271,6 @@ def _draw_block(
     return S, T, M, T0
 
 
-def _checked_density(spec: RenewalSpec, n: int, t0_policy: str) -> int:
-    n = integer("density n", n)
-    if n < 1:
-        raise ValueError(f"density n must be a positive integer, got {n!r}")
-    spec.check_density(n)
-    if t0_policy not in T0_POLICIES:
-        raise ValueError(f"unknown T0 policy {t0_policy!r}")
-    return n
-
-
 def draw_paths(
     spec: RenewalSpec,
     n: int,
@@ -324,9 +279,21 @@ def draw_paths(
 ) -> Iterator[PathBlock]:
     """The paths of many cells at average density ``n``, a PathBlock at a
     time, in the order of ``streams``: each cell's (spatial, temporal)
-    generators, as ``cell_streams(cells, 2)`` yields them.  Row by row the
-    blocks hold what draw_path returns for the same generators."""
-    n = _checked_density(spec, n, t0_policy)
+    generators, as ``cell_streams(cells, 2)`` yields them.  The arguments
+    are checked at the call; the blocks are drawn as they are reached.
+
+    A path's locations use only its spatial and its timestamps only its
+    temporal generator, so replacing the temporal generator cannot change
+    the spatial path, bit for bit.  M is fixed by S_M <= 1 < S_{M+1}.  The
+    horizon follows ``t0_policy``: ``last_sample`` takes T0 = T_M (zero
+    slack), ``jittered`` places T0 uniformly inside [T_M, T_{M+1}).
+    """
+    n = integer("density n", n)
+    if n < 1:
+        raise ValueError(f"density n must be a positive integer, got {n!r}")
+    spec.check_density(n)
+    if t0_policy not in T0_POLICIES:
+        raise ValueError(f"unknown T0 policy {t0_policy!r}")
     rows = max(1, _BLOCK_ELEMENTS // _chunk(n))
     streams = iter(streams)
     return (
@@ -340,20 +307,11 @@ def draw_path(
     n: int,
     streams: tuple[Generator, Generator],
     t0_policy: str = "last_sample",
-) -> SamplePath:
-    """One realization of the sampling process at average density ``n``.
-
-    ``streams`` is the (spatial, temporal) generator pair.  The locations
-    use only the first and the timestamps only the second, so replacing the
-    temporal generator cannot change the spatial path, bit for bit.
-
-    M is fixed by S_M <= 1 < S_{M+1}.  The horizon follows ``t0_policy``:
-    ``last_sample`` takes T0 = T_M (zero slack), ``jittered`` places T0
-    uniformly inside [T_M, T_{M+1}).
-    """
-    n = _checked_density(spec, n, t0_policy)
-    S, T, M, T0 = _draw_block(spec, n, [streams], t0_policy)
-    return SamplePath(S=S[0, : M[0] + 1], T=T[0], T0=T0[0])
+) -> PathBlock:
+    """One realization of the sampling process at average density ``n``
+    from the (spatial, temporal) generator pair ``streams``: the one-row
+    PathBlock that draw_paths draws from it."""
+    return next(draw_paths(spec, n, [streams], t0_policy))
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -366,16 +324,24 @@ def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-half, half, size=count)
 
 
+def _one_path(path: PathBlock) -> None:
+    if len(path.M) != 1:
+        raise ValueError(f"expected a block of one path, got {len(path.M)} paths")
+
+
 def sample_field(
-    state: FieldState, path: SamplePath, noise: NoiseSpec, rng: np.random.Generator | None = None
+    state: FieldState, path: PathBlock, noise: NoiseSpec, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Noisy readings g(S_i, T_i) + w_i at the path's M in-support samples,
-    as a read-only float vector; the path itself stays behind.
+    """Noisy readings g(S_i, T_i) + w_i at the M in-support samples of the
+    one path of ``path``, as a read-only float vector; the path itself stays
+    behind.
 
     The noise generator must be a stream of its own; it is never the one that
     produced the path, so readings stay independent of the sampling process.
     """
-    return _read(state, path.S[: path.M], path.T[: path.M], noise, rng)
+    _one_path(path)
+    ((_, values),) = sample_paths(state, [path], noise, [rng])
+    return values
 
 
 def sample_paths(
@@ -385,28 +351,21 @@ def sample_paths(
     rngs: Iterable[np.random.Generator | None],
 ) -> Iterator[tuple[float, np.ndarray]]:
     """The horizon T0 and the readings of every path of ``blocks``, in order,
-    each read as sample_field reads it with the next noise generator of
-    ``rngs``.  A path is read only when it is reached."""
+    each read with the next noise generator of ``rngs`` (None once they run
+    out).  A path is read only when it is reached."""
     rngs = iter(rngs)
     for block in blocks:
         for xs, ts, m, t0 in zip(block.S, block.T, block.M.tolist(), block.T0.tolist()):
-            yield t0, _read(state, xs[:m], ts[:m], noise, next(rngs))
+            rng = next(rngs, None)
+            if noise.draws and rng is None:
+                raise ValueError("a noise RNG is required for stochastic noise")
+            values = evaluate_at_points(state, xs[:m], ts[:m]) + _draw_noise(noise, m, rng)
+            values.flags.writeable = False
+            yield t0, values
 
 
-def _read(
-    state: FieldState, xs: np.ndarray, ts: np.ndarray, noise: NoiseSpec, rng: np.random.Generator | None
-) -> np.ndarray:
-    if noise.draws and rng is None:
-        raise ValueError("a noise RNG is required for stochastic noise")
-    values = evaluate_at_points(state, xs, ts) + _draw_noise(noise, len(xs), rng)
-    values.flags.writeable = False
-    return values
-
-
-def grid_deviation(path: SamplePath) -> tuple[float, float]:
-    """Mean squared deviations of the path from the uniform grid it mimics:
-    (1/M) sum |S_i - i/M|^2 and (1/M) sum |T_i - i T0/M|^2."""
-    spatial, temporal = _grid_deviations(
-        path.S[None], path.T[None], np.array([path.M]), np.array([path.T0])
-    )
+def grid_deviation(path: PathBlock) -> tuple[float, float]:
+    """PathBlock.grid_deviations of the one path of ``path``, as two floats."""
+    _one_path(path)
+    spatial, temporal = path.grid_deviations()
     return float(spatial[0]), float(temporal[0])

@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .pde_core import integer
+
 if TYPE_CHECKING:
     from numpy.random import Generator
 
@@ -148,11 +150,12 @@ def cell_streams(cells: Iterable[Sequence[int]], count: int) -> Iterator[tuple[G
     """For each cell ``(master, *key)`` in order, the generators of keys
     (*key, 0) .. (*key, count - 1) under ``master``.
 
-    Every cell holds a master, and ``count`` is at least 1, so every
-    generator's key is non-empty; ValueError otherwise.  Cells are read and
-    hashed a block at a time, and a cell's generators are built only when it
-    is reached.
+    Every cell holds a master, and ``count`` is an integer of at least 1,
+    so every generator's key is non-empty; ValueError otherwise.  Cells are
+    read and hashed a block at a time, and a cell's generators are built
+    only when it is reached.
     """
+    count = integer("count", count)
     if count < 1:
         raise ValueError(f"a cell needs at least one generator, got count={count}")
     make = _generator_factory()

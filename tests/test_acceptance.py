@@ -202,7 +202,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
                 int(rng.integers(100, 900)),
                 path_streams(int(rng.integers(2**31))),
             )
-        design = build_design_matrix(roots, path.M, path.T0)
+        design = build_design_matrix(roots, path.M[0], path.T0[0])
         diag = condition_diagnostics(design)
         flags_ok &= diag.polya_szego_ok and diag.trace_lower_ok
     chain_ok = True

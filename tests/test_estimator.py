@@ -87,10 +87,10 @@ def test_entry_modulus_and_row_norm_bound(diffusion):
 def test_true_grid_forward_oracle(diffusion):
     # Y(true points) @ a must reproduce per-point field evaluation.
     path = draw_path(RenewalSpec(), 120, path_streams(3))
-    entries = basis_matrix(diffusion.roots, path.S[: path.M], path.T[: path.M])
+    entries = basis_matrix(diffusion.roots, path.S[0, : path.M[0]], path.T[0, : path.M[0]])
     predicted = entries @ conjugate_layout(diffusion.roots).to_real(diffusion.flat_coeffs())
     direct = np.array(
-        [evaluate(diffusion, x, t) for x, t in zip(path.S[: path.M], path.T[: path.M])]
+        [evaluate(diffusion, x, t) for x, t in zip(path.S[0, : path.M[0]], path.T[0, : path.M[0]])]
     )
     assert np.max(np.abs(predicted - direct)) < 1e-12
 
@@ -98,7 +98,7 @@ def test_true_grid_forward_oracle(diffusion):
 def test_exact_recovery_on_uniform_grid(diffusion):
     path = draw_path(RenewalSpec(family="deterministic"), 200, path_streams(0))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(diffusion.roots, path.M, path.T0)
+    design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
     a_hat = solve(design, samples)
     err = np.max(np.abs(a_hat - diffusion.flat_coeffs()))
     assert err < 1e-8 * float(np.max(np.abs(diffusion.flat_coeffs())))
@@ -246,10 +246,10 @@ def test_distortion_parseval_quadrature(diffusion):
 
 def test_estimator_linearity(diffusion):
     path = draw_path(RenewalSpec(), 150, path_streams(10))
-    design = build_design_matrix(diffusion.roots, path.M, path.T0)
+    design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
     rng = np.random.default_rng(11)
-    g1 = rng.uniform(-1, 1, path.M)
-    g2 = rng.uniform(-1, 1, path.M)
+    g1 = rng.uniform(-1, 1, path.M[0])
+    g2 = rng.uniform(-1, 1, path.M[0])
     lhs = solve(design, 0.6 * g1 + 2.5 * g2)
     rhs = 0.6 * solve(design, g1) + 2.5 * solve(design, g2)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -305,7 +305,7 @@ def test_inequality_flags_random_instances():
             int(rng.integers(100, 800)),
             path_streams(int(rng.integers(2**31))),
         )
-        design = build_design_matrix(roots, path.M, path.T0)
+        design = build_design_matrix(roots, path.M[0], path.T0[0])
         report = condition_diagnostics(design)
         assert report.polya_szego_ok
         assert report.trace_lower_ok
@@ -320,7 +320,7 @@ def test_chain_bound_on_reconstructions(diffusion):
     for seed in range(10):
         path = draw_path(RenewalSpec(), 200, path_streams(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
-        design = build_design_matrix(diffusion.roots, path.M, path.T0)
+        design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
         a_hat = solve(design, samples)
         coeff_err = float(np.sum(np.abs(a_hat - flat) ** 2))
         bound = diffusion.m * (2 * diffusion.b + 1) * coeff_err
@@ -435,7 +435,7 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
     state = random_real_field(b, spec, np.random.default_rng(seed))
     n = min(state.m * (2 * b + 1) + n_extra, 300)
     path = draw_path(RenewalSpec(family="deterministic"), n, path_streams(seed))
-    design = build_design_matrix(state.roots, path.M, path.T0)
+    design = build_design_matrix(state.roots, path.M[0], path.T0[0])
     samples = sample_field(state, path, NoiseSpec())
     try:
         a_hat = solve(design, samples)
@@ -587,7 +587,7 @@ def test_stack_members_are_independent():
     t0s, values = [], []
     for gens in cell_streams([(2024, 1024, trial) for trial in range(4)], 3):
         path = draw_path(RenewalSpec(), 1024, gens[:2])
-        t0s.append(path.T0)
+        t0s.append(path.T0[0])
         values.append(sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2]))
     # The same readings at set1's collision horizon T0* = 2 pi / (1.564 +
     # 4.133), where sigma_min / sigma_max falls below RANK_RTOL, and at fewer
@@ -635,7 +635,7 @@ def test_reconstruct_is_the_one_member_stack():
     path = draw_path(RenewalSpec(), 1024, path_streams(5))
     readings = sample_field(state, path, NoiseSpec("gaussian", 1e-4), np.random.default_rng(5))
     members = []
-    for t0, values in ((path.T0, readings), (1.1028, readings), (1.0, readings[:10])):
+    for t0, values in ((path.T0[0], readings), (1.1028, readings), (1.0, readings[:10])):
         (member,) = reconstruct_stack(state.roots, [t0], [values])
         members.append(type(member).__name__)
         design = build_design_matrix(state.roots, len(values), t0)

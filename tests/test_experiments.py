@@ -522,7 +522,7 @@ def test_stack_scoring_is_each_members_own_distortion():
     stack = []
     for trial, gens in enumerate(cell_streams([(77, 512, trial) for trial in range(3)], 3)):
         path = draw_path(RenewalSpec(), 512, gens[:2])
-        stack.append((trial, path.T0, sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2])))
+        stack.append((trial, path.T0[0], sample_field(state, path, NoiseSpec("gaussian", 1e-4), gens[2])))
     stack += [(3, 1.1028, stack[0][2]), (4, 1.0, stack[1][2][:10])]
     records = exp._solve_stack(state, true_k0, 512, stack)
     outcomes = reconstruct_stack(state.roots, [t0 for _, t0, _ in stack], [v for _, _, v in stack])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +108,25 @@ def test_rk4_parameter_validation():
     diffusion, set2 = catalog_entry(3).spec, catalog_entry(2).spec
     with pytest.raises(ValueError, match="dt must be positive"):
         integrate_coefficient_ode([(diffusion, [0], [[1.0]])], t_end=1.0, dt=0.0)
-    with pytest.raises(ValueError, match="t_end must be at least one step"):
+    with pytest.raises(ValueError, match="t_end must be finite and at least one step"):
         integrate_coefficient_ode([(diffusion, [0], [[1.0]])], t_end=0.001, dt=0.01)
     with pytest.raises(ValueError, match="at least one harmonic"):
         integrate_coefficient_ode([(diffusion, [], np.zeros((0, 1)))], t_end=1.0, dt=0.01)
+    with pytest.raises(ValueError, match="at least one problem"):
+        integrate_coefficient_ode([], t_end=1.0, dt=0.01)
+    for k in (1.5, True, "1"):  # int(k) would integrate harmonic 1
+        with pytest.raises(ValueError, match="a harmonic k must be an integer"):
+            integrate_coefficient_ode([(diffusion, [k], [[1.0]])], t_end=0.01, dt=1e-3)
+    for t_end, dt, what in (
+        (1.0, np.nan, "dt must be positive and finite, got nan"),
+        (1.0, np.inf, "dt must be positive and finite, got inf"),
+        (np.nan, 0.01, "t_end must be finite and at least one step, got nan"),
+        (np.inf, 0.01, "t_end must be finite and at least one step, got inf"),
+        (1.0, "0.01", "dt must be a real number"),
+        (True, 0.01, "t_end must be a real number"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(what)):
+            integrate_coefficient_ode([(diffusion, [0], [[1.0]])], t_end=t_end, dt=dt)
     for conditions in (
         [[1.0]],  # one value for a second-order ODE
         [1.0, 0.0],  # not one row per harmonic

@@ -10,7 +10,6 @@ from fieldrecon.sampling import (
     NoiseSpec,
     PathBlock,
     RenewalSpec,
-    SamplePath,
     _draw_increments,
     _draw_noise,
     _draw_prefix_sums,
@@ -61,7 +60,7 @@ def test_renewal_spec_serves_every_density():
     spec = RenewalSpec(family="beta_scaled", lam=4.0, mu=4.0)
     for n in (40, 200):
         path = draw_path(spec, n, streams(n))
-        assert np.all(np.diff(path.S) <= spec.lam / n + 1e-15)
+        assert np.all(np.diff(path.S[0, : path.M[0] + 1]) <= spec.lam / n + 1e-15)
     with pytest.raises(ValueError):
         draw_path(spec, 39, streams())  # lam = 4 > 39/10
 
@@ -88,10 +87,10 @@ def test_noise_spec_validation():
 
 def test_deterministic_path_exact_grid():
     path = draw_path(RenewalSpec(family="deterministic"), 10, streams())
-    assert path.M == 10
-    assert path.T0 == 1.0
-    assert np.array_equal(path.S, np.arange(1, 12) / 10)
-    assert np.array_equal(path.T, np.arange(1, 12) / 10)
+    assert path.M.tolist() == [10]
+    assert path.T0.tolist() == [1.0]
+    assert np.array_equal(path.S, [np.arange(1, 12) / 10])
+    assert np.array_equal(path.T, [np.arange(1, 12) / 10])
     assert grid_deviation(path) == (0.0, 0.0)
 
 
@@ -99,8 +98,8 @@ def test_deterministic_path_large_n_boundary():
     # i/n division must keep S_M == 1.0 exactly for the M rule to bind right.
     for n in (160, 8192, 1000):
         path = draw_path(RenewalSpec(family="deterministic"), n, streams())
-        assert path.M == n
-        assert path.S[path.M - 1] == 1.0
+        assert path.M[0] == n
+        assert path.S[0, n - 1] == 1.0
 
 
 # ----------------------------------------------------------------- increments
@@ -131,14 +130,16 @@ def test_beta_increment_moments():
 # ------------------------------------------------------------ path invariants
 
 
-def check_path_invariants(path: SamplePath, spec: RenewalSpec, n: int):
-    assert path.M > n / spec.lam - 1
-    assert path.S[path.M - 1] <= 1.0 < path.S[path.M]
-    assert path.T[path.M - 1] <= path.T0 < path.T[path.M]
-    assert np.all(np.diff(path.S) > 0) and np.all(np.diff(path.T) > 0)
-    assert np.all(np.diff(path.S) <= spec.lam / n + 1e-15)
-    assert np.all(np.diff(path.T) <= spec.mu / n + 1e-15)
-    assert 0.0 <= path.slack <= spec.mu / n + 1e-15
+def check_path_invariants(path: PathBlock, spec: RenewalSpec, n: int):
+    (m,), (t0,), (slack,) = path.M, path.T0, path.slack
+    S, T = path.S[0, : m + 1], path.T[0, : m + 1]
+    assert m > n / spec.lam - 1
+    assert S[m - 1] <= 1.0 < S[m]
+    assert T[m - 1] <= t0 < T[m]
+    assert np.all(np.diff(S) > 0) and np.all(np.diff(T) > 0)
+    assert np.all(np.diff(S) <= spec.lam / n + 1e-15)
+    assert np.all(np.diff(T) <= spec.mu / n + 1e-15)
+    assert 0.0 <= slack <= spec.mu / n + 1e-15
 
 
 @settings(max_examples=80, deadline=None)
@@ -170,7 +171,7 @@ def test_temporal_seed_leaves_spatial_untouched():
 
 def test_wald_interval():
     spec, n = RenewalSpec(), 50
-    counts = [draw_path(spec, n, streams(s)).M for s in range(2000)]
+    counts = [draw_path(spec, n, streams(s)).M[0] for s in range(2000)]
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
     assert n - 1 - 3 * se < mean <= n + spec.lam - 1 + 3 * se
@@ -182,7 +183,7 @@ def test_jittered_t0_policy():
     for seed in range(50):
         path = draw_path(spec, 200, streams(seed), "jittered")
         check_path_invariants(path, spec, 200)
-        saw_positive_slack |= path.slack > 0
+        saw_positive_slack |= path.slack[0] > 0
     assert saw_positive_slack
 
 
@@ -196,45 +197,27 @@ def path_arrays():
     return np.array([0.3, 0.7, 1.2]), np.array([0.2, 0.5, 0.9])
 
 
-def test_sample_path_validation():
-    S, T = path_arrays()
-    assert SamplePath(S, T, 0.5).M == 2
-    SamplePath(list(S), list(T), 0.5)
-    for args in ((S[2:], T[2:], 0.5), ([], [], 0.5)):
-        with pytest.raises(ValueError, match="at least one in-support sample"):
-            SamplePath(*args)
-    for args in (
-        (S[:2], T, 0.5),  # one time per location required
-        (S, T[:2], 0.5),
-        (S[None], T[None], 0.5),  # one path, not a block
-        ([0.0, 0.7, 1.2], T, 0.5),  # S_1 not above 0
-        ([0.3, 0.3, 1.2], T, 0.5),  # S not strictly increasing
-        (S, [0.0, 0.5, 0.9], 0.5),  # T_1 not above 0
-        (S, [0.2, 0.2, 0.9], 0.5),  # T not strictly increasing
-        ([0.3, 1.1, 1.2], T, 0.5),  # S_M > 1
-        ([0.3, 0.7, 1.0], T, 0.5),  # S_{M+1} = 1
-        (S, T, 0.4),  # T0 < T_M
-        (S, T, 0.9),  # T0 = T_{M+1}
-        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 0.3),  # NaN inside S
-        ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 0.3),  # NaN inside T
-        ([0.3, 0.7, np.inf], T, 0.5),  # S_{M+1} overshoots to +inf
-        (S, [0.2, 0.4, np.inf], 0.5),  # T_{M+1} overshoots to +inf
-    ):
-        with pytest.raises(ValueError):
-            SamplePath(*args)
-    for t0 in ("0.5", True, 0.5 + 0j, None):
-        with pytest.raises(ValueError, match="T0 must be a real number"):
-            SamplePath(S, T, t0)
-    SamplePath(S, T, np.float32(0.5))
+def one_path(S, T, m, t0):
+    """The one-row block of a path's arrays."""
+    return PathBlock(np.array([S], dtype=float), np.array([T], dtype=float), np.array([m]), np.array([t0]))
 
 
-def test_sample_path_stores_read_only_views():
+def test_path_block_stores_read_only_views():
     S, T = path_arrays()
-    path = SamplePath(S, T, 0.5)
-    for stored, given in ((path.S, S), (path.T, T)):
+    given = (S[None], T[None], np.array([2]), np.array([0.5]))
+    path = PathBlock(*given)
+    for stored, array in zip((path.S, path.T, path.M, path.T0), given):
         assert not stored.flags.writeable
-        assert np.shares_memory(stored, given)
-        assert given.flags.writeable
+        assert np.shares_memory(stored, array)
+        assert array.flags.writeable
+    drawn = [draw_path(RenewalSpec(), 100, streams())]
+    drawn += draw_paths(RenewalSpec("beta_scaled", 3.0, 3.0), 100, cell_streams([(1, 2)] * 3, 2), "jittered")
+    drawn += draw_paths(RenewalSpec("deterministic"), 10, cell_streams([(1, 2)] * 3, 2))
+    for block in drawn:
+        for stored in (block.S, block.T, block.M, block.T0):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
 
 
 # ----------------------------------------------------------------- sampling
@@ -246,9 +229,8 @@ def test_sample_field_noiseless_exact():
     state = scenario_field("diffusion")
     path = draw_path(RenewalSpec(), 100, streams(5))
     values = sample_field(state, path, NoiseSpec())
-    direct = np.array(
-        [evaluate(state, x, t).real for x, t in zip(path.S[: path.M], path.T[: path.M])]
-    )
+    m = path.M[0]
+    direct = np.array([evaluate(state, x, t).real for x, t in zip(path.S[0, :m], path.T[0, :m])])
     assert np.max(np.abs(values - direct)) < 1e-12
 
 
@@ -288,7 +270,7 @@ def test_sample_field_returns_read_only_vector():
     for noise, rng in ((NoiseSpec(), None), (NoiseSpec("gaussian", 0.01), np.random.default_rng(0))):
         values = sample_field(state, path, noise, rng)
         assert isinstance(values, np.ndarray)
-        assert values.dtype == np.float64 and values.shape == (path.M,)
+        assert values.dtype == np.float64 and values.shape == (path.M[0],)
         assert not values.flags.writeable
 
 
@@ -302,6 +284,24 @@ def test_noise_requires_rng():
     assert not any(spec.draws for spec in quiet) and NoiseSpec("uniform", 0.1).draws
     expected = sample_field(state, path, NoiseSpec())
     assert all(np.array_equal(sample_field(state, path, spec, None), expected) for spec in quiet)
+
+
+def test_sample_paths_refuses_to_run_out_of_noise_generators():
+    state = constant_state()
+    gens = list(cell_streams([(9, 50, trial) for trial in range(2)], 3))
+    blocks = draw_paths(RenewalSpec(), 50, [g[:2] for g in gens])
+    read = sample_paths(state, blocks, NoiseSpec("gaussian", 0.1), [gens[0][2]])
+    next(read)
+    with pytest.raises(ValueError, match="a noise RNG is required"):
+        next(read)
+
+
+def test_one_path_readers_refuse_a_block_of_many():
+    (block,) = draw_paths(RenewalSpec(), 50, cell_streams([(9, 50, 0), (9, 50, 1)], 2))
+    with pytest.raises(ValueError, match="one path, got 2"):
+        sample_field(constant_state(), block, NoiseSpec())
+    with pytest.raises(ValueError, match="one path, got 2"):
+        grid_deviation(block)
 
 
 # ------------------------------------------------------------ grid deviation
@@ -330,12 +330,12 @@ def test_draws_and_grid_deviation_match_plain_formulas():
             assert S[-1] > 1.0  # one block suffices at these seeds
             M = int(np.searchsorted(S, 1.0, side="right"))
             T = np.cumsum(increments(ref_temporal, M + 1))
-            assert path.M == M
-            assert np.array_equal(path.S, S[: M + 1]) and np.array_equal(path.T, T)
+            assert path.M.tolist() == [M]
+            assert np.array_equal(path.S[0, : M + 1], S[: M + 1]) and np.array_equal(path.T[0], T)
             idx = np.arange(1, M + 1)
             assert grid_deviation(path) == (
-                float(np.mean((path.S[:M] - idx / M) ** 2)),
-                float(np.mean((path.T[:M] - idx * path.T0 / M) ** 2)),
+                float(np.mean((S[:M] - idx / M) ** 2)),
+                float(np.mean((T[:M] - idx * path.T0[0] / M) ** 2)),
             )
 
 
@@ -366,8 +366,9 @@ def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
             block.S, block.T, block.M.tolist(), block.T0, block.slack, *block.grid_deviations()
         ):
             path = singles[row]
-            assert m == path.M and t0 == path.T0 and slack == path.slack
-            assert np.array_equal(S[: m + 1], path.S) and np.array_equal(T[: m + 1], path.T)
+            assert [m, t0, slack] == [path.M[0], path.T0[0], path.slack[0]]
+            assert np.array_equal(S[: m + 1], path.S[0, : m + 1])
+            assert np.array_equal(T[: m + 1], path.T[0, : m + 1])
             assert (s_dev, t_dev) == grid_deviation(path)
             row += 1
 
@@ -384,7 +385,7 @@ def test_sample_paths_read_as_sample_field_bit_for_bit(n):
     read = list(sample_paths(state, blocks, noise, [g[2] for g in gens]))
     assert len(read) == len(singles)
     for (t0, values), path, single in zip(read, paths, singles):
-        assert t0 == path.T0 and np.array_equal(values, single)
+        assert t0 == path.T0[0] and np.array_equal(values, single)
         assert not values.flags.writeable
 
 
@@ -437,8 +438,9 @@ def test_prefix_sums_draw_more_chunks_until_they_pass_one():
     temporal = np.random.default_rng(5)
     path = draw_path(RenewalSpec(), n, (ScriptedUniform(0.9, 0.5), temporal))
     expected = chunked_prefix_sums(n, 0.9, 0.5)
-    assert path.M == int(np.searchsorted(expected, 1.0, side="right")) > chunk
-    assert np.array_equal(path.S, expected[: path.M + 1])
+    m = path.M[0]
+    assert m == int(np.searchsorted(expected, 1.0, side="right")) > chunk
+    assert np.array_equal(path.S[0, : m + 1], expected[: m + 1])
 
 
 def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
@@ -447,54 +449,75 @@ def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
     broken[0] = 1.0
     streams = [next(cell_streams([(3,)], 2)), (ScriptedUniform(broken), np.random.default_rng(4))]
     with pytest.raises(ValueError) as expected:
-        SamplePath([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 0.2)
+        one_path([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 2, 0.2)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         list(draw_paths(RenewalSpec(), 50, streams))
 
 
+GOOD_S, GOOD_T = path_arrays()
+LOCATED = "locations must be finite and strictly increasing from above 0"
+TIMED = "times must be finite and strictly increasing from above 0"
+# (S, T, M, T0, the rule it breaks) of one broken path each.
+BROKEN_PATHS = (
+    ([0.0, 0.7, 1.2], GOOD_T, 2, 0.5, LOCATED),  # S_1 not above 0
+    ([0.3, 0.3, 1.2], GOOD_T, 2, 0.5, LOCATED),  # S not strictly increasing
+    (GOOD_S, [0.0, 0.5, 0.9], 2, 0.5, TIMED),  # T_1 not above 0
+    (GOOD_S, [0.2, 0.2, 0.9], 2, 0.5, TIMED),  # T not strictly increasing
+    ([0.3, 1.1, 1.2], GOOD_T, 2, 0.5, "require S_M <= 1 < S_{M+1}"),  # S_M > 1
+    ([0.3, 0.7, 1.0], GOOD_T, 2, 0.5, "require S_M <= 1 < S_{M+1}"),  # S_{M+1} = 1
+    (GOOD_S, GOOD_T, 2, 0.4, "require T_M <= T0 < T_{M+1}"),  # T0 < T_M
+    (GOOD_S, GOOD_T, 2, 0.9, "require T_M <= T0 < T_{M+1}"),  # T0 = T_{M+1}
+    ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3, LOCATED),  # NaN inside S
+    ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 3, 0.3, TIMED),  # NaN inside T
+    ([0.3, 0.7, np.inf], GOOD_T, 2, 0.5, LOCATED),  # S_{M+1} overshoots to +inf
+    (GOOD_S, [0.2, 0.4, np.inf], 2, 0.5, TIMED),  # T_{M+1} overshoots to +inf
+    (GOOD_S[2:], GOOD_T[2:], 0, 0.5, "at least one in-support sample"),
+)
+
+
+def test_sample_path_validation():
+    # A single path is a one-row block: it is kept or refused by the rule it breaks.
+    assert one_path(GOOD_S, GOOD_T, 2, 0.5).M.tolist() == [2]
+    one_path(GOOD_S, GOOD_T, 2, np.float32(0.5))  # any real T0
+    for S, T, m, t0, rule in BROKEN_PATHS:
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            one_path(S, T, m, t0)
+    for t0 in ("0.5", True, 0.5j):
+        with pytest.raises(ValueError, match="T0 must be a real number"):
+            one_path(GOOD_S, GOOD_T, 2, t0)
+
+
 def test_path_block_refuses_rows_with_sample_path_text():
-    good_S, good_T = path_arrays()
-    for S, T, m, t0 in (
-        ([0.0, 0.7, 1.2], good_T, 2, 0.5),  # S_1 not above 0
-        ([0.3, 0.3, 1.2], good_T, 2, 0.5),  # S not strictly increasing
-        (good_S, [0.2, 0.2, 0.9], 2, 0.5),  # T not strictly increasing
-        ([0.3, 1.1, 1.2], good_T, 2, 0.5),  # S_M > 1
-        (good_S, good_T, 2, 0.9),  # T0 = T_{M+1}
-        ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3),  # NaN inside S
-        ([0.3, 0.7, np.inf], good_T, 2, 0.5),  # S_{M+1} overshoots to +inf
-        (good_S[2:], good_T[2:], 0, 0.5),  # no in-support sample
-    ):
-        with pytest.raises(ValueError) as expected:
-            SamplePath(S, T, t0)
+    # Each broken path is refused in the second row of a block with the
+    # text it is refused with alone.
+    for S, T, m, t0, rule in BROKEN_PATHS:
         # The block is wider than the good row; the padding, -1, would break
         # every inequality if it were read.
-        rows = [(good_S, good_T, 2, 0.5), (S, T, m, t0)]
+        rows = [(GOOD_S, GOOD_T, 2, 0.5), (S, T, m, t0)]
         width = max(len(S), 3) + 1
         block_S, block_T = np.full((2, width), -1.0), np.full((2, width), -1.0)
         for i, (s, t, _, _) in enumerate(rows):
             block_S[i, : len(s)], block_T[i, : len(t)] = s, t
         M = np.array([r[2] for r in rows])
         T0 = np.array([r[3] for r in rows])
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        with pytest.raises(ValueError, match=re.escape(rule)):
             PathBlock(block_S, block_T, M, T0)
         PathBlock(block_S[:1], block_T[:1], M[:1], T0[:1])  # the good row alone passes
-    # Malformed arrays are refused by the rule they break, in SamplePath's
-    # words where SamplePath has the same rule: a one-row, three-column block.
-    S, T, M, T0 = good_S[None], good_T[None], np.array([2]), np.array([0.5])
-    for args, rule in (
-        ((good_S, good_T[:2], 0.5), "S and T must both hold M+1 entries"),
-        ((good_S, good_T, 0.5j), "T0 must be a real number"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(rule)):
-            SamplePath(*args)
+    # Malformed arrays are refused by the rule they break: a one-row,
+    # three-column block.
+    S, T, M, T0 = GOOD_S[None], GOOD_T[None], np.array([2]), np.array([0.5])
     for block, rule in (
         ((S, T, np.array([2.0]), T0), "M must be an integer"),
         ((S, T, np.array([True]), T0), "M must be an integer"),
+        ((S[:, :2], T, M, T0), "S and T must both hold M+1 entries"),
         ((S, T[:, :2], M, T0), "S and T must both hold M+1 entries"),
         ((S, T, np.array([3]), T0), "S and T must both hold M+1 entries"),
         ((S, T, M, np.array([0.5j])), "T0 must be a real number"),
+        ((S, T, M, np.array([True])), "T0 must be a real number"),
+        ((S, T, M, np.array(["0.5"])), "T0 must be a real number"),
         ((S, T, np.array([2, 2]), T0), "one row of S and T and one M and T0 each"),
-        ((good_S, T, M, T0), "one row of S and T and one M and T0 each"),
+        ((GOOD_S, T, M, T0), "one row of S and T and one M and T0 each"),
+        ((S[None], T[None], M, T0), "one row of S and T and one M and T0 each"),
         ((S, T, M, np.array([0.5, 0.5])), "one row of S and T and one M and T0 each"),
         ((S[:0], T[:0], M[:0], T0[:0]), "one or more paths"),
         ((S, T, [2], T0), "must be numpy arrays"),

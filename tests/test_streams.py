@@ -104,6 +104,13 @@ def test_cell_streams_refuses_count_below_one(count):
         next(cell_streams([(5, 1)], count))
 
 
+@pytest.mark.parametrize("count", [True, 2.0, "2"])
+def test_cell_streams_reads_count_as_an_integer(count):
+    # True would derive one generator per cell, and 2.0 two.
+    with pytest.raises(ValueError, match="count must be an integer"):
+        next(cell_streams([(5, 1)], count))
+
+
 def test_path_streams_from_seed_matches_numpy_spawn():
     children = np.random.SeedSequence(42).spawn(2)
     for gen, child in zip((substream(42, 0), substream(42, 1)), children):
