@@ -46,9 +46,7 @@ from .sampling import (
 from .streams import substream
 from .estimator import (
     ConditionReport,
-    DesignMatrix,
     ReconstructionResult,
-    build_design_matrix,
     condition_diagnostics,
     reconstruct,
 )

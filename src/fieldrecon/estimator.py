@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import conjugate_layout, grid_tables
+from .field import check_horizons, conjugate_layout, grid_tables
 from .pde_core import HarmonicRoots, integer
 
 # Singular values at or below this fraction of the largest are treated as zero
@@ -64,24 +64,18 @@ RANK_RTOL = 4e-6
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """The uniform-grid design (i/M, i*t0/M), i = 1..M: all the estimator
-    knows of where and when the ``rows`` = M readings were taken.
+    """The uniform-grid design (i/M, i*t0/M), i = 1..M, of ``rows`` = M
+    readings; its read-only M x c ``entries`` (field.ConjugateLayout columns)
+    are materialized from the grid's power tables only when read.
 
-    Columns follow the conjugate layout of ``roots`` (field.ConjugateLayout):
-    conjugate pair i of stacked complex columns (p, q) sits at columns 2i and
-    2i+1 as sqrt(2) Re c_p and sqrt(2) Im c_p, and the self-conjugate columns
-    (real roots at k = 0) follow all pairs.  The solve works from the grid's
-    power tables (field.grid_tables); the read-only M x c ``entries`` are
-    materialized only when read.
+    No estimator call takes it.  It and build_design_matrix stay only as the
+    benchmark's hook target (perfbench/tracing.py HOOKS, RESULT_COUNTS), with
+    their contract tests, and go together with those hooks.
     """
 
     roots: tuple[HarmonicRoots, ...]
     rows: int
     t0: float  # horizon of the grid's last row
-
-    @property
-    def cols(self) -> int:
-        return sum(hr.m for hr in self.roots)
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -90,18 +84,18 @@ class DesignMatrix:
         return entries
 
 
-def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
-    """Design matrix on the uniform grid (i/M, i*t0/M), i = 1..M.
-
-    The sample count and the horizon are all the estimator knows of where
-    and when the readings were taken.  ValueError unless M is an integer
-    >= 0; a horizon that is not finite is refused when the design is used
-    (field.grid_tables).
-    """
+def _sample_count(m_count) -> int:
+    """M as an int; ValueError unless it is an integer >= 0."""
     m_count = integer("the sample count M", m_count)
     if m_count < 0:
         raise ValueError(f"the sample count M must be >= 0, got {m_count}")
-    return DesignMatrix(roots=tuple(roots_per_k), rows=m_count, t0=float(t0))
+    return m_count
+
+
+def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
+    """The DesignMatrix of M = ``m_count`` readings (_sample_count) up to
+    horizon ``t0``, whose finiteness is checked when the entries are read."""
+    return DesignMatrix(roots=tuple(roots_per_k), rows=_sample_count(m_count), t0=float(t0))
 
 
 def _as_values(values) -> np.ndarray:
@@ -153,16 +147,14 @@ class ReconstructionResult:
     kappa: float
 
 
-def reconstruct(design: DesignMatrix, values) -> ReconstructionResult:
-    """Full estimation pass: the rank-gated minimiser a_hat of ||values - Y0 a||^2
-    as stacked complex coefficients, and kappa = (sigma_max / sigma_min)^2.
+def reconstruct(roots_per_k: Sequence[HarmonicRoots], t0: float, values) -> ReconstructionResult:
+    """Full estimation pass on the uniform grid (i/M, i*t0/M) of M = len(values)
+    readings: the rank-gated minimiser a_hat of ||values - Y0 a||^2 as stacked
+    complex coefficients, and kappa = (sigma_max / sigma_min)^2.
 
-    The one-member case of reconstruct_stack: its outcome, returned or
-    raised.  ValueError unless there is one finite real value per design row.
+    The one-member case of reconstruct_stack: its outcome, returned or raised.
     """
-    if np.shape(values) != (design.rows,):
-        raise ValueError("one value per design-matrix row required")
-    (outcome,) = reconstruct_stack(design.roots, [design.t0], [values])
+    (outcome,) = reconstruct_stack(roots_per_k, [t0], [values])
     if not isinstance(outcome, ReconstructionResult):
         raise outcome
     return outcome
@@ -180,13 +172,18 @@ def reconstruct_stack(
     one member's refusal never touches another.  The grids share one block
     length (field.grid_tables), set by the longest, so a member's result
     depends on its stack at rounding level (about 1e-11 relative).
+
+    ValueError unless there is one finite real vector of readings and one
+    finite horizon per grid (field.check_horizons), whether or not any
+    member is solvable.
     """
     roots = tuple(roots_per_k)
     values = [_as_values(v) for v in values]
     m_counts = [len(v) for v in values]
     cols = sum(hr.m for hr in roots)
     short = [_insufficient(m, cols) for m in m_counts]
-    if all(short):
+    if all(short):  # no tables to check the horizons on the way
+        check_horizons(t0s, len(values))
         return short
     solution, singular, refusals = _solve(grid_tables(roots, m_counts, t0s).reduce(values))
     a_hat = conjugate_layout(roots).to_complex(solution)
@@ -219,19 +216,22 @@ def _trace_floor_constant(roots: Sequence[HarmonicRoots], t0: float) -> float:
     return total
 
 
-def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
-    """Conditioning of Y0^H Y0 plus the two deterministic inequality checks.
+def condition_diagnostics(roots: Sequence[HarmonicRoots], m_count: int, t0: float) -> ConditionReport:
+    """Conditioning of Y0^H Y0 on the uniform grid (i/M, i*t0/M), i = 1..M,
+    plus the two deterministic inequality checks.
 
     ``polya_szego_ok``: tr(G) tr(G^-1) <= (m(2b+1))^2/4 * (kappa + 1/kappa)^2.
     ``trace_lower_ok``: tr(G) >= M * C where C is the closed-form floor above.
     Both inequalities provably hold for full-rank uniform-grid matrices with a
     horizon at most about the unit span; a failure flags a numerical problem,
-    not physics.
+    not physics.  ValueError unless M is an integer >= 0 and t0 is finite.
     """
-    if refusal := _insufficient(design.rows, design.cols):
+    m_count = _sample_count(m_count)
+    cols = sum(hr.m for hr in roots)
+    if refusal := _insufficient(m_count, cols):
         raise refusal
     # The reduced system K has the singular values and the Frobenius norm of Y0.
-    augmented = grid_tables(design.roots, [design.rows], [design.t0]).reduce([np.zeros(design.rows)])
+    augmented = grid_tables(roots, [m_count], [t0]).reduce([np.zeros(m_count)])
     _, singular, (refusal,) = _solve(augmented)
     if refusal is not None:
         raise refusal
@@ -239,9 +239,8 @@ def condition_diagnostics(design: DesignMatrix) -> ConditionReport:
     trace = float(np.sum(augmented[0, :, :-1] ** 2))
     trace_inverse = float(np.sum(1.0 / eigenvalues))
     kappa = float(eigenvalues[0] / eigenvalues[-1])
-    cols = design.cols
     ps_bound = cols**2 / 4.0 * (kappa + 1.0 / kappa) ** 2
-    floor = design.rows * _trace_floor_constant(design.roots, design.t0)
+    floor = m_count * _trace_floor_constant(roots, t0)
     return ConditionReport(
         kappa=kappa,
         trace=trace,

@@ -415,6 +415,17 @@ class GridTables:
         return augmented
 
 
+def check_horizons(t0s: Sequence[float], grid_count: int) -> np.ndarray:
+    """The horizons as floats; ValueError unless there is one finite t0 for
+    each of ``grid_count`` grids."""
+    t0s = np.array(t0s, dtype=float)
+    if t0s.shape != (grid_count,):
+        raise ValueError(f"horizon count {t0s.size} differs from grid count {grid_count}: one t0 per grid")
+    if not np.all(np.isfinite(t0s)):
+        raise ValueError(f"grid horizons t0 must be finite, got {t0s.tolist()}")
+    return t0s
+
+
 def grid_tables(
     roots_per_k: Sequence[HarmonicRoots], m_counts: Sequence[int], t0s: Sequence[float]
 ) -> GridTables:
@@ -431,16 +442,12 @@ def grid_tables(
     never a running product, so rounding does not grow with i.  All grids go
     through one exponentiation.
 
-    ValueError unless there is one finite horizon per grid.
+    ValueError unless there is one finite horizon per grid (check_horizons).
     """
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
     m_counts = np.array(m_counts, dtype=np.intp)
-    t0s = np.array(t0s, dtype=float)
-    if t0s.shape != m_counts.shape:
-        raise ValueError(f"horizon count {t0s.size} differs from grid count {m_counts.size}: one t0 per grid")
-    if not np.all(np.isfinite(t0s)):
-        raise ValueError(f"grid horizons t0 must be finite, got {t0s.tolist()}")
+    t0s = check_horizons(t0s, len(m_counts))
     top = int(m_counts.max())
     block = math.isqrt(top * layout.cols) + 1
     blocks = -(-top // block)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
-from .pde_core import HarmonicRoots, PdeSpec, eval_poly, integer, real_number, solve_initial_coefficients
+from .pde_core import HarmonicRoots, PdeSpec, integer, real_number, solve_initial_coefficients
 from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
 
@@ -23,7 +23,7 @@ def _companion_system(spec: PdeSpec, k: int) -> np.ndarray:
     """First-order system matrix for p(d/dt) a = q(j 2 pi k) a."""
     m = spec.degree
     lead = spec.p_coeffs[-1]  # nonzero: PdeSpec rejects a vanishing leading coefficient
-    forcing = eval_poly(spec.q_coeffs, 2j * np.pi * k)
+    forcing = spec.q_at_harmonic(k)
     system = np.zeros((m, m), dtype=complex)
     system[:-1, 1:] = np.eye(m - 1)
     system[-1, 0] = (forcing - spec.p_coeffs[0]) / lead
@@ -213,7 +213,10 @@ def ode_equivalence_suite() -> SuiteReport:
 def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     """Out-of-band harmonics must stay exactly silent; the zero-condition
     Vandermonde solve must return exact zeros; a deliberate out-of-band
-    injection must register."""
+    injection must register.  ValueError unless ``instances``, the number
+    of random root sets, is an integer >= 1."""
+    if integer("instances", instances) < 1:
+        raise ValueError(f"at least one random root set required, got instances={instances}")
     control = catalog_entry(3)
     # The catalog's leak checks and the negative control share one RK4 run.
     problems = [_out_of_band(entry.spec, entry.b, None) for entry in CATALOG]

@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 import fieldrecon.cli as cli
-from fieldrecon.estimator import (
-    build_design_matrix,
-    condition_diagnostics,
-)
+from fieldrecon.estimator import condition_diagnostics
 from fieldrecon.experiments import ExperimentConfig, load_config, run_sweep, sweep_csv_text
 from fieldrecon.field import catalog_entry, coefficients_at, scenario_field
 from fieldrecon.oracle import (
@@ -202,8 +199,7 @@ def test_criterion_08_inequality_diagnostics(scenario_sweeps):
                 int(rng.integers(100, 900)),
                 path_streams(int(rng.integers(2**31))),
             )
-        design = build_design_matrix(roots, path.M[0], path.T0[0])
-        diag = condition_diagnostics(design)
+        diag = condition_diagnostics(roots, path.M[0], path.T0[0])
         flags_ok &= diag.polya_szego_ok and diag.trace_lower_ok
     chain_ok = True
     worst_margin = 0.0

@@ -51,9 +51,9 @@ def complex_basis(roots_per_k, xs, ts):
     return (temporal * spatial[:, :, None]).reshape(len(xs), root_mat.size)
 
 
-def solve(design, values):
+def solve(roots, t0, values):
     """The stacked complex estimate of ``reconstruct``."""
-    return reconstruct(design, values).a_hat
+    return reconstruct(roots, t0, values).a_hat
 
 
 def mode_distortion(roots, a_hat, true_k0):
@@ -68,19 +68,19 @@ def constant_roots():
 
 
 def test_constant_mode_design_matrix():
-    design = build_design_matrix(constant_roots(), 25, 1.0)
-    assert design.rows == 25 and design.cols == 1
-    assert np.allclose(design.entries, 1.0, atol=0)
+    entries = grid_tables(constant_roots(), [25], [1.0]).materialize()
+    assert entries.shape == (25, 1)
+    assert np.allclose(entries, 1.0, atol=0)
 
 
 def test_entry_modulus_and_row_norm_bound(diffusion):
-    design = build_design_matrix(diffusion.roots, 100, 0.97)
+    entries = grid_tables(diffusion.roots, [100], [0.97]).materialize()
     # Recombine each (sqrt(2) Re c, sqrt(2) Im c) pair into the complex entry c.
-    n_pair = 2 * len(conjugate_layout(design.roots).pairs)
-    pairs = (design.entries[:, 0:n_pair:2] + 1j * design.entries[:, 1:n_pair:2]) / np.sqrt(2.0)
-    moduli = np.concatenate((np.abs(pairs), np.abs(design.entries[:, n_pair:])), axis=1)
+    n_pair = 2 * len(conjugate_layout(diffusion.roots).pairs)
+    pairs = (entries[:, 0:n_pair:2] + 1j * entries[:, 1:n_pair:2]) / np.sqrt(2.0)
+    moduli = np.concatenate((np.abs(pairs), np.abs(entries[:, n_pair:])), axis=1)
     assert float(np.max(moduli)) <= 1.0 + 1e-12
-    row_norms_sq = np.sum(design.entries**2, axis=1)
+    row_norms_sq = np.sum(entries**2, axis=1)
     assert float(np.max(row_norms_sq)) <= diffusion.m * (2 * diffusion.b + 1) + 1e-12
 
 
@@ -98,8 +98,7 @@ def test_true_grid_forward_oracle(diffusion):
 def test_exact_recovery_on_uniform_grid(diffusion):
     path = draw_path(RenewalSpec(family="deterministic"), 200, path_streams(0))
     samples = sample_field(diffusion, path, NoiseSpec())
-    design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
-    a_hat = solve(design, samples)
+    a_hat = solve(diffusion.roots, path.T0[0], samples)
     err = np.max(np.abs(a_hat - diffusion.flat_coeffs()))
     assert err < 1e-8 * float(np.max(np.abs(diffusion.flat_coeffs())))
 
@@ -107,8 +106,7 @@ def test_exact_recovery_on_uniform_grid(diffusion):
 def test_constant_mode_least_squares_is_mean():
     rng = np.random.default_rng(4)
     values = rng.uniform(-1, 1, 50)
-    design = build_design_matrix(constant_roots(), 50, 1.0)
-    a_hat = solve(design, values)
+    a_hat = solve(constant_roots(), 1.0, values)
     assert a_hat[0] == pytest.approx(values.mean(), abs=1e-12)
 
 
@@ -116,10 +114,9 @@ def test_small_instance_matches_normal_equations():
     # Independent oracle: explicit 3x3 normal-equations solve on a tiny instance.
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    design = build_design_matrix(roots, 8, 0.9)
     rng = np.random.default_rng(6)
     values = rng.uniform(-1, 1, 8)
-    a_hat = solve(design, values)
+    a_hat = solve(roots, 0.9, values)
     idx = np.arange(1, 9)
     basis = complex_basis(roots, idx / 8, idx * 0.9 / 8)
     gram = basis.conj().T @ basis
@@ -128,44 +125,36 @@ def test_small_instance_matches_normal_equations():
 
 
 def test_insufficient_samples(diffusion):
-    design = build_design_matrix(diffusion.roots, 5, 1.0)
     with pytest.raises(InsufficientSamples):
-        solve(design, np.zeros(5))
+        solve(diffusion.roots, 1.0, np.zeros(5))
 
 
 def test_condition_diagnostics_refuses_underdetermined(diffusion):
     # 5 rows cannot give 7 columns full rank, whatever the 5 singular values say.
-    design = build_design_matrix(diffusion.roots, 5, 1.0)
     with pytest.raises(InsufficientSamples):
-        condition_diagnostics(design)
+        condition_diagnostics(diffusion.roots, 5, 1.0)
 
 
 def test_reconstruct_requires_real_vector(diffusion):
-    design = build_design_matrix(diffusion.roots, 20, 1.0)
-    with pytest.raises(ValueError):
-        solve(design, np.zeros(20, dtype=complex))
-    with pytest.raises(ValueError):
-        solve(design, np.zeros((20, 1)))
-    with pytest.raises(ValueError, match="one value per design-matrix row"):
-        solve(design, np.zeros(19))
+    for values in (np.zeros(20, dtype=complex), np.zeros((20, 1))):
+        with pytest.raises(ValueError, match="sample values must form a real vector"):
+            solve(diffusion.roots, 1.0, values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_readings_are_refused(diffusion, bad):
     # One bad reading among 200 is refused by name, never solved into a NaN
     # estimate or an overflow warning, alone or as one member of a stack.
-    design = build_design_matrix(diffusion.roots, 200, 1.0)
     values = np.random.default_rng(3).uniform(-1, 1, 200)
     values[117] = bad
     with pytest.raises(ValueError, match="sample values must be finite"):
-        solve(design, values)
+        solve(diffusion.roots, 1.0, values)
     with pytest.raises(ValueError, match="sample values must be finite"):
         reconstruct_stack(diffusion.roots, [1.0, 0.9], [np.zeros(200), values])
 
 
 def test_reconstruct_converts_its_readings_once(diffusion, monkeypatch):
-    # The design-row check reads the shape; the one conversion and finiteness
-    # pass is reconstruct_stack's.
+    # The one conversion and finiteness pass is reconstruct_stack's.
     calls = []
     as_values = estimator._as_values
 
@@ -174,8 +163,7 @@ def test_reconstruct_converts_its_readings_once(diffusion, monkeypatch):
         return as_values(values)
 
     monkeypatch.setattr(estimator, "_as_values", counted)
-    design = build_design_matrix(diffusion.roots, 200, 1.0)
-    solve(design, np.random.default_rng(3).uniform(-1, 1, 200))
+    solve(diffusion.roots, 1.0, np.random.default_rng(3).uniform(-1, 1, 200))
     assert len(calls) == 1
 
 
@@ -188,17 +176,17 @@ def test_rank_deficient_detected():
     values = np.random.default_rng(12).uniform(-1, 1, 2048)
     refused = []
     for t0 in (1.085, 1.0925, 1.1028, 1.115):
-        design = build_design_matrix(roots, 2048, t0)
-        singular = np.linalg.lstsq(design.entries, values, rcond=None)[3]
+        entries = grid_tables(roots, [2048], [t0]).materialize()
+        singular = np.linalg.lstsq(entries, values, rcond=None)[3]
         refused.append(bool(singular[-1] <= RANK_RTOL * singular[0]))
         if refused[-1]:
             with pytest.raises(RankDeficient):
-                solve(design, values)
+                solve(roots, t0, values)
             with pytest.raises(RankDeficient):
-                condition_diagnostics(design)
+                condition_diagnostics(roots, 2048, t0)
         else:
-            solve(design, values)
-            condition_diagnostics(design)
+            solve(roots, t0, values)
+            condition_diagnostics(roots, 2048, t0)
     assert refused == [False, True, True, False]
 
 
@@ -246,12 +234,12 @@ def test_distortion_parseval_quadrature(diffusion):
 
 def test_estimator_linearity(diffusion):
     path = draw_path(RenewalSpec(), 150, path_streams(10))
-    design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
+    roots, t0 = diffusion.roots, path.T0[0]
     rng = np.random.default_rng(11)
     g1 = rng.uniform(-1, 1, path.M[0])
     g2 = rng.uniform(-1, 1, path.M[0])
-    lhs = solve(design, 0.6 * g1 + 2.5 * g2)
-    rhs = 0.6 * solve(design, g1) + 2.5 * solve(design, g2)
+    lhs = solve(roots, t0, 0.6 * g1 + 2.5 * g2)
+    rhs = 0.6 * solve(roots, t0, g1) + 2.5 * solve(roots, t0, g2)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -259,20 +247,18 @@ def test_noise_only_unbiased():
     # Pure zero-mean noise decodes to zero coefficients on average.
     spec = catalog_entry(3).spec
     roots = tuple(characteristic_roots(spec, k) for k in (-1, 0, 1))
-    design = build_design_matrix(roots, 64, 1.0)
     rng = np.random.default_rng(21)
     trials = 10_000
     estimates = np.empty((trials, 3), dtype=complex)
     for i in range(trials):
-        estimates[i] = solve(design, rng.normal(0.0, 0.1, 64))
+        estimates[i] = solve(roots, 1.0, rng.normal(0.0, 0.1, 64))
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(mean) <= 3 * np.abs(se) + 1e-12)
 
 
 def test_condition_diagnostics_constant_mode():
-    design = build_design_matrix(constant_roots(), 10, 1.0)
-    report = condition_diagnostics(design)
+    report = condition_diagnostics(constant_roots(), 10, 1.0)
     assert report.trace == pytest.approx(10.0, abs=1e-12)
     assert report.trace_inverse == pytest.approx(0.1, abs=1e-14)
     assert report.kappa == pytest.approx(1.0, abs=1e-12)
@@ -282,8 +268,7 @@ def test_condition_diagnostics_constant_mode():
 def test_trace_two_ways(diffusion):
     # Direct sum oracle: trace = sum over k, i, j of exp(2 Re r_j(k) t_i).
     t0 = 0.9
-    design = build_design_matrix(diffusion.roots, 512, t0)
-    report = condition_diagnostics(design)
+    report = condition_diagnostics(diffusion.roots, 512, t0)
     t_i = np.arange(1, 513) * t0 / 512
     direct = sum(
         float(np.sum(np.exp(2.0 * r.real * t_i)))
@@ -305,8 +290,7 @@ def test_inequality_flags_random_instances():
             int(rng.integers(100, 800)),
             path_streams(int(rng.integers(2**31))),
         )
-        design = build_design_matrix(roots, path.M[0], path.T0[0])
-        report = condition_diagnostics(design)
+        report = condition_diagnostics(roots, path.M[0], path.T0[0])
         assert report.polya_szego_ok
         assert report.trace_lower_ok
         assert report.kappa >= 1.0
@@ -320,8 +304,7 @@ def test_chain_bound_on_reconstructions(diffusion):
     for seed in range(10):
         path = draw_path(RenewalSpec(), 200, path_streams(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
-        design = build_design_matrix(diffusion.roots, path.M[0], path.T0[0])
-        a_hat = solve(design, samples)
+        a_hat = solve(diffusion.roots, path.T0[0], samples)
         coeff_err = float(np.sum(np.abs(a_hat - flat) ** 2))
         bound = diffusion.m * (2 * diffusion.b + 1) * coeff_err
         assert mode_distortion(diffusion.roots, a_hat, true_k0) <= bound * (1 + 1e-12)
@@ -335,10 +318,13 @@ def test_grid_design_layout(diffusion):
     idx = np.arange(1, 5)
     expected = basis_matrix(diffusion.roots, idx / 4, idx * 0.8 / 4)
     assert np.max(np.abs(design.entries - expected)) < 1e-13
-    # M is a count: no fractional or negative grids, no bool.
+    # M is a count: no fractional or negative grids, no bool, for the design
+    # and the diagnostics alike.
     for m_count, message in ((50.5, "integer"), (True, "integer"), (-3, ">= 0")):
         with pytest.raises(ValueError, match=f"sample count M must be.*{message}"):
             build_design_matrix(diffusion.roots, m_count, 0.8)
+        with pytest.raises(ValueError, match=f"sample count M must be.*{message}"):
+            condition_diagnostics(diffusion.roots, m_count, 0.8)
 
 
 # ------------------------------------------- real estimator vs complex oracle
@@ -389,7 +375,7 @@ def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
     assume(feasible)
     cols = spec.degree * (2 * b + 1)
     m_count = cols + 1 + extra_rows
-    design = build_design_matrix(roots, m_count, t0)
+    entries = grid_tables(roots, [m_count], [t0]).materialize()
     idx = np.arange(1, m_count + 1)
     basis = complex_basis(roots, idx / m_count, idx * t0 / m_count)
 
@@ -403,20 +389,20 @@ def test_real_estimator_matches_complex_oracle(spec, b, extra_rows, t0, seed):
     expected = np.column_stack(
         (np.stack((pair.real, pair.imag), axis=2).reshape(m_count, -1), basis[:, layout.selfconj].real)
     )
-    assert np.max(np.abs(design.entries - expected)) < 1e-12
+    assert np.max(np.abs(entries - expected)) < 1e-12
 
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=cols) + 1j * rng.normal(size=cols)
     values = (basis @ coeffs).real  # a real field: consistent with the design
-    assert np.max(np.abs(design.entries @ layout.to_real(coeffs) - values)) < 1e-12 * cols
+    assert np.max(np.abs(entries @ layout.to_real(coeffs) - values)) < 1e-12 * cols
 
     oracle = complex_svd_solve(basis, values)
     if oracle is None:
         with pytest.raises(RankDeficient):
-            reconstruct(design, values)
+            reconstruct(roots, t0, values)
         return
     a_oracle, kappa_oracle = oracle
-    result = reconstruct(design, values)
+    result = reconstruct(roots, t0, values)
     assert result.kappa == pytest.approx(kappa_oracle, rel=1e-9)
     bound = 1e3 * np.finfo(float).eps * np.sqrt(kappa_oracle)
     assert np.linalg.norm(result.a_hat - a_oracle) <= bound * np.linalg.norm(a_oracle)
@@ -435,10 +421,9 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
     state = random_real_field(b, spec, np.random.default_rng(seed))
     n = min(state.m * (2 * b + 1) + n_extra, 300)
     path = draw_path(RenewalSpec(family="deterministic"), n, path_streams(seed))
-    design = build_design_matrix(state.roots, path.M[0], path.T0[0])
     samples = sample_field(state, path, NoiseSpec())
     try:
-        a_hat = solve(design, samples)
+        a_hat = solve(state.roots, path.T0[0], samples)
     except RankDeficient:
         return
     assert mode_distortion(state.roots, a_hat, coefficients_at(state, 0.0)) < 1e-14
@@ -563,9 +548,9 @@ def test_reduced_system_keeps_the_singular_values(diffusion):
     # One grid at a block edge: GridTables.reduce keeps the design's
     # singular values, in the property test's C eps sqrt(kappa) form.
     for m_count in (7, 8, 9, 60, 61, 62, 700):
-        design = build_design_matrix(diffusion.roots, m_count, 1.1)
-        (augmented,) = grid_tables(diffusion.roots, [m_count], [1.1]).reduce([np.arange(float(m_count))])
-        expected = np.linalg.svd(design.entries, compute_uv=False)
+        tables = grid_tables(diffusion.roots, [m_count], [1.1])
+        (augmented,) = tables.reduce([np.arange(float(m_count))])
+        expected = np.linalg.svd(tables.materialize(), compute_uv=False)
         reduced = np.linalg.svd(augmented[:, :-1], compute_uv=False)
         bound = REDUCED_SOLVE_C * np.finfo(float).eps * (expected[0] / expected[-1])
         assert np.max(np.abs(reduced - expected)) <= bound * expected[0]
@@ -600,9 +585,8 @@ def test_stack_members_are_independent():
 
     kept = []
     for t0, v, outcome in zip(t0s, values, outcomes):
-        design = build_design_matrix(state.roots, len(v), t0)
         try:
-            alone = reconstruct(design, v)
+            alone = reconstruct(state.roots, t0, v)
         except (InsufficientSamples, RankDeficient) as refusal:
             assert type(outcome) is type(refusal) and str(outcome) == str(refusal)
             continue
@@ -638,9 +622,8 @@ def test_reconstruct_is_the_one_member_stack():
     for t0, values in ((path.T0[0], readings), (1.1028, readings), (1.0, readings[:10])):
         (member,) = reconstruct_stack(state.roots, [t0], [values])
         members.append(type(member).__name__)
-        design = build_design_matrix(state.roots, len(values), t0)
         try:
-            alone = reconstruct(design, values)
+            alone = reconstruct(state.roots, t0, values)
         except (InsufficientSamples, RankDeficient) as refusal:
             assert type(refusal) is type(member) and str(refusal) == str(member)
             continue
@@ -650,20 +633,21 @@ def test_reconstruct_is_the_one_member_stack():
 
 
 def test_horizons_are_checked(diffusion):
-    # One finite horizon per grid, refused by name before any table is built.
-    values = np.zeros(50)
-    for t0s, stack in (([0.9, 1.0, 1.1], [values]), ([1.0], [values] * 3)):
-        message = f"horizon count {len(t0s)} differs from grid count {len(stack)}"
-        with pytest.raises(ValueError, match=message):
-            reconstruct_stack(diffusion.roots, t0s, stack)
+    # One finite horizon per grid, refused by name before any table is built,
+    # also when every grid is too short to solve (3 < 7 columns).
+    for values in (np.zeros(50), np.zeros(3)):
+        for t0s, stack in (([0.9, 1.0, 1.1], [values]), ([1.0], [values] * 3)):
+            message = f"horizon count {len(t0s)} differs from grid count {len(stack)}"
+            with pytest.raises(ValueError, match=message):
+                reconstruct_stack(diffusion.roots, t0s, stack)
+        for t0 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="horizons t0 must be finite"):
+                reconstruct_stack(diffusion.roots, [t0], [values])
+            with pytest.raises(ValueError, match="horizons t0 must be finite"):
+                solve(diffusion.roots, t0, values)
     for t0 in (np.nan, np.inf):
         with pytest.raises(ValueError, match="horizons t0 must be finite"):
-            reconstruct_stack(diffusion.roots, [t0], [values])
-        design = build_design_matrix(diffusion.roots, 50, t0)
-        with pytest.raises(ValueError, match="horizons t0 must be finite"):
-            solve(design, values)
-        with pytest.raises(ValueError, match="horizons t0 must be finite"):
-            condition_diagnostics(design)
+            condition_diagnostics(diffusion.roots, 50, t0)
 
 
 def test_insufficient_samples_counts_design_rows(diffusion):
@@ -671,7 +655,7 @@ def test_insufficient_samples_counts_design_rows(diffusion):
     # system never has fewer rows than columns, so it cannot refuse.
     for m_count in (0, 6):
         with pytest.raises(InsufficientSamples, match=f"^{m_count} samples cannot determine 7"):
-            solve(build_design_matrix(diffusion.roots, m_count, 1.0), np.zeros(m_count))
+            solve(diffusion.roots, 1.0, np.zeros(m_count))
     for m_count in range(7, 200):
         assert grid_tables(diffusion.roots, [m_count], [1.0]).reduce([np.zeros(m_count)])[0].shape[0] >= 7
 
@@ -686,14 +670,15 @@ def test_grid_design_materializes_only_when_read(diffusion):
     assert design.entries is design.entries
 
 
-@pytest.mark.parametrize("call", [solve, lambda design, values: condition_diagnostics(design)])
+@pytest.mark.parametrize(
+    "call", [solve, lambda roots, t0, values: condition_diagnostics(roots, len(values), t0)]
+)
 def test_all_zero_design_is_rank_deficient(call):
     # sigma_max = 0: refused with a finite message, no 0/0 warning.  Every
     # root's real part is about -1e300, so every grid entry underflows to 0.
     spec = PdeSpec((1e300, 1.0), (0.0, 0.0, 0.01))
     roots = tuple(characteristic_roots(spec, k) for k in range(-3, 4))
-    design = build_design_matrix(roots, 10, 1.0)
-    assert not np.any(design.entries)
+    assert not np.any(build_design_matrix(roots, 10, 1.0).entries)
     with pytest.raises(RankDeficient, match="zero") as refusal:
-        call(design, np.ones(10))
+        call(roots, 1.0, np.ones(10))
     assert "nan" not in str(refusal.value)

@@ -450,7 +450,7 @@ def test_rank_failures_counted(monkeypatch):
 
 def test_trials_never_materialize_the_design(monkeypatch):
     # Each stack of trials solves through the grids' power tables; the M x c
-    # design is built only when something reads DesignMatrix.entries.
+    # design is built only when something materializes them.
     def refuse(tables, grid=0):
         raise AssertionError(f"materialized a {tables.m_counts[grid]}-row design")
 

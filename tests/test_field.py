@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fieldrecon.errors import DegenerateRoots, InfeasiblePde, UnknownScenario
 from fieldrecon.field import (
     CATALOG,
+    REAL_GUARD_TOL,
     ROW_BLOCK,
     FieldState,
     _exp_in_layout,
@@ -275,6 +276,22 @@ def test_evaluate_at_points_refuses_asymmetric_coefficients(set1):
     xs = np.linspace(0.0, 1.0, 2 * ROW_BLOCK + 1)
     with pytest.raises(ValueError, match="conjugate asymmetry"):
         evaluate_at_points(state, xs, xs)
+
+
+@pytest.mark.parametrize("factor, refused", [(0.5, False), (2.0, True)])
+def test_real_guard_boundary(set1, factor, refused):
+    # One k = -b coefficient moved so that the conjugate asymmetry reads a
+    # factor of REAL_GUARD_TOL: accepted below the guard, refused above it.
+    coeffs = set1.coeffs.copy()
+    coeffs[0, 0] += factor * REAL_GUARD_TOL
+    state = FieldState(set1.spec, coeffs)
+    asymmetry = conjugate_layout(state.roots).asymmetry(state.flat_coeffs())
+    assert asymmetry == pytest.approx(factor * REAL_GUARD_TOL, rel=1e-6)
+    if refused:
+        with pytest.raises(ValueError, match="conjugate asymmetry"):
+            state.real_coeffs
+    else:
+        assert state.real_coeffs.shape == (state.m * (2 * state.b + 1),)
 
 
 @pytest.mark.parametrize(

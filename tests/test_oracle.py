@@ -222,6 +222,17 @@ def test_ode_suite_passes():
     assert_golden_lines(report, "ode-suite.txt")
 
 
+def test_bandlimit_suite_requires_instances():
+    # Zero random root sets would pass with nothing checked; a fraction is
+    # refused by name, never truncated.
+    for instances in (0, -1):
+        with pytest.raises(ValueError, match="at least one random root set"):
+            bandlimit_suite(instances=instances)
+    for instances in (2.5, True):
+        with pytest.raises(ValueError, match="instances must be an integer"):
+            bandlimit_suite(instances=instances)
+
+
 def test_bandlimit_suite_passes():
     report = bandlimit_suite(instances=30)
     assert report.passed, "\n".join(report.lines)
