@@ -224,8 +224,10 @@ def condition_diagnostics(roots: Sequence[HarmonicRoots], m_count: int, t0: floa
     ``trace_lower_ok``: tr(G) >= M * C where C is the closed-form floor above.
     Both inequalities provably hold for full-rank uniform-grid matrices with a
     horizon at most about the unit span; a failure flags a numerical problem,
-    not physics.  ValueError unless M is an integer >= 0 and t0 is finite.
+    not physics.  ValueError unless t0 is a finite horizon (field.check_horizons)
+    and M is an integer >= 0, whether or not M can determine the design.
     """
+    (t0,) = check_horizons([t0], 1).tolist()
     m_count = _sample_count(m_count)
     cols = sum(hr.m for hr in roots)
     if refusal := _insufficient(m_count, cols):

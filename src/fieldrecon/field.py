@@ -23,6 +23,7 @@ from .pde_core import (
     PdeSpec,
     characteristic_roots,
     check_stability,
+    real_number,
     solve_initial_coefficients,
 )
 
@@ -417,8 +418,8 @@ class GridTables:
 
 def check_horizons(t0s: Sequence[float], grid_count: int) -> np.ndarray:
     """The horizons as floats; ValueError unless there is one finite t0 for
-    each of ``grid_count`` grids."""
-    t0s = np.array(t0s, dtype=float)
+    each of ``grid_count`` grids, each a real number by real_number's rule."""
+    t0s = np.array([real_number("a horizon t0", t0) for t0 in t0s])
     if t0s.shape != (grid_count,):
         raise ValueError(f"horizon count {t0s.size} differs from grid count {grid_count}: one t0 per grid")
     if not np.all(np.isfinite(t0s)):

@@ -9,9 +9,11 @@ result in closed form.
 real_number and integer are the homes of the rules that make a
 user-supplied number a float or an int: the specs here and in sampling, the
 sweep config, the Monte Carlo entry points, the RK4 oracle's step, horizon
-and harmonics, the generator count of streams.cell_streams and the two
-public inputs of a band limit (check_stability and field.random_real_field)
-use what they return.
+and harmonics, the estimator's horizons (field.check_horizons), the harmonic
+of characteristic_roots, the generator count of streams.cell_streams and,
+through band_limit, the band limit of check_stability,
+field.random_real_field and oracle.bandlimit_preservation_check use what
+they return.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def integer(what: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def band_limit(b) -> int:
+    """``b`` as a band limit: an int by ``integer``'s rule, and >= 0."""
+    b = integer("band limit b", b)
+    if b < 0:
+        raise ValueError("band limit must be non-negative")
+    return b
 
 
 def eval_poly(coeffs: Sequence[float], z: complex) -> complex:
@@ -137,8 +147,10 @@ def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
     Memoized per (spec, k) and the type of k: both are hashable and the
     result is immutable, so a field's roots are derived once per process
     however often it is built or gated, and ``k`` is returned as given.  A
-    refusal is not cached; it raises on every call.
+    refusal is not cached; it raises on every call, ValueError for a ``k``
+    that is not an integer.
     """
+    integer("a harmonic k", k)
     target = spec.q_at_harmonic(k)
     coeffs = np.array(spec.p_coeffs, dtype=complex)
     coeffs[0] -= target
@@ -168,10 +180,8 @@ class StabilityReport:
 
 def check_stability(spec: PdeSpec, b: int) -> StabilityReport:
     """Feasibility gate: every root of every harmonic in [-b, b] must satisfy
-    Re(r) <= STABILITY_TOL.  The band limit ``b`` follows ``integer``'s rule."""
-    b = integer("band limit b", b)
-    if b < 0:
-        raise ValueError("band limit must be non-negative")
+    Re(r) <= STABILITY_TOL.  The band limit ``b`` follows ``band_limit``'s rule."""
+    b = band_limit(b)
     worst = {k: characteristic_roots(spec, k).worst_real_part() for k in range(-b, b + 1)}
     offending = tuple(sorted(k for k, w in worst.items() if w > STABILITY_TOL))
     return StabilityReport(worst_real_parts=worst, offending=offending)

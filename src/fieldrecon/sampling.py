@@ -6,7 +6,8 @@ are supported on (0, lam/n] (resp. (0, mu/n]) with mean exactly 1/n, so the
 realized locations hug a uniform grid ever tighter as the density n grows.
 Neither the locations nor the timestamps are available downstream:
 sample_field hands on the M reading values as a bare array, and the estimator
-sees only those, the in-support count M and the horizon T0.
+sees only those, the in-support count M and the horizon T0 = T_M, the
+last in-support timestamp.
 
 A PathBlock is the one path record: paths of one density, one per row,
 padded to a common width.  draw_paths draws the paths of many cells as
@@ -21,7 +22,7 @@ one-row block, and the other two refuse a block of more than one path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -34,7 +35,6 @@ if TYPE_CHECKING:
     from numpy.random import Generator
 
 FAMILIES = ("uniform_scaled", "beta_scaled", "deterministic")
-T0_POLICIES = ("last_sample", "jittered")
 
 # First Beta shape parameter; the second follows from the mean constraint
 # E[X] = 1/n, i.e. a / (a + b) = 1/lam.
@@ -78,28 +78,23 @@ class RenewalSpec:
             )
 
 
-def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> None:
+def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray) -> None:
     """The rules of a PathBlock's arrays.
 
     The arrays come first: float S and T with one row per path, one integer
-    M and one real T0 per row, and rows of at least M + 1 entries, all read
-    from dtypes and shapes.  Then the defining inequalities: the steps are
-    compared in one pass per array, and the few entries each row is bounded
-    by are read one by one, which keeps a one-row block cheap."""
-    if not all(isinstance(a, np.ndarray) for a in (S, T, M, T0)):
-        raise ValueError("a path block's S, T, M and T0 must be numpy arrays")
+    M per row, and rows of at least M + 1 entries, all read from dtypes and
+    shapes.  Then the defining inequalities: the steps are compared in one
+    pass per array, and the few entries each row is bounded by are read one
+    by one, which keeps a one-row block cheap."""
+    if not all(isinstance(a, np.ndarray) for a in (S, T, M)):
+        raise ValueError("a path block's S, T and M must be numpy arrays")
     if M.dtype.kind not in "iu":
         raise ValueError(f"M must be an integer, got {M.dtype} entries")
-    if T0.dtype.kind not in "iuf":
-        raise ValueError(f"T0 must be a real number, got {T0.dtype} entries")
     if S.dtype.kind != "f" or T.dtype.kind != "f":
         raise ValueError("S and T must be float arrays")
-    one_per_path = (
-        M.ndim == 1 and M.size > 0 and T0.shape == M.shape
-        and S.ndim == T.ndim == 2 and len(S) == len(T) == len(M)
-    )
+    one_per_path = M.ndim == 1 and M.size > 0 and S.ndim == T.ndim == 2 and len(S) == len(T) == len(M)
     if not one_per_path:
-        raise ValueError("a path block holds one or more paths: one row of S and T and one M and T0 each")
+        raise ValueError("a path block holds one or more paths: one row of S and T and one M each")
     counts = M.tolist()
     if min(counts) < 1:
         raise ValueError("at least one in-support sample is required")
@@ -117,41 +112,37 @@ def _check_rows(S: np.ndarray, T: np.ndarray, M: np.ndarray, T0: np.ndarray) -> 
             raise ValueError(f"{name} must be finite and strictly increasing from above 0")
     if not all(S[i, m - 1] <= 1.0 < S[i, m] for i, m in enumerate(counts)):
         raise ValueError("require S_M <= 1 < S_{M+1}")
-    horizons = T0.tolist()
-    if not all(T[i, m - 1] <= horizons[i] < T[i, m] for i, m in enumerate(counts)):
-        raise ValueError("require T_M <= T0 < T_{M+1}")
 
 
 @dataclass(frozen=True, eq=False)
 class PathBlock:
     """Paths of one density, one per row: row i holds the realized
     locations S_1..S_{M+1} and times T_1..T_{M+1} of the path with
-    in-support count M = M[i] and horizon T0 = T0[i] in its first M + 1
-    columns; later columns are padding and are not read.
+    in-support count M = M[i] in its first M + 1 columns; later columns are
+    padding and are not read.  Each row's horizon T0[i] is its last
+    in-support timestamp T_M, derived from the rows.
 
     The single overshoot sample (index M+1) is retained so the defining
-    inequalities can be checked, but it never feeds the estimator.  The four
+    inequalities can be checked, but it never feeds the estimator.  The three
     arrays are stored as read-only views: a caller's array is not copied,
-    and a checked path cannot be edited through the block.
+    and a checked path cannot be edited through the block.  T0 is read-only
+    too.
     """
 
     S: np.ndarray
     T: np.ndarray
     M: np.ndarray
-    T0: np.ndarray
+    T0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_rows(self.S, self.T, self.M, self.T0)
-        for name in ("S", "T", "M", "T0"):
+        _check_rows(self.S, self.T, self.M)
+        for name in ("S", "T", "M"):
             view = getattr(self, name).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    @property
-    def slack(self) -> np.ndarray:
-        """J_M = T0 - T_M of every row, the horizon slack past the last
-        in-support sample."""
-        return self.T0 - self.T[np.arange(len(self.M)), self.M - 1]
+        T0 = self.T[np.arange(len(self.M)), self.M - 1]
+        T0.flags.writeable = False
+        object.__setattr__(self, "T0", T0)
 
     def grid_deviations(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean squared deviations of every row from the uniform grid it
@@ -248,9 +239,9 @@ def _draw_prefix_sums(
 
 
 def _draw_block(
-    spec: RenewalSpec, n: int, gens: Sequence[tuple[Generator, Generator]], t0_policy: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unchecked S, T, M and T0 of one path per (spatial, temporal) pair."""
+    spec: RenewalSpec, n: int, gens: Sequence[tuple[Generator, Generator]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked S, T and M of one path per (spatial, temporal) pair."""
     if spec.family == "deterministic":
         S = np.tile(np.arange(1, n + 2) / n, (len(gens), 1))
         T = S.copy()
@@ -263,19 +254,11 @@ def _draw_block(
         temporal = [(gen, row[: m + 1]) for (_, gen), row, m in zip(gens, T, counts)]
         _draw_increments(spec.family, n, spec.mu, temporal, T)
         T.cumsum(axis=1, out=T)
-    rows = np.arange(len(gens))
-    T0 = T[rows, M - 1]
-    if t0_policy == "jittered":
-        u = np.array([temporal.random() for _, temporal in gens])  # in [0, 1), so T0 < T_{M+1}
-        T0 = T0 + u * (T[rows, M] - T0)
-    return S, T, M, T0
+    return S, T, M
 
 
 def draw_paths(
-    spec: RenewalSpec,
-    n: int,
-    streams: Iterable[tuple[Generator, Generator]],
-    t0_policy: str = "last_sample",
+    spec: RenewalSpec, n: int, streams: Iterable[tuple[Generator, Generator]]
 ) -> Iterator[PathBlock]:
     """The paths of many cells at average density ``n``, a PathBlock at a
     time, in the order of ``streams``: each cell's (spatial, temporal)
@@ -284,34 +267,26 @@ def draw_paths(
 
     A path's locations use only its spatial and its timestamps only its
     temporal generator, so replacing the temporal generator cannot change
-    the spatial path, bit for bit.  M is fixed by S_M <= 1 < S_{M+1}.  The
-    horizon follows ``t0_policy``: ``last_sample`` takes T0 = T_M (zero
-    slack), ``jittered`` places T0 uniformly inside [T_M, T_{M+1}).
+    the spatial path, bit for bit.  M is fixed by S_M <= 1 < S_{M+1}, and
+    the horizon is T0 = T_M.
     """
     n = integer("density n", n)
     if n < 1:
         raise ValueError(f"density n must be a positive integer, got {n!r}")
     spec.check_density(n)
-    if t0_policy not in T0_POLICIES:
-        raise ValueError(f"unknown T0 policy {t0_policy!r}")
     rows = max(1, _BLOCK_ELEMENTS // _chunk(n))
     streams = iter(streams)
     return (
-        PathBlock(*_draw_block(spec, n, gens, t0_policy))
+        PathBlock(*_draw_block(spec, n, gens))
         for gens in iter(lambda: list(islice(streams, rows)), [])
     )
 
 
-def draw_path(
-    spec: RenewalSpec,
-    n: int,
-    streams: tuple[Generator, Generator],
-    t0_policy: str = "last_sample",
-) -> PathBlock:
+def draw_path(spec: RenewalSpec, n: int, streams: tuple[Generator, Generator]) -> PathBlock:
     """One realization of the sampling process at average density ``n``
     from the (spatial, temporal) generator pair ``streams``: the one-row
     PathBlock that draw_paths draws from it."""
-    return next(draw_paths(spec, n, [streams], t0_policy))
+    return next(draw_paths(spec, n, [streams]))
 
 
 def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -648,6 +649,29 @@ def test_horizons_are_checked(diffusion):
     for t0 in (np.nan, np.inf):
         with pytest.raises(ValueError, match="horizons t0 must be finite"):
             condition_diagnostics(diffusion.roots, 50, t0)
+        # Named before the count: 5 samples cannot determine 7 columns.
+        with pytest.raises(ValueError, match="horizons t0 must be finite"):
+            condition_diagnostics(diffusion.roots, 5, t0)
+
+
+def test_horizons_follow_the_real_number_rule(diffusion):
+    # A bool, a string, a complex or a list is no horizon: each is refused by
+    # name, where float() or numpy would read 1.0 or fail on the way.
+    values = np.zeros(50)
+    for t0 in (True, "1.0", 1 + 0j, [1.0]):
+        message = f"a horizon t0 must be a real number, got {re.escape(repr(t0))}"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(diffusion.roots, t0, values)
+        with pytest.raises(ValueError, match=message):
+            reconstruct_stack(diffusion.roots, [t0], [values[:3]])
+        with pytest.raises(ValueError, match=message):
+            condition_diagnostics(diffusion.roots, 50, t0)
+    # Python and numpy reals and ints are horizons, bit for bit the float's.
+    expected = reconstruct(diffusion.roots, 1.0, np.linspace(0.0, 1.0, 50))
+    for t0 in (1, np.float64(1.0), np.float32(1.0), np.int64(1)):
+        result = reconstruct(diffusion.roots, t0, np.linspace(0.0, 1.0, 50))
+        assert np.array_equal(result.a_hat, expected.a_hat) and result.kappa == expected.kappa
+        assert condition_diagnostics(diffusion.roots, 50, t0) == condition_diagnostics(diffusion.roots, 50, 1.0)
 
 
 def test_insufficient_samples_counts_design_rows(diffusion):

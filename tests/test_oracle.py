@@ -17,7 +17,7 @@ from fieldrecon.oracle import (
     ode_equivalence_suite,
 )
 from fieldrecon.pde_core import PdeSpec
-from fieldrecon.sampling import RenewalSpec
+from fieldrecon.sampling import PathBlock, RenewalSpec
 
 DIFFUSION_RATE = -0.39478417604357435
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
@@ -170,6 +170,18 @@ def test_bandlimit_negative_control():
         bandlimit_preservation_check(catalog_entry(2).spec, b=3, conditions={5: [1.0]})
 
 
+def test_bandlimit_check_refuses_a_band_limit_as_check_stability_does():
+    # A negative or boolean band limit would probe harmonics that bound
+    # nothing and pass; a fraction is refused by name, never truncated.
+    spec = catalog_entry(3).spec
+    for b in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="band limit b must be an integer"):
+            bandlimit_preservation_check(spec, b)
+    with pytest.raises(ValueError, match="band limit must be non-negative"):
+        bandlimit_preservation_check(spec, -1)
+    assert bandlimit_preservation_check(spec, np.int64(0)) == 0.0
+
+
 def test_scaling_deterministic_family_is_zero():
     spec = RenewalSpec(family="deterministic")
     rows = grid_deviation_scaling(spec, (100, 400), trials=100, seed=0)
@@ -203,17 +215,28 @@ def test_fuzz_counts_a_refused_path_as_one_violation(monkeypatch):
     # are retried one by one; the other paths are checked as usual.
     draw_paths, calls = oracle.draw_paths, []
 
-    def refuse_first_two(spec, n, streams, policy):
+    def refuse_first_two(spec, n, streams):
         streams = list(streams)
         calls.append(len(streams))
         if len(calls) <= 2:
             raise ValueError("require S_M <= 1 < S_{M+1}")
-        return draw_paths(spec, n, streams, policy)
+        return draw_paths(spec, n, streams)
 
     monkeypatch.setattr(oracle, "draw_paths", refuse_first_two)
     cells = [(7, 50, trial) for trial in range(5)]
-    assert oracle._tally_invariants(RenewalSpec(), 50, "jittered", cells) == (4, 1)
+    assert oracle._tally_invariants(RenewalSpec(), 50, cells) == (4, 1)
     assert calls == [5, 1, 1, 1, 1, 1]
+
+
+def test_fuzz_counts_a_path_below_the_law_bound(monkeypatch):
+    # At n = 50 and lam = 2 the law bound asks M > 24.  Both rows make a
+    # valid PathBlock; only the two-sample row breaks the bound.
+    grid = np.arange(1, 32) / 30  # S_30 = 1 < S_31
+    S = np.array([grid, np.r_[0.3, 0.7, 1.2, np.zeros(28)]])
+    block = PathBlock(S, S.copy(), np.array([30, 2]))
+    monkeypatch.setattr(oracle, "draw_paths", lambda spec, n, streams: iter([block]))
+    cells = [(7, 50, trial) for trial in range(2)]
+    assert oracle._tally_invariants(RenewalSpec(), 50, cells) == (2, 1)
 
 
 def test_ode_suite_passes():

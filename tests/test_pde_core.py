@@ -143,6 +143,15 @@ def test_repeated_roots_rejected():
         characteristic_roots(spec, 0)
 
 
+def test_roots_need_an_integer_harmonic():
+    # Only whole harmonics exist: a fraction, a bool or a string is refused
+    # by name, where q(j 2 pi k) would give roots of no harmonic.
+    spec = catalog_entry(3).spec
+    for k in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="a harmonic k must be an integer"):
+            characteristic_roots(spec, k)
+
+
 def test_roots_are_derived_once_per_harmonic():
     # Building a catalog field and gating it, as a sweep does, misses the
     # root cache once per harmonic and hits it for every later use.

@@ -131,28 +131,26 @@ def test_beta_increment_moments():
 
 
 def check_path_invariants(path: PathBlock, spec: RenewalSpec, n: int):
-    (m,), (t0,), (slack,) = path.M, path.T0, path.slack
+    (m,), (t0,) = path.M, path.T0
     S, T = path.S[0, : m + 1], path.T[0, : m + 1]
     assert m > n / spec.lam - 1
     assert S[m - 1] <= 1.0 < S[m]
-    assert T[m - 1] <= t0 < T[m]
+    assert t0 == T[m - 1]
     assert np.all(np.diff(S) > 0) and np.all(np.diff(T) > 0)
     assert np.all(np.diff(S) <= spec.lam / n + 1e-15)
     assert np.all(np.diff(T) <= spec.mu / n + 1e-15)
-    assert 0.0 <= slack <= spec.mu / n + 1e-15
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.sampled_from((50, 500, 5000)),
     family=st.sampled_from(("uniform_scaled", "beta_scaled")),
-    policy=st.sampled_from(("last_sample", "jittered")),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_path_invariants_fuzz(n, family, policy, seed):
+def test_path_invariants_fuzz(n, family, seed):
     lam = 2.0 if family == "uniform_scaled" else 3.0
     spec = RenewalSpec(family=family, lam=lam, mu=lam)
-    path = draw_path(spec, n, streams(seed), policy)
+    path = draw_path(spec, n, streams(seed))
     check_path_invariants(path, spec, n)
 
 
@@ -177,41 +175,29 @@ def test_wald_interval():
     assert n - 1 - 3 * se < mean <= n + spec.lam - 1 + 3 * se
 
 
-def test_jittered_t0_policy():
-    spec = RenewalSpec()
-    saw_positive_slack = False
-    for seed in range(50):
-        path = draw_path(spec, 200, streams(seed), "jittered")
-        check_path_invariants(path, spec, 200)
-        saw_positive_slack |= path.slack[0] > 0
-    assert saw_positive_slack
-
-
-def test_unknown_policy():
-    with pytest.raises(ValueError):
-        draw_path(RenewalSpec(), 100, streams(), "whenever")
-
-
 def path_arrays():
     """S and T of a valid two-sample path with T0 = T_M = 0.5."""
     return np.array([0.3, 0.7, 1.2]), np.array([0.2, 0.5, 0.9])
 
 
-def one_path(S, T, m, t0):
+def one_path(S, T, m):
     """The one-row block of a path's arrays."""
-    return PathBlock(np.array([S], dtype=float), np.array([T], dtype=float), np.array([m]), np.array([t0]))
+    return PathBlock(np.array([S], dtype=float), np.array([T], dtype=float), np.array([m]))
 
 
 def test_path_block_stores_read_only_views():
     S, T = path_arrays()
-    given = (S[None], T[None], np.array([2]), np.array([0.5]))
+    given = (S[None], T[None], np.array([2]))
     path = PathBlock(*given)
-    for stored, array in zip((path.S, path.T, path.M, path.T0), given):
+    for stored, array in zip((path.S, path.T, path.M), given):
         assert not stored.flags.writeable
         assert np.shares_memory(stored, array)
         assert array.flags.writeable
+    assert path.T0.tolist() == [0.5] and not path.T0.flags.writeable
+    with pytest.raises(TypeError):
+        PathBlock(*given, np.array([0.5]))  # the horizon is derived, never given
     drawn = [draw_path(RenewalSpec(), 100, streams())]
-    drawn += draw_paths(RenewalSpec("beta_scaled", 3.0, 3.0), 100, cell_streams([(1, 2)] * 3, 2), "jittered")
+    drawn += draw_paths(RenewalSpec("beta_scaled", 3.0, 3.0), 100, cell_streams([(1, 2)] * 3, 2))
     drawn += draw_paths(RenewalSpec("deterministic"), 10, cell_streams([(1, 2)] * 3, 2))
     for block in drawn:
         for stored in (block.S, block.T, block.M, block.T0):
@@ -310,13 +296,9 @@ def test_one_path_readers_refuse_a_block_of_many():
 def test_draws_and_grid_deviation_match_plain_formulas():
     # The in-place arithmetic of draw_path and grid_deviation must give the
     # same bits as the textbook expressions, evaluated on cloned generators.
-    for family, lam, n, policy in (
-        ("uniform_scaled", 2.0, 60, "last_sample"),
-        ("uniform_scaled", 2.0, 6400, "jittered"),
-        ("beta_scaled", 3.0, 500, "jittered"),
-    ):
+    for family, lam, n in (("uniform_scaled", 2.0, 60), ("uniform_scaled", 2.0, 6400), ("beta_scaled", 3.0, 500)):
         for seed in range(5):
-            path = draw_path(RenewalSpec(family, lam, lam), n, streams(seed), policy)
+            path = draw_path(RenewalSpec(family, lam, lam), n, streams(seed))
             ref_spatial, ref_temporal = streams(seed)
             scale = lam / n
 
@@ -330,7 +312,7 @@ def test_draws_and_grid_deviation_match_plain_formulas():
             assert S[-1] > 1.0  # one block suffices at these seeds
             M = int(np.searchsorted(S, 1.0, side="right"))
             T = np.cumsum(increments(ref_temporal, M + 1))
-            assert path.M.tolist() == [M]
+            assert path.M.tolist() == [M] and path.T0.tolist() == [T[M - 1]]
             assert np.array_equal(path.S[0, : M + 1], S[: M + 1]) and np.array_equal(path.T[0], T)
             idx = np.arange(1, M + 1)
             assert grid_deviation(path) == (
@@ -351,22 +333,21 @@ def test_grid_deviation_bounded_by_one():
 
 
 @pytest.mark.parametrize("n", [50, 500, 6400])
-@pytest.mark.parametrize("policy", ["last_sample", "jittered"])
 @pytest.mark.parametrize("family, lam", [("uniform_scaled", 2.0), ("beta_scaled", 3.0)])
-def test_draw_paths_match_draw_path_bit_for_bit(family, lam, policy, n):
+def test_draw_paths_match_draw_path_bit_for_bit(family, lam, n):
     spec = RenewalSpec(family, lam, lam)
     cells = [(11, n, trial) for trial in range(24)]
-    singles = [draw_path(spec, n, streams, policy) for streams in cell_streams(cells, 2)]
-    blocks = list(draw_paths(spec, n, cell_streams(cells, 2), policy))
+    singles = [draw_path(spec, n, streams) for streams in cell_streams(cells, 2)]
+    blocks = list(draw_paths(spec, n, cell_streams(cells, 2)))
     assert sum(len(block.M) for block in blocks) == len(cells)
     assert any(len(set(block.M.tolist())) > 1 for block in blocks)  # ragged rows
     row = 0
     for block in blocks:
-        for (S, T, m, t0, slack, s_dev, t_dev) in zip(
-            block.S, block.T, block.M.tolist(), block.T0, block.slack, *block.grid_deviations()
+        for (S, T, m, t0, s_dev, t_dev) in zip(
+            block.S, block.T, block.M.tolist(), block.T0, *block.grid_deviations()
         ):
             path = singles[row]
-            assert [m, t0, slack] == [path.M[0], path.T0[0], path.slack[0]]
+            assert [m, t0] == [path.M[0], path.T0[0]]
             assert np.array_equal(S[: m + 1], path.S[0, : m + 1])
             assert np.array_equal(T[: m + 1], path.T[0, : m + 1])
             assert (s_dev, t_dev) == grid_deviation(path)
@@ -392,8 +373,6 @@ def test_sample_paths_read_as_sample_field_bit_for_bit(n):
 def test_draw_paths_checks_its_arguments_before_drawing():
     with pytest.raises(ValueError, match="density n must be an integer"):
         draw_paths(RenewalSpec(), 100.5, [])
-    with pytest.raises(ValueError, match="unknown T0 policy"):
-        draw_paths(RenewalSpec(), 100, [], "whenever")
     assert list(draw_paths(RenewalSpec(), 100, [])) == []
 
 
@@ -449,7 +428,7 @@ def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
     broken[0] = 1.0
     streams = [next(cell_streams([(3,)], 2)), (ScriptedUniform(broken), np.random.default_rng(4))]
     with pytest.raises(ValueError) as expected:
-        one_path([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 2, 0.2)
+        one_path([0.0, 0.5, 1.5], [0.1, 0.2, 0.3], 2)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         list(draw_paths(RenewalSpec(), 50, streams))
 
@@ -457,71 +436,62 @@ def test_draw_paths_refuses_a_broken_row_as_sample_path_does():
 GOOD_S, GOOD_T = path_arrays()
 LOCATED = "locations must be finite and strictly increasing from above 0"
 TIMED = "times must be finite and strictly increasing from above 0"
-# (S, T, M, T0, the rule it breaks) of one broken path each.
+# (S, T, M, the rule it breaks) of one broken path each.
 BROKEN_PATHS = (
-    ([0.0, 0.7, 1.2], GOOD_T, 2, 0.5, LOCATED),  # S_1 not above 0
-    ([0.3, 0.3, 1.2], GOOD_T, 2, 0.5, LOCATED),  # S not strictly increasing
-    (GOOD_S, [0.0, 0.5, 0.9], 2, 0.5, TIMED),  # T_1 not above 0
-    (GOOD_S, [0.2, 0.2, 0.9], 2, 0.5, TIMED),  # T not strictly increasing
-    ([0.3, 1.1, 1.2], GOOD_T, 2, 0.5, "require S_M <= 1 < S_{M+1}"),  # S_M > 1
-    ([0.3, 0.7, 1.0], GOOD_T, 2, 0.5, "require S_M <= 1 < S_{M+1}"),  # S_{M+1} = 1
-    (GOOD_S, GOOD_T, 2, 0.4, "require T_M <= T0 < T_{M+1}"),  # T0 < T_M
-    (GOOD_S, GOOD_T, 2, 0.9, "require T_M <= T0 < T_{M+1}"),  # T0 = T_{M+1}
-    ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, 0.3, LOCATED),  # NaN inside S
-    ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 3, 0.3, TIMED),  # NaN inside T
-    ([0.3, 0.7, np.inf], GOOD_T, 2, 0.5, LOCATED),  # S_{M+1} overshoots to +inf
-    (GOOD_S, [0.2, 0.4, np.inf], 2, 0.5, TIMED),  # T_{M+1} overshoots to +inf
-    (GOOD_S[2:], GOOD_T[2:], 0, 0.5, "at least one in-support sample"),
+    ([0.0, 0.7, 1.2], GOOD_T, 2, LOCATED),  # S_1 not above 0
+    ([0.3, 0.3, 1.2], GOOD_T, 2, LOCATED),  # S not strictly increasing
+    (GOOD_S, [0.0, 0.5, 0.9], 2, TIMED),  # T_1 not above 0
+    (GOOD_S, [0.2, 0.2, 0.9], 2, TIMED),  # T not strictly increasing
+    ([0.3, 1.1, 1.2], GOOD_T, 2, "require S_M <= 1 < S_{M+1}"),  # S_M > 1
+    ([0.3, 0.7, 1.0], GOOD_T, 2, "require S_M <= 1 < S_{M+1}"),  # S_{M+1} = 1
+    ([0.1, np.nan, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4], 3, LOCATED),  # NaN inside S
+    ([0.1, 0.5, 0.9, 1.2], [0.1, np.nan, 0.3, 0.4], 3, TIMED),  # NaN inside T
+    ([0.3, 0.7, np.inf], GOOD_T, 2, LOCATED),  # S_{M+1} overshoots to +inf
+    (GOOD_S, [0.2, 0.4, np.inf], 2, TIMED),  # T_{M+1} overshoots to +inf
+    (GOOD_S[2:], GOOD_T[2:], 0, "at least one in-support sample"),
 )
 
 
 def test_sample_path_validation():
-    # A single path is a one-row block: it is kept or refused by the rule it breaks.
-    assert one_path(GOOD_S, GOOD_T, 2, 0.5).M.tolist() == [2]
-    one_path(GOOD_S, GOOD_T, 2, np.float32(0.5))  # any real T0
-    for S, T, m, t0, rule in BROKEN_PATHS:
+    # A single path is a one-row block: it is kept or refused by the rule it
+    # breaks, and its horizon is its last in-support timestamp.
+    path = one_path(GOOD_S, GOOD_T, 2)
+    assert path.M.tolist() == [2] and path.T0.tolist() == [0.5]
+    for S, T, m, rule in BROKEN_PATHS:
         with pytest.raises(ValueError, match=re.escape(rule)):
-            one_path(S, T, m, t0)
-    for t0 in ("0.5", True, 0.5j):
-        with pytest.raises(ValueError, match="T0 must be a real number"):
-            one_path(GOOD_S, GOOD_T, 2, t0)
+            one_path(S, T, m)
 
 
 def test_path_block_refuses_rows_with_sample_path_text():
     # Each broken path is refused in the second row of a block with the
     # text it is refused with alone.
-    for S, T, m, t0, rule in BROKEN_PATHS:
+    for S, T, m, rule in BROKEN_PATHS:
         # The block is wider than the good row; the padding, -1, would break
         # every inequality if it were read.
-        rows = [(GOOD_S, GOOD_T, 2, 0.5), (S, T, m, t0)]
+        rows = [(GOOD_S, GOOD_T, 2), (S, T, m)]
         width = max(len(S), 3) + 1
         block_S, block_T = np.full((2, width), -1.0), np.full((2, width), -1.0)
-        for i, (s, t, _, _) in enumerate(rows):
+        for i, (s, t, _) in enumerate(rows):
             block_S[i, : len(s)], block_T[i, : len(t)] = s, t
         M = np.array([r[2] for r in rows])
-        T0 = np.array([r[3] for r in rows])
         with pytest.raises(ValueError, match=re.escape(rule)):
-            PathBlock(block_S, block_T, M, T0)
-        PathBlock(block_S[:1], block_T[:1], M[:1], T0[:1])  # the good row alone passes
+            PathBlock(block_S, block_T, M)
+        PathBlock(block_S[:1], block_T[:1], M[:1])  # the good row alone passes
     # Malformed arrays are refused by the rule they break: a one-row,
     # three-column block.
-    S, T, M, T0 = GOOD_S[None], GOOD_T[None], np.array([2]), np.array([0.5])
+    S, T, M = GOOD_S[None], GOOD_T[None], np.array([2])
     for block, rule in (
-        ((S, T, np.array([2.0]), T0), "M must be an integer"),
-        ((S, T, np.array([True]), T0), "M must be an integer"),
-        ((S[:, :2], T, M, T0), "S and T must both hold M+1 entries"),
-        ((S, T[:, :2], M, T0), "S and T must both hold M+1 entries"),
-        ((S, T, np.array([3]), T0), "S and T must both hold M+1 entries"),
-        ((S, T, M, np.array([0.5j])), "T0 must be a real number"),
-        ((S, T, M, np.array([True])), "T0 must be a real number"),
-        ((S, T, M, np.array(["0.5"])), "T0 must be a real number"),
-        ((S, T, np.array([2, 2]), T0), "one row of S and T and one M and T0 each"),
-        ((GOOD_S, T, M, T0), "one row of S and T and one M and T0 each"),
-        ((S[None], T[None], M, T0), "one row of S and T and one M and T0 each"),
-        ((S, T, M, np.array([0.5, 0.5])), "one row of S and T and one M and T0 each"),
-        ((S[:0], T[:0], M[:0], T0[:0]), "one or more paths"),
-        ((S, T, [2], T0), "must be numpy arrays"),
-        ((S.astype(complex), T, M, T0), "S and T must be float arrays"),
+        ((S, T, np.array([2.0])), "M must be an integer"),
+        ((S, T, np.array([True])), "M must be an integer"),
+        ((S[:, :2], T, M), "S and T must both hold M+1 entries"),
+        ((S, T[:, :2], M), "S and T must both hold M+1 entries"),
+        ((S, T, np.array([3])), "S and T must both hold M+1 entries"),
+        ((S, T, np.array([2, 2])), "one row of S and T and one M each"),
+        ((GOOD_S, T, M), "one row of S and T and one M each"),
+        ((S[None], T[None], M), "one row of S and T and one M each"),
+        ((S[:0], T[:0], M[:0]), "one or more paths"),
+        ((S, T, [2]), "must be numpy arrays"),
+        ((S.astype(complex), T, M), "S and T must be float arrays"),
     ):
         with pytest.raises(ValueError, match=re.escape(rule)):
             PathBlock(*block)
