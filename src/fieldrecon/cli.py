@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a density sweep from a JSON config file")
     sweep.add_argument("--config", required=True, help="path to the JSON configuration")
     sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
-    sweep.add_argument("--out", default=None, help="override the output directory")
+    sweep.add_argument(
+        "--out", default=None, help="directory for sweep.csv and summary.json; without it nothing is written"
+    )
     sweep.add_argument("--workers", type=int, default=1, help="trial-level process workers (>= 1)")
     sweep.set_defaults(run=_cmd_sweep)
 

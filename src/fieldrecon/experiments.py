@@ -38,8 +38,9 @@ RANDOM_SCENARIO_BAND = 3
 # Trials per task of a sweep: the unit a pool worker takes, and the cells
 # whose generators one hashing pass derives.
 _TRIAL_BLOCK = 16
-# Design floats (M x c per trial) one stack of a task's trials spans at
-# most, unless one trial alone exceeds it (see _run_block).
+# Bound on a stack's readings times the field's unknowns (rows x c): the
+# trials of a task share one stack until the next would pass it, unless one
+# trial alone does (see _run_block).  It sets the stacks, not a matrix size.
 _STACK_ELEMENTS = 2**16
 
 
@@ -54,7 +55,6 @@ class ExperimentConfig:
     renewal: RenewalSpec = RenewalSpec()
     noise: NoiseSpec = NoiseSpec()
     master_seed: int = 0
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str):
@@ -96,10 +96,6 @@ class ExperimentConfig:
             raise ConfigInvalid(f"renewal must be a RenewalSpec, got {self.renewal!r}")
         if not isinstance(self.noise, NoiseSpec):
             raise ConfigInvalid(f"noise must be a NoiseSpec, got {self.noise!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigInvalid(f"output_path must be a string, got {self.output_path!r}")
-        if self.output_path == "":  # Path("") is the working directory
-            raise ConfigInvalid("output_path must not be empty; write '.' for the working directory")
         _parse_scenario_tag(self.scenario)  # raises on malformed tags
 
 
@@ -200,9 +196,9 @@ def _run_block(config: ExperimentConfig, state: FieldState, n: int, trials: rang
     in one pass: keys 0-2 of each cell, or 0-1 without noise to draw
     (NoiseSpec.draws).  The paths are drawn as blocks and read one at a
     time.  Consecutive trials are solved as one stack
-    (estimator.reconstruct_stack) while their designs span at most
-    _STACK_ELEMENTS floats; a stack is solved as soon as the next trial
-    would overflow it, so only one stack's readings are held at a time.
+    (estimator.reconstruct_stack) while their readings times the field's
+    unknowns stay at most _STACK_ELEMENTS; a stack is solved as soon as the
+    next trial would pass it, so only one stack's readings are held at a time.
     """
     cells = ((config.master_seed, n, trial) for trial in trials)
     streams = list(cell_streams(cells, 3 if config.noise.draws else 2))
@@ -314,7 +310,9 @@ def _validate_densities(config: ExperimentConfig, state: FieldState) -> None:
 def run_sweep(
     config: ExperimentConfig, workers: int = 1, out_dir: str | Path | None = None
 ) -> SweepResult:
-    """Full density sweep.
+    """Full density sweep; with ``out_dir``, its sweep.csv and summary.json
+    are written into that directory (made if missing), and without it nothing
+    is written.
 
     Trials that raise RankDeficient (or InsufficientSamples) count as
     rank_failures for their density and are excluded from the means.  With
@@ -347,12 +345,11 @@ def run_sweep(
         for n in config.n_list
         for start in range(0, config.trials, _TRIAL_BLOCK)
     ]
-    target = out_dir if out_dir is not None else config.output_path
-    if target is not None:  # made before any trial runs, so a bad path costs none
+    if out_dir is not None:  # made before any trial runs, so a bad path costs none
         try:
-            Path(target).mkdir(parents=True, exist_ok=True)
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigInvalid(f"cannot create output directory {target}: {exc}") from exc
+            raise ConfigInvalid(f"cannot create output directory {out_dir}: {exc}") from exc
     run_block = functools.partial(_run_block, config, state)
     with _one_blas_thread():
         if workers == 1:
@@ -402,8 +399,8 @@ def run_sweep(
     result = SweepResult(
         rows=tuple(rows), slope=slope, intercept=intercept, trial_records=tuple(records)
     )
-    if target is not None:
-        write_outputs(result, config, target)
+    if out_dir is not None:
+        write_outputs(result, config, out_dir)
     return result
 
 
@@ -448,25 +445,22 @@ _SECTIONS = {
     "renewal": (RenewalSpec, ("family", "lambda", "mu")),
     "noise": (NoiseSpec, ("family", "variance")),
 }
-# Config keys a record may leave out; written only when they differ from
-# their ExperimentConfig default, so adding one changes no existing record.
-_OPTIONAL_KEYS = ("output_path",)
 
 
-def _check_keys(record, keys: Sequence[str], optional: Sequence[str], label: str) -> None:
+def _check_keys(record, keys: Sequence[str], label: str) -> None:
     if not isinstance(record, dict):
         raise ConfigInvalid(f"{label} must be a JSON object")
     unknown = record.keys() - set(keys)
     if unknown:
         raise ConfigInvalid(f"unknown {label} keys: {sorted(unknown)}")
-    missing = set(keys) - set(optional) - record.keys()
+    missing = set(keys) - record.keys()
     if missing:
         raise ConfigInvalid(f"missing {label} keys: {sorted(missing)}")
 
 
 def _read_section(name: str, record):
     spec_type, keys = _SECTIONS[name]
-    _check_keys(record, keys, (), name)
+    _check_keys(record, keys, name)
     try:
         return spec_type(*(record[key] for key in keys))
     except (TypeError, ValueError) as exc:
@@ -482,11 +476,7 @@ def _to_json(value):
 
 
 def config_to_record(config: ExperimentConfig) -> dict:
-    return {
-        f.name: _to_json(getattr(config, f.name))
-        for f in fields(ExperimentConfig)
-        if f.name not in _OPTIONAL_KEYS or getattr(config, f.name) != f.default
-    }
+    return {f.name: _to_json(getattr(config, f.name)) for f in fields(ExperimentConfig)}
 
 
 def pde_from_record(record: dict) -> PdeSpec:
@@ -495,7 +485,7 @@ def pde_from_record(record: dict) -> PdeSpec:
 
 
 def config_from_record(record: dict) -> ExperimentConfig:
-    _check_keys(record, [f.name for f in fields(ExperimentConfig)], _OPTIONAL_KEYS, "config")
+    _check_keys(record, [f.name for f in fields(ExperimentConfig)], "config")
     values = dict(record)
     for name in _SECTIONS:
         if name != "pde" or isinstance(record[name], dict):  # else a catalog index

@@ -417,8 +417,12 @@ class GridTables:
 
 
 def check_horizons(t0s: Sequence[float], grid_count: int) -> np.ndarray:
-    """The horizons as floats; ValueError unless there is one finite t0 for
-    each of ``grid_count`` grids, each a real number by real_number's rule."""
+    """The horizons as floats; ValueError unless ``t0s`` is a list, tuple or
+    1-D array holding one finite t0 for each of ``grid_count`` grids, each a
+    real number by real_number's rule."""
+    # Not a string's characters, and not a bare number.
+    if not (isinstance(t0s, (list, tuple)) or (isinstance(t0s, np.ndarray) and t0s.ndim == 1)):
+        raise ValueError(f"horizons t0s must be a sequence of real numbers, got {t0s!r}")
     t0s = np.array([real_number("a horizon t0", t0) for t0 in t0s])
     if t0s.shape != (grid_count,):
         raise ValueError(f"horizon count {t0s.size} differs from grid count {grid_count}: one t0 per grid")

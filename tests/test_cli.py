@@ -327,16 +327,23 @@ def test_sweep_refuses_workers_below_one(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "override, out", [({}, ["--out", ""]), ({"output_path": ""}, [])], ids=["--out", "output_path"]
-)
-def test_sweep_refuses_empty_output_directory(tmp_path, monkeypatch, capsys, override, out):
+def test_sweep_refuses_empty_output_directory(tmp_path, monkeypatch, capsys):
     # Path("") is the working directory: this sweep once replaced the
     # sweep.csv and summary.json there, with exit 0.
-    config = write_config(tmp_path, **override)
+    config = write_config(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--config", str(config), *out]) == EXIT_CONFIG
+    assert main(["sweep", "--config", str(config), "--out", ""]) == EXIT_CONFIG
     assert_one_line_error(capsys, "config error:")
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_sweep_refuses_an_output_path_key(tmp_path, monkeypatch, capsys):
+    # --out is the one output setting; a config key naming a second one is
+    # unknown, refused before anything is written.
+    config = write_config(tmp_path, output_path="elsewhere")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(config), "--out", "out"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config keys: ['output_path']\n"
     assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 

@@ -674,6 +674,27 @@ def test_horizons_follow_the_real_number_rule(diffusion):
         assert condition_diagnostics(diffusion.roots, 50, t0) == condition_diagnostics(diffusion.roots, 50, 1.0)
 
 
+def test_horizons_must_be_a_sequence(diffusion):
+    # A string was read by its characters (b"1" ran at horizon 49.0), and a
+    # bare number ended in Python's TypeError: each is refused by name.
+    values = np.linspace(0.0, 1.0, 50)
+    for t0s in ("1.0", b"1", bytearray(b"1"), 1.0, np.float64(1.0), np.array(1.0), np.ones((1, 1))):
+        message = f"horizons t0s must be a sequence of real numbers, got {re.escape(repr(t0s))}"
+        with pytest.raises(ValueError, match=message):
+            reconstruct_stack(diffusion.roots, t0s, [values])
+        with pytest.raises(ValueError, match=message):
+            reconstruct_stack(diffusion.roots, t0s, [values[:3]])
+        with pytest.raises(ValueError, match=message):
+            grid_tables(diffusion.roots, [50], t0s)
+    # Tuples, lists and 1-D arrays are horizons, bit for bit alike.
+    (expected,) = reconstruct_stack(diffusion.roots, [1.0], [values])
+    grid = grid_tables(diffusion.roots, [50], [1.0]).materialize()
+    for t0s in ((1.0,), np.array([1.0]), np.array([1.0], dtype=np.float32)):
+        (result,) = reconstruct_stack(diffusion.roots, t0s, [values])
+        assert np.array_equal(result.a_hat, expected.a_hat) and result.kappa == expected.kappa
+        assert np.array_equal(grid_tables(diffusion.roots, [50], t0s).materialize(), grid)
+
+
 def test_insufficient_samples_counts_design_rows(diffusion):
     # M < c is refused, down to the empty grid; from M = c on, the reduced
     # system never has fewer rows than columns, so it cannot refuse.

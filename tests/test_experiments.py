@@ -111,17 +111,13 @@ def test_catalog_scenarios():
 
 
 def test_config_record_roundtrip(tmp_path):
-    config = quick_config(output_path="out")
+    config = quick_config()
     record = config_to_record(config)
     back = config_from_record(record)
     assert back == config
     target = tmp_path / "config.json"
     target.write_text(json.dumps(record))
     assert load_config(target) == config
-    # An optional key at its default stays out of the record, both ways.
-    record = config_to_record(quick_config())
-    assert "output_path" not in record
-    assert config_to_record(config_from_record(record)) == record
 
 
 def test_config_schema_is_complete():
@@ -131,13 +127,11 @@ def test_config_schema_is_complete():
     config = quick_config(pde=PdeSpec((0.0, 1.0), (0.0, 0.0, 0.02)))
     record = config_to_record(config)
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    assert list(record) == [name for name in names if name not in exp._OPTIONAL_KEYS]
+    assert list(record) == names
     assert config_from_record(record) == config
     for name, (spec_type, keys) in exp._SECTIONS.items():
         assert [{"lambda": "lam"}.get(key, key) for key in keys] == [f.name for f in dataclasses.fields(spec_type)]
         assert list(record[name]) == list(keys)
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    assert all(defaults[key] is not dataclasses.MISSING for key in exp._OPTIONAL_KEYS)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
@@ -209,8 +203,6 @@ def test_config_validation_errors():
         {"n_list": 128},
         {"renewal": 5},
         {"noise": "gaussian"},
-        {"output_path": 5},
-        {"output_path": ""},  # Path("") is the working directory
     ):
         with pytest.raises(ConfigInvalid):
             quick_config(**override)
@@ -394,8 +386,8 @@ def test_sweep_refuses_unusable_output_paths(tmp_path, monkeypatch):
 
 
 def test_sweep_writes_outputs(tmp_path):
-    config = quick_config(output_path=str(tmp_path / "out"))
-    result = run_sweep(config)
+    config = quick_config()
+    result = run_sweep(config, out_dir=str(tmp_path / "out"))
     csv_path = tmp_path / "out" / "sweep.csv"
     summary_path = tmp_path / "out" / "summary.json"
     assert csv_path.read_text() == sweep_csv_text(result)
@@ -404,6 +396,19 @@ def test_sweep_writes_outputs(tmp_path):
     assert summary["version"]
     if np.isfinite(result.slope):
         assert summary["slope"] == pytest.approx(result.slope)
+
+
+def test_sweep_summary_does_not_depend_on_out_dir(tmp_path):
+    # out_dir is the one output setting: the summary echoes every config
+    # field, and no path, so two output directories hold the same bytes.
+    config = quick_config()
+    for name in ("a", "b"):
+        run_sweep(config, out_dir=tmp_path / name)
+    summary = (tmp_path / "a" / "summary.json").read_bytes()
+    assert (tmp_path / "b" / "summary.json").read_bytes() == summary
+    echo = json.loads(summary)["config"]
+    assert sorted(echo) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert config_from_record(echo) == config
 
 
 def test_sweep_monotone_trend():
