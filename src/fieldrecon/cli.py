@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigInvalid, DegenerateRoots, InfeasiblePde
-from .experiments import load_config, pde_from_record, read_json, run_sweep
+from .experiments import config_integer, load_config, pde_from_record, read_json, run_sweep
 from .field import CATALOG
 from .oracle import (
     MIN_SCALING_TRIALS,
@@ -27,7 +27,7 @@ from .oracle import (
     grid_deviation_suite,
     ode_equivalence_suite,
 )
-from .pde_core import check_stability
+from .pde_core import MAX_BAND_LIMIT, check_stability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,12 +108,9 @@ def _cmd_verify(args) -> int:
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     # Checked before any suite runs, so bad input does no work.  appendix-b's
     # stream master is seed + 1 and its stream key entries are trial indices.
-    if not 0 <= args.seed < 2**64 - 1:
-        raise ConfigInvalid(f"--seed must lie in [0, 2**64 - 1), got {args.seed}")
-    if "appendix-b" in names and args.trials < MIN_SCALING_TRIALS:
-        raise ConfigInvalid(f"--trials must be at least {MIN_SCALING_TRIALS}")
-    if "appendix-b" in names and args.trials > 2**32:
-        raise ConfigInvalid(f"--trials must be at most 2**32, got {args.trials}")
+    config_integer("--seed", args.seed, 0, 2**64 - 2)
+    if "appendix-b" in names:
+        config_integer("--trials", args.trials, MIN_SCALING_TRIALS, 2**32)
     all_ok = True
     for name in names:
         report: SuiteReport = SUITE_RUNNERS[name](args)
@@ -127,9 +124,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stability(args) -> int:
     spec = pde_from_record(read_json(args.pde))
-    if args.band < 0:
-        raise ConfigInvalid("band limit must be non-negative")
-    report = check_stability(spec, args.band)
+    report = check_stability(spec, config_integer("--band", args.band, 0, MAX_BAND_LIMIT))
     for k in sorted(report.worst_real_parts):
         print(f"k={k:>4}  worst Re(r) = {report.worst_real_parts[k]: .6e}")
     if report.feasible:

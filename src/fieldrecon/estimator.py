@@ -84,18 +84,11 @@ class DesignMatrix:
         return entries
 
 
-def _sample_count(m_count) -> int:
-    """M as an int; ValueError unless it is an integer >= 0."""
-    m_count = integer("the sample count M", m_count)
-    if m_count < 0:
-        raise ValueError(f"the sample count M must be >= 0, got {m_count}")
-    return m_count
-
-
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
-    """The DesignMatrix of M = ``m_count`` readings (_sample_count) up to
+    """The DesignMatrix of M = ``m_count`` readings, an integer >= 0, up to
     horizon ``t0``, whose finiteness is checked when the entries are read."""
-    return DesignMatrix(roots=tuple(roots_per_k), rows=_sample_count(m_count), t0=float(t0))
+    m_count = integer("the sample count M", m_count, 0)
+    return DesignMatrix(roots=tuple(roots_per_k), rows=m_count, t0=float(t0))
 
 
 def _as_values(values) -> np.ndarray:
@@ -228,7 +221,7 @@ def condition_diagnostics(roots: Sequence[HarmonicRoots], m_count: int, t0: floa
     and M is an integer >= 0, whether or not M can determine the design.
     """
     (t0,) = check_horizons([t0], 1).tolist()
-    m_count = _sample_count(m_count)
+    m_count = integer("the sample count M", m_count, 0)
     cols = sum(hr.m for hr in roots)
     if refusal := _insufficient(m_count, cols):
         raise refusal

@@ -62,26 +62,18 @@ class ExperimentConfig:
         n_list = self.n_list.tolist() if isinstance(self.n_list, np.ndarray) else self.n_list
         if not isinstance(n_list, (list, tuple)):  # not a string's characters or a mapping's keys
             raise ConfigInvalid(f"n_list must be a list of integers, got {self.n_list!r}")
-        try:
-            object.__setattr__(self, "n_list", tuple(integer("n_list item", n) for n in n_list))
-            object.__setattr__(self, "trials", integer("trials", self.trials))
-            object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from None
-        if not self.n_list or any(n <= 0 for n in self.n_list):
-            raise ConfigInvalid("n_list must be a non-empty sequence of positive integers")
+        if not n_list:
+            raise ConfigInvalid("n_list must hold at least one density")
+        # Densities and trial indices are stream key entries, which lie below
+        # 2**32, and the master seed is a stream master, below 2**64.
+        object.__setattr__(self, "n_list", tuple(config_integer("n_list item", n, 1, 2**32 - 1) for n in n_list))
+        object.__setattr__(self, "trials", config_integer("trials", self.trials, 1, 2**32))
+        object.__setattr__(self, "master_seed", config_integer("master_seed", self.master_seed, 0, 2**64 - 1))
         if len(set(self.n_list)) != len(self.n_list):
             # A repeated density would rerun its trials on the same seeds and
             # pool both copies into one row, understating its stderr.
             repeated = sorted({n for n in self.n_list if self.n_list.count(n) > 1})
             raise ConfigInvalid(f"n_list repeats densities {repeated}")
-        # Densities and trial indices are stream key entries, which lie below 2**32.
-        if max(self.n_list) >= 2**32:
-            raise ConfigInvalid(f"n_list densities must be below 2**32, got {max(self.n_list)}")
-        if not 1 <= self.trials <= 2**32:
-            raise ConfigInvalid(f"trials must lie in [1, 2**32], got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigInvalid("master_seed must fit an unsigned 64-bit integer")
         if isinstance(self.pde, numbers.Integral) and not isinstance(self.pde, bool):
             # A numpy integer is stored as an int, so resolve_field and the
             # summary echo see a catalog index.
@@ -111,10 +103,16 @@ def _parse_scenario_tag(tag: str) -> int | None:
             raise ConfigInvalid(f"malformed random scenario tag {tag!r}") from exc
         if str(seed) != text:  # int() also reads " 7", "+7", "007", "1_0" and other digits
             raise ConfigInvalid(f"random scenario seed must be written in canonical decimal, got {tag!r}")
-        if not 0 <= seed < 2**64:
-            raise ConfigInvalid("random scenario seed must fit an unsigned 64-bit integer")
-        return seed
+        return config_integer("random scenario seed", seed, 0, 2**64 - 1)
     raise ConfigInvalid(f"unknown scenario {tag!r}")
+
+
+def config_integer(what: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` by pde_core.integer's rule and bounds; its refusal is a ConfigInvalid."""
+    try:
+        return integer(what, value, low, high)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -326,12 +324,7 @@ def run_sweep(
     Trials run on one BLAS thread per process; the caller's thread count is
     restored when the sweep returns or raises.
     """
-    try:
-        workers = integer("workers", workers)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
-    if workers < 1:
-        raise ConfigInvalid(f"workers must be at least 1, got {workers}")
+    workers = config_integer("workers", workers, 1)
     if out_dir == "":  # Path("") is the working directory
         raise ConfigInvalid("output directory must not be empty; write '.' for the working directory")
     state = resolve_field(config)

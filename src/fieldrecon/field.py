@@ -23,11 +23,13 @@ from .pde_core import (
     PdeSpec,
     characteristic_roots,
     check_stability,
+    integer,
     real_number,
     solve_initial_coefficients,
 )
 
-# Grid used to rescale random fields to |g| <= 1; at least 2x Nyquist for b <= 1000.
+# Grid used to rescale random fields to |g| <= 1; at least 2x Nyquist for
+# b <= pde_core.MAX_BAND_LIMIT = 1000.
 NORMALIZATION_GRID = 4096
 # Real fields must not stray further than this from conjugate symmetry (summed
 # over their coefficients, see FieldState.real_coeffs).
@@ -416,12 +418,17 @@ class GridTables:
         return augmented
 
 
+def _is_sequence(items) -> bool:
+    """A list, tuple or 1-D array: not a string's characters, a mapping's
+    keys or a bare number."""
+    return isinstance(items, (list, tuple)) or (isinstance(items, np.ndarray) and items.ndim == 1)
+
+
 def check_horizons(t0s: Sequence[float], grid_count: int) -> np.ndarray:
     """The horizons as floats; ValueError unless ``t0s`` is a list, tuple or
     1-D array holding one finite t0 for each of ``grid_count`` grids, each a
     real number by real_number's rule."""
-    # Not a string's characters, and not a bare number.
-    if not (isinstance(t0s, (list, tuple)) or (isinstance(t0s, np.ndarray) and t0s.ndim == 1)):
+    if not _is_sequence(t0s):
         raise ValueError(f"horizons t0s must be a sequence of real numbers, got {t0s!r}")
     t0s = np.array([real_number("a horizon t0", t0) for t0 in t0s])
     if t0s.shape != (grid_count,):
@@ -447,11 +454,15 @@ def grid_tables(
     never a running product, so rounding does not grow with i.  All grids go
     through one exponentiation.
 
-    ValueError unless there is one finite horizon per grid (check_horizons).
+    ValueError unless ``m_counts`` is a list, tuple or 1-D array of one or
+    more grid sizes, each an integer >= 0 (pde_core.integer), and there is
+    one finite horizon per grid (check_horizons).
     """
+    if not _is_sequence(m_counts) or len(m_counts) == 0:
+        raise ValueError(f"grid sizes m_counts must be a non-empty sequence of integers, got {m_counts!r}")
+    m_counts = np.array([integer("a grid size M", m, 0) for m in m_counts], dtype=np.intp)
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
-    m_counts = np.array(m_counts, dtype=np.intp)
     t0s = check_horizons(t0s, len(m_counts))
     top = int(m_counts.max())
     block = math.isqrt(top * layout.cols) + 1
@@ -537,8 +548,8 @@ def field_from_mode_values(spec: PdeSpec, mode_values: Sequence[complex]) -> Fie
 def random_real_field(b: int, spec: PdeSpec, rng: np.random.Generator) -> FieldState:
     """Random bounded real field: mode values uniform on [-1, 1] per real and
     imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1.
-    check_stability reads the band limit ``b`` first, by pde_core.integer's
-    rule."""
+    check_stability reads the band limit ``b`` first: an integer in
+    [0, MAX_BAND_LIMIT]."""
     report = check_stability(spec, b)
     if not report.feasible:
         raise InfeasiblePde(f"growing modes at k = {report.offending}")

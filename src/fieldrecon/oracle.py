@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
-from .pde_core import HarmonicRoots, PdeSpec, band_limit, integer, real_number, solve_initial_coefficients
+from .pde_core import MAX_BAND_LIMIT, HarmonicRoots, PdeSpec, integer, real_number, solve_initial_coefficients
 from .sampling import PathBlock, RenewalSpec, draw_paths
 from .streams import cell_streams, substream
 
@@ -115,10 +115,10 @@ def bandlimit_preservation_check(
     With all out-of-band initial conditions zero this must be exactly zero:
     each harmonic evolves by a homogeneous linear ODE, so energy can never
     leak across harmonics.  Supplying a nonzero condition (the negative
-    control) must surface as a positive return.  The band limit ``b``
-    follows pde_core.band_limit's rule.
+    control) must surface as a positive return.  The band limit ``b`` is
+    an integer in [0, MAX_BAND_LIMIT], as check_stability reads it.
     """
-    b = band_limit(b)
+    b = integer("band limit b", b, 0, MAX_BAND_LIMIT)
     _, (values,) = integrate_coefficient_ode([_out_of_band(spec, b, conditions)], ORACLE_T_END, ORACLE_DT)
     return float(np.max(np.abs(values)))
 
@@ -145,10 +145,11 @@ def grid_deviation_scaling(
     """Monte Carlo table of (n, n*E[spatial_dev], n*E[temporal_dev]).
 
     If the mean squared grid deviations really fall off like 1/n, both scaled
-    columns sit in a flat band across densities.
+    columns sit in a flat band across densities.  ``trials`` is an integer
+    from MIN_SCALING_TRIALS, for a stable mean, to 2**32, since trial
+    indices are stream key entries.
     """
-    if integer("trials", trials) < MIN_SCALING_TRIALS:
-        raise ValueError(f"at least {MIN_SCALING_TRIALS} trials required for a stable mean")
+    trials = integer("trials", trials, MIN_SCALING_TRIALS, 2**32)
     rows = []
     for n in n_list:
         spatial_sum = temporal_sum = 0.0
@@ -220,8 +221,7 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     Vandermonde solve must return exact zeros; a deliberate out-of-band
     injection must register.  ValueError unless ``instances``, the number
     of random root sets, is an integer >= 1."""
-    if integer("instances", instances) < 1:
-        raise ValueError(f"at least one random root set required, got instances={instances}")
+    instances = integer("instances", instances, 1)
     control = catalog_entry(3)
     # The catalog's leak checks and the negative control share one RK4 run.
     problems = [_out_of_band(entry.spec, entry.b, None) for entry in CATALOG]

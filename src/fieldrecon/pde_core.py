@@ -7,13 +7,10 @@ splits initial conditions across the roots; field.coefficients_at evolves the
 result in closed form.
 
 real_number and integer are the homes of the rules that make a
-user-supplied number a float or an int: the specs here and in sampling, the
-sweep config, the Monte Carlo entry points, the RK4 oracle's step, horizon
-and harmonics, the estimator's horizons (field.check_horizons), the harmonic
-of characteristic_roots, the generator count of streams.cell_streams and,
-through band_limit, the band limit of check_stability,
-field.random_real_field and oracle.bandlimit_preservation_check use what
-they return.
+user-supplied number a float or an int; every number the package takes from
+a caller is read through one of them.  integer also takes the input's
+bounds, so a count, seed, density or band limit out of range is refused in
+one form wherever it enters.
 """
 
 from __future__ import annotations
@@ -33,6 +30,10 @@ from .errors import DegenerateRoots
 DISTINCTNESS_RTOL = 1e-6
 # Admit Re(r) up to this, so exact oscillatory (Re = 0) roots survive rounding.
 STABILITY_TOL = 1e-9
+# Largest band limit b the field model serves: field.NORMALIZATION_GRID
+# resolves fields up to it, and check_stability's work grows with every
+# harmonic past it.
+MAX_BAND_LIMIT = 1000
 
 
 def real_number(what: str, value) -> float:
@@ -47,20 +48,18 @@ def real_number(what: str, value) -> float:
         raise ValueError(f"{what} lies beyond the float range") from None
 
 
-def integer(what: str, value) -> int:
+def integer(what: str, value, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int; ValueError for a bool or a non-integer, which
-    int() would read as 0/1 or truncate (128.9 would run as 128)."""
+    int() would read as 0/1 or truncate (128.9 would run as 128), and for
+    one below ``low`` or above ``high`` (both inclusive; None sets no bound)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def band_limit(b) -> int:
-    """``b`` as a band limit: an int by ``integer``'s rule, and >= 0."""
-    b = integer("band limit b", b)
-    if b < 0:
-        raise ValueError("band limit must be non-negative")
-    return b
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{what} must be at most {high}, got {value}")
+    return value
 
 
 def eval_poly(coeffs: Sequence[float], z: complex) -> complex:
@@ -180,8 +179,9 @@ class StabilityReport:
 
 def check_stability(spec: PdeSpec, b: int) -> StabilityReport:
     """Feasibility gate: every root of every harmonic in [-b, b] must satisfy
-    Re(r) <= STABILITY_TOL.  The band limit ``b`` follows ``band_limit``'s rule."""
-    b = band_limit(b)
+    Re(r) <= STABILITY_TOL.  The band limit ``b`` is an integer in
+    [0, MAX_BAND_LIMIT] (``integer``)."""
+    b = integer("band limit b", b, 0, MAX_BAND_LIMIT)
     worst = {k: characteristic_roots(spec, k).worst_real_part() for k in range(-b, b + 1)}
     offending = tuple(sorted(k for k, w in worst.items() if w > STABILITY_TOL))
     return StabilityReport(worst_real_parts=worst, offending=offending)

@@ -270,9 +270,7 @@ def draw_paths(
     the spatial path, bit for bit.  M is fixed by S_M <= 1 < S_{M+1}, and
     the horizon is T0 = T_M.
     """
-    n = integer("density n", n)
-    if n < 1:
-        raise ValueError(f"density n must be a positive integer, got {n!r}")
+    n = integer("density n", n, 1)
     spec.check_density(n)
     rows = max(1, _BLOCK_ELEMENTS // _chunk(n))
     streams = iter(streams)

@@ -155,9 +155,7 @@ def cell_streams(cells: Iterable[Sequence[int]], count: int) -> Iterator[tuple[G
     read and hashed a block at a time, and a cell's generators are built
     only when it is reached.
     """
-    count = integer("count", count)
-    if count < 1:
-        raise ValueError(f"a cell needs at least one generator, got count={count}")
+    count = integer("count", count, 1)
     make = _generator_factory()
     cells = iter(cells)
     while block := list(itertools.islice(cells, _BLOCK_CELLS)):

@@ -69,6 +69,18 @@ def test_stability_negative_band(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("band, code", [(1000, EXIT_OK), (1001, EXIT_CONFIG), (10**8, EXIT_CONFIG)])
+def test_stability_band_ceiling(tmp_path, capsys, band, code):
+    # b = 10**8 once ran for hours: check_stability took 7 s and 58 MB at b = 10**5.
+    pde = tmp_path / "pde.json"
+    pde.write_text(json.dumps({"p_coeffs": [0.0, 1.0], "q_coeffs": [0.0, 0.0, 0.01]}))
+    assert main(["stability", "--pde", str(pde), "--band", str(band)]) == code
+    if code == EXIT_OK:
+        assert len(capsys.readouterr().out.splitlines()) == 2 * band + 2  # one per harmonic, and the verdict
+    else:
+        assert_one_line_error(capsys, f"config error: --band must be at most 1000, got {band}")
+
+
 def test_sweep_runs_and_writes(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "results"
@@ -211,7 +223,7 @@ def test_sweep_refuses_density_of_2_32(tmp_path, capsys):
     # trials and then ended in a traceback.
     config = write_config(tmp_path, n_list=[64, 2**32])
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert_one_line_error(capsys, "config error: n_list densities must be below 2**32")
+    assert_one_line_error(capsys, "config error: n_list item must be at most 4294967295, got 4294967296")
     assert not (tmp_path / "out").exists()
 
 

@@ -321,7 +321,7 @@ def test_grid_design_layout(diffusion):
     assert np.max(np.abs(design.entries - expected)) < 1e-13
     # M is a count: no fractional or negative grids, no bool, for the design
     # and the diagnostics alike.
-    for m_count, message in ((50.5, "integer"), (True, "integer"), (-3, ">= 0")):
+    for m_count, message in ((50.5, "integer"), (True, "integer"), (-3, "at least 0, got -3")):
         with pytest.raises(ValueError, match=f"sample count M must be.*{message}"):
             build_design_matrix(diffusion.roots, m_count, 0.8)
         with pytest.raises(ValueError, match=f"sample count M must be.*{message}"):

@@ -249,9 +249,9 @@ def test_config_refuses_stream_keys_from_2_32():
     # Densities and trial indices are stream key entries, which lie below
     # 2**32; a density of 2**32 ran every smaller density's trials first,
     # then failed deriving its own streams.
-    with pytest.raises(ConfigInvalid, match=r"densities must be below 2\*\*32"):
+    with pytest.raises(ConfigInvalid, match="n_list item must be at most 4294967295, got 4294967296"):
         quick_config(n_list=(64, 2**32))
-    with pytest.raises(ConfigInvalid, match=r"trials must lie in \[1, 2\*\*32\]"):
+    with pytest.raises(ConfigInvalid, match="trials must be at most 4294967296, got 4294967297"):
         quick_config(trials=2**32 + 1)
     # The largest keys are accepted.  Only the config is built: one path at
     # such a density would take tens of gigabytes.

@@ -192,6 +192,23 @@ def test_grid_basis_matches_basis_matrix(entry, m_count, t0):
     assert np.max(np.abs(grid - expected)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "m_counts", [[], 50, "50", {50: None}, np.array([[50]])], ids=["empty", "bare", "string", "mapping", "2-d"]
+)
+def test_grid_tables_refuses_grid_sizes_that_are_not_a_sequence(m_counts):
+    # An empty list ended in numpy's zero-size maximum error, a bare 50 in
+    # len() of an unsized object.
+    with pytest.raises(ValueError, match="grid sizes m_counts must be a non-empty sequence"):
+        grid_tables(scenario_field("diffusion").roots, m_counts, [1.0])
+
+
+def test_grid_tables_reads_an_array_of_grid_sizes_as_a_list():
+    roots = scenario_field("diffusion").roots
+    tables = grid_tables(roots, np.array([20, 9]), [1.0, 0.5])
+    assert np.array_equal(tables.low, grid_tables(roots, [20, 9], [1.0, 0.5]).low)
+    assert tables.m_counts.tolist() == [20, 9]
+
+
 def test_grid_reduce_needs_one_value_per_row():
     tables = grid_tables(scenario_field("diffusion").roots, [20, 9], [1.0, 0.5])
     assert tables.reduce([np.zeros(20), np.zeros(9)]).shape[0] == 2

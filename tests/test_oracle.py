@@ -177,7 +177,7 @@ def test_bandlimit_check_refuses_a_band_limit_as_check_stability_does():
     for b in (1.5, True, "3", None):
         with pytest.raises(ValueError, match="band limit b must be an integer"):
             bandlimit_preservation_check(spec, b)
-    with pytest.raises(ValueError, match="band limit must be non-negative"):
+    with pytest.raises(ValueError, match="band limit b must be at least 0, got -1"):
         bandlimit_preservation_check(spec, -1)
     assert bandlimit_preservation_check(spec, np.int64(0)) == 0.0
 
@@ -249,7 +249,7 @@ def test_bandlimit_suite_requires_instances():
     # Zero random root sets would pass with nothing checked; a fraction is
     # refused by name, never truncated.
     for instances in (0, -1):
-        with pytest.raises(ValueError, match="at least one random root set"):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
             bandlimit_suite(instances=instances)
     for instances in (2.5, True):
         with pytest.raises(ValueError, match="instances must be an integer"):

@@ -238,7 +238,7 @@ def test_stability_band_limit_follows_the_integer_rule():
             check_stability(spec, b)
     worst = check_stability(spec, np.int64(1)).worst_real_parts  # numpy integers are integers
     assert worst == check_stability(spec, 1).worst_real_parts
-    with pytest.raises(ValueError, match="band limit must be non-negative"):
+    with pytest.raises(ValueError, match="band limit b must be at least 0, got -1"):
         check_stability(spec, -1)
 
 

@@ -1,14 +1,25 @@
-"""The README's library example runs as written, and its sweep configuration
-is a full config that the config writer gives back unchanged."""
+"""The README's library example runs as written, its sweep configuration
+is a full config that the config writer gives back unchanged, and every name
+it writes in call form exists."""
 
+import builtins
 import dataclasses
+import functools
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
+import fieldrecon
 from fieldrecon.experiments import ExperimentConfig, config_from_record, config_to_record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# Model symbols the README writes in call form: the field g(x, t) and the
+# polynomial p(d/dt).
+MATH_SYMBOLS = {"g", "p"}
 
 
 def test_readme_library_example_runs(capsys):
@@ -26,3 +37,30 @@ def test_readme_sweep_configuration_is_a_full_config():
     config = config_from_record(record)
     assert list(record) == [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert config_to_record(config) == record
+
+
+def test_readme_call_names_exist():
+    # A backticked `name(` is a call: it must name an attribute of a
+    # fieldrecon module or class, a numpy name, a builtin or a model symbol,
+    # so a rename or a deletion cannot leave the README stale.
+    names = [info.name for info in pkgutil.iter_modules(fieldrecon.__path__)]
+    modules = [importlib.import_module(f"fieldrecon.{name}") for name in names]
+    classes = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__.startswith("fieldrecon")
+    ]
+    spaces = [*modules, *classes, np, np.random, builtins]
+
+    def exists(name):
+        for space in spaces:
+            try:
+                functools.reduce(getattr, name.split("."), space)
+            except AttributeError:
+                continue
+            return True
+        return False
+
+    calls = set(re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text())) - MATH_SYMBOLS
+    assert sorted(name for name in calls if not exists(name)) == []

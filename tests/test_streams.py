@@ -100,7 +100,7 @@ def test_cell_without_master_is_refused_by_rule():
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_cell_streams_refuses_count_below_one(count):
-    with pytest.raises(ValueError, match="at least one generator"):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         next(cell_streams([(5, 1)], count))
 
 
