@@ -4,7 +4,8 @@ Subcommands: ``sweep`` (density sweep from a JSON config), ``verify``
 (brute-force verification suites), ``stability`` (feasibility report for a
 PDE), ``scenarios`` (catalog listing).
 
-Exit codes: 0 success, 2 configuration error, 3 PDE outside the model (a
+Exit codes: 0 success, 2 configuration error (a malformed argument
+included), 3 PDE outside the model (a
 growing mode, repeated roots or an overflowing characteristic polynomial),
 4 verification-suite failure; ``main`` alone maps raised refusals to them.
 A sweep that runs but measures nothing exits 0 with warnings on stderr.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .errors import ConfigInvalid, DegenerateRoots, InfeasiblePde
 from .experiments import config_integer, load_config, pde_from_record, read_json, run_sweep
@@ -41,8 +41,16 @@ SUITE_RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusal is argparse's error line alone, with
+    no usage lines above it; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fieldrecon",
         description="Simulate, sample, and reconstruct PDE-evolving bandlimited fields.",
     )
@@ -50,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a density sweep from a JSON config file")
     sweep.add_argument("--config", required=True, help="path to the JSON configuration")
-    sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
     sweep.add_argument(
         "--out", default=None, help="directory for sweep.csv and summary.json; without it nothing is written"
     )
@@ -62,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite",
         choices=[*SUITE_RUNNERS, "all"],
         default="all",
-        help="which suite to run (default: all)",
+        help="which suite to run (default: %(default)s)",
     )
     verify.add_argument("--seed", type=int, default=2024)
     verify.add_argument(
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10_000,
         help="appendix-b Monte Carlo size: paths per density of the scaling table "
-        "and paths of the invariant fuzz (default: 10000)",
+        "and paths of the invariant fuzz (default: %(default)s)",
     )
     verify.set_defaults(run=_cmd_verify)
 
@@ -85,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
     result = run_sweep(config, workers=args.workers, out_dir=args.out)
     header = f"{'n':>8} {'mean_distortion':>16} {'stderr':>12} {'mean_M':>10} {'mean_kappa':>12} {'rank_fail':>9}"
     print(header)

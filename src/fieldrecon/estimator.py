@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamples, RankDeficient
-from .field import check_horizons, conjugate_layout, grid_tables
+from .field import MAX_GRID_SIZE, check_horizons, conjugate_layout, grid_tables
 from .pde_core import HarmonicRoots, integer
 
 # Singular values at or below this fraction of the largest are treated as zero
@@ -85,9 +85,10 @@ class DesignMatrix:
 
 
 def build_design_matrix(roots_per_k: Sequence[HarmonicRoots], m_count: int, t0: float) -> DesignMatrix:
-    """The DesignMatrix of M = ``m_count`` readings, an integer >= 0, up to
-    horizon ``t0``, whose finiteness is checked when the entries are read."""
-    m_count = integer("the sample count M", m_count, 0)
+    """The DesignMatrix of M = ``m_count`` readings, an integer in
+    [0, MAX_GRID_SIZE], up to horizon ``t0``, whose finiteness is checked
+    when the entries are read."""
+    m_count = integer("the sample count M", m_count, 0, MAX_GRID_SIZE)
     return DesignMatrix(roots=tuple(roots_per_k), rows=m_count, t0=float(t0))
 
 
@@ -218,10 +219,11 @@ def condition_diagnostics(roots: Sequence[HarmonicRoots], m_count: int, t0: floa
     Both inequalities provably hold for full-rank uniform-grid matrices with a
     horizon at most about the unit span; a failure flags a numerical problem,
     not physics.  ValueError unless t0 is a finite horizon (field.check_horizons)
-    and M is an integer >= 0, whether or not M can determine the design.
+    and M is an integer in [0, MAX_GRID_SIZE], whether or not M can
+    determine the design.
     """
     (t0,) = check_horizons([t0], 1).tolist()
-    m_count = integer("the sample count M", m_count, 0)
+    m_count = integer("the sample count M", m_count, 0, MAX_GRID_SIZE)
     cols = sum(hr.m for hr in roots)
     if refusal := _insufficient(m_count, cols):
         raise refusal

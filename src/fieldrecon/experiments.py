@@ -46,15 +46,16 @@ _STACK_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; pure data, safe to echo into result files."""
+    """Everything a sweep needs; pure data, safe to echo into result files.
+    No field has a default, as no key of a config record may be left out."""
 
     scenario: str
     pde: PdeSpec | int
     n_list: tuple[int, ...]
     trials: int
-    renewal: RenewalSpec = RenewalSpec()
-    noise: NoiseSpec = NoiseSpec()
-    master_seed: int = 0
+    renewal: RenewalSpec
+    noise: NoiseSpec
+    master_seed: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str):

@@ -38,8 +38,13 @@ REAL_GUARD_TOL = 1e-9
 # (112 KiB) on the catalog's second-order fields, so a block and its
 # temporaries fit in cache and stay under glibc's default 128 KiB mmap
 # threshold, which keeps them on the heap instead of mapping fresh pages.
+# random_real_field also evaluates its normalization grid in such blocks.
 ROW_BLOCK = 1024
 SQRT2 = np.sqrt(2.0)
+# Largest grid size M (readings on one path) that grid_tables and the
+# estimator take, the density ceiling of a sweep config.  Past it numpy
+# cannot hold a size (2**63), or one grid's tables take hundreds of MB.
+MAX_GRID_SIZE = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -455,12 +460,12 @@ def grid_tables(
     through one exponentiation.
 
     ValueError unless ``m_counts`` is a list, tuple or 1-D array of one or
-    more grid sizes, each an integer >= 0 (pde_core.integer), and there is
-    one finite horizon per grid (check_horizons).
+    more grid sizes, each an integer in [0, MAX_GRID_SIZE] (pde_core.integer),
+    and there is one finite horizon per grid (check_horizons).
     """
     if not _is_sequence(m_counts) or len(m_counts) == 0:
         raise ValueError(f"grid sizes m_counts must be a non-empty sequence of integers, got {m_counts!r}")
-    m_counts = np.array([integer("a grid size M", m, 0) for m in m_counts], dtype=np.intp)
+    m_counts = np.array([integer("a grid size M", m, 0, MAX_GRID_SIZE) for m in m_counts], dtype=np.intp)
     layout = conjugate_layout(tuple(roots_per_k))
     n_pair = 2 * len(layout.pairs)
     t0s = check_horizons(t0s, len(m_counts))
@@ -547,9 +552,10 @@ def field_from_mode_values(spec: PdeSpec, mode_values: Sequence[complex]) -> Fie
 
 def random_real_field(b: int, spec: PdeSpec, rng: np.random.Generator) -> FieldState:
     """Random bounded real field: mode values uniform on [-1, 1] per real and
-    imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1.
-    check_stability reads the band limit ``b`` first: an integer in
-    [0, MAX_BAND_LIMIT]."""
+    imaginary part, conjugate-mirrored, then rescaled so max |g(x, 0)| = 1
+    on the NORMALIZATION_GRID, evaluated ROW_BLOCK points at a time so that
+    no grid-sized phase matrix is held.  check_stability reads the band
+    limit ``b`` first: an integer in [0, MAX_BAND_LIMIT]."""
     report = check_stability(spec, b)
     if not report.feasible:
         raise InfeasiblePde(f"growing modes at k = {report.offending}")
@@ -558,7 +564,10 @@ def random_real_field(b: int, spec: PdeSpec, rng: np.random.Generator) -> FieldS
     im[0] = 0.0
     state = field_from_mode_values(spec, re + 1j * im)
     xs = np.arange(NORMALIZATION_GRID) / NORMALIZATION_GRID
-    peak = float(np.max(np.abs(evaluate(state, xs, 0.0))))
+    peak = max(
+        float(np.max(np.abs(evaluate(state, xs[start : start + ROW_BLOCK], 0.0))))
+        for start in range(0, NORMALIZATION_GRID, ROW_BLOCK)
+    )
     if peak > 0.0:
         state = FieldState(spec, state.coeffs / peak)
     return state

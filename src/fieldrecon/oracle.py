@@ -98,25 +98,23 @@ ORACLE_DT = 1e-3
 ORACLE_T_END = 1.0
 
 
-def _out_of_band(spec: PdeSpec, b: int, conditions: Mapping[int, Sequence[complex]] | None) -> OdeProblem:
+def _out_of_band(spec: PdeSpec, b: int, conditions: Mapping[int, Sequence[complex]]) -> OdeProblem:
     """The harmonics b < |k| <= 2b + 4, each at zero unless ``conditions``
     gives its initial value and temporal derivatives."""
     zero = np.zeros(spec.degree)
     ks = [signed for k in range(b + 1, 2 * b + 5) for signed in (k, -k)]
-    return spec, ks, [np.asarray((conditions or {}).get(k, zero), dtype=complex) for k in ks]
+    return spec, ks, [np.asarray(conditions.get(k, zero), dtype=complex) for k in ks]
 
 
-def bandlimit_preservation_check(
-    spec: PdeSpec, b: int, conditions: Mapping[int, Sequence[complex]] | None = None
-) -> float:
+def bandlimit_preservation_check(spec: PdeSpec, b: int, conditions: Mapping[int, Sequence[complex]]) -> float:
     """Largest |a_k(t)| over [0, ORACLE_T_END] on any out-of-band harmonic
     b < |k| <= 2b + 4.
 
-    With all out-of-band initial conditions zero this must be exactly zero:
-    each harmonic evolves by a homogeneous linear ODE, so energy can never
-    leak across harmonics.  Supplying a nonzero condition (the negative
-    control) must surface as a positive return.  The band limit ``b`` is
-    an integer in [0, MAX_BAND_LIMIT], as check_stability reads it.
+    With ``conditions`` empty this must be exactly zero: each harmonic
+    evolves by a homogeneous linear ODE, so energy can never leak across
+    harmonics.  Supplying a nonzero condition (the negative control) must
+    surface as a positive return.  The band limit ``b`` is an integer in
+    [0, MAX_BAND_LIMIT], as check_stability reads it.
     """
     b = integer("band limit b", b, 0, MAX_BAND_LIMIT)
     _, (values,) = integrate_coefficient_ode([_out_of_band(spec, b, conditions)], ORACLE_T_END, ORACLE_DT)
@@ -181,7 +179,7 @@ class SuiteReport:
     lines: tuple[str, ...]
 
 
-def _report(checks: Sequence[tuple[str, bool]], head: Sequence[str] = ()) -> SuiteReport:
+def _report(checks: Sequence[tuple[str, bool]], head: Sequence[str]) -> SuiteReport:
     """The ``head`` lines, then one verdict line per (text, ok) check; the
     suite passes when every check does."""
     lines = [*head, *(f"{text} -> {'ok' if ok else 'FAIL'}" for text, ok in checks)]
@@ -213,18 +211,20 @@ def ode_equivalence_suite() -> SuiteReport:
     ratio = worst[dt] / worst[dt / 2] if worst[dt / 2] > 0 else float("inf")
     ratio_ok = 8.0 <= ratio <= 32.0
     checks.append((f"step halving error ratio = {ratio:.2f} (expect ~16, accept [8, 32])", ratio_ok))
-    return _report(checks)
+    return _report(checks, head=())
 
 
-def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
+# Random root sets on which bandlimit_suite checks the zero-condition solve.
+ROOT_SET_COUNT = 100
+
+
+def bandlimit_suite(seed: int) -> SuiteReport:
     """Out-of-band harmonics must stay exactly silent; the zero-condition
-    Vandermonde solve must return exact zeros; a deliberate out-of-band
-    injection must register.  ValueError unless ``instances``, the number
-    of random root sets, is an integer >= 1."""
-    instances = integer("instances", instances, 1)
+    Vandermonde solve must return exact zeros on ROOT_SET_COUNT random root
+    sets drawn from ``seed``; a deliberate out-of-band injection must register."""
     control = catalog_entry(3)
     # The catalog's leak checks and the negative control share one RK4 run.
-    problems = [_out_of_band(entry.spec, entry.b, None) for entry in CATALOG]
+    problems = [_out_of_band(entry.spec, entry.b, {}) for entry in CATALOG]
     problems.append(_out_of_band(control.spec, control.b, {5: [1.0]}))
     _, runs = integrate_coefficient_ode(problems, ORACLE_T_END, ORACLE_DT)
     *leaks, injected = [float(np.max(np.abs(values))) for values in runs]
@@ -234,7 +234,7 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
     ]
     rng = substream(seed, 0)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(ROOT_SET_COUNT):
         m = int(rng.integers(2, 5))
         while True:
             roots = tuple(map(complex, -np.abs(rng.uniform(0.05, 5.0, m)), rng.uniform(-5.0, 5.0, m)))
@@ -243,10 +243,10 @@ def bandlimit_suite(seed: int = 2024, instances: int = 100) -> SuiteReport:
                 break
         solved = solve_initial_coefficients(HarmonicRoots(k=0, roots=roots), np.zeros(m, dtype=complex))
         worst = max(worst, float(np.max(np.abs(solved))))
-    text = f"zero conditions -> zero coefficients on {instances} random root sets (max |a| = {worst:.3e})"
+    text = f"zero conditions -> zero coefficients on {ROOT_SET_COUNT} random root sets (max |a| = {worst:.3e})"
     checks.append((text, worst < 1e-14))
     checks.append((f"negative control (injected out-of-band energy) = {injected:.3e} > 0", injected > 0.0))
-    return _report(checks)
+    return _report(checks, head=())
 
 
 def _invariant_violations(spec: RenewalSpec, n: int, block: PathBlock) -> int:
@@ -291,7 +291,7 @@ def _fuzz_path_invariants(seed: int, count: int) -> tuple[int, int]:
     return checked, violations
 
 
-def grid_deviation_suite(seed: int = 2024, trials: int = 10_000) -> SuiteReport:
+def grid_deviation_suite(seed: int, trials: int) -> SuiteReport:
     """Scaled grid deviations must sit in a flat band, and the per-draw
     inequalities must never fail; ``trials`` paths per density, and as many
     fuzzed paths."""

@@ -117,7 +117,7 @@ def test_criterion_04_ode_oracle_equivalence():
 
 
 def test_criterion_05_bandlimit_preservation():
-    leaks = [bandlimit_preservation_check(catalog_entry(i).spec, b=3) for i, _ in SCENARIOS]
+    leaks = [bandlimit_preservation_check(catalog_entry(i).spec, 3, {}) for i, _ in SCENARIOS]
     rng = substream(ACCEPTANCE_SEED, 5)
     worst_zero_map = 0.0
     for _ in range(100):
@@ -132,7 +132,7 @@ def test_criterion_05_bandlimit_preservation():
         )
         solved = solve_initial_coefficients(hr, np.zeros(m, dtype=complex))
         worst_zero_map = max(worst_zero_map, float(np.max(np.abs(solved))))
-    control = bandlimit_preservation_check(catalog_entry(3).spec, b=3, conditions={5: [1.0]})
+    control = bandlimit_preservation_check(catalog_entry(3).spec, 3, {5: [1.0]})
     ok = max(leaks) < 1e-12 and worst_zero_map < 1e-14 and control > 0.0
     report(
         5,

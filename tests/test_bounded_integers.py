@@ -1,7 +1,8 @@
 """Every integer the package takes from a caller is read by
 ``pde_core.integer``'s rule and bounds.  At each entry point a bool, a float
 and a value one step past a bound are refused, by a message that names the
-input; a numpy integer at each bound is accepted."""
+input; a numpy integer at each bound is accepted, at the upper one where a
+call there fits in memory."""
 
 import contextlib
 import io
@@ -16,16 +17,15 @@ from fieldrecon.cli import EXIT_CONFIG, main
 from fieldrecon.errors import ConfigInvalid, FieldReconError
 from fieldrecon.estimator import build_design_matrix, condition_diagnostics
 from fieldrecon.experiments import ExperimentConfig, run_sweep
-from fieldrecon.field import catalog_entry, grid_tables, scenario_field
+from fieldrecon.field import MAX_GRID_SIZE, catalog_entry, grid_tables, scenario_field
 from fieldrecon.oracle import (
     MIN_SCALING_TRIALS,
     SuiteReport,
     bandlimit_preservation_check,
-    bandlimit_suite,
     grid_deviation_scaling,
 )
 from fieldrecon.pde_core import MAX_BAND_LIMIT, check_stability
-from fieldrecon.sampling import RenewalSpec, draw_paths
+from fieldrecon.sampling import NoiseSpec, RenewalSpec, draw_paths
 from fieldrecon.streams import cell_streams
 
 DIFFUSION = catalog_entry(3).spec
@@ -33,7 +33,16 @@ ROOTS = scenario_field("diffusion").roots
 
 
 def config(**overrides) -> ExperimentConfig:
-    fields = {"scenario": "diffusion", "pde": 3, "n_list": (64,), "trials": 1, **overrides}
+    fields = {
+        "scenario": "diffusion",
+        "pde": 3,
+        "n_list": (64,),
+        "trials": 1,
+        "renewal": RenewalSpec(),
+        "noise": NoiseSpec(),
+        "master_seed": 0,
+        **overrides,
+    }
     return ExperimentConfig(**fields)
 
 
@@ -56,16 +65,21 @@ class Case(NamedTuple):
     call: Callable[[object], object]
     low: int
     high: int | None
+    call_at_high: bool = True  # whether a numpy integer at ``high`` is tried
 
 
 CASES = {
     "check_stability": Case("band limit b", lambda b: check_stability(DIFFUSION, b), 0, MAX_BAND_LIMIT),
     "bandlimit_preservation_check": Case(
-        "band limit b", lambda b: bandlimit_preservation_check(DIFFUSION, b), 0, MAX_BAND_LIMIT
+        "band limit b", lambda b: bandlimit_preservation_check(DIFFUSION, b, {}), 0, MAX_BAND_LIMIT
     ),
-    "build_design_matrix": Case("sample count M", lambda m: build_design_matrix(ROOTS, m, 1.0), 0, None),
-    "condition_diagnostics": Case("sample count M", lambda m: condition_diagnostics(ROOTS, m, 1.0), 0, None),
-    "grid_tables": Case("grid size M", lambda m: grid_tables(ROOTS, [m], [1.0]), 0, None),
+    "build_design_matrix": Case("sample count M", lambda m: build_design_matrix(ROOTS, m, 1.0), 0, MAX_GRID_SIZE),
+    # It allocates M zero readings, so it is called at its low bound only.
+    "condition_diagnostics": Case(
+        "sample count M", lambda m: condition_diagnostics(ROOTS, m, 1.0), 0, MAX_GRID_SIZE, call_at_high=False
+    ),
+    # Unbounded, a size of 2**63 ended in numpy's OverflowError and 2**40 took 516 MB.
+    "grid_tables": Case("grid size M", lambda m: grid_tables(ROOTS, [m], [1.0]), 0, MAX_GRID_SIZE),
     "config-n_list": Case("n_list item", lambda n: config(n_list=(n,)), 1, 2**32 - 1),
     "config-trials": Case("trials", lambda t: config(trials=t), 1, 2**32),
     "config-master_seed": Case("master_seed", lambda s: config(master_seed=s), 0, 2**64 - 1),
@@ -73,7 +87,6 @@ CASES = {
     "run_sweep-workers": Case("workers", lambda w: run_sweep(config(), workers=w), 1, None),
     "draw_paths": Case("density n", lambda n: draw_paths(RenewalSpec("deterministic"), n, []), 1, None),
     "cell_streams": Case("count", lambda count: next(cell_streams([(0, 1)], count)), 1, None),
-    "bandlimit_suite": Case("instances", lambda i: bandlimit_suite(instances=i), 1, None),
     "grid_deviation_scaling": Case(
         "trials", lambda t: grid_deviation_scaling(RenewalSpec(), (), t, 0), MIN_SCALING_TRIALS, 2**32
     ),
@@ -112,7 +125,7 @@ def test_integer_input_is_read_within_its_bounds(case):
         with pytest.raises((ValueError, ConfigInvalid)) as refusal:
             case.call(value)
         assert case.name in str(refusal.value), (value, refusal.value)
-    for bound in [case.low] + ([] if case.high is None else [case.high]):
+    for bound in [case.low] + ([case.high] if case.high is not None and case.call_at_high else []):
         try:
             case.call(numpy_integer(bound))
         except FieldReconError as exc:  # refused on other grounds, e.g. too few samples

@@ -91,17 +91,6 @@ def test_sweep_runs_and_writes(tmp_path, capsys):
     assert "log-log slope" in capsys.readouterr().out
 
 
-def test_sweep_seed_override(tmp_path):
-    config = write_config(tmp_path)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    main(["sweep", "--config", str(config), "--out", str(out_a), "--seed", "123"])
-    main(["sweep", "--config", str(config), "--out", str(out_b), "--seed", "123"])
-    assert (out_a / "sweep.csv").read_text() == (out_b / "sweep.csv").read_text()
-    summary = json.loads((out_a / "summary.json").read_text())
-    assert summary["config"]["master_seed"] == 123
-
-
 def test_sweep_config_error(tmp_path, capsys):
     config = write_config(tmp_path, unexpected=1)
     assert main(["sweep", "--config", str(config)]) == EXIT_CONFIG
@@ -132,6 +121,33 @@ def test_sweep_warns_when_every_trial_is_refused(tmp_path, capsys):
         "warning: no slope fitted: fewer than two densities have a positive mean",
     ]
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (
+            ["sweep", "--config", "{config}", "--workers", "abc"],
+            "fieldrecon sweep: error: argument --workers: invalid int value: 'abc'",
+        ),
+        (["verify", "--bogus"], "fieldrecon: error: unrecognized arguments: --bogus"),
+        (["sweep"], "fieldrecon sweep: error: the following arguments are required: --config"),
+        ([], "fieldrecon: error: the following arguments are required: command"),
+        # master_seed is a sweep's one seed: there is no flag to override it.
+        (["sweep", "--config", "{config}", "--seed", "5"], "fieldrecon: error: unrecognized arguments: --seed 5"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-config", "no-subcommand", "sweep-seed"],
+)
+def test_argument_error_is_one_line(tmp_path, monkeypatch, capsys, args, error):
+    # argparse's usage lines once came first; no trial runs on a refused argument.
+    tasks = []
+    monkeypatch.setattr(experiments, "_run_block", lambda *block: tasks.append(block))
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as refusal:
+        main([arg.format(config=config) for arg in args])
+    assert refusal.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err == error + "\n"
+    assert tasks == []
 
 
 def test_sweep_infeasible(tmp_path):

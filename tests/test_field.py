@@ -1,5 +1,6 @@
 import cmath
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fieldrecon.errors import DegenerateRoots, InfeasiblePde, UnknownScenario
 from fieldrecon.field import (
     CATALOG,
+    NORMALIZATION_GRID,
     REAL_GUARD_TOL,
     ROW_BLOCK,
     FieldState,
@@ -400,6 +402,36 @@ def test_random_field_deterministic():
     b = random_real_field(3, catalog_entry(2).spec, np.random.default_rng(123))
     assert np.array_equal(a.coeffs, b.coeffs)
     assert a.roots == b.roots
+
+
+@pytest.mark.parametrize("b", [0, 3, 50])
+def test_random_field_normalizes_as_on_the_whole_grid(b):
+    # The peak is taken over row blocks of the normalization grid; every
+    # coefficient is byte-equal to a normalization on the whole grid at once.
+    spec = catalog_entry(1).spec
+    xs = np.arange(NORMALIZATION_GRID) / NORMALIZATION_GRID
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        re, im = rng.uniform(-1.0, 1.0, size=b + 1), rng.uniform(-1.0, 1.0, size=b + 1)
+        im[0] = 0.0
+        state = field_from_mode_values(spec, re + 1j * im)
+        whole = state.coeffs / float(np.max(np.abs(evaluate(state, xs, 0.0))))
+        blocked = random_real_field(b, spec, np.random.default_rng(seed)).coeffs
+        assert blocked.tobytes() == whole.tobytes(), (b, seed)
+
+
+def test_random_field_normalization_memory():
+    # At b = 300 the whole-grid phase matrix put tracemalloc's peak at 76 MB;
+    # row blocks hold a quarter of it (about 20 MB).
+    spec = catalog_entry(3).spec
+    check_stability(spec, 300)  # the roots are cached before the count starts
+    tracemalloc.start()
+    try:
+        random_real_field(300, spec, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_random_field_infeasible():

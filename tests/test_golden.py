@@ -10,11 +10,11 @@ which the per-density means could hide.  ``tests/golden/verify/<name>.txt``
 holds the stdout of ``fieldrecon verify`` with the arguments listed beside
 it, at the default seed.  The appendix-b report is pinned whole at 500
 trials; its 10 000-trial scaled-deviation table is left to acceptance
-criterion 6, which byte-compares it with ``appendix-b-table.txt``.  ``ode-suite.txt`` and
-``appendix-a-suite-30.txt`` hold the report lines of
-``ode_equivalence_suite()`` and ``bandlimit_suite(instances=30)``, which
-``tests/test_oracle.py`` compares in its suite tests.  Any change to a golden
-file must be explained in CHANGES.md.
+criterion 6, which byte-compares it with ``appendix-b-table.txt``.
+``tests/test_oracle.py`` reads ``ode.txt`` and ``appendix-a.txt`` without
+their ``[PASS] suite`` header and two-space indent as the report lines of
+``ode_equivalence_suite()`` and ``bandlimit_suite(2024)``.  Any change to a
+golden file must be explained in CHANGES.md.
 """
 
 import json

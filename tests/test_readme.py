@@ -1,7 +1,9 @@
 """The README's library example runs as written, its sweep configuration
-is a full config that the config writer gives back unchanged, and every name
-it writes in call form exists."""
+is a full config that the config writer gives back unchanged, every name
+it writes in call form exists, and its CLI synopsis lists each subcommand's
+flags as the parser defines them."""
 
+import argparse
 import builtins
 import dataclasses
 import functools
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import fieldrecon
+from fieldrecon import cli
 from fieldrecon.experiments import ExperimentConfig, config_from_record, config_to_record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,3 +67,21 @@ def test_readme_call_names_exist():
 
     calls = set(re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text())) - MATH_SYMBOLS
     assert sorted(name for name in calls if not exists(name)) == []
+
+
+def test_readme_cli_synopsis_lists_the_parser_flags():
+    # A flag removed from the parser cannot stay documented, nor a new one
+    # go undocumented.
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    documented = {}
+    for line in block.splitlines():
+        command, *words = line.split("#", 1)[0].split()
+        assert command == "fieldrecon", line
+        documented[words[0]] = set(re.findall(r"--[\w-]+", " ".join(words[1:])))
+    (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in subcommands.choices.items()
+    }
+    assert documented == defined

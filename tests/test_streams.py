@@ -184,8 +184,8 @@ def test_import_leaves_module_unloaded(module):
 def test_sequential_sweep_and_verify_leave_multiprocessing_unloaded():
     code = (
         "import sys\n"
-        "from fieldrecon import ExperimentConfig, cli, run_sweep\n"
-        "run_sweep(ExperimentConfig('diffusion', 3, (64, 128), 2), workers=1)\n"
+        "from fieldrecon import ExperimentConfig, NoiseSpec, RenewalSpec, cli, run_sweep\n"
+        "run_sweep(ExperimentConfig('diffusion', 3, (64, 128), 2, RenewalSpec(), NoiseSpec(), 0), workers=1)\n"
         "assert cli.main(['verify', '--suite', 'ode']) == 0\n"
         "print('multiprocessing' in sys.modules)"
     )
