@@ -4,8 +4,12 @@ The readings g_s arrive as a bare real vector (sampling.sample_field); the
 estimator never sees where or when they were taken.  It pretends they lie on
 the uniform grid (i/M, i*T0/M) and solves min_a ||g_s - Y0 a||^2 over the
 stacked modal coefficients.  Y0 is known from (M, T0) alone.  The estimator
-only solves: it returns the estimate and its design's kappa, never receives
-the true field, and leaves all scoring to the sweep harness (experiments).
+only solves: it returns the estimated field, the mode values a_k(0) for
+k = -b..b that distortion scores by Parseval, beside the stacked
+coefficients they come from and its design's kappa.  It never receives the
+true field and leaves all scoring to the sweep harness (experiments).  It is
+the one home of the map from its solution to mode values: each harmonic's
+m coefficients summed, in root order.
 
 It works in real arithmetic.  The readings are real, and the complex columns
 of Y0 come in conjugate pairs, (k, r) and (-k, conj r) because p and q have
@@ -135,16 +139,19 @@ def _rank_refusal(largest: float, smallest: float) -> RankDeficient | None:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Stacked complex estimate and the design's kappa."""
+    """Stacked complex coefficients, the mode values a_k(0) for k = -b..b
+    they give (the field estimate), and the design's kappa."""
 
     a_hat: np.ndarray
+    modes: np.ndarray
     kappa: float
 
 
 def reconstruct(roots_per_k: Sequence[HarmonicRoots], t0: float, values) -> ReconstructionResult:
     """Full estimation pass on the uniform grid (i/M, i*t0/M) of M = len(values)
     readings: the rank-gated minimiser a_hat of ||values - Y0 a||^2 as stacked
-    complex coefficients, and kappa = (sigma_max / sigma_min)^2.
+    complex coefficients, its mode values at t = 0, and
+    kappa = (sigma_max / sigma_min)^2.
 
     The one-member case of reconstruct_stack: its outcome, returned or raised.
     """
@@ -181,9 +188,10 @@ def reconstruct_stack(
         return short
     solution, singular, refusals = _solve(grid_tables(roots, m_counts, t0s).reduce(values))
     a_hat = conjugate_layout(roots).to_complex(solution)
+    modes = a_hat.reshape(len(a_hat), len(roots), -1).sum(axis=2)
     return [
-        too_few or refusal or ReconstructionResult(a_hat=est, kappa=(s[0] / s[-1]) ** 2)
-        for est, s, too_few, refusal in zip(a_hat, singular.tolist(), short, refusals)
+        too_few or refusal or ReconstructionResult(a_hat=est, modes=mode, kappa=(s[0] / s[-1]) ** 2)
+        for est, mode, s, too_few, refusal in zip(a_hat, modes, singular.tolist(), short, refusals)
     ]
 
 

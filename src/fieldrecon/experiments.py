@@ -221,18 +221,16 @@ def _solve_stack(
     state: FieldState, true_k0: np.ndarray, n: int, stack: Sequence[tuple[int, float, np.ndarray]]
 ) -> list[TrialRecord]:
     """Reconstruct one stack of (trial, T0, readings) and score its solved
-    members in one pass: the mode values at t = 0 (each harmonic's
-    coefficients summed) against ``true_k0``, and the coefficients against
-    the state's.  A refused member's scores stay NaN."""
+    members in one pass: each estimate's mode values at t = 0 against
+    ``true_k0``, and its coefficients against the state's.  A refused
+    member's scores stay NaN."""
     trials, t0s, values = zip(*stack)
     outcomes = reconstruct_stack(state.roots, t0s, values)
     solved = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ReconstructionResult)]
     scores = np.full((len(outcomes), 3), np.nan)  # distortion, coeff_error_sq, kappa
     if solved:
-        a_hat = np.array([outcomes[i].a_hat for i in solved])
-        modes = a_hat.reshape(len(solved), len(state.roots), -1).sum(axis=2)
-        scores[solved, 0] = distortion(modes, true_k0)
-        scores[solved, 1] = distortion(a_hat, state.flat_coeffs())
+        scores[solved, 0] = distortion(np.array([outcomes[i].modes for i in solved]), true_k0)
+        scores[solved, 1] = distortion(np.array([outcomes[i].a_hat for i in solved]), state.flat_coeffs())
         scores[solved, 2] = [outcomes[i].kappa for i in solved]
     return [
         TrialRecord(n, trial, isinstance(outcome, ReconstructionResult), *score, len(v), t0)

@@ -90,12 +90,18 @@ CATALOG: tuple[CatalogEntry, ...] = (
 
 
 def catalog_entry(key: int | str) -> CatalogEntry:
-    """The catalog row with PDE index or coefficient-set id ``key``."""
-    # A bool compares equal to 0 or 1 but names no catalog row.
-    if not isinstance(key, bool):
-        for entry in CATALOG:
-            if key in (entry.index, entry.set_id):
-                return entry
+    """The catalog row with PDE index or coefficient-set id ``key``.  A key
+    that is not a string is an index by pde_core.integer's rule: a bool, a
+    float or a complex number names no row, though 1.0 or True equals 1."""
+    index = key
+    if not isinstance(key, str):
+        try:
+            index = integer("a catalog index", key)
+        except ValueError:
+            index = None
+    for entry in CATALOG:
+        if index in (entry.index, entry.set_id):
+            return entry
     raise UnknownScenario(f"no catalog entry {key!r}")
 
 
@@ -271,9 +277,12 @@ class ConjugateLayout:
 def conjugate_layout(roots_per_k: tuple[HarmonicRoots, ...]) -> ConjugateLayout:
     """The conjugate layout of ``roots_per_k``, matched by nearest conjugate root.
 
-    Raises ValueError unless every root of harmonic k has a conjugate partner
-    at -k closer than half the distinctness gap, one-to-one.
+    Raises ValueError for an empty tuple, and unless every root of harmonic
+    k has a conjugate partner at -k closer than half the distinctness gap,
+    one-to-one.
     """
+    if not roots_per_k:
+        raise ValueError("the root tuple is empty: a field has at least the harmonic k = 0")
     m = roots_per_k[0].m
     if any(hr.m != m for hr in roots_per_k):
         raise ValueError("all harmonics must carry the same number of roots")

@@ -190,7 +190,7 @@ def _at_rest(state: FieldState) -> OdeProblem:
     """Every harmonic of ``state`` starting at rest, as catalog modes do:
     value a_k(0), higher temporal derivatives zero."""
     conditions = np.zeros(state.coeffs.shape, dtype=complex)
-    conditions[:, 0] = state.coeffs.sum(axis=1)
+    conditions[:, 0] = coefficients_at(state, 0.0)
     return state.spec, [hr.k for hr in state.roots], conditions
 
 

@@ -134,7 +134,7 @@ def _order_key(r: complex) -> tuple[float, float]:
     return (round(r.real, 9), round(r.imag, 9))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
+@functools.lru_cache(maxsize=2 * MAX_BAND_LIMIT + 1, typed=True)
 def characteristic_roots(spec: PdeSpec, k: int) -> HarmonicRoots:
     """All m roots of p(r) = q(j*2*pi*k) via companion-matrix eigenvalues.
 

@@ -105,7 +105,7 @@ def test_criterion_04_ode_oracle_equivalence():
             closed = np.array([coefficients_at(state, t) for t in times])  # all harmonics
             for hr in state.roots:
                 conditions = np.zeros(state.m, dtype=complex)
-                conditions[0] = complex(np.sum(state.coeffs[hr.k + state.b]))
+                conditions[0] = coefficients_at(state, 0.0)[hr.k + state.b]
                 rk4_times, (values,) = integrate_coefficient_ode([(state.spec, [hr.k], [conditions])], 1.0, dt)
                 assert np.array_equal(rk4_times, times)
                 dev = float(np.max(np.abs(closed[:, hr.k + state.b] - values[:, 0])))

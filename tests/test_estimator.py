@@ -57,12 +57,6 @@ def solve(roots, t0, values):
     return reconstruct(roots, t0, values).a_hat
 
 
-def mode_distortion(roots, a_hat, true_k0):
-    """distortion of the mode values at t = 0 of the stacked estimate
-    ``a_hat``: each harmonic's coefficients summed."""
-    return distortion(a_hat.reshape(len(roots), -1).sum(axis=1), true_k0)
-
-
 def constant_roots():
     # Single harmonic k = 0 with root exactly 0: the all-ones design column.
     return (HarmonicRoots(k=0, roots=(0.0 + 0.0j,)),)
@@ -305,10 +299,10 @@ def test_chain_bound_on_reconstructions(diffusion):
     for seed in range(10):
         path = draw_path(RenewalSpec(), 200, path_streams(seed))
         samples = sample_field(diffusion, path, NoiseSpec("gaussian", 1e-3), rng)
-        a_hat = solve(diffusion.roots, path.T0[0], samples)
-        coeff_err = float(np.sum(np.abs(a_hat - flat) ** 2))
+        result = reconstruct(diffusion.roots, path.T0[0], samples)
+        coeff_err = float(np.sum(np.abs(result.a_hat - flat) ** 2))
         bound = diffusion.m * (2 * diffusion.b + 1) * coeff_err
-        assert mode_distortion(diffusion.roots, a_hat, true_k0) <= bound * (1 + 1e-12)
+        assert distortion(result.modes, true_k0) <= bound * (1 + 1e-12)
 
 
 def test_grid_design_layout(diffusion):
@@ -424,10 +418,56 @@ def test_noiseless_grid_recovery(spec, b, n_extra, seed):
     path = draw_path(RenewalSpec(family="deterministic"), n, path_streams(seed))
     samples = sample_field(state, path, NoiseSpec())
     try:
-        a_hat = solve(state.roots, path.T0[0], samples)
+        result = reconstruct(state.roots, path.T0[0], samples)
     except RankDeficient:
         return
-    assert mode_distortion(state.roots, a_hat, coefficients_at(state, 0.0)) < 1e-14
+    assert distortion(result.modes, coefficients_at(state, 0.0)) < 1e-14
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    spec=feasible_pdes(),
+    b=st.integers(0, 4),
+    extras=st.lists(st.integers(-2, 200), min_size=1, max_size=4),
+    t0=st.floats(0.3, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# p = 1 + z^2: a conjugate root pair at k = 0; third order at the largest band
+@example(spec=PdeSpec((1.0, 0.0, 1.0), (0.0, 0.0, 0.01)), b=2, extras=[80, 3], t0=1.0, seed=2)
+@example(spec=PdeSpec((6.0, 11.0, 6.0, 1.0), (0.0, 0.1, 0.01)), b=4, extras=[120, -1, 40], t0=0.7, seed=3)
+def test_modes_are_each_harmonics_coefficient_sum(spec, b, extras, t0, seed):
+    # The field estimate of every solved member of a stack is its 2b+1 mode
+    # values: each harmonic's m coefficients summed in root order, bit for bit.
+    try:
+        feasible = check_stability(spec, b).feasible
+        roots = tuple(characteristic_roots(spec, k) for k in range(-b, b + 1))
+    except DegenerateRoots:
+        assume(False)
+    assume(feasible)
+    cols = spec.degree * (2 * b + 1)
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(-1.0, 1.0, max(cols + extra, 0)) for extra in extras]
+    outcomes = reconstruct_stack(roots, [t0 * (1 + 0.1 * i) for i in range(len(values))], values)
+    for outcome in outcomes:
+        if isinstance(outcome, ReconstructionResult):
+            assert outcome.modes.shape == (2 * b + 1,)
+            assert np.array_equal(outcome.modes, outcome.a_hat.reshape(2 * b + 1, spec.degree).sum(axis=1))
+
+
+def test_an_empty_root_tuple_is_refused_by_name():
+    # No harmonic at all, not even k = 0: each public caller names the empty
+    # tuple where it used to end in a bare IndexError.
+    message = "the root tuple is empty"
+    with pytest.raises(ValueError, match=message):
+        reconstruct((), 1.0, np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        reconstruct_stack((), [1.0, 1.0], [np.ones(3), np.ones(0)])
+    with pytest.raises(ValueError, match=message):
+        condition_diagnostics((), 3, 1.0)
+    with pytest.raises(ValueError, match=message):
+        basis_matrix((), [0.1], [0.1])
+    with pytest.raises(ValueError, match=message):
+        grid_tables((), [3], [1.0])
 
 
 # ------------------------------------- reduced solve vs lstsq on the entries
@@ -595,8 +635,8 @@ def test_stack_members_are_independent():
         kept.append((t0, v, outcome))
         assert np.linalg.norm(outcome.a_hat - alone.a_hat) <= STACK_RTOL * np.linalg.norm(alone.a_hat)
         assert outcome.kappa == pytest.approx(alone.kappa, rel=STACK_RTOL)
-        error = mode_distortion(state.roots, outcome.a_hat, true_k0)
-        assert error == pytest.approx(mode_distortion(state.roots, alone.a_hat, true_k0), rel=STACK_RTOL)
+        error = distortion(outcome.modes, true_k0)
+        assert error == pytest.approx(distortion(alone.modes, true_k0), rel=STACK_RTOL)
     assert [type(o).__name__ for o in outcomes] == [
         "ReconstructionResult",
         "ReconstructionResult",
@@ -608,8 +648,8 @@ def test_stack_members_are_independent():
     t0s, values, before = zip(*kept)
     for outcome, result in zip(reconstruct_stack(state.roots, t0s, values), before):
         assert np.linalg.norm(outcome.a_hat - result.a_hat) <= STACK_RTOL * np.linalg.norm(result.a_hat)
-        error = mode_distortion(state.roots, outcome.a_hat, true_k0)
-        assert error == pytest.approx(mode_distortion(state.roots, result.a_hat, true_k0), rel=STACK_RTOL)
+        error = distortion(outcome.modes, true_k0)
+        assert error == pytest.approx(distortion(result.modes, true_k0), rel=STACK_RTOL)
 
 
 def test_reconstruct_is_the_one_member_stack():
@@ -629,6 +669,7 @@ def test_reconstruct_is_the_one_member_stack():
             assert type(refusal) is type(member) and str(refusal) == str(member)
             continue
         assert np.array_equal(alone.a_hat, member.a_hat)
+        assert np.array_equal(alone.modes, member.modes)
         assert alone.kappa == member.kappa
     assert members == ["ReconstructionResult", "RankDeficient", "InsufficientSamples"]
 

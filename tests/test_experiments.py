@@ -538,8 +538,7 @@ def test_stack_scoring_is_each_members_own_distortion():
             assert not isinstance(outcome, ReconstructionResult)
             assert all(math.isnan(x) for x in (record.distortion, record.coeff_error_sq, record.kappa))
             continue
-        modes = outcome.a_hat.reshape(len(state.roots), -1).sum(axis=1)
-        assert record.distortion == distortion(modes, true_k0)
+        assert record.distortion == distortion(outcome.modes, true_k0)
         assert record.coeff_error_sq == distortion(outcome.a_hat, state.flat_coeffs())
         assert record.kappa == outcome.kappa
 

@@ -74,9 +74,14 @@ def test_decay_envelope(diffusion):
             assert abs(evaluate(diffusion, x, t)) <= total + 1e-12
 
 
-def test_coefficients_at_zero_row_sums(diffusion, set1):
-    for state in (diffusion, set1):
-        assert np.allclose(coefficients_at(state, 0.0), state.coeffs.sum(axis=1), atol=0)
+def test_coefficients_at_zero_row_sums():
+    # A state's mode values at t = 0 are its row sums, bit for bit: every
+    # exp(0 * r) is exactly 1, on the catalog and on random fields.
+    states = [scenario_field(entry.set_id) for entry in CATALOG]
+    for entry in CATALOG:
+        states += [random_real_field(3, entry.spec, np.random.default_rng(seed)) for seed in range(5)]
+    for state in states:
+        assert np.array_equal(coefficients_at(state, 0.0), state.coeffs.sum(axis=1))
 
 
 def test_coefficients_at_a_time_grid(set1):
@@ -164,10 +169,13 @@ def test_unknown_scenario():
 
 
 def test_catalog_entry_refuses_bool():
-    # True == 1, but a bool names no catalog row.
-    for key in (True, False):
-        with pytest.raises(UnknownScenario):
+    # True == 1 and 1.0 == 1, but only an integer names a catalog row by
+    # index (pde_core.integer's rule); numpy integers are integers.
+    for key in (True, False, np.True_, 1.0, np.float64(2.0), 3 + 0j, "1", None):
+        with pytest.raises(UnknownScenario, match="no catalog entry"):
             catalog_entry(key)
+    for key in (1, np.int64(2), np.uint8(3)):
+        assert catalog_entry(key) is CATALOG[int(key) - 1]
 
 
 def test_two_evaluation_paths_agree(diffusion, set1):

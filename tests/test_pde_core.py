@@ -10,6 +10,7 @@ from fieldrecon.errors import DegenerateRoots
 from fieldrecon.field import CATALOG, FieldState, catalog_entry, coefficients_at, scenario_field
 from fieldrecon.pde_core import (
     DISTINCTNESS_RTOL,
+    MAX_BAND_LIMIT,
     STABILITY_TOL,
     PdeSpec,
     characteristic_roots,
@@ -172,6 +173,12 @@ def test_roots_are_derived_once_per_harmonic():
         with pytest.raises(DegenerateRoots):
             characteristic_roots(spec, 0)
     assert characteristic_roots.cache_info().currsize == 2 * state.b + 2
+    # The cache holds every harmonic at the band ceiling: a second gate there
+    # misses nothing.
+    check_stability(state.spec, MAX_BAND_LIMIT)
+    misses = characteristic_roots.cache_info().misses
+    check_stability(state.spec, MAX_BAND_LIMIT)
+    assert characteristic_roots.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(
